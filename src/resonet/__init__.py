@@ -13,9 +13,8 @@ from .errors import (CacheError, ConfigError, DataError, DegenerateInputWarning,
                      ManifestError, NumericalError, PartitionError, ResonetError)
 from .evalharness import (ConditionReport, CrossValReport, FoldMetrics, FoldSpec,
                           GainReport, PipelineSpec, PreparedCorpus, alpha_sweep,
-                          chance_band, compute_gain, cross_validate,
-                          enumerate_folds, filter_baseline, prepare_corpus,
-                          run_fold, stratified_report)
+                          chance_band, cross_validate, enumerate_folds,
+                          prepare_corpus, run_fold, stratified_report)
 from .filterbank import (CochlearConfig, FeatureMatrix, MfccConfig, StftConfig,
                          cochleagram, exponent_transform, featurize, mfcc,
                          normalize_maxabs, pad_to, spectro_hp_from_complex,
@@ -24,6 +23,6 @@ from .readout import (Metrics, ReadoutModel, ReadoutOptions, build_targets,
                       classify, predict, score_mse, score_wsr, train_pinv)
 from .reservoir import (BinaryMask, NeuronStates, StnoParams, TanhParams,
                         gen_mask, mask_and_flatten, node_run_reference,
-                        reshape_states, stno_run, stno_step)
+                        reshape_states, stno_run)
 
 __version__ = "0.1.0"

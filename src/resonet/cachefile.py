@@ -1,4 +1,4 @@
-"""Binary containers for cached features, node states and trained models.
+"""Binary containers for cached features and trained models.
 
 All files share a fixed little-endian layout: a 4-byte magic, a u16
 format version, a type-specific header, a row-major float64 payload and
@@ -19,10 +19,8 @@ import numpy as np
 from .errors import CacheError
 from .filterbank import FeatureMatrix
 from .readout import ReadoutModel, ReadoutOptions
-from .reservoir import NeuronStates, StnoParams
 
 MAGIC_FEATURES = b"RNBF"
-MAGIC_STATES = b"RNBS"
 MAGIC_MODEL = b"RNBM"
 CACHE_VERSION = 1
 
@@ -119,49 +117,6 @@ def read_feature_cache(path: str | Path,
     kind = FILTER_NAMES[kind_code]
     return FeatureMatrix(values.copy(), kind, clip_id,
                          alpha=None if np.isnan(alpha) else alpha)
-
-
-def write_state_cache(path: str | Path, states: NeuronStates, params: StnoParams,
-                      mask_seed: int, config_hash: bytes | str | None = None) -> None:
-    """Persist node states; oscillator constants ride along for provenance."""
-    header = MAGIC_STATES + struct.pack(
-        "<HBII", CACHE_VERSION, NODE_CODES[states.node_kind],
-        states.values.shape[0], states.values.shape[1])
-    header += struct.pack("<q6d", mask_seed, params.dt, params.t_relax,
-                          params.i_dc, params.i_c, params.c, params.input_gain)
-    header += _normalize_hash(config_hash)
-    clip = states.clip_id.encode()
-    header += struct.pack("<H", len(clip)) + clip
-    payload = np.ascontiguousarray(states.values, dtype="<f8").tobytes()
-    _finish(Path(path), header + payload)
-
-
-def read_state_cache(path: str | Path,
-                     config_hash: bytes | str | None = None
-                     ) -> tuple[NeuronStates, StnoParams, int]:
-    body = _open(path, MAGIC_STATES)
-    node_code, n_theta, n_frames = struct.unpack_from("<BII", body, 0)
-    off = struct.calcsize("<BII")
-    mask_seed, dt, t_relax, i_dc, i_c, c, input_gain = struct.unpack_from("<q6d", body, off)
-    off += struct.calcsize("<q6d")
-    stored_hash = body[off:off + _HASH_LEN]
-    off += _HASH_LEN
-    _check_hash(path, stored_hash, config_hash)
-    (id_len,) = struct.unpack_from("<H", body, off)
-    off += 2
-    clip_id = body[off:off + id_len].decode()
-    off += id_len
-    expect = n_theta * n_frames * 8
-    payload = body[off:off + expect]
-    if len(payload) != expect:
-        raise CacheError(f"{path}: payload truncated")
-    if node_code not in NODE_NAMES or NODE_NAMES[node_code] == "none":
-        raise CacheError(f"{path}: unknown node code {node_code}")
-    values = np.frombuffer(payload, dtype="<f8").reshape(n_theta, n_frames)
-    states = NeuronStates(values.copy(), clip_id, node_kind=NODE_NAMES[node_code])
-    params = StnoParams(dt=dt, t_relax=t_relax, i_dc=i_dc, i_c=i_c, c=c,
-                        input_gain=input_gain)
-    return states, params, mask_seed
 
 
 def write_model(path: str | Path, model: ReadoutModel, alpha: float | None = None,

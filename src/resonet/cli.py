@@ -29,10 +29,10 @@ from . import cachefile
 from .config import GENERATOR_NAME, RunConfig, apply_seed_overrides, parse_config
 from .dataset import Manifest, save_manifest
 from .errors import ResonetError
-from .evalharness import (PipelineSpec, compute_gain, condition_markdown,
-                          cross_validate, prepare_corpus, report_to_csv,
-                          stratified_report, summary_markdown)
-from .filterbank import exponent_transform
+from .evalharness import (GainReport, PipelineSpec, clip_features,
+                          condition_markdown, cross_validate, prepare_corpus,
+                          report_to_csv, stratified_report, summary_markdown,
+                          with_node)
 
 PARITY_ALPHA_THRESHOLD = 100.0
 
@@ -83,19 +83,14 @@ def cmd_featurize(args) -> int:
     pipeline = cfg.pipeline()
     cache_dir = _cache_root(cfg, args) / cfg.feature_hash()
     written = skipped = 0
-    from .dataset import realize_clip
-    from .filterbank import featurize as run_filter
     for entry in manifest.entries:
         path = cache_dir / f"{entry.clip_id}.rnbf"
         if path.exists():
             cachefile.read_feature_cache(path, cfg.feature_hash())
             skipped += 1
             continue
-        clip = realize_clip(entry, sample_rate=manifest.sample_rate,
-                            noise_seed=cfg["corpus.noise_seed"])
-        fm = run_filter(clip, pipeline.filter_kind, pipeline.alpha,
-                        stft_cfg=pipeline.stft, mfcc_cfg=pipeline.mfcc,
-                        cochlear_cfg=pipeline.cochlear)
+        fm = clip_features(entry, pipeline, sample_rate=manifest.sample_rate,
+                           noise_seed=cfg["corpus.noise_seed"])
         cachefile.write_feature_cache(path, fm, cfg.feature_hash())
         written += 1
     print(f"feature cache {cache_dir}: {written} written, {skipped} already current")
@@ -123,8 +118,7 @@ def cmd_bench(args) -> int:
     header = _header_lines(cfg)
     cached = _load_cached_features(cfg, manifest, _cache_root(cfg, args) / cfg.feature_hash())
 
-    base_pipe = replace(pipeline, node_kind=None)
-    base_prep = prepare_corpus(manifest, partition, base_pipe,
+    base_prep = prepare_corpus(manifest, partition, replace(pipeline, node_kind=None),
                                noise_seed=cfg["corpus.noise_seed"],
                                workers=workers, features=cached or None)
     baseline = cross_validate(base_prep, n_train, workers=workers)
@@ -133,24 +127,13 @@ def cmd_bench(args) -> int:
     gain = None
 
     if pipeline.node_kind is not None:
-        prep = prepare_corpus(manifest, partition, pipeline,
-                              noise_seed=cfg["corpus.noise_seed"],
-                              workers=workers, features=cached or None)
+        prep = with_node(base_prep, pipeline, workers=workers)
         total = cross_validate(prep, n_train, workers=workers)
         (out / "report_total.csv").write_text(report_to_csv(total, header))
         reports.append(total)
-        gain = compute_gain(baseline, total)
-        model_dir = out / "models"
+        gain = GainReport(baseline, total)
         for i, fm in enumerate(total.folds):
-            from .readout import build_targets, train_pinv
-            idx = prep.indices_of_subsets(fm.fold.train_subsets)
-            model = train_pinv([prep.tensors[j] for j in idx],
-                               [build_targets(int(prep.digits[j]), prep.n_frames_max)
-                                for j in idx],
-                               pipeline.readout, trained_on=fm.fold.describe(),
-                               node_kind=pipeline.node_kind,
-                               filter_kind=pipeline.filter_kind)
-            cachefile.write_model(model_dir / f"fold_{i:03d}.rnbm", model,
+            cachefile.write_model(out / "models" / f"fold_{i:03d}.rnbm", fm.model,
                                   alpha=pipeline.alpha,
                                   config_hash=cfg.config_hash())
 
@@ -198,16 +181,13 @@ def _write_parity_diagnostic(cfg: RunConfig, manifest: Manifest,
     Only magnitude-1 entries survive: they land on +1, or on -1 when the
     entry is negative and the integer part of the exponent is odd.
     """
-    from .dataset import realize_clip
-    from .filterbank import normalize_maxabs, stft_complex
+    exp_pipeline = replace(pipeline, filter_kind="spectro_exp", alpha=alpha)
     lines = [f"# {h}" for h in _header_lines(cfg)]
     lines.append(f"# alpha = {alpha!r}")
     lines.append("clip_id,digit,n_plus_one,n_minus_one,max_other")
     for entry in manifest.entries:
-        clip = realize_clip(entry, sample_rate=manifest.sample_rate,
-                            noise_seed=cfg["corpus.noise_seed"])
-        x = normalize_maxabs(np.real(stft_complex(clip, pipeline.stft)))
-        r = exponent_transform(x, alpha)
+        r = clip_features(entry, exp_pipeline, sample_rate=manifest.sample_rate,
+                          noise_seed=cfg["corpus.noise_seed"]).values
         plus = int(np.sum(r == 1.0))
         minus = int(np.sum(r == -1.0))
         others = np.abs(r[(r != 1.0) & (r != -1.0)])

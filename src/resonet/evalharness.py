@@ -18,8 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dataset import (Manifest, ManifestEntry, SubsetPartition, add_noise,
-                      derived_noise_seed, read_clip)
+from .dataset import Manifest, ManifestEntry, SubsetPartition, realize_clip
 from .errors import ConfigError, DataError
 from .filterbank import (CochlearConfig, FeatureMatrix, MfccConfig, StftConfig,
                          featurize, pad_to)
@@ -113,10 +112,65 @@ class PipelineSpec:
         return "baseline" if self.node_kind is None else "total"
 
 
-def _featurize_entry(entry: ManifestEntry, clip, pipeline: PipelineSpec) -> FeatureMatrix:
+def clip_features(entry: ManifestEntry, pipeline: PipelineSpec, *,
+                  sample_rate: int, noise_seed: int = 0) -> FeatureMatrix:
+    """Realize one manifest entry and run it through the pipeline's front end."""
+    clip = realize_clip(entry, sample_rate=sample_rate, noise_seed=noise_seed)
     return featurize(clip, pipeline.filter_kind, pipeline.alpha,
                      stft_cfg=pipeline.stft, mfcc_cfg=pipeline.mfcc,
                      cochlear_cfg=pipeline.cochlear)
+
+
+def _map(fn: Callable, items: Sequence, workers: int) -> list:
+    """``fn`` over ``items`` in order, on a thread pool when workers > 1."""
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, items))
+    return [fn(x) for x in items]
+
+
+def _baseline_stage(entries: Sequence[ManifestEntry], pipeline: PipelineSpec, *,
+                    sample_rate: int, noise_seed: int, workers: int,
+                    features: dict[str, FeatureMatrix] | None = None) -> np.ndarray:
+    """Realize and featurize every entry (or reuse its cached features) and
+    pad all of them to one frame count: shape (n_clips, n_rows, n_frames_max).
+    """
+    def _load(entry: ManifestEntry) -> FeatureMatrix:
+        if features is not None and entry.clip_id in features:
+            return features[entry.clip_id]
+        return clip_features(entry, pipeline, sample_rate=sample_rate,
+                             noise_seed=noise_seed)
+
+    feats = _map(_load, entries, workers)
+    n_frames_max = max(f.n_frames for f in feats)
+    return np.stack([pad_to(f, n_frames_max).values for f in feats])
+
+
+def _node_stage(tensors: np.ndarray, pipeline: PipelineSpec,
+                clip_ids: Sequence[str], workers: int) -> tuple[np.ndarray, float]:
+    """Mask, scale and run the node over padded features; returns the
+    states, shape (n_clips, n_theta, n_frames), and the input gain.
+
+    The input scale maps the largest masked feature magnitude over all of
+    ``tensors`` onto ``drive_ma``, so the drive spans +/-drive_ma.  State
+    integration restarts from the rest amplitude at every clip boundary.
+    """
+    n_frames = tensors.shape[2]
+    mask = gen_mask(pipeline.mask_seed, pipeline.n_theta, tensors.shape[1])
+    drives = [mask_and_flatten(x, mask) for x in tensors]
+    peak = max(float(np.max(np.abs(d))) for d in drives)
+    input_gain = pipeline.drive_ma / peak if peak > 0.0 else 0.0
+
+    def _states(i: int) -> np.ndarray:
+        if pipeline.node_kind == "stno":
+            v = stno_run(drives[i], replace(pipeline.stno, input_gain=input_gain))
+        else:
+            t = pipeline.tanh
+            v = node_run_reference(input_gain * drives[i], t.gain, t.leak, t.v0)
+        return NeuronStates(reshape_states(v, pipeline.n_theta, n_frames),
+                            clip_ids[i], node_kind=pipeline.node_kind).values
+
+    return np.stack(_map(_states, range(len(drives)), workers)), input_gain
 
 
 @dataclass
@@ -141,77 +195,38 @@ class PreparedCorpus:
         return np.array([i for i, s in enumerate(self.subset_of) if s in wanted])
 
 
-def _run_node(pipeline: PipelineSpec, drive: np.ndarray, input_gain: float,
-              n_frames: int, clip_id: str) -> NeuronStates:
-    if pipeline.node_kind == "stno":
-        p = replace(pipeline.stno, input_gain=input_gain)
-        v = stno_run(drive, p)
-    else:
-        t = pipeline.tanh
-        v = node_run_reference(input_gain * drive, t.gain, t.leak, t.v0)
-    return NeuronStates(reshape_states(v, pipeline.n_theta, n_frames), clip_id,
-                        node_kind=pipeline.node_kind)
-
-
 def prepare_corpus(manifest: Manifest, partition: SubsetPartition,
                    pipeline: PipelineSpec, *, noise_seed: int = 0,
                    workers: int = 1,
                    features: dict[str, FeatureMatrix] | None = None) -> PreparedCorpus:
     """Featurize (or reuse cached features for) every clip and, when a
     node is configured, run the reservoir over the padded features.
-
-    The input scale maps the largest masked feature magnitude over the
-    whole corpus onto ``drive_ma``, so the drive spans +/-drive_ma.
-    State integration restarts from the rest amplitude at every clip
-    boundary.
     """
-    from .dataset import realize_clip  # local import to keep module load light
-
     subset_of_map = partition.subset_of()
     entries = [e for e in manifest.entries if e.clip_id in subset_of_map]
     if not entries:
         raise DataError("no manifest entries covered by the partition")
-
-    def _load(entry: ManifestEntry) -> FeatureMatrix:
-        if features is not None and entry.clip_id in features:
-            return features[entry.clip_id]
-        clip = realize_clip(entry, sample_rate=manifest.sample_rate,
-                            noise_seed=noise_seed)
-        return _featurize_entry(entry, clip, pipeline)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            feats = list(pool.map(_load, entries))
-    else:
-        feats = [_load(e) for e in entries]
-
-    n_frames_max = max(f.n_frames for f in feats)
-    padded = [pad_to(f, n_frames_max) for f in feats]
-    clip_ids = tuple(e.clip_id for e in entries)
-    digits = np.array([e.label.digit for e in entries])
-    subset_of = np.array([subset_of_map[e.clip_id] for e in entries])
-
+    tensors = _baseline_stage(entries, pipeline, sample_rate=manifest.sample_rate,
+                              noise_seed=noise_seed, workers=workers,
+                              features=features)
+    prep = PreparedCorpus(tuple(e.clip_id for e in entries),
+                          np.array([e.label.digit for e in entries]),
+                          np.array([subset_of_map[e.clip_id] for e in entries]),
+                          tensors, tensors.shape[2],
+                          replace(pipeline, node_kind=None))
     if pipeline.node_kind is None:
-        tensors = np.stack([f.values for f in padded])
-        return PreparedCorpus(clip_ids, digits, subset_of, tensors,
-                              n_frames_max, pipeline)
+        return prep
+    return with_node(prep, pipeline, workers=workers)
 
-    mask = gen_mask(pipeline.mask_seed, pipeline.n_theta, padded[0].n_rows)
-    drives = [mask_and_flatten(f, mask) for f in padded]
-    peak = max((float(np.max(np.abs(d))) if d.size else 0.0) for d in drives)
-    input_gain = pipeline.drive_ma / peak if peak > 0.0 else 0.0
 
-    def _states(i: int) -> np.ndarray:
-        return _run_node(pipeline, drives[i], input_gain, n_frames_max,
-                         clip_ids[i]).values
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            tensors = np.stack(list(pool.map(_states, range(len(drives)))))
-    else:
-        tensors = np.stack([_states(i) for i in range(len(drives))])
-    return PreparedCorpus(clip_ids, digits, subset_of, tensors, n_frames_max,
-                          pipeline, input_gain=input_gain)
+def with_node(prep: PreparedCorpus, pipeline: PipelineSpec, *,
+              workers: int = 1) -> PreparedCorpus:
+    """The total route of a baseline preparation: the same clips, folds
+    and padded features, with the node's states as readout inputs.
+    ``pipeline`` must share the preparation's front end.
+    """
+    states, input_gain = _node_stage(prep.tensors, pipeline, prep.clip_ids, workers)
+    return replace(prep, tensors=states, pipeline=pipeline, input_gain=input_gain)
 
 
 @dataclass(frozen=True)
@@ -219,6 +234,7 @@ class FoldMetrics:
     fold: FoldSpec
     train: Metrics
     test: Metrics
+    model: ReadoutModel = field(compare=False, repr=False)
 
     @property
     def overfit_ratio(self) -> float:
@@ -251,7 +267,7 @@ def run_fold(fold: FoldSpec, prep: PreparedCorpus) -> FoldMetrics:
                        node_kind=prep.pipeline.node_kind or "none",
                        filter_kind=prep.pipeline.filter_kind)
     return FoldMetrics(fold, _evaluate(model, prep, train_idx),
-                       _evaluate(model, prep, test_idx))
+                       _evaluate(model, prep, test_idx), model)
 
 
 @dataclass(frozen=True)
@@ -287,21 +303,8 @@ def cross_validate(prep: PreparedCorpus, n_train: int, *,
     Results are assembled in fold order, making the report independent of
     the worker count.
     """
-    folds = enumerate_folds(n_train)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda f: run_fold(f, prep), folds))
-    else:
-        results = [run_fold(f, prep) for f in folds]
+    results = _map(lambda f: run_fold(f, prep), enumerate_folds(n_train), workers)
     return CrossValReport.from_folds(prep.pipeline.describe(), n_train, results)
-
-
-def filter_baseline(prep: PreparedCorpus, n_train: int, *,
-                    workers: int = 1) -> CrossValReport:
-    """Cross-validate the readout directly on filterbank features."""
-    if prep.pipeline.node_kind is not None:
-        raise ConfigError("filter_baseline needs a preparation without a node")
-    return cross_validate(prep, n_train, workers=workers)
 
 
 @dataclass(frozen=True)
@@ -324,10 +327,6 @@ class GainReport:
     def gain_points(self) -> float:
         """Mean test WSR difference, total minus baseline, in points."""
         return self.total.test.wsr - self.baseline.test.wsr
-
-
-def compute_gain(baseline: CrossValReport, total: CrossValReport) -> GainReport:
-    return GainReport(baseline, total)
 
 
 @dataclass(frozen=True)
@@ -381,16 +380,6 @@ class ConditionReport:
         return float(self.wsr.mean())
 
 
-def _realized_features(entry: ManifestEntry, pipeline: PipelineSpec,
-                       manifest: Manifest, noise_type: str, snr_db: float,
-                       noise_seed: int) -> FeatureMatrix:
-    clip = read_clip(entry, sample_rate=manifest.sample_rate)
-    if entry.is_synthetic and not math.isinf(snr_db):
-        seed = derived_noise_seed(noise_seed, entry.clip_id, noise_type, snr_db)
-        clip = add_noise(clip, noise_type, snr_db, seed)
-    return _featurize_entry(entry, clip, pipeline)
-
-
 def stratified_report(manifest: Manifest, pipeline: PipelineSpec,
                       train_filter: Callable[[ManifestEntry], bool], *,
                       test_snrs: Sequence[float], test_noise_types: Sequence[str],
@@ -402,7 +391,8 @@ def stratified_report(manifest: Manifest, pipeline: PipelineSpec,
     test pool.  Synthetic test entries are re-realized at each cell's
     (noise_type, snr) condition, while file-backed test entries join only
     the cells whose condition matches their manifest tag.  Training
-    entries are realized at their tagged conditions.
+    entries are realized at their tagged conditions.  All clips, train
+    and test, are padded together and share one input scale.
     """
     if not test_snrs or not test_noise_types:
         raise ConfigError("stratified evaluation needs test snrs and noise types")
@@ -413,80 +403,56 @@ def stratified_report(manifest: Manifest, pipeline: PipelineSpec,
     if not test_entries:
         raise DataError("stratified test pool is empty")
 
-    train_feats = [
-        _realized_features(e, pipeline, manifest, e.label.noise_type,
-                           e.label.snr_db, noise_seed)
-        for e in train_entries
-    ]
     def _tag_matches(label, ntype: str, snr: float) -> bool:
         if label.snr_db != snr:
             return False
         return label.noise_type == ntype or (math.isinf(snr)
                                              and label.noise_type == "clean")
 
-    cells: dict[tuple[int, int], list[tuple[ManifestEntry, FeatureMatrix]]] = {}
+    def _at(entry: ManifestEntry, ntype: str, snr: float) -> ManifestEntry:
+        label = replace(entry.label, snr_db=snr,
+                        noise_type="clean" if math.isinf(snr) else ntype)
+        return replace(entry, label=label)
+
+    cells: dict[tuple[int, int], list[ManifestEntry]] = {}
     for r, snr in enumerate(test_snrs):
         for c, ntype in enumerate(test_noise_types):
-            pool = []
-            for e in test_entries:
-                if e.is_synthetic:
-                    f = _realized_features(e, pipeline, manifest, ntype,
-                                           float(snr), noise_seed)
-                elif _tag_matches(e.label, ntype, float(snr)):
-                    f = _realized_features(e, pipeline, manifest, e.label.noise_type,
-                                           e.label.snr_db, noise_seed)
-                else:
-                    continue
-                pool.append((e, f))
+            snr = float(snr)
+            pool = [_at(e, ntype, snr) if e.is_synthetic else e for e in test_entries
+                    if e.is_synthetic or _tag_matches(e.label, ntype, snr)]
             if not pool:
                 raise DataError(
                     f"no test clips for condition ({ntype!r}, {snr} dB)")
             cells[(r, c)] = pool
 
-    all_feats = train_feats + [f for pool in cells.values() for _, f in pool]
-    n_frames_max = max(f.n_frames for f in all_feats)
+    entries = train_entries + [e for pool in cells.values() for e in pool]
+    features = _baseline_stage(entries, pipeline, sample_rate=manifest.sample_rate,
+                               noise_seed=noise_seed, workers=workers)
+    n_train, n_frames = len(train_entries), features.shape[2]
+    targets = [build_targets(e.label.digit, n_frames) for e in train_entries]
 
-    def _tensors(feats: list[FeatureMatrix], route_pipeline: PipelineSpec):
-        padded = [pad_to(f, n_frames_max) for f in feats]
-        if route_pipeline.node_kind is None:
-            return [p.values for p in padded]
-        mask = gen_mask(route_pipeline.mask_seed, route_pipeline.n_theta,
-                        padded[0].n_rows)
-        return [mask_and_flatten(p, mask) for p in padded]
-
-    def _route(route_pipeline: PipelineSpec) -> np.ndarray:
-        train_mats = _tensors(train_feats, route_pipeline)
-        cell_mats = {key: _tensors([f for _, f in pool], route_pipeline)
-                     for key, pool in cells.items()}
-        if route_pipeline.node_kind is not None:
-            everything = train_mats + [m for mats in cell_mats.values() for m in mats]
-            peak = max(float(np.max(np.abs(m))) for m in everything)
-            input_gain = route_pipeline.drive_ma / peak if peak > 0 else 0.0
-            train_mats = [
-                _run_node(route_pipeline, d, input_gain, n_frames_max, e.clip_id).values
-                for d, e in zip(train_mats, train_entries)]
-            cell_mats = {
-                key: [_run_node(route_pipeline, d, input_gain, n_frames_max,
-                                e.clip_id).values
-                      for d, (e, _) in zip(mats, cells[key])]
-                for key, mats in cell_mats.items()}
-        targets = [build_targets(e.label.digit, n_frames_max) for e in train_entries]
-        model = train_pinv(train_mats, targets, route_pipeline.readout,
+    def _grid(route_pipeline: PipelineSpec, tensors: np.ndarray) -> np.ndarray:
+        model = train_pinv(list(tensors[:n_train]), targets, route_pipeline.readout,
                            trained_on="stratified",
                            node_kind=route_pipeline.node_kind or "none",
                            filter_kind=route_pipeline.filter_kind)
         grid = np.zeros((len(test_snrs), len(test_noise_types)))
-        for (r, c), mats in cell_mats.items():
-            preds = [classify(predict(model, m)) for m in mats]
-            actual = [e.label.digit for e, _ in cells[(r, c)]]
-            grid[r, c] = score_wsr(preds, actual)
+        start = n_train
+        for (r, c), pool in cells.items():
+            preds = [classify(predict(model, m))
+                     for m in tensors[start:start + len(pool)]]
+            grid[r, c] = score_wsr(preds, [e.label.digit for e in pool])
+            start += len(pool)
         return grid
 
-    wsr = _route(pipeline)
-    gain = None
-    if with_baseline and pipeline.node_kind is not None:
-        base = replace(pipeline, node_kind=None)
-        gain = wsr - _route(base)
+    base = replace(pipeline, node_kind=None)
+    if pipeline.node_kind is None:
+        wsr, gain = _grid(base, features), None
+    else:
+        states, _ = _node_stage(features, pipeline, [e.clip_id for e in entries],
+                                workers)
+        wsr = _grid(pipeline, states)
+        gain = wsr - _grid(base, features) if with_baseline else None
     return ConditionReport(tuple(float(s) for s in test_snrs),
                            tuple(test_noise_types), wsr, gain,
                            n_train_clips=len(train_entries),

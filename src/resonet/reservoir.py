@@ -117,23 +117,13 @@ class StnoParams:
         return self.c * math.sqrt(self.i_dc - self.i_c)
 
 
-def stno_step(v_prev: float, drive_ma: float, p: StnoParams) -> float:
-    """Advance the oscillator amplitude by one virtual-node interval.
-
-    ``drive_ma`` is the input-referred current, already in mA (the run
-    helper applies ``input_gain`` before calling this).
-    """
-    v_inf = p.c * math.sqrt(max(0.0, p.i_dc - drive_ma - p.i_c))
-    a = p.decay
-    return v_inf * (1.0 - a) + v_prev * a
-
-
 def stno_run(x: np.ndarray, p: StnoParams, v0: float | None = None) -> np.ndarray:
     """Integrate the oscillator over a drive sequence.
 
-    Equivalent to repeated ``stno_step`` with drive ``input_gain * x[i]``,
-    evaluated as a first-order linear recurrence.  ``v0`` defaults to the
-    rest amplitude; outputs are finite and nonnegative.
+    Equivalent to stepping the module docstring's recurrence once per
+    sample with drive ``input_gain * x[i]``, evaluated as a first-order
+    linear recurrence.  ``v0`` defaults to the rest amplitude; outputs
+    are finite and nonnegative.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:

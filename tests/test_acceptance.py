@@ -18,7 +18,7 @@ from resonet.cli import main
 from resonet.dataset import build_synth_manifest, load_manifest, partition_subsets
 from resonet.evalharness import (PipelineSpec, alpha_sweep, chance_band,
                                  cross_validate, enumerate_folds,
-                                 filter_baseline, prepare_corpus)
+                                 prepare_corpus)
 from resonet.filterbank import exponent_transform
 from resonet.readout import (ReadoutOptions, build_targets, classify, predict,
                              train_pinv)
@@ -43,7 +43,7 @@ def _baseline_wsr(alpha: float) -> float:
         manifest, partition = _corpus()
         pipe = PipelineSpec(filter_kind="spectro_exp", alpha=alpha)
         prep = prepare_corpus(manifest, partition, pipe, workers=WORKERS)
-        _CACHE[key] = filter_baseline(prep, 9, workers=WORKERS)
+        _CACHE[key] = cross_validate(prep, 9, workers=WORKERS)
     return _CACHE[key].test.wsr
 
 
@@ -267,7 +267,7 @@ def test_criterion_10_reference_corpus_numbers():
     for kind, (want_base, want_total) in expected.items():
         pipe = PipelineSpec(filter_kind=kind)
         prep = prepare_corpus(manifest, partition, pipe, workers=WORKERS)
-        base = filter_baseline(prep, 9, workers=WORKERS).test.wsr
+        base = cross_validate(prep, 9, workers=WORKERS).test.wsr
         node = replace(pipe, node_kind="stno", n_theta=400)
         prep_t = prepare_corpus(manifest, partition, node, workers=WORKERS)
         total = cross_validate(prep_t, 9, workers=WORKERS).test.wsr

@@ -2,12 +2,10 @@ import numpy as np
 import pytest
 
 from resonet.cachefile import (read_feature_cache, read_model,
-                               read_state_cache, write_feature_cache,
-                               write_model, write_state_cache)
+                               write_feature_cache, write_model)
 from resonet.errors import CacheError
 from resonet.filterbank import FeatureMatrix
 from resonet.readout import ReadoutModel, ReadoutOptions
-from resonet.reservoir import NeuronStates, StnoParams
 
 
 def _feature_matrix(rng):
@@ -82,21 +80,6 @@ def test_cache_version_message(tmp_path, rng):
     path.write_bytes(body + _checksum(body))
     with pytest.raises(CacheError, match="regenerate"):
         read_feature_cache(path)
-
-
-def test_state_cache_round_trip(tmp_path, rng):
-    values = np.abs(rng.standard_normal((40, 9)))
-    states = NeuronStates(values, "clip9", node_kind="stno")
-    params = StnoParams(input_gain=0.3)
-    path = tmp_path / "s.rnbs"
-    write_state_cache(path, states, params, mask_seed=7,
-                      config_hash="0123456789abcdef")
-    back, p, seed = read_state_cache(path, config_hash="0123456789abcdef")
-    assert np.array_equal(back.values, values)
-    assert back.clip_id == "clip9"
-    assert back.node_kind == "stno"
-    assert p == params
-    assert seed == 7
 
 
 def test_model_round_trip(tmp_path, rng):

@@ -141,3 +141,27 @@ def test_cache_dir_env_override(conf, tmp_path, monkeypatch):
     monkeypatch.setenv("RESONET_CACHE_DIR", str(cache_root))
     assert main(["featurize", "--config", str(conf)]) == 0
     assert len(list(cache_root.rglob("*.rnbf"))) == 500
+
+
+def test_bench_featurizes_each_clip_once_and_trains_each_fold_once(conf, monkeypatch):
+    import resonet.evalharness as evalharness
+    import resonet.readout as readout
+    featurized, trained = [], []
+    featurize, train_pinv = evalharness.featurize, evalharness.train_pinv
+
+    def counting_featurize(clip, *args, **kwargs):
+        featurized.append(clip.clip_id)
+        return featurize(clip, *args, **kwargs)
+
+    def counting_train_pinv(*args, **kwargs):
+        trained.append(kwargs.get("trained_on"))
+        return train_pinv(*args, **kwargs)
+
+    monkeypatch.setattr(evalharness, "featurize", counting_featurize)
+    monkeypatch.setattr(evalharness, "train_pinv", counting_train_pinv)
+    monkeypatch.setattr(readout, "train_pinv", counting_train_pinv)
+    assert main(["bench", "--config", str(conf)]) == 0
+    assert len(featurized) == 500
+    assert len(set(featurized)) == 500
+    # ten folds on each of the baseline and total routes, and no more
+    assert len(trained) == 20

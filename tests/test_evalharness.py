@@ -6,11 +6,11 @@ import pytest
 
 from resonet.dataset import build_synth_manifest
 from resonet.errors import ConfigError, DataError
-from resonet.evalharness import (CrossValReport, FoldSpec, PipelineSpec,
-                                 chance_band, compute_gain, condition_markdown,
-                                 cross_validate, enumerate_folds,
-                                 filter_baseline, prepare_corpus, report_to_csv,
-                                 run_fold, stratified_report, summary_markdown)
+from resonet.evalharness import (CrossValReport, FoldSpec, GainReport,
+                                 PipelineSpec, chance_band, condition_markdown,
+                                 cross_validate, enumerate_folds, prepare_corpus,
+                                 report_to_csv, run_fold, stratified_report,
+                                 summary_markdown)
 from resonet.readout import Metrics
 
 
@@ -133,19 +133,10 @@ def test_cross_validate_worker_invariance(baseline_prep):
         assert fa.test.wsr == fb.test.wsr
 
 
-def test_filter_baseline_requires_no_node(corpus):
-    manifest, partition = corpus
-    pipe = PipelineSpec(filter_kind="spectro_exp", alpha=2.0, node_kind="stno",
-                        n_theta=8)
-    prep = prepare_corpus(manifest, partition, pipe, workers=4)
-    with pytest.raises(ConfigError):
-        filter_baseline(prep, 9)
-
-
 def test_gain_report_arithmetic(baseline_prep):
     base = cross_validate(baseline_prep, 9, workers=4)
     fake_total = CrossValReport.from_folds("x total", 9, base.folds)
-    gain = compute_gain(base, fake_total)
+    gain = GainReport(base, fake_total)
     assert gain.gain_points == pytest.approx(0.0)
 
 
@@ -153,7 +144,7 @@ def test_gain_report_rejects_mismatched_folds(baseline_prep):
     base = cross_validate(baseline_prep, 9, workers=4)
     other = cross_validate(baseline_prep, 8, workers=4)
     with pytest.raises(DataError):
-        compute_gain(base, other)
+        GainReport(base, other)
 
 
 def test_report_to_csv_layout(baseline_prep):
@@ -201,3 +192,15 @@ def test_stratified_with_gain_grid(corpus):
         noise_seed=2002, workers=4)
     assert report.gain is not None
     assert report.gain.shape == report.wsr.shape
+
+
+def test_stratified_grid_is_worker_invariant(corpus):
+    manifest, _ = corpus
+    pipe = PipelineSpec(filter_kind="spectro_exp", alpha=2.0, node_kind="stno",
+                        n_theta=24)
+    reports = [stratified_report(
+        manifest, pipe, lambda e: e.label.utterance < 8,
+        test_snrs=(math.inf, 10.0), test_noise_types=("synthetic-white",),
+        noise_seed=2002, workers=w) for w in (1, 2)]
+    assert np.array_equal(reports[0].wsr, reports[1].wsr)
+    assert np.array_equal(reports[0].gain, reports[1].gain)

@@ -7,7 +7,7 @@ from resonet.errors import ConfigError, DataError
 from resonet.filterbank import FeatureMatrix
 from resonet.reservoir import (BinaryMask, NeuronStates, StnoParams, TanhParams,
                                gen_mask, mask_and_flatten, node_run_reference,
-                               reshape_states, stno_run, stno_step)
+                               reshape_states, stno_run)
 
 
 def test_gen_mask_entries_and_determinism():
@@ -69,6 +69,17 @@ def test_stno_params_validation():
     with pytest.raises(ConfigError):
         StnoParams(dt=500.0)  # coarser than the relaxation time
     StnoParams(dt=500.0, allow_coarse_timestep=True)
+
+
+def stno_step(v_prev: float, drive_ma: float, p: StnoParams) -> float:
+    """Advance the oscillator amplitude by one virtual-node interval.
+
+    Scalar oracle for the recurrence ``stno_run`` evaluates; ``drive_ma``
+    is the input-referred current, already scaled by ``input_gain``.
+    """
+    v_inf = p.c * math.sqrt(max(0.0, p.i_dc - drive_ma - p.i_c))
+    a = p.decay
+    return v_inf * (1.0 - a) + v_prev * a
 
 
 def test_stno_step_frozen_values():
