@@ -121,14 +121,14 @@ def cmd_bench(args) -> int:
     base_prep = prepare_corpus(manifest, partition, replace(pipeline, node_kind=None),
                                noise_seed=cfg["corpus.noise_seed"],
                                workers=workers, features=cached or None)
-    baseline = cross_validate(base_prep, n_train, workers=workers)
+    baseline = cross_validate(base_prep, n_train)
     (out / "report_baseline.csv").write_text(report_to_csv(baseline, header))
     reports = [baseline]
     gain = None
 
     if pipeline.node_kind is not None:
         prep = with_node(base_prep, pipeline, workers=workers)
-        total = cross_validate(prep, n_train, workers=workers)
+        total = cross_validate(prep, n_train)
         (out / "report_total.csv").write_text(report_to_csv(total, header))
         reports.append(total)
         gain = GainReport(baseline, total)

@@ -13,8 +13,8 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .dataset import PHASE_MODES, Manifest, SubsetPartition, build_synth_manifest, \
-    load_manifest, partition_subsets
+from .dataset import NOISE_TYPES, PHASE_MODES, Manifest, SubsetPartition, \
+    build_synth_manifest, load_manifest, partition_subsets
 from .errors import ConfigError
 from .evalharness import PipelineSpec
 from .filterbank import FILTER_KINDS, CochlearConfig, MfccConfig, StftConfig
@@ -293,8 +293,33 @@ def _validate(cfg: RunConfig) -> None:
             raise ConfigError(f"corpus.manifest: file not found: {v['corpus.manifest']}")
     if not 0 <= v["strat.train_utterances"] <= 10:
         raise ConfigError("strat.train_utterances must lie in 0..10")
+    _validate_test_noise_types(v)
     # exercise the typed constructors so bad values fail at parse time
     cfg.pipeline()
+
+
+def _validate_test_noise_types(v: dict) -> None:
+    """Reject the stratified test conditions ``stratified_report`` cannot build.
+
+    A noisy cell (finite SNR) re-realizes synthetic clips with the cell's
+    noise, and only ``synthetic-white`` needs no recorded noise bed; a
+    ``clean`` cell exists only at an infinite SNR.
+    """
+    types = v["strat.test_noise_types"]
+    unknown = [t for t in types if t not in NOISE_TYPES]
+    if unknown:
+        raise ConfigError(f"strat.test_noise_types: unknown noise type(s) {unknown}; "
+                          f"expected some of {NOISE_TYPES}")
+    if all(math.isinf(s) for s in v["strat.test_snrs"]):
+        return
+    if "clean" in types:
+        raise ConfigError("strat.test_noise_types: 'clean' cannot be tested at a "
+                          "finite strat.test_snrs value")
+    if v["corpus.kind"] == "synthetic":
+        bed = [t for t in types if t != "synthetic-white"]
+        if bed:
+            raise ConfigError(f"strat.test_noise_types: {bed} need a recorded noise "
+                              f"bed, which a synthetic corpus does not have")
 
 
 def apply_seed_overrides(cfg: RunConfig, overrides: list[str]) -> RunConfig:

@@ -444,11 +444,10 @@ def add_noise(clip: AudioClip, noise_type: str, snr_db: float, seed: int,
               *, bed: AudioClip | None = None) -> AudioClip:
     """Mix noise into a clip at a prescribed signal-to-noise ratio.
 
-    ``synthetic-white`` (alias ``white``) noise is generated from the
-    seed; any other type needs a user-supplied noise bed, which is looped
-    from a seed-chosen offset.  An infinite ``snr_db`` returns the input
-    unchanged.  The mix is rescaled only if it would clip, which leaves
-    the ratio intact.
+    ``synthetic-white`` noise is generated from the seed; any other type
+    needs a user-supplied noise bed, which is looped from a seed-chosen
+    offset.  An infinite ``snr_db`` returns the input unchanged.  The mix
+    is rescaled only if it would clip, which leaves the ratio intact.
     """
     if math.isinf(snr_db):
         return clip
@@ -457,7 +456,7 @@ def add_noise(clip: AudioClip, noise_type: str, snr_db: float, seed: int,
     if p_sig == 0.0:
         raise DataError(f"clip {clip.clip_id!r}: cannot set an SNR on a silent clip")
     rng = _philox(_TAG_NOISE, seed)
-    if noise_type in ("synthetic-white", "white"):
+    if noise_type == "synthetic-white":
         noise = rng.standard_normal(s.size)
     elif noise_type in NOISE_TYPES and noise_type != "clean":
         if bed is None:

@@ -23,7 +23,8 @@ from .errors import ConfigError, DataError
 from .filterbank import (CochlearConfig, FeatureMatrix, MfccConfig, StftConfig,
                          featurize, pad_to)
 from .readout import (Metrics, ReadoutModel, ReadoutOptions, build_targets,
-                      classify, predict, score_mse, score_wsr, train_pinv)
+                      classify, factor, predict, predict_means, score_mse,
+                      score_wsr, solve, train_pinv)
 from .reservoir import (NeuronStates, StnoParams, TanhParams, gen_mask,
                         mask_and_flatten, node_run_reference, reshape_states,
                         stno_run)
@@ -179,7 +180,9 @@ class PreparedCorpus:
 
     ``tensors[i]`` is the matrix fed to the readout for clip i: padded
     features on the baseline route, reshaped node states on the total
-    route.  Built once, read-only afterward; folds only reindex it.
+    route.  ``frame_means[i]`` is its mean over all ``n_frames_max``
+    frames, padding included, which is what fold scoring reads.  Built
+    once, read-only afterward; folds only reindex it.
     """
 
     clip_ids: tuple[str, ...]
@@ -189,6 +192,10 @@ class PreparedCorpus:
     n_frames_max: int
     pipeline: PipelineSpec
     input_gain: float | None = None
+    frame_means: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.frame_means = self.tensors.mean(axis=2)
 
     def indices_of_subsets(self, subsets: Sequence[int]) -> np.ndarray:
         wanted = set(subsets)
@@ -242,30 +249,38 @@ class FoldMetrics:
 
 
 def _evaluate(model: ReadoutModel, prep: PreparedCorpus, idx: np.ndarray) -> Metrics:
-    preds, actual, estimates, targets = [], [], [], []
-    for i in idx:
-        scores = predict(model, prep.tensors[i])
-        preds.append(classify(scores))
-        actual.append(int(prep.digits[i]))
-        estimates.append(scores)
-        targets.append(np.eye(N_CLASSES)[prep.digits[i]])
-    return Metrics(score_wsr(preds, actual), score_mse(estimates, targets))
+    scores = predict_means(model, prep.frame_means[idx])
+    actual = [int(d) for d in prep.digits[idx]]
+    return Metrics(score_wsr([classify(s) for s in scores], actual),
+                   score_mse(list(scores), list(np.eye(N_CLASSES)[actual])))
 
 
-def run_fold(fold: FoldSpec, prep: PreparedCorpus) -> FoldMetrics:
-    """Train on the fold's train subsets, score both splits."""
+def subset_factor(prep: PreparedCorpus, subset: int) -> np.ndarray:
+    """The readout factor (see ``readout.factor``) of one subset's clips."""
+    idx = prep.indices_of_subsets([subset])
+    if idx.size == 0:
+        raise DataError(f"subset {subset} has no clips")
+    return factor([prep.tensors[i] for i in idx],
+                  [build_targets(int(prep.digits[i]), prep.n_frames_max) for i in idx],
+                  prep.pipeline.readout)
+
+
+def run_fold(fold: FoldSpec, prep: PreparedCorpus,
+             factors: Sequence[np.ndarray]) -> FoldMetrics:
+    """Train on the fold's train subsets, score both splits.
+
+    ``factors[k]`` is subset k's readout factor (``subset_factor``).
+    """
     train_idx = prep.indices_of_subsets(fold.train_subsets)
     test_idx = prep.indices_of_subsets(fold.test_subsets)
     if train_idx.size == 0 or test_idx.size == 0:
         raise DataError(f"fold {fold.describe()} has an empty split")
     if set(train_idx) & set(test_idx):
         raise DataError(f"fold {fold.describe()} train/test overlap")
-    states = [prep.tensors[i] for i in train_idx]
-    targets = [build_targets(int(prep.digits[i]), prep.n_frames_max) for i in train_idx]
-    model = train_pinv(states, targets, prep.pipeline.readout,
-                       trained_on=fold.describe(),
-                       node_kind=prep.pipeline.node_kind or "none",
-                       filter_kind=prep.pipeline.filter_kind)
+    model = solve([factors[k] for k in fold.train_subsets], prep.pipeline.readout,
+                  trained_on=fold.describe(),
+                  node_kind=prep.pipeline.node_kind or "none",
+                  filter_kind=prep.pipeline.filter_kind)
     return FoldMetrics(fold, _evaluate(model, prep, train_idx),
                        _evaluate(model, prep, test_idx), model)
 
@@ -296,14 +311,16 @@ def _aggregate(metrics: Sequence[Metrics]) -> Metrics:
                    float(wsr.std(ddof=ddof)), float(mse.std(ddof=ddof)))
 
 
-def cross_validate(prep: PreparedCorpus, n_train: int, *,
-                   workers: int = 1) -> CrossValReport:
-    """Run every fold; folds are independent, so they parallelize freely.
+def cross_validate(prep: PreparedCorpus, n_train: int) -> CrossValReport:
+    """Run every fold, in fold order.
 
-    Results are assembled in fold order, making the report independent of
-    the worker count.
+    Each subset is factored once and every fold solves from the stacked
+    factors of its train subsets.  Folds run one after another: BLAS
+    already spreads each factorization and solve over the cores, and a
+    thread pool over folds made cross-validation slower.
     """
-    results = _map(lambda f: run_fold(f, prep), enumerate_folds(n_train), workers)
+    factors = [subset_factor(prep, k) for k in range(N_SUBSETS)]
+    results = [run_fold(f, prep, factors) for f in enumerate_folds(n_train)]
     return CrossValReport.from_folds(prep.pipeline.describe(), n_train, results)
 
 
@@ -348,7 +365,7 @@ def alpha_sweep(manifest: Manifest, partition: SubsetPartition,
                        node_kind=None)
         prep = prepare_corpus(manifest, partition, pipe,
                               noise_seed=noise_seed, workers=workers)
-        report = cross_validate(prep, n_train, workers=workers)
+        report = cross_validate(prep, n_train)
         points.append(SweepPoint(float(alpha), report.test.wsr, report.test.wsr_std))
     return points
 

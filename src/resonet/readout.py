@@ -1,14 +1,20 @@
-"""Linear readout trained by pseudo-inverse, plus scoring.
+"""Linear readout trained by least squares, plus scoring.
 
-Training concatenates the per-clip state (or feature) matrices column
-wise into V and the matching one-hot target matrices into T, then takes
-W = T pinv(V): the minimum-norm least-squares solution with singular
-values below ``rtol * sigma_max`` treated as zero.  Classification
-averages W V over frames and picks the largest component.
+Training fits W in W V = T, where V concatenates the per-clip state (or
+feature) matrices column wise and T the matching one-hot target
+matrices: W = T pinv(V), the minimum-norm least-squares solution with
+singular values below ``rtol * sigma_max`` treated as zero.  V itself is
+never formed.  ``factor`` reduces a pool of clips to the triangular
+factor [R | C] of [V^T | T^T] (R^T R = V V^T, R^T C = V T^T), one block
+of clips at a time, and ``solve`` stacks the factors of any number of
+pools and solves R W^T = C, which has the same singular values and the
+same minimum-norm solution as the full problem.  Classification applies
+W to a clip's frame-mean state and picks the largest component.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -19,6 +25,7 @@ from .filterbank import FeatureMatrix
 from .reservoir import NeuronStates
 
 N_CLASSES = 10
+FACTOR_CHUNK = 50   # clips per QR block in ``factor``; bounds its transient memory
 
 
 @dataclass(frozen=True)
@@ -73,16 +80,17 @@ def _values(m) -> np.ndarray:
     return np.asarray(m, dtype=np.float64)
 
 
-def train_pinv(states: Sequence, targets: Sequence,
-               options: ReadoutOptions = ReadoutOptions(), *,
-               trained_on: str = "", node_kind: str = "none",
-               filter_kind: str = "") -> ReadoutModel:
-    """Fit readout weights over concatenated clips.
+def factor(states: Sequence, targets: Sequence,
+           options: ReadoutOptions = ReadoutOptions()) -> np.ndarray:
+    """Triangular factor [R | C] of one pool of clips.
 
     ``states`` and ``targets`` are matched sequences of matrices with a
     shared row count on the state side and one target column per state
-    column.  With ``ridge > 0`` the regularized normal equations are
-    solved instead of the pseudo-inverse.
+    column; with ``options.bias`` a row of ones joins the states.  The
+    result has n_inputs + N_CLASSES columns and at most n_inputs rows,
+    with R^T R = V V^T and R^T C = V T^T.  Clips are factored
+    ``FACTOR_CHUNK`` at a time, each block stacked under the factor so
+    far (TSQR), so only one block of frames is ever held at once.
     """
     if len(states) == 0 or len(states) != len(targets):
         raise DataError(
@@ -97,26 +105,83 @@ def train_pinv(states: Sequence, targets: Sequence,
         if t.shape != (N_CLASSES, v.shape[1]):
             raise DataError(
                 f"target shape {t.shape} does not match states with {v.shape[1]} frames")
-    big_v = np.hstack(vs)
-    big_t = np.hstack(ts)
-    if options.bias:
-        big_v = np.vstack([big_v, np.ones(big_v.shape[1])])
+    n = n_rows + (1 if options.bias else 0)
+    r = np.empty((0, n + N_CLASSES))
+    for start in range(0, len(vs), FACTOR_CHUNK):
+        chunk = range(start, min(start + FACTOR_CHUNK, len(vs)))
+        # one frame per row, filled column-major: the layout LAPACK reads,
+        # which copies each clip's states without a strided transpose
+        block = np.empty((r.shape[0] + sum(vs[i].shape[1] for i in chunk),
+                          n + N_CLASSES), order="F")
+        block[:r.shape[0]] = r
+        row = r.shape[0]
+        for i in chunk:
+            end = row + vs[i].shape[1]
+            block[row:end, :n_rows] = vs[i].T
+            block[row:end, n_rows:n] = 1.0          # the bias column, if any
+            block[row:end, n:] = ts[i].T
+            row = end
+        # rows past n hold only the residual of the targets, which no
+        # solution depends on
+        r = np.linalg.qr(block, mode="r")[:n]
+    return r
+
+
+def solve(factors: Sequence[np.ndarray], options: ReadoutOptions = ReadoutOptions(),
+          *, trained_on: str = "", node_kind: str = "none",
+          filter_kind: str = "") -> ReadoutModel:
+    """Readout weights from the stacked factors of disjoint clip pools.
+
+    Stacking the pools' factors gives a factor of their union, so the
+    minimum-norm least-squares solution of R W^T = C is T pinv(V) over
+    all their clips, with the same ``rtol`` cutoff.  With ``ridge > 0``
+    the rows sqrt(ridge) * I (against zero targets) join R, which turns
+    the same solve into ridge regression.
+    """
+    if len(factors) == 0:
+        raise DataError("need at least one readout factor")
+    width = factors[0].shape[1]
+    if width <= N_CLASSES or any(f.shape[1] != width for f in factors):
+        raise DataError("readout factors must share one width above the class count")
+    stacked = np.vstack(factors)
+    n = width - N_CLASSES
+    r, c = stacked[:, :n], stacked[:, n:]
     if options.ridge > 0.0:
-        gram = big_v @ big_v.T
-        gram[np.diag_indices_from(gram)] += options.ridge
-        try:
-            w = np.linalg.solve(gram, big_v @ big_t.T).T
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"ridge solve failed: {exc}") from None
-    else:
-        # lstsq returns the minimum-norm solution of V^T W^T = T^T, which
-        # is exactly T pinv(V) with the same singular-value cutoff.
-        sol, _, _, _ = np.linalg.lstsq(big_v.T, big_t.T, rcond=options.rtol)
-        w = sol.T
+        r = np.vstack([r, math.sqrt(options.ridge) * np.eye(n)])
+        c = np.vstack([c, np.zeros((n, N_CLASSES))])
+    sol, _, _, _ = np.linalg.lstsq(r, c, rcond=options.rtol)
+    w = sol.T
     if not np.all(np.isfinite(w)):
         raise NumericalError("readout training produced non-finite weights")
     return ReadoutModel(w, options, trained_on=trained_on,
                         node_kind=node_kind, filter_kind=filter_kind)
+
+
+def train_pinv(states: Sequence, targets: Sequence,
+               options: ReadoutOptions = ReadoutOptions(), *,
+               trained_on: str = "", node_kind: str = "none",
+               filter_kind: str = "") -> ReadoutModel:
+    """Fit readout weights over one pool of clips (see ``factor``)."""
+    return solve([factor(states, targets, options)], options, trained_on=trained_on,
+                 node_kind=node_kind, filter_kind=filter_kind)
+
+
+def predict_means(model: ReadoutModel, means: np.ndarray) -> np.ndarray:
+    """Class scores of clips given their frame-mean states.
+
+    ``means`` has shape (n_clips, n_inputs); the scores have shape
+    (n_clips, N_CLASSES).  Scores are linear in the states, so this is
+    the frame average of W V.
+    """
+    m = np.asarray(means, dtype=np.float64)
+    if m.ndim != 2:
+        raise DataError("frame means must be 2-d")
+    if model.options.bias:
+        m = np.hstack([m, np.ones((m.shape[0], 1))])
+    if m.shape[1] != model.weights.shape[1]:
+        raise DataError(
+            f"model expects {model.weights.shape[1]} state rows, got {m.shape[1]}")
+    return m @ model.weights.T
 
 
 def predict(model: ReadoutModel, states) -> np.ndarray:
@@ -124,12 +189,7 @@ def predict(model: ReadoutModel, states) -> np.ndarray:
     v = _values(states)
     if v.ndim != 2:
         raise DataError("states must be 2-d")
-    if model.options.bias:
-        v = np.vstack([v, np.ones(v.shape[1])])
-    if v.shape[0] != model.weights.shape[1]:
-        raise DataError(
-            f"model expects {model.weights.shape[1]} state rows, got {v.shape[0]}")
-    return (model.weights @ v).mean(axis=1)
+    return predict_means(model, v.mean(axis=1)[None])[0]
 
 
 def classify(scores: np.ndarray) -> int:

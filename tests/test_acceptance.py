@@ -37,14 +37,18 @@ def _corpus():
     return _CACHE["corpus"]
 
 
-def _baseline_wsr(alpha: float) -> float:
+def _baseline_report(alpha: float):
     key = ("baseline", alpha)
     if key not in _CACHE:
         manifest, partition = _corpus()
         pipe = PipelineSpec(filter_kind="spectro_exp", alpha=alpha)
         prep = prepare_corpus(manifest, partition, pipe, workers=WORKERS)
-        _CACHE[key] = cross_validate(prep, 9, workers=WORKERS)
-    return _CACHE[key].test.wsr
+        _CACHE[key] = (cross_validate(prep, 9), prep)
+    return _CACHE[key]
+
+
+def _baseline_wsr(alpha: float) -> float:
+    return _baseline_report(alpha)[0].test.wsr
 
 
 def _total_report(alpha: float):
@@ -54,7 +58,7 @@ def _total_report(alpha: float):
         pipe = PipelineSpec(filter_kind="spectro_exp", alpha=alpha,
                             node_kind="stno", n_theta=400, mask_seed=1)
         prep = prepare_corpus(manifest, partition, pipe, workers=WORKERS)
-        _CACHE[key] = (cross_validate(prep, 9, workers=WORKERS), prep)
+        _CACHE[key] = (cross_validate(prep, 9), prep)
     return _CACHE[key]
 
 
@@ -228,6 +232,43 @@ def test_criterion_08_state_scale_invariance():
           f"MSE ratio-1 = {ratio - 1.0:.2e}, {elapsed:.1f}s")
 
 
+def reference_readout(states, targets, options: ReadoutOptions) -> np.ndarray:
+    """Oracle readout: one least-squares solve over the concatenated clips.
+
+    This is the direct form the factored readout replaces: every frame
+    of every training clip is one row of a single design matrix.
+    """
+    big_v = np.hstack(states)
+    if options.bias:
+        big_v = np.vstack([big_v, np.ones(big_v.shape[1])])
+    sol, _, _, _ = np.linalg.lstsq(big_v.T, np.hstack(targets).T, rcond=options.rtol)
+    return sol.T
+
+
+def test_factored_readout_matches_reference_on_every_fold():
+    """Per-subset factors give the direct solve's weights and decisions."""
+    t0 = time.perf_counter()
+    worst = 0.0
+    for report, prep in (_baseline_report(2.0), _total_report(2.0)):
+        for fm in report.folds:
+            tr = prep.indices_of_subsets(fm.fold.train_subsets)
+            targets = [build_targets(int(prep.digits[i]), prep.n_frames_max) for i in tr]
+            want = reference_readout([prep.tensors[i] for i in tr], targets,
+                                     prep.pipeline.readout)
+            got = fm.model.weights
+            rel = float(np.linalg.norm(got - want) / np.linalg.norm(want))
+            worst = max(worst, rel)
+            assert rel < 1e-9, f"fold {fm.fold.describe()}: rel dev {rel:.3e}"
+            # every clip, train and test, with frame-averaged W V as the score
+            for i in range(len(prep.clip_ids)):
+                ref = classify((want @ prep.tensors[i]).mean(axis=1))
+                assert classify(predict(fm.model, prep.tensors[i])) == ref, \
+                    f"fold {fm.fold.describe()}: decision moved on clip {i}"
+    elapsed = time.perf_counter() - t0
+    print(f"PASS factored readout: 20 folds on both routes, max rel dev "
+          f"{worst:.2e}, every decision identical, {elapsed:.1f}s")
+
+
 def test_criterion_09_bench_runs_are_byte_identical(tmp_path, monkeypatch):
     monkeypatch.setenv("RESONET_CACHE_DIR", str(tmp_path / "cache"))
     t0 = time.perf_counter()
@@ -267,10 +308,10 @@ def test_criterion_10_reference_corpus_numbers():
     for kind, (want_base, want_total) in expected.items():
         pipe = PipelineSpec(filter_kind=kind)
         prep = prepare_corpus(manifest, partition, pipe, workers=WORKERS)
-        base = cross_validate(prep, 9, workers=WORKERS).test.wsr
+        base = cross_validate(prep, 9).test.wsr
         node = replace(pipe, node_kind="stno", n_theta=400)
         prep_t = prepare_corpus(manifest, partition, node, workers=WORKERS)
-        total = cross_validate(prep_t, 9, workers=WORKERS).test.wsr
+        total = cross_validate(prep_t, 9).test.wsr
         assert abs(base - want_base) <= 2.0, f"{kind} baseline {base:.1f}"
         assert abs(total - want_total) <= 2.0, f"{kind} total {total:.1f}"
         lines.append(f"{kind}: base {base:.1f}, total {total:.1f}")

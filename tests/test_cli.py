@@ -124,6 +124,17 @@ def test_missing_config_gives_exit_code_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("noise_types", ["white", "subway"])
+def test_unbuildable_stratified_noise_type_gives_exit_code_2(tmp_path, capsys, noise_types):
+    conf = tmp_path / "run.conf"
+    conf.write_text(FAST_CONF.replace("strat.test_noise_types = synthetic-white",
+                                      f"strat.test_noise_types = {noise_types}")
+                    + f"output.dir = {tmp_path / 'out'}\n")
+    code = main(["stratified", "--config", str(conf)])
+    assert code == 2
+    assert "strat.test_noise_types" in capsys.readouterr().err
+
+
 def test_bad_manifest_gives_exit_code_3(tmp_path, capsys):
     conf = tmp_path / "run.conf"
     manifest = tmp_path / "m.csv"
@@ -145,23 +156,28 @@ def test_cache_dir_env_override(conf, tmp_path, monkeypatch):
 
 def test_bench_featurizes_each_clip_once_and_trains_each_fold_once(conf, monkeypatch):
     import resonet.evalharness as evalharness
-    import resonet.readout as readout
-    featurized, trained = [], []
-    featurize, train_pinv = evalharness.featurize, evalharness.train_pinv
+    featurized, factored, trained = [], [], []
+    featurize, factor, solve = evalharness.featurize, evalharness.factor, evalharness.solve
 
     def counting_featurize(clip, *args, **kwargs):
         featurized.append(clip.clip_id)
         return featurize(clip, *args, **kwargs)
 
-    def counting_train_pinv(*args, **kwargs):
+    def counting_factor(*args, **kwargs):
+        factored.append(len(args[0]))
+        return factor(*args, **kwargs)
+
+    def counting_solve(*args, **kwargs):
         trained.append(kwargs.get("trained_on"))
-        return train_pinv(*args, **kwargs)
+        return solve(*args, **kwargs)
 
     monkeypatch.setattr(evalharness, "featurize", counting_featurize)
-    monkeypatch.setattr(evalharness, "train_pinv", counting_train_pinv)
-    monkeypatch.setattr(readout, "train_pinv", counting_train_pinv)
+    monkeypatch.setattr(evalharness, "factor", counting_factor)
+    monkeypatch.setattr(evalharness, "solve", counting_solve)
     assert main(["bench", "--config", str(conf)]) == 0
     assert len(featurized) == 500
     assert len(set(featurized)) == 500
-    # ten folds on each of the baseline and total routes, and no more
+    # each 50-clip subset is factored once per route ...
+    assert factored == [50] * 20
+    # ... and ten folds on each of the baseline and total routes are solved, no more
     assert len(trained) == 20

@@ -64,6 +64,23 @@ def test_validation_catches_semantic_problems(tmp_path):
         parse_config(_write(tmp_path, "stft.fft_size = 100\n"))
 
 
+def test_unknown_stratified_noise_type_is_a_config_error(tmp_path):
+    # "white" was once an alias that only the noise mixer knew
+    with pytest.raises(ConfigError, match=r"strat\.test_noise_types.*unknown.*'white'"):
+        parse_config(_write(tmp_path, "strat.test_noise_types = synthetic-white, white\n"))
+
+
+def test_noise_bed_type_on_a_synthetic_corpus_is_a_config_error(tmp_path):
+    with pytest.raises(ConfigError, match=r"strat\.test_noise_types.*subway.*noise bed"):
+        parse_config(_write(tmp_path, "strat.test_noise_types = subway\n"))
+    # a clean-only grid never mixes noise, so any known type builds there
+    cfg = parse_config(_write(tmp_path, "strat.test_snrs = inf\n"
+                                        "strat.test_noise_types = subway\n"))
+    assert cfg["strat.test_noise_types"] == ("subway",)
+    with pytest.raises(ConfigError, match="clean"):
+        parse_config(_write(tmp_path, "strat.test_noise_types = clean\n"))
+
+
 def test_config_hash_is_content_addressed(tmp_path):
     a = parse_config(_write(tmp_path, "filter.alpha = 2.0\n", "a.conf"))
     b = parse_config(_write(tmp_path, "# comment\nfilter.alpha = 2.0\n", "b.conf"))

@@ -7,11 +7,14 @@ import pytest
 from resonet.dataset import build_synth_manifest
 from resonet.errors import ConfigError, DataError
 from resonet.evalharness import (CrossValReport, FoldSpec, GainReport,
-                                 PipelineSpec, chance_band, condition_markdown,
-                                 cross_validate, enumerate_folds, prepare_corpus,
-                                 report_to_csv, run_fold, stratified_report,
+                                 PipelineSpec, chance_band, clip_features,
+                                 condition_markdown, cross_validate,
+                                 enumerate_folds, prepare_corpus, report_to_csv,
+                                 run_fold, stratified_report, subset_factor,
                                  summary_markdown)
-from resonet.readout import Metrics
+from resonet.filterbank import pad_to
+from resonet.readout import Metrics, score_mse, score_wsr
+from resonet.reservoir import gen_mask, mask_and_flatten
 
 
 def test_fold_spec_normalizes_and_validates():
@@ -83,38 +86,84 @@ def test_prepare_corpus_worker_invariance(corpus):
     assert np.array_equal(a.tensors, b.tensors)
 
 
-def test_prepare_corpus_node_route(corpus):
+NODE_PIPE = PipelineSpec(filter_kind="spectro_exp", alpha=2.0, node_kind="stno",
+                         n_theta=40, drive_ma=3.0)
+
+
+@pytest.fixture(scope="module")
+def node_route(corpus):
+    """A small node-route preparation and each clip's unpadded features."""
     manifest, partition = corpus
-    pipe = PipelineSpec(filter_kind="spectro_exp", alpha=2.0, node_kind="stno",
-                        n_theta=40, drive_ma=3.0)
-    prep = prepare_corpus(manifest, partition, pipe, workers=4)
+    prep = prepare_corpus(manifest, partition, NODE_PIPE, workers=4)
+    by_id = {e.clip_id: e for e in manifest.entries}
+    feats = [clip_features(by_id[cid], NODE_PIPE, sample_rate=manifest.sample_rate)
+             for cid in prep.clip_ids]
+    return prep, feats
+
+
+def _clip_peaks(prep, feats):
+    mask = gen_mask(NODE_PIPE.mask_seed, NODE_PIPE.n_theta, feats[0].n_rows)
+    return np.array([np.max(np.abs(mask_and_flatten(pad_to(f, prep.n_frames_max), mask)))
+                     for f in feats])
+
+
+def test_prepare_corpus_node_route(node_route):
+    prep, feats = node_route
     assert prep.tensors.shape[1] == 40
     assert prep.input_gain is not None and prep.input_gain > 0
     # the scaled drive peaks exactly at drive_ma over the corpus
-    from resonet.filterbank import pad_to
-    from resonet.reservoir import gen_mask, mask_and_flatten
-    from resonet.dataset import realize_clip
-    from resonet.filterbank import featurize
-    mask = gen_mask(pipe.mask_seed, 40, 65)
-    peak = 0.0
-    for e in manifest.entries:
-        fm = featurize(realize_clip(e), "spectro_exp", 2.0)
-        fm = pad_to(fm, prep.n_frames_max)
-        peak = max(peak, float(np.max(np.abs(mask_and_flatten(fm, mask)))))
-    assert prep.input_gain == pytest.approx(3.0 / peak)
+    assert prep.input_gain == pytest.approx(3.0 / float(np.max(_clip_peaks(prep, feats))))
     assert np.all(prep.tensors >= 0.0)
+
+
+def test_input_gain_takes_the_peak_over_the_whole_corpus(node_route):
+    """Drive scaling sees every clip, including each fold's test clips."""
+    prep, feats = node_route
+    peaks = _clip_peaks(prep, feats)
+    top = int(np.argmax(peaks))
+    assert prep.input_gain == pytest.approx(NODE_PIPE.drive_ma / peaks[top], rel=1e-12)
+    # the fold that tests on the loudest clip's subset never trains on it,
+    # and its train clips alone would give a larger gain
+    fold = FoldSpec(tuple(k for k in range(10) if k != prep.subset_of[top]))
+    train_peak = float(np.max(peaks[prep.indices_of_subsets(fold.train_subsets)]))
+    assert train_peak < peaks[top]
+    assert prep.input_gain < NODE_PIPE.drive_ma / train_peak
+
+
+def test_fold_scores_average_over_padded_frames(node_route):
+    """A clip's score is W times its mean over all n_frames_max frames.
+
+    On the node route the padded frames hold the oscillator relaxing
+    under zero drive, not zeros, so the true-frame mean scores differently.
+    """
+    prep, feats = node_route
+    fold = FoldSpec(tuple(range(9)))
+    fm = run_fold(fold, prep, [subset_factor(prep, k) for k in range(10)])
+    w = fm.model.weights
+    test_idx = prep.indices_of_subsets(fold.test_subsets)
+    padded = [(w @ prep.tensors[i]).mean(axis=1) for i in test_idx]
+    true = [(w @ prep.tensors[i][:, :feats[i].n_frames]).mean(axis=1) for i in test_idx]
+    onehot = [np.eye(10)[prep.digits[i]] for i in test_idx]
+    digits = [int(prep.digits[i]) for i in test_idx]
+    assert fm.test.wsr == score_wsr([int(np.argmax(s)) for s in padded], digits)
+    assert fm.test.mse == pytest.approx(score_mse(padded, onehot), rel=1e-9)
+    short = [i for i in test_idx if feats[i].n_frames < prep.n_frames_max]
+    assert short, "every test clip has the longest frame count"
+    assert all(np.all(prep.tensors[i][:, feats[i].n_frames:] > 0.0) for i in short)
+    assert score_mse(true, onehot) != pytest.approx(fm.test.mse, rel=1e-6)
 
 
 def test_run_fold_produces_both_splits(baseline_prep):
     fold = FoldSpec(tuple(range(9)))
-    fm = run_fold(fold, baseline_prep)
+    fm = run_fold(fold, baseline_prep,
+                  [subset_factor(baseline_prep, k) for k in range(10)])
     assert 0.0 <= fm.test.wsr <= 100.0
     assert fm.train.mse > 0.0
     assert fm.overfit_ratio > 0.0
 
 
 def test_cross_validate_aggregates_match_folds(baseline_prep):
-    report = cross_validate(baseline_prep, 9, workers=4)
+    report = cross_validate(baseline_prep, 9)
     assert len(report.folds) == 10
     wsr = [f.test.wsr for f in report.folds]
     assert report.test.wsr == pytest.approx(np.mean(wsr))
@@ -124,31 +173,36 @@ def test_cross_validate_aggregates_match_folds(baseline_prep):
     assert report.overfit_ratio == pytest.approx(mse_te / mse_tr)
 
 
-def test_cross_validate_worker_invariance(baseline_prep):
-    a = cross_validate(baseline_prep, 8, workers=1)
-    b = cross_validate(baseline_prep, 8, workers=4)
+def test_cross_validate_worker_invariance(baseline_prep, corpus):
+    # workers reach the featurize and node stages; folds run in order
+    manifest, partition = corpus
+    serial = prepare_corpus(manifest, partition, baseline_prep.pipeline, workers=1)
+    a = cross_validate(serial, 8)
+    b = cross_validate(baseline_prep, 8)
     assert len(a.folds) == len(b.folds) == 45
     for fa, fb in zip(a.folds, b.folds):
         assert fa.fold.train_subsets == fb.fold.train_subsets
         assert fa.test.wsr == fb.test.wsr
+        assert fa == fb
+        assert np.array_equal(fa.model.weights, fb.model.weights)
 
 
 def test_gain_report_arithmetic(baseline_prep):
-    base = cross_validate(baseline_prep, 9, workers=4)
+    base = cross_validate(baseline_prep, 9)
     fake_total = CrossValReport.from_folds("x total", 9, base.folds)
     gain = GainReport(base, fake_total)
     assert gain.gain_points == pytest.approx(0.0)
 
 
 def test_gain_report_rejects_mismatched_folds(baseline_prep):
-    base = cross_validate(baseline_prep, 9, workers=4)
-    other = cross_validate(baseline_prep, 8, workers=4)
+    base = cross_validate(baseline_prep, 9)
+    other = cross_validate(baseline_prep, 8)
     with pytest.raises(DataError):
         GainReport(base, other)
 
 
 def test_report_to_csv_layout(baseline_prep):
-    report = cross_validate(baseline_prep, 9, workers=4)
+    report = cross_validate(baseline_prep, 9)
     text = report_to_csv(report, ["config abc"])
     lines = text.strip().split("\n")
     assert lines[0] == "# config abc"
@@ -160,7 +214,7 @@ def test_report_to_csv_layout(baseline_prep):
 
 
 def test_summary_markdown_mentions_routes(baseline_prep):
-    report = cross_validate(baseline_prep, 9, workers=4)
+    report = cross_validate(baseline_prep, 9)
     text = summary_markdown([report], None, ["config abc"])
     assert "baseline" in text
     assert "| WSR" in text or "WSR" in text

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from resonet.errors import ConfigError, DataError
-from resonet.readout import (Metrics, ReadoutOptions, build_targets, classify,
-                             predict, score_mse, score_wsr, train_pinv)
+from resonet.readout import (FACTOR_CHUNK, Metrics, ReadoutOptions, build_targets,
+                             classify, factor, predict, predict_means, score_mse,
+                             score_wsr, solve, train_pinv)
 
 
 def _toy_problem(rng, n_rows=12, n_clips=30, n_frames=8):
@@ -49,6 +50,42 @@ def test_train_pinv_ridge_matches_normal_equations(rng):
     assert np.max(np.abs(model.weights - want)) < 1e-10
 
 
+def test_factor_keeps_the_gram_matrices_across_chunks(rng):
+    states, targets, _ = _toy_problem(rng, n_clips=2 * FACTOR_CHUNK + 7)
+    opts = ReadoutOptions(bias=True)
+    f = factor(states, targets, opts)
+    big_v = np.vstack([np.hstack(states), np.ones(sum(v.shape[1] for v in states))])
+    big_t = np.hstack(targets)
+    n = big_v.shape[0]
+    assert f.shape == (n, n + 10)
+    r, c = f[:, :n], f[:, n:]
+    assert np.allclose(r.T @ r, big_v @ big_v.T, rtol=0, atol=1e-10)
+    assert np.allclose(r.T @ c, big_v @ big_t.T, rtol=0, atol=1e-10)
+
+
+def test_solve_over_stacked_factors_equals_one_pool(rng):
+    states, targets, _ = _toy_problem(rng, n_clips=40)
+    parts = [factor(states[a:b], targets[a:b]) for a, b in ((0, 3), (3, 25), (25, 40))]
+    stacked = solve(parts, trained_on="x")
+    whole = train_pinv(states, targets)
+    assert stacked.trained_on == "x"
+    assert np.max(np.abs(stacked.weights - whole.weights)) < 1e-10
+    with pytest.raises(DataError):
+        solve([])
+    with pytest.raises(DataError):
+        solve([parts[0], parts[1][:, 1:]])
+
+
+def test_factor_of_a_short_pool_keeps_the_min_norm_cutoff(rng):
+    # fewer frames than state rows: rank-deficient, minimum-norm solution
+    v = rng.standard_normal((30, 12))
+    t = build_targets(4, 12)
+    f = factor([v], [t])
+    assert f.shape == (12, 40)
+    w = train_pinv([v], [t]).weights
+    assert np.max(np.abs(w - t @ np.linalg.pinv(v, rcond=1e-10))) < 1e-10
+
+
 def test_train_pinv_bias_row_fits_offsets(rng):
     # targets that are a pure constant per class need the bias row
     v = rng.standard_normal((4, 200))
@@ -86,6 +123,19 @@ def test_predict_averages_frames():
     scores = predict(model, v)
     assert scores[4] == pytest.approx(2.0)
     assert scores[0] == 0.0
+
+
+def test_predict_means_scores_a_batch_like_predict(rng):
+    from resonet.readout import ReadoutModel
+    model = ReadoutModel(rng.standard_normal((10, 7)), ReadoutOptions(bias=True))
+    clips = [rng.standard_normal((6, 9)) for _ in range(4)]
+    batch = predict_means(model, np.array([c.mean(axis=1) for c in clips]))
+    for c, row in zip(clips, batch):
+        want = (model.weights @ np.vstack([c, np.ones(9)])).mean(axis=1)
+        assert np.allclose(row, want, rtol=0, atol=1e-12)
+        assert np.allclose(predict(model, c), want, rtol=0, atol=1e-12)
+    with pytest.raises(DataError):
+        predict_means(model, np.zeros((2, 5)))
 
 
 def test_classify_tie_breaks_low():
