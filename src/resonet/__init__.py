@@ -21,8 +21,8 @@ from .filterbank import (CochlearConfig, FeatureMatrix, MfccConfig, StftConfig,
                          stft_complex)
 from .readout import (Metrics, ReadoutModel, ReadoutOptions, build_targets,
                       classify, predict, score_mse, score_wsr, train_pinv)
-from .reservoir import (BinaryMask, NeuronStates, StnoParams, TanhParams,
-                        gen_mask, mask_and_flatten, node_run_reference,
-                        reshape_states, stno_run)
+from .reservoir import (BinaryMask, StnoParams, TanhParams, gen_mask,
+                        mask_and_flatten, node_run_reference, reshape_states,
+                        stno_run)
 
 __version__ = "0.1.0"

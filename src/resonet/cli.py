@@ -112,7 +112,6 @@ def cmd_bench(args) -> int:
     cfg = _load_config(args)
     manifest, partition = cfg.load_corpus()
     pipeline = cfg.pipeline()
-    workers = _workers(cfg, args)
     n_train = cfg["eval.train_subsets"]
     out = _out_dir(cfg, args)
     header = _header_lines(cfg)
@@ -120,14 +119,14 @@ def cmd_bench(args) -> int:
 
     base_prep = prepare_corpus(manifest, partition, replace(pipeline, node_kind=None),
                                noise_seed=cfg["corpus.noise_seed"],
-                               workers=workers, features=cached or None)
+                               workers=_workers(cfg, args), features=cached or None)
     baseline = cross_validate(base_prep, n_train)
     (out / "report_baseline.csv").write_text(report_to_csv(baseline, header))
     reports = [baseline]
     gain = None
 
     if pipeline.node_kind is not None:
-        prep = with_node(base_prep, pipeline, workers=workers)
+        prep = with_node(base_prep, pipeline)
         total = cross_validate(prep, n_train)
         (out / "report_total.csv").write_text(report_to_csv(total, header))
         reports.append(total)
@@ -256,7 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", required=True, help="run configuration file")
         p.add_argument("--workers", type=int, default=0,
-                       help="parallel workers (default: eval.workers)")
+                       help="threads that realize and featurize clips "
+                            "(default: eval.workers)")
         p.add_argument("--out", default="", help="output directory (default: output.dir)")
         p.add_argument("--seed-override", action="append", default=[],
                        metavar="NAME=VALUE",

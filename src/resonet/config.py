@@ -12,6 +12,7 @@ import hashlib
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Sequence
 
 from .dataset import NOISE_TYPES, PHASE_MODES, Manifest, SubsetPartition, \
     build_synth_manifest, load_manifest, partition_subsets
@@ -198,8 +199,6 @@ class RunConfig:
         if kind not in FILTER_KINDS:
             raise ConfigError(f"filter.kind: unknown filter {kind!r}")
         node_kind = v["node.kind"]
-        if node_kind not in ("none", "stno", "tanh"):
-            raise ConfigError(f"node.kind: unknown node {node_kind!r}")
         stno = StnoParams(dt=v["node.dt_ns"], t_relax=v["node.t_relax_ns"],
                           i_dc=v["node.i_dc_ma"], i_c=v["node.i_c_ma"],
                           c=v["node.c"],
@@ -293,33 +292,43 @@ def _validate(cfg: RunConfig) -> None:
             raise ConfigError(f"corpus.manifest: file not found: {v['corpus.manifest']}")
     if not 0 <= v["strat.train_utterances"] <= 10:
         raise ConfigError("strat.train_utterances must lie in 0..10")
-    _validate_test_noise_types(v)
+    if v["corpus.conditions"]:
+        if v["corpus.kind"] == "manifest":
+            raise ConfigError("corpus.conditions applies to a synthetic corpus only; "
+                              "a manifest tags its own clips")
+        pairs = _parse_conditions(v["corpus.conditions"], "corpus.conditions")
+        _check_noise_conditions("corpus.conditions", pairs, synthetic=True)
+        tagged = sorted({t for t, snr in pairs if t != "clean" and math.isinf(snr)})
+        if tagged:
+            raise ConfigError(f"corpus.conditions: {tagged} need a finite SNR")
+    _check_noise_conditions("strat.test_noise_types",
+                            [(t, snr) for t in v["strat.test_noise_types"]
+                             for snr in v["strat.test_snrs"]],
+                            synthetic=v["corpus.kind"] == "synthetic")
     # exercise the typed constructors so bad values fail at parse time
     cfg.pipeline()
 
 
-def _validate_test_noise_types(v: dict) -> None:
-    """Reject the stratified test conditions ``stratified_report`` cannot build.
+def _check_noise_conditions(key: str, pairs: Sequence[tuple[str, float]], *,
+                            synthetic: bool) -> None:
+    """Reject (noise type, SNR) conditions no clip can be realized at.
 
-    A noisy cell (finite SNR) re-realizes synthetic clips with the cell's
-    noise, and only ``synthetic-white`` needs no recorded noise bed; a
-    ``clean`` cell exists only at an infinite SNR.
+    A noisy condition (finite SNR) mixes noise into a synthesized clip,
+    and only ``synthetic-white`` needs no recorded noise bed; ``clean``
+    exists only at an infinite SNR.  File-backed clips carry their noise
+    already, so a corpus that is not synthetic may name any noise type.
     """
-    types = v["strat.test_noise_types"]
-    unknown = [t for t in types if t not in NOISE_TYPES]
+    unknown = sorted({t for t, _ in pairs} - set(NOISE_TYPES))
     if unknown:
-        raise ConfigError(f"strat.test_noise_types: unknown noise type(s) {unknown}; "
+        raise ConfigError(f"{key}: unknown noise type(s) {unknown}; "
                           f"expected some of {NOISE_TYPES}")
-    if all(math.isinf(s) for s in v["strat.test_snrs"]):
-        return
-    if "clean" in types:
-        raise ConfigError("strat.test_noise_types: 'clean' cannot be tested at a "
-                          "finite strat.test_snrs value")
-    if v["corpus.kind"] == "synthetic":
-        bed = [t for t in types if t != "synthetic-white"]
-        if bed:
-            raise ConfigError(f"strat.test_noise_types: {bed} need a recorded noise "
-                              f"bed, which a synthetic corpus does not have")
+    noisy = {t for t, snr in pairs if not math.isinf(snr)}
+    if "clean" in noisy:
+        raise ConfigError(f"{key}: 'clean' cannot be used at a finite SNR")
+    bed = sorted(noisy - {"clean", "synthetic-white"})
+    if synthetic and bed:
+        raise ConfigError(f"{key}: {bed} need a recorded noise bed, "
+                          f"which a synthetic corpus does not have")
 
 
 def apply_seed_overrides(cfg: RunConfig, overrides: list[str]) -> RunConfig:

@@ -102,10 +102,6 @@ class AudioClip:
         arr.flags.writeable = False
         object.__setattr__(self, "samples", arr)
 
-    @property
-    def duration(self) -> float:
-        return self.samples.size / self.sample_rate
-
 
 @dataclass(frozen=True)
 class ManifestEntry:
@@ -126,12 +122,6 @@ class Manifest:
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    def by_id(self, clip_id: str) -> ManifestEntry:
-        for e in self.entries:
-            if e.clip_id == clip_id:
-                return e
-        raise ManifestError(f"unknown clip_id: {clip_id!r}")
 
 
 @dataclass(frozen=True)
@@ -440,14 +430,13 @@ def derived_noise_seed(base: int, clip_id: str, noise_type: str, snr_db: float) 
     return (base << 32) ^ zlib.crc32(tag)
 
 
-def add_noise(clip: AudioClip, noise_type: str, snr_db: float, seed: int,
-              *, bed: AudioClip | None = None) -> AudioClip:
+def add_noise(clip: AudioClip, noise_type: str, snr_db: float, seed: int) -> AudioClip:
     """Mix noise into a clip at a prescribed signal-to-noise ratio.
 
-    ``synthetic-white`` noise is generated from the seed; any other type
-    needs a user-supplied noise bed, which is looped from a seed-chosen
-    offset.  An infinite ``snr_db`` returns the input unchanged.  The mix
-    is rescaled only if it would clip, which leaves the ratio intact.
+    ``synthetic-white`` noise is generated from the seed; every other
+    noise type needs a recorded noise bed, which a synthetic clip does not
+    have.  An infinite ``snr_db`` returns the input unchanged.  The mix is
+    rescaled only if it would clip, which leaves the ratio intact.
     """
     if math.isinf(snr_db):
         return clip
@@ -455,20 +444,11 @@ def add_noise(clip: AudioClip, noise_type: str, snr_db: float, seed: int,
     p_sig = float(np.mean(s * s))
     if p_sig == 0.0:
         raise DataError(f"clip {clip.clip_id!r}: cannot set an SNR on a silent clip")
-    rng = _philox(_TAG_NOISE, seed)
-    if noise_type == "synthetic-white":
-        noise = rng.standard_normal(s.size)
-    elif noise_type in NOISE_TYPES and noise_type != "clean":
-        if bed is None:
+    if noise_type != "synthetic-white":
+        if noise_type in NOISE_TYPES and noise_type != "clean":
             raise DataError(f"noise type {noise_type!r} needs a noise bed clip")
-        reps = int(np.ceil((s.size + bed.samples.size) / bed.samples.size))
-        tiled = np.tile(bed.samples, reps)
-        offset = int(rng.integers(0, bed.samples.size))
-        noise = tiled[offset:offset + s.size].copy()
-        if not np.any(noise):
-            raise DataError("noise bed segment is silent")
-    else:
         raise DataError(f"unknown noise_type: {noise_type!r}")
+    noise = _philox(_TAG_NOISE, seed).standard_normal(s.size)
     p_noise = float(np.mean(noise * noise))
     target = p_sig / (10.0 ** (snr_db / 10.0))
     noise *= math.sqrt(target / p_noise)

@@ -19,13 +19,13 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .dataset import Manifest, ManifestEntry, SubsetPartition, realize_clip
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, NumericalError
 from .filterbank import (CochlearConfig, FeatureMatrix, MfccConfig, StftConfig,
                          featurize, pad_to)
 from .readout import (Metrics, ReadoutModel, ReadoutOptions, build_targets,
                       classify, factor, predict, predict_means, score_mse,
                       score_wsr, solve, train_pinv)
-from .reservoir import (NeuronStates, StnoParams, TanhParams, gen_mask,
+from .reservoir import (NODE_KINDS, StnoParams, TanhParams, gen_mask,
                         mask_and_flatten, node_run_reference, reshape_states,
                         stno_run)
 
@@ -94,7 +94,7 @@ class PipelineSpec:
     readout: ReadoutOptions = field(default_factory=ReadoutOptions)
 
     def __post_init__(self) -> None:
-        if self.node_kind not in (None, "stno", "tanh"):
+        if self.node_kind is not None and self.node_kind not in NODE_KINDS:
             raise ConfigError(f"unknown node kind {self.node_kind!r}")
         if self.node_kind is not None and self.n_theta < 1:
             raise ConfigError(f"n_theta must be positive, got {self.n_theta}")
@@ -109,9 +109,6 @@ class PipelineSpec:
             return f"{name} baseline"
         return f"{name} + {self.node_kind}(n_theta={self.n_theta})"
 
-    def route(self) -> str:
-        return "baseline" if self.node_kind is None else "total"
-
 
 def clip_features(entry: ManifestEntry, pipeline: PipelineSpec, *,
                   sample_rate: int, noise_seed: int = 0) -> FeatureMatrix:
@@ -122,19 +119,12 @@ def clip_features(entry: ManifestEntry, pipeline: PipelineSpec, *,
                      cochlear_cfg=pipeline.cochlear)
 
 
-def _map(fn: Callable, items: Sequence, workers: int) -> list:
-    """``fn`` over ``items`` in order, on a thread pool when workers > 1."""
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, items))
-    return [fn(x) for x in items]
-
-
 def _baseline_stage(entries: Sequence[ManifestEntry], pipeline: PipelineSpec, *,
                     sample_rate: int, noise_seed: int, workers: int,
                     features: dict[str, FeatureMatrix] | None = None) -> np.ndarray:
     """Realize and featurize every entry (or reuse its cached features) and
     pad all of them to one frame count: shape (n_clips, n_rows, n_frames_max).
+    With ``workers > 1`` clips are featurized on a thread pool, in order.
     """
     def _load(entry: ManifestEntry) -> FeatureMatrix:
         if features is not None and entry.clip_id in features:
@@ -142,36 +132,45 @@ def _baseline_stage(entries: Sequence[ManifestEntry], pipeline: PipelineSpec, *,
         return clip_features(entry, pipeline, sample_rate=sample_rate,
                              noise_seed=noise_seed)
 
-    feats = _map(_load, entries, workers)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            feats = list(pool.map(_load, entries))
+    else:
+        feats = [_load(e) for e in entries]
     n_frames_max = max(f.n_frames for f in feats)
     return np.stack([pad_to(f, n_frames_max).values for f in feats])
 
 
-def _node_stage(tensors: np.ndarray, pipeline: PipelineSpec,
-                clip_ids: Sequence[str], workers: int) -> tuple[np.ndarray, float]:
+def _node_stage(tensors: np.ndarray, pipeline: PipelineSpec) -> tuple[np.ndarray, float]:
     """Mask, scale and run the node over padded features; returns the
     states, shape (n_clips, n_theta, n_frames), and the input gain.
 
     The input scale maps the largest masked feature magnitude over all of
     ``tensors`` onto ``drive_ma``, so the drive spans +/-drive_ma.  State
     integration restarts from the rest amplitude at every clip boundary.
+    The node runs one clip at a time, as the single physical node does.
     """
-    n_frames = tensors.shape[2]
-    mask = gen_mask(pipeline.mask_seed, pipeline.n_theta, tensors.shape[1])
-    drives = [mask_and_flatten(x, mask) for x in tensors]
-    peak = max(float(np.max(np.abs(d))) for d in drives)
+    n_clips, n_rows, n_frames = tensors.shape
+    mask = gen_mask(pipeline.mask_seed, pipeline.n_theta, n_rows)
+    peak = max(float(np.abs(mask.entries @ x).max()) for x in tensors)
     input_gain = pipeline.drive_ma / peak if peak > 0.0 else 0.0
-
-    def _states(i: int) -> np.ndarray:
+    stno = replace(pipeline.stno, input_gain=input_gain)
+    t = pipeline.tanh
+    # frame-major within each clip, the layout of the reshaped states;
+    # frame means are summed in this memory order
+    states = np.empty((n_clips, n_frames, pipeline.n_theta)).transpose(0, 2, 1)
+    for i, x in enumerate(tensors):
+        drive = mask_and_flatten(x, mask)
         if pipeline.node_kind == "stno":
-            v = stno_run(drives[i], replace(pipeline.stno, input_gain=input_gain))
+            v = stno_run(drive, stno)
         else:
-            t = pipeline.tanh
-            v = node_run_reference(input_gain * drives[i], t.gain, t.leak, t.v0)
-        return NeuronStates(reshape_states(v, pipeline.n_theta, n_frames),
-                            clip_ids[i], node_kind=pipeline.node_kind).values
-
-    return np.stack(_map(_states, range(len(drives)), workers)), input_gain
+            v = node_run_reference(input_gain * drive, t.gain, t.leak, t.v0)
+        states[i] = reshape_states(v, pipeline.n_theta, n_frames)
+    if not np.all(np.isfinite(states)):
+        raise NumericalError(f"{pipeline.node_kind} node states have non-finite entries")
+    if pipeline.node_kind == "stno" and states.min() < 0.0:
+        raise NumericalError("oscillator states must be nonnegative")
+    return states, input_gain
 
 
 @dataclass
@@ -223,16 +222,15 @@ def prepare_corpus(manifest: Manifest, partition: SubsetPartition,
                           replace(pipeline, node_kind=None))
     if pipeline.node_kind is None:
         return prep
-    return with_node(prep, pipeline, workers=workers)
+    return with_node(prep, pipeline)
 
 
-def with_node(prep: PreparedCorpus, pipeline: PipelineSpec, *,
-              workers: int = 1) -> PreparedCorpus:
+def with_node(prep: PreparedCorpus, pipeline: PipelineSpec) -> PreparedCorpus:
     """The total route of a baseline preparation: the same clips, folds
     and padded features, with the node's states as readout inputs.
     ``pipeline`` must share the preparation's front end.
     """
-    states, input_gain = _node_stage(prep.tensors, pipeline, prep.clip_ids, workers)
+    states, input_gain = _node_stage(prep.tensors, pipeline)
     return replace(prep, tensors=states, pipeline=pipeline, input_gain=input_gain)
 
 
@@ -466,8 +464,7 @@ def stratified_report(manifest: Manifest, pipeline: PipelineSpec,
     if pipeline.node_kind is None:
         wsr, gain = _grid(base, features), None
     else:
-        states, _ = _node_stage(features, pipeline, [e.clip_id for e in entries],
-                                workers)
+        states, _ = _node_stage(features, pipeline)
         wsr = _grid(pipeline, states)
         gain = wsr - _grid(base, features) if with_baseline else None
     return ConditionReport(tuple(float(s) for s in test_snrs),

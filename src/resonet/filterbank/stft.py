@@ -32,10 +32,6 @@ class StftConfig:
         if self.window not in WINDOWS:
             raise ConfigError(f"unknown window {self.window!r}, expected one of {WINDOWS}")
 
-    @property
-    def n_bins(self) -> int:
-        return self.fft_size // 2 + 1
-
 
 def window_values(kind: str, n: int) -> np.ndarray:
     """Periodic analysis window of length n."""
@@ -55,7 +51,7 @@ def frame_count(n_samples: int, cfg: StftConfig) -> int:
 
 
 def stft_complex(clip: AudioClip, cfg: StftConfig = StftConfig()) -> np.ndarray:
-    """Complex one-sided short-time spectrum, shape (n_bins, n_frames).
+    """Complex one-sided short-time spectrum, shape (fft_size // 2 + 1, n_frames).
 
     Linear in the input samples.
     """

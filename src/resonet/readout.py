@@ -21,8 +21,6 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, DataError, NumericalError
-from .filterbank import FeatureMatrix
-from .reservoir import NeuronStates
 
 N_CLASSES = 10
 FACTOR_CHUNK = 50   # clips per QR block in ``factor``; bounds its transient memory
@@ -58,10 +56,6 @@ class ReadoutModel:
         w.flags.writeable = False
         object.__setattr__(self, "weights", w)
 
-    @property
-    def n_inputs(self) -> int:
-        return self.weights.shape[1] - (1 if self.options.bias else 0)
-
 
 def build_targets(digit: int, n_frames: int) -> np.ndarray:
     """One-hot target matrix (N_CLASSES x n_frames) held for every frame."""
@@ -72,12 +66,6 @@ def build_targets(digit: int, n_frames: int) -> np.ndarray:
     t = np.zeros((N_CLASSES, n_frames))
     t[digit] = 1.0
     return t
-
-
-def _values(m) -> np.ndarray:
-    if isinstance(m, (NeuronStates, FeatureMatrix)):
-        return m.values
-    return np.asarray(m, dtype=np.float64)
 
 
 def factor(states: Sequence, targets: Sequence,
@@ -96,7 +84,7 @@ def factor(states: Sequence, targets: Sequence,
         raise DataError(
             f"need matching nonempty state/target sequences, got "
             f"{len(states)} and {len(targets)}")
-    vs = [_values(s) for s in states]
+    vs = [np.asarray(s, dtype=np.float64) for s in states]
     ts = [np.asarray(t, dtype=np.float64) for t in targets]
     n_rows = vs[0].shape[0]
     for v, t in zip(vs, ts):
@@ -186,7 +174,7 @@ def predict_means(model: ReadoutModel, means: np.ndarray) -> np.ndarray:
 
 def predict(model: ReadoutModel, states) -> np.ndarray:
     """Frame-averaged class scores for one clip, shape (N_CLASSES,)."""
-    v = _values(states)
+    v = np.asarray(states, dtype=np.float64)
     if v.ndim != 2:
         raise DataError("states must be 2-d")
     return predict_means(model, v.mean(axis=1)[None])[0]

@@ -29,7 +29,6 @@ import numpy as np
 from scipy.signal import lfilter
 
 from .errors import ConfigError, DataError
-from .filterbank import FeatureMatrix
 
 NODE_KINDS = ("stno", "tanh")
 
@@ -70,9 +69,9 @@ def gen_mask(seed: int, n_theta: int, n_rows: int) -> BinaryMask:
     return BinaryMask(entries, seed)
 
 
-def mask_and_flatten(features: FeatureMatrix | np.ndarray, mask: BinaryMask) -> np.ndarray:
+def mask_and_flatten(features: np.ndarray, mask: BinaryMask) -> np.ndarray:
     """Expand features through the mask and serialize theta-fastest."""
-    x = features.values if isinstance(features, FeatureMatrix) else np.asarray(features)
+    x = np.asarray(features)
     if x.ndim != 2:
         raise DataError("features must be 2-d")
     if mask.entries.shape[1] != x.shape[0]:
@@ -167,28 +166,6 @@ class TanhParams:
     def __post_init__(self) -> None:
         if not 0.0 <= self.leak <= 1.0:
             raise ConfigError(f"leak must lie in [0, 1], got {self.leak}")
-
-
-@dataclass(frozen=True)
-class NeuronStates:
-    """Reshaped node outputs, shape (n_theta, n_frames)."""
-
-    values: np.ndarray
-    clip_id: str
-    node_kind: str = "stno"
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.values, dtype=np.float64)
-        if arr.ndim != 2 or arr.size == 0:
-            raise DataError(f"states for {self.clip_id!r} must be 2-d and nonempty")
-        if not np.all(np.isfinite(arr)):
-            raise DataError(f"states for {self.clip_id!r} have non-finite entries")
-        if self.node_kind not in NODE_KINDS:
-            raise DataError(f"unknown node kind {self.node_kind!r}")
-        if self.node_kind == "stno" and np.any(arr < 0.0):
-            raise DataError(f"oscillator states for {self.clip_id!r} must be nonnegative")
-        arr.flags.writeable = False
-        object.__setattr__(self, "values", arr)
 
 
 def reshape_states(v: np.ndarray, n_theta: int, n_frames: int) -> np.ndarray:

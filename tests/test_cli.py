@@ -135,6 +135,17 @@ def test_unbuildable_stratified_noise_type_gives_exit_code_2(tmp_path, capsys, n
     assert "strat.test_noise_types" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_non_finite_node_states_give_exit_code_4(tmp_path, capsys):
+    conf = tmp_path / "run.conf"
+    conf.write_text(FAST_CONF.replace("node.n_theta = 16", "node.n_theta = 4")
+                    + "node.c = 1e300\nnode.drive_ma = 1e300\n"
+                    + f"output.dir = {tmp_path / 'out'}\n")
+    code = main(["bench", "--config", str(conf)])
+    assert code == 4
+    assert "non-finite" in capsys.readouterr().err
+
+
 def test_bad_manifest_gives_exit_code_3(tmp_path, capsys):
     conf = tmp_path / "run.conf"
     manifest = tmp_path / "m.csv"

@@ -81,6 +81,24 @@ def test_noise_bed_type_on_a_synthetic_corpus_is_a_config_error(tmp_path):
         parse_config(_write(tmp_path, "strat.test_noise_types = clean\n"))
 
 
+@pytest.mark.parametrize("text, match", [
+    ("corpus.conditions = clean,synthetic-white@10\n", None),
+    ("corpus.conditions = clean,bogus@10\n", r"corpus\.conditions.*unknown.*'bogus'"),
+    ("corpus.conditions = clean,subway@10\n", r"corpus\.conditions.*subway.*noise bed"),
+    ("corpus.conditions = clean@10\n", r"corpus\.conditions.*'clean'"),
+    ("corpus.conditions = synthetic-white@inf\n", r"corpus\.conditions.*finite SNR"),
+    ("corpus.kind = manifest\ncorpus.conditions = synthetic-white@10\n",
+     r"corpus\.conditions.*synthetic corpus only"),
+])
+def test_corpus_conditions_are_checked_at_parse_time(tmp_path, text, match):
+    path = _write(tmp_path, text)
+    if match is None:
+        assert parse_config(path)["corpus.conditions"]
+        return
+    with pytest.raises(ConfigError, match=match):
+        parse_config(path)
+
+
 def test_config_hash_is_content_addressed(tmp_path):
     a = parse_config(_write(tmp_path, "filter.alpha = 2.0\n", "a.conf"))
     b = parse_config(_write(tmp_path, "# comment\nfilter.alpha = 2.0\n", "b.conf"))

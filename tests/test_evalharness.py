@@ -4,17 +4,19 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import resonet.evalharness as evalharness
 from resonet.dataset import build_synth_manifest
-from resonet.errors import ConfigError, DataError
+from resonet.errors import ConfigError, DataError, NumericalError
 from resonet.evalharness import (CrossValReport, FoldSpec, GainReport,
                                  PipelineSpec, chance_band, clip_features,
                                  condition_markdown, cross_validate,
                                  enumerate_folds, prepare_corpus, report_to_csv,
                                  run_fold, stratified_report, subset_factor,
-                                 summary_markdown)
+                                 summary_markdown, with_node)
 from resonet.filterbank import pad_to
 from resonet.readout import Metrics, score_mse, score_wsr
-from resonet.reservoir import gen_mask, mask_and_flatten
+from resonet.reservoir import (gen_mask, mask_and_flatten, node_run_reference,
+                               reshape_states, stno_run)
 
 
 def test_fold_spec_normalizes_and_validates():
@@ -55,7 +57,6 @@ def test_pipeline_spec_validation():
         PipelineSpec(filter_kind="mfcc", node_kind="stno", n_theta=0)
     spec = PipelineSpec(filter_kind="spectro_exp", alpha=2.0, node_kind="stno")
     assert "alpha=2" in spec.describe()
-    assert spec.route() == "total"
 
 
 @pytest.fixture(scope="module")
@@ -103,7 +104,8 @@ def node_route(corpus):
 
 def _clip_peaks(prep, feats):
     mask = gen_mask(NODE_PIPE.mask_seed, NODE_PIPE.n_theta, feats[0].n_rows)
-    return np.array([np.max(np.abs(mask_and_flatten(pad_to(f, prep.n_frames_max), mask)))
+    return np.array([np.max(np.abs(mask_and_flatten(pad_to(f, prep.n_frames_max).values,
+                                                    mask)))
                      for f in feats])
 
 
@@ -151,6 +153,45 @@ def test_fold_scores_average_over_padded_frames(node_route):
     assert short, "every test clip has the longest frame count"
     assert all(np.all(prep.tensors[i][:, feats[i].n_frames:] > 0.0) for i in short)
     assert score_mse(true, onehot) != pytest.approx(fm.test.mse, rel=1e-6)
+
+
+def reference_node_stage(tensors, pipeline):
+    """The node stage as it once ran: every clip's drive held at once, the
+    node run clip by clip into a list of state matrices, then stacked."""
+    n_frames = tensors.shape[2]
+    mask = gen_mask(pipeline.mask_seed, pipeline.n_theta, tensors.shape[1])
+    drives = [mask_and_flatten(x, mask) for x in tensors]
+    peak = max(float(np.max(np.abs(d))) for d in drives)
+    input_gain = pipeline.drive_ma / peak if peak > 0.0 else 0.0
+    states = []
+    for d in drives:
+        if pipeline.node_kind == "stno":
+            v = stno_run(d, replace(pipeline.stno, input_gain=input_gain))
+        else:
+            t = pipeline.tanh
+            v = node_run_reference(input_gain * d, t.gain, t.leak, t.v0)
+        states.append(reshape_states(v, pipeline.n_theta, n_frames))
+    return np.stack(states), input_gain
+
+
+@pytest.mark.parametrize("node_kind", ["stno", "tanh"])
+def test_node_stage_matches_the_per_clip_reference(baseline_prep, node_kind):
+    pipe = replace(baseline_prep.pipeline, node_kind=node_kind, n_theta=40)
+    prep = with_node(baseline_prep, pipe)
+    states, input_gain = reference_node_stage(baseline_prep.tensors, pipe)
+    assert prep.input_gain == input_gain
+    assert np.array_equal(prep.tensors, states)
+    # frame means sum in memory order, so this also pins the state layout
+    assert np.array_equal(prep.frame_means, states.mean(axis=2))
+
+
+@pytest.mark.parametrize("value, match", [(-1.0, "nonnegative"), (np.nan, "non-finite")])
+def test_node_stage_rejects_unusable_oscillator_states(baseline_prep, monkeypatch,
+                                                       value, match):
+    monkeypatch.setattr(evalharness, "stno_run", lambda x, p: np.full(x.size, value))
+    pipe = replace(baseline_prep.pipeline, node_kind="stno", n_theta=4)
+    with pytest.raises(NumericalError, match=match):
+        with_node(baseline_prep, pipe)
 
 
 def test_run_fold_produces_both_splits(baseline_prep):

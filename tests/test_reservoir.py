@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from resonet.errors import ConfigError, DataError
-from resonet.filterbank import FeatureMatrix
-from resonet.reservoir import (BinaryMask, NeuronStates, StnoParams, TanhParams,
-                               gen_mask, mask_and_flatten, node_run_reference,
+from resonet.reservoir import (BinaryMask, StnoParams, TanhParams, gen_mask,
+                               mask_and_flatten, node_run_reference,
                                reshape_states, stno_run)
 
 
@@ -35,13 +34,6 @@ def test_mask_and_flatten_frozen_example():
                                 [1.0, 1.0]]), seed=0)
     got = mask_and_flatten(x, mask)
     assert np.array_equal(got, [-3.0, 3.0, 5.0, -3.0, 3.0, 7.0, -3.0, 3.0, 9.0])
-
-
-def test_mask_and_flatten_accepts_feature_matrix():
-    fm = FeatureMatrix(np.ones((2, 5)), "mfcc", "clip")
-    mask = gen_mask(3, 7, 2)
-    out = mask_and_flatten(fm, mask)
-    assert out.shape == (35,)
 
 
 def test_mask_and_flatten_dimension_check():
@@ -142,11 +134,3 @@ def test_tanh_params_validation():
         TanhParams(leak=-0.1)
     with pytest.raises(ConfigError):
         TanhParams(leak=1.5)
-
-
-def test_neuron_states_sign_enforcement():
-    v = np.ones((4, 3))
-    NeuronStates(v, "c", node_kind="stno")
-    with pytest.raises(DataError):
-        NeuronStates(v - 2.0, "c", node_kind="stno")
-    NeuronStates(v - 2.0, "c", node_kind="tanh")  # tanh states may go negative
