@@ -119,25 +119,28 @@ def read_feature_cache(path: str | Path,
                          alpha=None if np.isnan(alpha) else alpha)
 
 
-def write_model(path: str | Path, model: ReadoutModel, alpha: float | None = None,
+def write_model(path: str | Path, model: ReadoutModel, *, filter_kind: str,
+                node_kind: str, alpha: float | None, trained_on: str,
                 config_hash: bytes | str | None = None) -> None:
-    if model.filter_kind not in FILTER_CODES:
-        raise CacheError(f"cannot serialize model for filter {model.filter_kind!r}")
+    """Store a readout with the front end and node (``"none"`` on the
+    baseline route) it reads from and the clips it was trained on."""
+    if filter_kind not in FILTER_CODES or node_kind not in NODE_CODES:
+        raise CacheError(f"cannot serialize a model for {filter_kind!r} + {node_kind!r}")
     w = model.weights
     header = MAGIC_MODEL + struct.pack(
-        "<HBBdddBII", CACHE_VERSION, NODE_CODES[model.node_kind],
-        FILTER_CODES[model.filter_kind],
+        "<HBBdddBII", CACHE_VERSION, NODE_CODES[node_kind], FILTER_CODES[filter_kind],
         alpha if alpha is not None else float("nan"),
         model.options.rtol, model.options.ridge, 1 if model.options.bias else 0,
         w.shape[0], w.shape[1])
     header += _normalize_hash(config_hash)
-    desc = model.trained_on.encode()
+    desc = trained_on.encode()
     header += struct.pack("<H", len(desc)) + desc
     _finish(Path(path), header + np.ascontiguousarray(w, dtype="<f8").tobytes())
 
 
 def read_model(path: str | Path,
-               config_hash: bytes | str | None = None) -> ReadoutModel:
+               config_hash: bytes | str | None = None) -> tuple[ReadoutModel, dict]:
+    """The model and its header fields, keyed as ``write_model`` takes them."""
     body = _open(path, MAGIC_MODEL)
     fmt = "<BBdddBII"
     node_code, filt_code, alpha, rtol, ridge, bias, rows, cols = struct.unpack_from(fmt, body, 0)
@@ -153,8 +156,11 @@ def read_model(path: str | Path,
     payload = body[off:off + expect]
     if len(payload) != expect:
         raise CacheError(f"{path}: payload truncated")
+    if filt_code not in FILTER_NAMES or node_code not in NODE_NAMES:
+        raise CacheError(f"{path}: unknown filter or node code")
     w = np.frombuffer(payload, dtype="<f8").reshape(rows, cols)
     options = ReadoutOptions(rtol=rtol, ridge=ridge, bias=bool(bias))
-    return ReadoutModel(w.copy(), options, trained_on=trained_on,
-                        node_kind=NODE_NAMES.get(node_code, "none"),
-                        filter_kind=FILTER_NAMES.get(filt_code, "spectro_real"))
+    fields = {"filter_kind": FILTER_NAMES[filt_code], "node_kind": NODE_NAMES[node_code],
+              "alpha": None if np.isnan(alpha) else alpha, "trained_on": trained_on,
+              "config_hash": stored_hash.hex()}
+    return ReadoutModel(w.copy(), options), fields

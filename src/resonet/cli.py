@@ -28,7 +28,7 @@ import numpy as np
 from . import cachefile
 from .config import GENERATOR_NAME, RunConfig, apply_seed_overrides, parse_config
 from .dataset import Manifest, save_manifest
-from .errors import ResonetError
+from .errors import ConfigError, ResonetError
 from .evalharness import (GainReport, PipelineSpec, clip_features,
                           condition_markdown, cross_validate, prepare_corpus,
                           report_to_csv, stratified_report, summary_markdown,
@@ -67,9 +67,9 @@ def _workers(cfg: RunConfig, args) -> int:
 
 def cmd_synth_corpus(args) -> int:
     cfg = _load_config(args)
-    manifest, _ = cfg.load_corpus()
     if cfg["corpus.kind"] != "synthetic":
-        raise ResonetError("synth-corpus needs corpus.kind = synthetic")
+        raise ConfigError("synth-corpus needs corpus.kind = synthetic")
+    manifest, _ = cfg.load_corpus()
     out = _out_dir(cfg, args)
     path = out / "manifest.csv"
     save_manifest(manifest, path)
@@ -133,7 +133,9 @@ def cmd_bench(args) -> int:
         gain = GainReport(baseline, total)
         for i, fm in enumerate(total.folds):
             cachefile.write_model(out / "models" / f"fold_{i:03d}.rnbm", fm.model,
-                                  alpha=pipeline.alpha,
+                                  filter_kind=pipeline.filter_kind,
+                                  node_kind=pipeline.node_kind, alpha=pipeline.alpha,
+                                  trained_on=fm.fold.describe(),
                                   config_hash=cfg.config_hash())
 
     (out / "summary.md").write_text(summary_markdown(reports, gain, header))
@@ -231,9 +233,8 @@ def cmd_stratified(args) -> int:
     manifest, _ = cfg.load_corpus()
     pipeline = cfg.pipeline()
     out = _out_dir(cfg, args)
-    cut = cfg["strat.train_utterances"]
     report = stratified_report(
-        manifest, pipeline, lambda e: e.label.utterance < cut,
+        manifest, pipeline, cfg["strat.train_utterances"],
         test_snrs=cfg["strat.test_snrs"],
         test_noise_types=cfg["strat.test_noise_types"],
         noise_seed=cfg["corpus.noise_seed"],

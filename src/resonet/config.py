@@ -151,6 +151,9 @@ SCHEMA: dict[str, tuple] = {
     "output.dir": (_parse_str, "out"),
 }
 
+#: keys that change where or how fast a run goes, never what it computes
+UNHASHED_KEYS = ("eval.workers", "output.dir")
+
 SEED_KEYS = ("corpus.synth_seed", "corpus.noise_seed", "node.mask_seed",
              "eval.partition_seed")
 
@@ -181,7 +184,8 @@ class RunConfig:
 
     def config_hash(self, prefixes: tuple[str, ...] | None = None) -> str:
         """16-hex-digit digest of the (optionally section-filtered) config."""
-        lines = self.canonical_lines()
+        lines = [ln for ln in self.canonical_lines()
+                 if ln.partition(" = ")[0] not in UNHASHED_KEYS]
         if prefixes is not None:
             lines = [ln for ln in lines if ln.split(".")[0] in prefixes]
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()

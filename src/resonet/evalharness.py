@@ -14,7 +14,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from itertools import combinations
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -23,8 +23,8 @@ from .errors import ConfigError, DataError, NumericalError
 from .filterbank import (CochlearConfig, FeatureMatrix, MfccConfig, StftConfig,
                          featurize, pad_to)
 from .readout import (Metrics, ReadoutModel, ReadoutOptions, build_targets,
-                      classify, factor, predict, predict_means, score_mse,
-                      score_wsr, solve, train_pinv)
+                      classify, factor, predict_means, score_mse, score_wsr,
+                      solve)
 from .reservoir import (NODE_KINDS, StnoParams, TanhParams, gen_mask,
                         mask_and_flatten, node_run_reference, reshape_states,
                         stno_run)
@@ -119,12 +119,14 @@ def clip_features(entry: ManifestEntry, pipeline: PipelineSpec, *,
                      cochlear_cfg=pipeline.cochlear)
 
 
-def _baseline_stage(entries: Sequence[ManifestEntry], pipeline: PipelineSpec, *,
-                    sample_rate: int, noise_seed: int, workers: int,
-                    features: dict[str, FeatureMatrix] | None = None) -> np.ndarray:
+def _baseline_stage(entries: Sequence[ManifestEntry], groups: Sequence[int],
+                    pipeline: PipelineSpec, *, sample_rate: int, noise_seed: int,
+                    workers: int, features: dict[str, FeatureMatrix] | None = None
+                    ) -> PreparedCorpus:
     """Realize and featurize every entry (or reuse its cached features) and
-    pad all of them to one frame count: shape (n_clips, n_rows, n_frames_max).
-    With ``workers > 1`` clips are featurized on a thread pool, in order.
+    pad all of them to one frame count: the baseline route, with entry i
+    in group ``groups[i]``.  With ``workers > 1`` clips are featurized on
+    a thread pool, in order.
     """
     def _load(entry: ManifestEntry) -> FeatureMatrix:
         if features is not None and entry.clip_id in features:
@@ -138,7 +140,13 @@ def _baseline_stage(entries: Sequence[ManifestEntry], pipeline: PipelineSpec, *,
     else:
         feats = [_load(e) for e in entries]
     n_frames_max = max(f.n_frames for f in feats)
-    return np.stack([pad_to(f, n_frames_max).values for f in feats])
+    tensors = np.stack([pad_to(f, n_frames_max).values for f in feats])
+    # free the unpadded features before the arrays below are allocated on
+    # top of them, so the heap they held can shrink (lower peak RSS)
+    del feats
+    return PreparedCorpus(tuple(e.clip_id for e in entries),
+                          np.array([e.label.digit for e in entries]), np.array(groups),
+                          tensors, n_frames_max, replace(pipeline, node_kind=None))
 
 
 def _node_stage(tensors: np.ndarray, pipeline: PipelineSpec) -> tuple[np.ndarray, float]:
@@ -149,23 +157,25 @@ def _node_stage(tensors: np.ndarray, pipeline: PipelineSpec) -> tuple[np.ndarray
     ``tensors`` onto ``drive_ma``, so the drive spans +/-drive_ma.  State
     integration restarts from the rest amplitude at every clip boundary.
     The node runs one clip at a time, as the single physical node does.
+    Overflow inside the node is not warned about: the state check after
+    the loop reports it as a ``NumericalError``.
     """
     n_clips, n_rows, n_frames = tensors.shape
     mask = gen_mask(pipeline.mask_seed, pipeline.n_theta, n_rows)
     peak = max(float(np.abs(mask.entries @ x).max()) for x in tensors)
     input_gain = pipeline.drive_ma / peak if peak > 0.0 else 0.0
-    stno = replace(pipeline.stno, input_gain=input_gain)
     t = pipeline.tanh
     # frame-major within each clip, the layout of the reshaped states;
     # frame means are summed in this memory order
     states = np.empty((n_clips, n_frames, pipeline.n_theta)).transpose(0, 2, 1)
-    for i, x in enumerate(tensors):
-        drive = mask_and_flatten(x, mask)
-        if pipeline.node_kind == "stno":
-            v = stno_run(drive, stno)
-        else:
-            v = node_run_reference(input_gain * drive, t.gain, t.leak, t.v0)
-        states[i] = reshape_states(v, pipeline.n_theta, n_frames)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, x in enumerate(tensors):
+            drive = input_gain * mask_and_flatten(x, mask)
+            if pipeline.node_kind == "stno":
+                v = stno_run(drive, pipeline.stno)
+            else:
+                v = node_run_reference(drive, t.gain, t.leak, t.v0)
+            states[i] = reshape_states(v, pipeline.n_theta, n_frames)
     if not np.all(np.isfinite(states)):
         raise NumericalError(f"{pipeline.node_kind} node states have non-finite entries")
     if pipeline.node_kind == "stno" and states.min() < 0.0:
@@ -180,8 +190,10 @@ class PreparedCorpus:
     ``tensors[i]`` is the matrix fed to the readout for clip i: padded
     features on the baseline route, reshaped node states on the total
     route.  ``frame_means[i]`` is its mean over all ``n_frames_max``
-    frames, padding included, which is what fold scoring reads.  Built
-    once, read-only afterward; folds only reindex it.
+    frames, padding included, which is what fold scoring reads.
+    ``subset_of[i]`` is clip i's group: its cross-validation subset, or
+    its pool in a stratified report.  Built once, read-only afterward;
+    folds only reindex it.
     """
 
     clip_ids: tuple[str, ...]
@@ -212,14 +224,9 @@ def prepare_corpus(manifest: Manifest, partition: SubsetPartition,
     entries = [e for e in manifest.entries if e.clip_id in subset_of_map]
     if not entries:
         raise DataError("no manifest entries covered by the partition")
-    tensors = _baseline_stage(entries, pipeline, sample_rate=manifest.sample_rate,
-                              noise_seed=noise_seed, workers=workers,
-                              features=features)
-    prep = PreparedCorpus(tuple(e.clip_id for e in entries),
-                          np.array([e.label.digit for e in entries]),
-                          np.array([subset_of_map[e.clip_id] for e in entries]),
-                          tensors, tensors.shape[2],
-                          replace(pipeline, node_kind=None))
+    prep = _baseline_stage(entries, [subset_of_map[e.clip_id] for e in entries],
+                           pipeline, sample_rate=manifest.sample_rate,
+                           noise_seed=noise_seed, workers=workers, features=features)
     if pipeline.node_kind is None:
         return prep
     return with_node(prep, pipeline)
@@ -275,10 +282,7 @@ def run_fold(fold: FoldSpec, prep: PreparedCorpus,
         raise DataError(f"fold {fold.describe()} has an empty split")
     if set(train_idx) & set(test_idx):
         raise DataError(f"fold {fold.describe()} train/test overlap")
-    model = solve([factors[k] for k in fold.train_subsets], prep.pipeline.readout,
-                  trained_on=fold.describe(),
-                  node_kind=prep.pipeline.node_kind or "none",
-                  filter_kind=prep.pipeline.filter_kind)
+    model = solve([factors[k] for k in fold.train_subsets], prep.pipeline.readout)
     return FoldMetrics(fold, _evaluate(model, prep, train_idx),
                        _evaluate(model, prep, test_idx), model)
 
@@ -396,23 +400,25 @@ class ConditionReport:
 
 
 def stratified_report(manifest: Manifest, pipeline: PipelineSpec,
-                      train_filter: Callable[[ManifestEntry], bool], *,
+                      train_utterances: int, *,
                       test_snrs: Sequence[float], test_noise_types: Sequence[str],
-                      noise_seed: int = 0, with_baseline: bool = True,
-                      workers: int = 1) -> ConditionReport:
+                      noise_seed: int = 0, workers: int = 1) -> ConditionReport:
     """Train once on a mixed-condition pool, test per condition cell.
 
-    ``train_filter`` selects the training entries; everything else is the
-    test pool.  Synthetic test entries are re-realized at each cell's
-    (noise_type, snr) condition, while file-backed test entries join only
-    the cells whose condition matches their manifest tag.  Training
-    entries are realized at their tagged conditions.  All clips, train
-    and test, are padded together and share one input scale.
+    Entries with an utterance index below ``train_utterances`` form the
+    training pool; everything else is the test pool.  Synthetic test
+    entries are re-realized at each cell's (noise_type, snr) condition,
+    while file-backed test entries join only the cells whose condition
+    matches their manifest tag.  Training entries are realized at their
+    tagged conditions.  All clips, train and test, are padded together
+    and share one input scale.  The readout is trained and scored as a
+    fold is: the training pool is group 0 of one preparation and cell j
+    is group 1 + j.
     """
     if not test_snrs or not test_noise_types:
         raise ConfigError("stratified evaluation needs test snrs and noise types")
-    train_entries = [e for e in manifest.entries if train_filter(e)]
-    test_entries = [e for e in manifest.entries if not train_filter(e)]
+    train_entries = [e for e in manifest.entries if e.label.utterance < train_utterances]
+    test_entries = [e for e in manifest.entries if e.label.utterance >= train_utterances]
     if not train_entries:
         raise DataError("stratified training pool is empty")
     if not test_entries:
@@ -429,44 +435,33 @@ def stratified_report(manifest: Manifest, pipeline: PipelineSpec,
                         noise_type="clean" if math.isinf(snr) else ntype)
         return replace(entry, label=label)
 
-    cells: dict[tuple[int, int], list[ManifestEntry]] = {}
-    for r, snr in enumerate(test_snrs):
-        for c, ntype in enumerate(test_noise_types):
-            snr = float(snr)
+    cells: list[list[ManifestEntry]] = []        # row-major over (snr, noise_type)
+    for snr in (float(s) for s in test_snrs):
+        for ntype in test_noise_types:
             pool = [_at(e, ntype, snr) if e.is_synthetic else e for e in test_entries
                     if e.is_synthetic or _tag_matches(e.label, ntype, snr)]
             if not pool:
                 raise DataError(
                     f"no test clips for condition ({ntype!r}, {snr} dB)")
-            cells[(r, c)] = pool
+            cells.append(pool)
 
-    entries = train_entries + [e for pool in cells.values() for e in pool]
-    features = _baseline_stage(entries, pipeline, sample_rate=manifest.sample_rate,
-                               noise_seed=noise_seed, workers=workers)
-    n_train, n_frames = len(train_entries), features.shape[2]
-    targets = [build_targets(e.label.digit, n_frames) for e in train_entries]
+    entries = train_entries + [e for pool in cells for e in pool]
+    groups = [0] * len(train_entries) + [1 + j for j, pool in enumerate(cells)
+                                         for _ in pool]
+    base = _baseline_stage(entries, groups, pipeline, sample_rate=manifest.sample_rate,
+                           noise_seed=noise_seed, workers=workers)
 
-    def _grid(route_pipeline: PipelineSpec, tensors: np.ndarray) -> np.ndarray:
-        model = train_pinv(list(tensors[:n_train]), targets, route_pipeline.readout,
-                           trained_on="stratified",
-                           node_kind=route_pipeline.node_kind or "none",
-                           filter_kind=route_pipeline.filter_kind)
-        grid = np.zeros((len(test_snrs), len(test_noise_types)))
-        start = n_train
-        for (r, c), pool in cells.items():
-            preds = [classify(predict(model, m))
-                     for m in tensors[start:start + len(pool)]]
-            grid[r, c] = score_wsr(preds, [e.label.digit for e in pool])
-            start += len(pool)
-        return grid
+    def _grid(prep: PreparedCorpus) -> np.ndarray:
+        model = solve([subset_factor(prep, 0)], prep.pipeline.readout)
+        wsr = [_evaluate(model, prep, prep.indices_of_subsets([1 + j])).wsr
+               for j in range(len(cells))]
+        return np.array(wsr).reshape(len(test_snrs), len(test_noise_types))
 
-    base = replace(pipeline, node_kind=None)
     if pipeline.node_kind is None:
-        wsr, gain = _grid(base, features), None
+        wsr, gain = _grid(base), None
     else:
-        states, _ = _node_stage(features, pipeline)
-        wsr = _grid(pipeline, states)
-        gain = wsr - _grid(base, features) if with_baseline else None
+        wsr = _grid(with_node(base, pipeline))
+        gain = wsr - _grid(base)
     return ConditionReport(tuple(float(s) for s in test_snrs),
                            tuple(test_noise_types), wsr, gain,
                            n_train_clips=len(train_entries),

@@ -43,9 +43,6 @@ class ReadoutOptions:
 class ReadoutModel:
     weights: np.ndarray
     options: ReadoutOptions
-    trained_on: str = ""
-    node_kind: str = "none"
-    filter_kind: str = ""
 
     def __post_init__(self) -> None:
         w = np.asarray(self.weights, dtype=np.float64)
@@ -115,9 +112,8 @@ def factor(states: Sequence, targets: Sequence,
     return r
 
 
-def solve(factors: Sequence[np.ndarray], options: ReadoutOptions = ReadoutOptions(),
-          *, trained_on: str = "", node_kind: str = "none",
-          filter_kind: str = "") -> ReadoutModel:
+def solve(factors: Sequence[np.ndarray],
+          options: ReadoutOptions = ReadoutOptions()) -> ReadoutModel:
     """Readout weights from the stacked factors of disjoint clip pools.
 
     Stacking the pools' factors gives a factor of their union, so the
@@ -141,17 +137,13 @@ def solve(factors: Sequence[np.ndarray], options: ReadoutOptions = ReadoutOption
     w = sol.T
     if not np.all(np.isfinite(w)):
         raise NumericalError("readout training produced non-finite weights")
-    return ReadoutModel(w, options, trained_on=trained_on,
-                        node_kind=node_kind, filter_kind=filter_kind)
+    return ReadoutModel(w, options)
 
 
 def train_pinv(states: Sequence, targets: Sequence,
-               options: ReadoutOptions = ReadoutOptions(), *,
-               trained_on: str = "", node_kind: str = "none",
-               filter_kind: str = "") -> ReadoutModel:
+               options: ReadoutOptions = ReadoutOptions()) -> ReadoutModel:
     """Fit readout weights over one pool of clips (see ``factor``)."""
-    return solve([factor(states, targets, options)], options, trained_on=trained_on,
-                 node_kind=node_kind, filter_kind=filter_kind)
+    return solve([factor(states, targets, options)], options)
 
 
 def predict_means(model: ReadoutModel, means: np.ndarray) -> np.ndarray:

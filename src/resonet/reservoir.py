@@ -11,9 +11,10 @@ oscillator whose amplitude relaxes exponentially toward an
 input-dependent equilibrium:
 
     v_i = v_inf(x_i) * (1 - exp(-dt/t_relax)) + v_{i-1} * exp(-dt/t_relax)
-    v_inf(x)  = c * sqrt(max(0, i_dc - drive(x) - i_c))
+    v_inf(x)  = c * sqrt(max(0, i_dc - x - i_c))
 
-with drive(x) = input_gain * x.  Times are in nanoseconds and currents
+where the drive x is the masked sequence already scaled to a current
+by the caller's input gain.  Times are in nanoseconds and currents
 in milliamperes; ``c`` fixes the (arbitrary) amplitude unit.  Because
 each virtual-node step is much shorter than the relaxation time, the
 node never settles within a frame and consecutive virtual neurons stay
@@ -89,7 +90,6 @@ class StnoParams:
     i_dc: float = 6.0
     i_c: float = 4.9
     c: float = 1.0
-    input_gain: float = 1.0
     allow_coarse_timestep: bool = False
 
     def __post_init__(self) -> None:
@@ -120,7 +120,7 @@ def stno_run(x: np.ndarray, p: StnoParams, v0: float | None = None) -> np.ndarra
     """Integrate the oscillator over a drive sequence.
 
     Equivalent to stepping the module docstring's recurrence once per
-    sample with drive ``input_gain * x[i]``, evaluated as a first-order
+    sample with drive ``x[i]`` (in mA), evaluated as a first-order
     linear recurrence.  ``v0`` defaults to the rest amplitude; outputs
     are finite and nonnegative.
     """
@@ -133,7 +133,7 @@ def stno_run(x: np.ndarray, p: StnoParams, v0: float | None = None) -> np.ndarra
         raise DataError(f"initial amplitude must be nonnegative, got {v0}")
     if x.size == 0:
         return np.empty(0)
-    v_inf = p.c * np.sqrt(np.maximum(0.0, p.i_dc - p.input_gain * x - p.i_c))
+    v_inf = p.c * np.sqrt(np.maximum(0.0, p.i_dc - x - p.i_c))
     a = p.decay
     v, _ = lfilter([1.0], [1.0, -a], (1.0 - a) * v_inf, zi=[a * v0])
     return v

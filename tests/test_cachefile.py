@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from resonet.cachefile import (read_feature_cache, read_model,
-                               write_feature_cache, write_model)
+from resonet.cachefile import (FILTER_CODES, NODE_CODES, read_feature_cache,
+                               read_model, write_feature_cache, write_model)
 from resonet.errors import CacheError
 from resonet.filterbank import FeatureMatrix
 from resonet.readout import ReadoutModel, ReadoutOptions
@@ -82,16 +82,38 @@ def test_cache_version_message(tmp_path, rng):
         read_feature_cache(path)
 
 
-def test_model_round_trip(tmp_path, rng):
+@pytest.mark.parametrize("bias", [True, False], ids=["bias", "no_bias"])
+@pytest.mark.parametrize("node_kind", sorted(NODE_CODES))
+@pytest.mark.parametrize("filter_kind", sorted(FILTER_CODES))
+def test_model_round_trip(tmp_path, rng, filter_kind, node_kind, bias):
     w = rng.standard_normal((10, 41))
-    model = ReadoutModel(w, ReadoutOptions(rtol=1e-9, ridge=0.5, bias=True),
-                         trained_on="0+1+2", node_kind="stno",
-                         filter_kind="spectro_exp")
+    model = ReadoutModel(w, ReadoutOptions(rtol=1e-9, ridge=0.5, bias=bias))
+    fields = {"filter_kind": filter_kind, "node_kind": node_kind,
+              "alpha": 2.0 if filter_kind == "spectro_exp" else None,
+              "trained_on": "0+1+2", "config_hash": "00112233aabbccdd"}
     path = tmp_path / "m.rnbm"
-    write_model(path, model, alpha=2.0, config_hash="00112233aabbccdd")
-    back = read_model(path, config_hash="00112233aabbccdd")
+    write_model(path, model, **fields)
+    back, stored = read_model(path, config_hash="00112233aabbccdd")
     assert np.array_equal(back.weights, w)
     assert back.options == model.options
-    assert back.trained_on == "0+1+2"
-    assert back.node_kind == "stno"
-    assert back.filter_kind == "spectro_exp"
+    assert stored == fields
+
+
+def test_model_header_refuses_unknown_kinds(tmp_path, rng):
+    from resonet.cachefile import _checksum
+    model = ReadoutModel(rng.standard_normal((10, 4)), ReadoutOptions())
+    path = tmp_path / "m.rnbm"
+    for filter_kind, node_kind in (("wavelet", "stno"), ("mfcc", "lstm")):
+        with pytest.raises(CacheError, match="cannot serialize"):
+            write_model(path, model, filter_kind=filter_kind, node_kind=node_kind,
+                        alpha=None, trained_on="0")
+    # a stored code no writer produces is an error, not a default name
+    write_model(path, model, filter_kind="mfcc", node_kind="stno", alpha=None,
+                trained_on="0")
+    for offset in (6, 7):                        # node code, filter code
+        body = bytearray(path.read_bytes()[:-8])
+        body[offset] = 99
+        bad = tmp_path / f"bad{offset}.rnbm"
+        bad.write_bytes(bytes(body) + _checksum(bytes(body)))
+        with pytest.raises(CacheError, match="unknown filter or node code"):
+            read_model(bad)

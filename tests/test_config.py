@@ -109,6 +109,18 @@ def test_config_hash_is_content_addressed(tmp_path):
     int(a.config_hash(), 16)  # hex digest
 
 
+def test_config_hash_ignores_where_and_how_fast_a_run_goes(tmp_path):
+    a = parse_config(_write(tmp_path, "filter.alpha = 2.0\n", "a.conf"))
+    b = parse_config(_write(tmp_path, "filter.alpha = 2.0\neval.workers = 4\n"
+                                      "output.dir = elsewhere\n", "b.conf"))
+    c = parse_config(_write(tmp_path, "filter.alpha = 2.5\neval.workers = 4\n", "c.conf"))
+    assert a.config_hash() == b.config_hash()
+    assert a.config_hash() != c.config_hash()
+    # the canonical listing itself stays complete
+    assert "eval.workers = 4" in b.canonical_lines()
+    assert "output.dir = elsewhere" in b.canonical_lines()
+
+
 def test_feature_hash_ignores_downstream_sections(tmp_path):
     a = parse_config(_write(tmp_path, "node.n_theta = 24\n", "a.conf"))
     b = parse_config(_write(tmp_path, "node.n_theta = 48\n", "b.conf"))

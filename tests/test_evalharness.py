@@ -14,7 +14,8 @@ from resonet.evalharness import (CrossValReport, FoldSpec, GainReport,
                                  run_fold, stratified_report, subset_factor,
                                  summary_markdown, with_node)
 from resonet.filterbank import pad_to
-from resonet.readout import Metrics, score_mse, score_wsr
+from resonet.readout import (Metrics, build_targets, classify, predict, score_mse,
+                             score_wsr, train_pinv)
 from resonet.reservoir import (gen_mask, mask_and_flatten, node_run_reference,
                                reshape_states, stno_run)
 
@@ -166,7 +167,7 @@ def reference_node_stage(tensors, pipeline):
     states = []
     for d in drives:
         if pipeline.node_kind == "stno":
-            v = stno_run(d, replace(pipeline.stno, input_gain=input_gain))
+            v = stno_run(input_gain * d, pipeline.stno)
         else:
             t = pipeline.tanh
             v = node_run_reference(input_gain * d, t.gain, t.leak, t.v0)
@@ -261,11 +262,61 @@ def test_summary_markdown_mentions_routes(baseline_prep):
     assert "| WSR" in text or "WSR" in text
 
 
+def reference_stratified_grid(manifest, pipeline, train_utterances, test_snrs,
+                              noise_seed):
+    """The stratified grid as it once was computed, for ``synthetic-white``
+    cells: every clip featurized and padded together, the node stage of
+    ``reference_node_stage``, one ``train_pinv`` over the training clips,
+    then ``classify(predict(...))`` clip by clip in each cell."""
+    train = [e for e in manifest.entries if e.label.utterance < train_utterances]
+    test = [e for e in manifest.entries if e.label.utterance >= train_utterances]
+    cells = [[replace(e, label=replace(e.label, snr_db=snr,
+                                       noise_type="clean" if math.isinf(snr)
+                                       else "synthetic-white"))
+              for e in test] for snr in test_snrs]
+    entries = train + [e for pool in cells for e in pool]
+    feats = [clip_features(e, pipeline, sample_rate=manifest.sample_rate,
+                           noise_seed=noise_seed) for e in entries]
+    n_frames = max(f.n_frames for f in feats)
+    tensors = np.stack([pad_to(f, n_frames).values for f in feats])
+    if pipeline.node_kind is not None:
+        tensors, _ = reference_node_stage(tensors, pipeline)
+    model = train_pinv(list(tensors[:len(train)]),
+                       [build_targets(e.label.digit, n_frames) for e in train],
+                       pipeline.readout)
+    grid, start = [], len(train)
+    for pool in cells:
+        preds = [classify(predict(model, m)) for m in tensors[start:start + len(pool)]]
+        grid.append([score_wsr(preds, [e.label.digit for e in pool])])
+        start += len(pool)
+    return np.array(grid)
+
+
+@pytest.mark.parametrize("node_kind", [None, "stno"], ids=["baseline", "stno"])
+def test_stratified_grid_matches_the_per_clip_reference(corpus, node_kind):
+    manifest, _ = corpus
+    pipe = PipelineSpec(filter_kind="spectro_exp", alpha=2.0, node_kind=node_kind,
+                        n_theta=24)
+    snrs = (math.inf, 10.0)
+    report = stratified_report(manifest, pipe, 8, test_snrs=snrs,
+                               test_noise_types=("synthetic-white",),
+                               noise_seed=2002, workers=4)
+    base = reference_stratified_grid(manifest, replace(pipe, node_kind=None), 8,
+                                     snrs, 2002)
+    if node_kind is None:
+        assert np.array_equal(report.wsr, base)
+        assert report.gain is None
+    else:
+        total = reference_stratified_grid(manifest, pipe, 8, snrs, 2002)
+        assert np.array_equal(report.wsr, total)
+        assert np.array_equal(report.gain, total - base)
+
+
 def test_stratified_report_grid(corpus):
     manifest, _ = corpus
     pipe = PipelineSpec(filter_kind="spectro_exp", alpha=2.0)
     report = stratified_report(
-        manifest, pipe, lambda e: e.label.utterance < 8,
+        manifest, pipe, 8,
         test_snrs=(math.inf, 10.0),
         test_noise_types=("synthetic-white",),
         noise_seed=2002, workers=4)
@@ -282,7 +333,7 @@ def test_stratified_with_gain_grid(corpus):
     pipe = PipelineSpec(filter_kind="spectro_exp", alpha=2.0, node_kind="stno",
                         n_theta=24)
     report = stratified_report(
-        manifest, pipe, lambda e: e.label.utterance < 8,
+        manifest, pipe, 8,
         test_snrs=(math.inf,), test_noise_types=("synthetic-white",),
         noise_seed=2002, workers=4)
     assert report.gain is not None
@@ -294,7 +345,7 @@ def test_stratified_grid_is_worker_invariant(corpus):
     pipe = PipelineSpec(filter_kind="spectro_exp", alpha=2.0, node_kind="stno",
                         n_theta=24)
     reports = [stratified_report(
-        manifest, pipe, lambda e: e.label.utterance < 8,
+        manifest, pipe, 8,
         test_snrs=(math.inf, 10.0), test_noise_types=("synthetic-white",),
         noise_seed=2002, workers=w) for w in (1, 2)]
     assert np.array_equal(reports[0].wsr, reports[1].wsr)

@@ -66,9 +66,8 @@ def test_factor_keeps_the_gram_matrices_across_chunks(rng):
 def test_solve_over_stacked_factors_equals_one_pool(rng):
     states, targets, _ = _toy_problem(rng, n_clips=40)
     parts = [factor(states[a:b], targets[a:b]) for a, b in ((0, 3), (3, 25), (25, 40))]
-    stacked = solve(parts, trained_on="x")
+    stacked = solve(parts)
     whole = train_pinv(states, targets)
-    assert stacked.trained_on == "x"
     assert np.max(np.abs(stacked.weights - whole.weights)) < 1e-10
     with pytest.raises(DataError):
         solve([])

@@ -88,13 +88,14 @@ def test_stno_step_frozen_values():
 
 def test_stno_run_matches_pure_python_loop():
     rng = np.random.default_rng(21)
-    p = StnoParams(input_gain=0.4)
+    p = StnoParams()
+    gain = 0.4
     x = rng.uniform(-8.0, 8.0, size=2000)
-    got = stno_run(x, p)
+    got = stno_run(gain * x, p)
     a = math.exp(-p.dt / p.t_relax)
     v = p.rest_amplitude
     for i in range(x.size):
-        head = p.i_dc - p.input_gain * x[i] - p.i_c
+        head = p.i_dc - gain * x[i] - p.i_c
         v_inf = p.c * math.sqrt(head) if head > 0 else 0.0
         v = v_inf * (1.0 - a) + v * a
         assert abs(got[i] - v) < 1e-12
