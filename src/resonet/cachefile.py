@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import CacheError
 from .filterbank import FeatureMatrix
-from .readout import ReadoutModel, ReadoutOptions
+from .readout import ReadoutModel
 
 MAGIC_FEATURES = b"RNBF"
 MAGIC_MODEL = b"RNBM"
@@ -28,7 +28,6 @@ FILTER_CODES = {"spectro_real": 0, "spectro_exp": 1, "spectro_hp": 2,
                 "mfcc": 3, "cochlear": 4}
 FILTER_NAMES = {v: k for k, v in FILTER_CODES.items()}
 NODE_CODES = {"stno": 0, "tanh": 1, "none": 255}
-NODE_NAMES = {v: k for k, v in NODE_CODES.items()}
 
 _HASH_LEN = 8
 
@@ -137,30 +136,3 @@ def write_model(path: str | Path, model: ReadoutModel, *, filter_kind: str,
     header += struct.pack("<H", len(desc)) + desc
     _finish(Path(path), header + np.ascontiguousarray(w, dtype="<f8").tobytes())
 
-
-def read_model(path: str | Path,
-               config_hash: bytes | str | None = None) -> tuple[ReadoutModel, dict]:
-    """The model and its header fields, keyed as ``write_model`` takes them."""
-    body = _open(path, MAGIC_MODEL)
-    fmt = "<BBdddBII"
-    node_code, filt_code, alpha, rtol, ridge, bias, rows, cols = struct.unpack_from(fmt, body, 0)
-    off = struct.calcsize(fmt)
-    stored_hash = body[off:off + _HASH_LEN]
-    off += _HASH_LEN
-    _check_hash(path, stored_hash, config_hash)
-    (d_len,) = struct.unpack_from("<H", body, off)
-    off += 2
-    trained_on = body[off:off + d_len].decode()
-    off += d_len
-    expect = rows * cols * 8
-    payload = body[off:off + expect]
-    if len(payload) != expect:
-        raise CacheError(f"{path}: payload truncated")
-    if filt_code not in FILTER_NAMES or node_code not in NODE_NAMES:
-        raise CacheError(f"{path}: unknown filter or node code")
-    w = np.frombuffer(payload, dtype="<f8").reshape(rows, cols)
-    options = ReadoutOptions(rtol=rtol, ridge=ridge, bias=bool(bias))
-    fields = {"filter_kind": FILTER_NAMES[filt_code], "node_kind": NODE_NAMES[node_code],
-              "alpha": None if np.isnan(alpha) else alpha, "trained_on": trained_on,
-              "config_hash": stored_hash.hex()}
-    return ReadoutModel(w.copy(), options), fields

@@ -12,6 +12,11 @@ Channel spacing is proportional to the local critical bandwidth
 ``sqrt(f^2 + break_freq^2) / ear_q``; the defaults place exactly 78
 channels for a 12.5 kHz corpus, and ``cochleagram`` refuses to run when
 the designed channel count disagrees with ``expected_channels``.
+
+The gain control recursion runs as one Python time loop for all stages
+(see ``_agc_pipelined``): stage s trails stage s - 1 by one sample, and
+each stage's arithmetic is unchanged, so the features are bit-identical
+to running the stages one after another.
 """
 
 from __future__ import annotations
@@ -91,30 +96,53 @@ def _section_coeffs(cf: float, cfg: CochlearConfig, sample_rate: int):
     return b * (a.sum() / b.sum()), a
 
 
-def _agc_stage(x: np.ndarray, eps: float, target: float) -> np.ndarray:
-    """One adaptive gain stage, coupled across neighboring channels.
+def _agc_pipelined(x: np.ndarray, eps: np.ndarray, target: np.ndarray) -> None:
+    """Run the chain of adaptive gain stages over ``x`` (n_ch, n_t) in place.
 
-    Per sample each channel is scaled by ``1 - state`` (clamped to
-    [0, 1]); the state tracks the scaled output relative to its target
-    and is smoothed spatially with a [1/4, 1/2, 1/4] kernel so loud
-    channels also depress their neighbors.
+    Per sample, stage s scales each channel by ``1 - state`` clamped to
+    [0, 1]; the state tracks that output over ``target[s]`` at rate
+    ``eps[s]`` and is smoothed with a [1/4, 1/2, 1/4] kernel ([3/4, 1/4] at
+    the edges), so loud channels also depress their neighbors.  Stage s + 1
+    compresses stage s's output and at time t reads only stage s at time t,
+    so one loop runs all stages on an (n_stages, n_ch) state: at step k,
+    stage s handles sample k - s from what stage s - 1 produced at step
+    k - 1.  A stage not yet at sample 0 sees zero input from a zero state,
+    which stays exactly zero.  Each stage's operations keep the order of the
+    stage-by-stage recursion, and the edges read a zero border with zero
+    weight: ``(0 + 0.75*s[0]) + 0.25*s[1]`` and ``(0.25*s[-2] + 0.75*s[-1])
+    + 0`` round as the two-term edge sums do, so the output is bit-identical.
     """
+    n_stages = eps.shape[0]
+    if n_stages == 0:
+        return
     n_ch, n_t = x.shape
-    out = np.empty_like(x)
-    state = np.zeros(n_ch)
-    for t in range(n_t):
-        gain = np.clip(1.0 - state, 0.0, 1.0)
-        y = x[:, t] * gain
-        out[:, t] = y
-        state = state + eps * (y / target - state)
-        smoothed = state.copy()
-        if n_ch > 2:
-            smoothed[1:-1] = 0.25 * state[:-2] + 0.5 * state[1:-1] + 0.25 * state[2:]
-        if n_ch > 1:
-            smoothed[0] = 0.75 * state[0] + 0.25 * state[1]
-            smoothed[-1] = 0.25 * state[-2] + 0.75 * state[-1]
-        state = smoothed
-    return out
+    samples = x.T                       # samples[t] is the channel vector at time t
+    z = np.zeros((n_stages + 1, n_ch))  # z[0] the input, z[s + 1] stage s's latest output
+    z_in, z_out = z[:-1], z[1:]
+    padded = np.zeros((n_stages, n_ch + 2))
+    state, left, right = padded[:, 1:-1], padded[:, :-2], padded[:, 2:]
+    w_left = np.r_[0.0, np.full(n_ch - 1, 0.25)]
+    w_right = w_left[::-1].copy()
+    w_mid = 1.0 - w_left - w_right      # 0.5 inside, 0.75 at an edge, 1 alone
+    gain, tmp = np.empty((n_stages, n_ch)), np.empty((n_stages, n_ch))
+    for k in range(n_t + n_stages - 1):
+        if k < n_t:
+            z[0] = samples[k]
+        np.subtract(1.0, state, out=gain)
+        np.maximum(gain, 0.0, out=gain)
+        np.minimum(gain, 1.0, out=gain)
+        np.multiply(z_in, gain, out=z_out)
+        if k >= n_stages - 1:   # sample k - n_stages + 1 has left the last stage
+            samples[k - n_stages + 1] = z[-1]
+        np.divide(z_out, target, out=tmp)
+        np.subtract(tmp, state, out=tmp)
+        np.multiply(eps, tmp, out=tmp)
+        np.add(state, tmp, out=state)
+        np.multiply(left, w_left, out=tmp)
+        np.multiply(state, w_mid, out=gain)
+        np.add(tmp, gain, out=tmp)
+        np.multiply(right, w_right, out=gain)
+        np.add(tmp, gain, out=state)
 
 
 def cochleagram(clip: AudioClip, cfg: CochlearConfig = CochlearConfig()) -> np.ndarray:
@@ -143,11 +171,10 @@ def cochleagram(clip: AudioClip, cfg: CochlearConfig = CochlearConfig()) -> np.n
         x = lfilter(b, a, x)
         taps[k] = x
 
-    rect = np.maximum(taps, 0.0)
-    for tau, target in zip(cfg.agc_taus, cfg.agc_targets):
-        eps = 1.0 - math.exp(-1.0 / (tau * sr))
-        rect = _agc_stage(rect, eps, target)
+    np.maximum(taps, 0.0, out=taps)
+    eps = np.array([1.0 - math.exp(-1.0 / (tau * sr)) for tau in cfg.agc_taus])
+    _agc_pipelined(taps, eps.reshape(-1, 1), np.array(cfg.agc_targets).reshape(-1, 1))
 
-    n_frames = rect.shape[1] // decim
-    trimmed = rect[:, : n_frames * decim]
+    n_frames = taps.shape[1] // decim
+    trimmed = taps[:, : n_frames * decim]
     return trimmed.reshape(cfs.size, n_frames, decim).mean(axis=2)

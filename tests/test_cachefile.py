@@ -1,11 +1,48 @@
+import struct
+
 import numpy as np
 import pytest
 
-from resonet.cachefile import (FILTER_CODES, NODE_CODES, read_feature_cache,
-                               read_model, write_feature_cache, write_model)
+from resonet.cachefile import (FILTER_CODES, FILTER_NAMES, MAGIC_MODEL, NODE_CODES,
+                               _HASH_LEN, _check_hash, _open, read_feature_cache,
+                               write_feature_cache, write_model)
 from resonet.errors import CacheError
 from resonet.filterbank import FeatureMatrix
 from resonet.readout import ReadoutModel, ReadoutOptions
+
+NODE_NAMES = {v: k for k, v in NODE_CODES.items()}
+
+
+def read_model(path, config_hash=None) -> tuple[ReadoutModel, dict]:
+    """Oracle reader for the ``.rnbm`` files ``write_model`` produces.
+
+    Returns the model and its header fields, keyed as ``write_model``
+    takes them.  No subcommand reads models back, so the reader lives
+    here, where it pins the file layout.
+    """
+    body = _open(path, MAGIC_MODEL)
+    fmt = "<BBdddBII"
+    node_code, filt_code, alpha, rtol, ridge, bias, rows, cols = struct.unpack_from(fmt, body, 0)
+    off = struct.calcsize(fmt)
+    stored_hash = body[off:off + _HASH_LEN]
+    off += _HASH_LEN
+    _check_hash(path, stored_hash, config_hash)
+    (d_len,) = struct.unpack_from("<H", body, off)
+    off += 2
+    trained_on = body[off:off + d_len].decode()
+    off += d_len
+    expect = rows * cols * 8
+    payload = body[off:off + expect]
+    if len(payload) != expect:
+        raise CacheError(f"{path}: payload truncated")
+    if filt_code not in FILTER_NAMES or node_code not in NODE_NAMES:
+        raise CacheError(f"{path}: unknown filter or node code")
+    w = np.frombuffer(payload, dtype="<f8").reshape(rows, cols)
+    options = ReadoutOptions(rtol=rtol, ridge=ridge, bias=bool(bias))
+    fields = {"filter_kind": FILTER_NAMES[filt_code], "node_kind": NODE_NAMES[node_code],
+              "alpha": None if np.isnan(alpha) else alpha, "trained_on": trained_on,
+              "config_hash": stored_hash.hex()}
+    return ReadoutModel(w.copy(), options), fields
 
 
 def _feature_matrix(rng):
@@ -70,7 +107,6 @@ def test_cache_rejects_truncation(tmp_path):
 
 
 def test_cache_version_message(tmp_path, rng):
-    import struct
     from resonet.cachefile import _checksum
     path = tmp_path / "f.rnbf"
     write_feature_cache(path, _feature_matrix(rng))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import resonet.evalharness as evalharness
-from resonet.dataset import build_synth_manifest
+from resonet.dataset import SubsetPartition, build_synth_manifest
 from resonet.errors import ConfigError, DataError, NumericalError
 from resonet.evalharness import (CrossValReport, FoldSpec, GainReport,
                                  PipelineSpec, chance_band, clip_features,
@@ -84,6 +84,18 @@ def test_prepare_corpus_worker_invariance(corpus):
     pipe = PipelineSpec(filter_kind="mfcc")
     a = prepare_corpus(manifest, partition, pipe, workers=1)
     b = prepare_corpus(manifest, partition, pipe, workers=4)
+    assert a.clip_ids == b.clip_ids
+    assert np.array_equal(a.tensors, b.tensors)
+
+
+def test_cochlear_features_are_worker_invariant(corpus):
+    """The cochlea's gain-control loop keeps its buffers per call, so the
+    featurize thread pool cannot mix clips."""
+    manifest, partition = corpus
+    small = SubsetPartition(tuple(ids[:2] for ids in partition.subsets[:3]), partition.seed)
+    pipe = PipelineSpec(filter_kind="cochlear")
+    a = prepare_corpus(manifest, small, pipe, workers=1)
+    b = prepare_corpus(manifest, small, pipe, workers=2)
     assert a.clip_ids == b.clip_ids
     assert np.array_equal(a.tensors, b.tensors)
 

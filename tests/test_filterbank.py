@@ -1,11 +1,15 @@
+import math
+import random
+
 import numpy as np
 import pytest
 
-from resonet.dataset import AudioClip, synth_digit
+from resonet.dataset import AudioClip, build_synth_manifest, realize_clip, synth_digit
 from resonet.errors import ConfigError, DataError, DegenerateInputWarning
 from resonet.filterbank import (FeatureMatrix, exponent_transform, featurize,
                                 normalize_maxabs, pad_to,
                                 spectro_hp_from_complex, stft_complex)
+from resonet.filterbank import cochlea
 from resonet.filterbank.cochlea import (CochlearConfig, cochleagram,
                                         design_center_freqs)
 from resonet.filterbank.mfcc import MfccConfig, mel_filterbank, mfcc
@@ -243,6 +247,89 @@ def test_cochleagram_agc_compresses_level():
     quiet = cochleagram(_clip(0.09 * noise))
     r_out = loud[:, 30:].mean() / quiet[:, 30:].mean()
     assert 1.0 < r_out < 5.0
+
+
+def reference_agc_stage(x: np.ndarray, eps: float, target: float) -> np.ndarray:
+    """One adaptive gain stage, coupled across neighboring channels.
+
+    Oracle for ``cochleagram``'s gain control, run one stage at a time.
+    Per sample each channel is scaled by ``1 - state`` (clamped to
+    [0, 1]); the state tracks the scaled output relative to its target
+    and is smoothed spatially with a [1/4, 1/2, 1/4] kernel so loud
+    channels also depress their neighbors.
+    """
+    n_ch, n_t = x.shape
+    out = np.empty_like(x)
+    state = np.zeros(n_ch)
+    for t in range(n_t):
+        gain = np.clip(1.0 - state, 0.0, 1.0)
+        y = x[:, t] * gain
+        out[:, t] = y
+        state = state + eps * (y / target - state)
+        smoothed = state.copy()
+        if n_ch > 2:
+            smoothed[1:-1] = 0.25 * state[:-2] + 0.5 * state[1:-1] + 0.25 * state[2:]
+        if n_ch > 1:
+            smoothed[0] = 0.75 * state[0] + 0.25 * state[1]
+            smoothed[-1] = 0.25 * state[-2] + 0.75 * state[-1]
+        state = smoothed
+    return out
+
+
+def _agc_against_reference(monkeypatch, clip, cfg=CochlearConfig()):
+    """Run ``cochleagram`` and return the gain control's output together
+    with the stage-by-stage reference chain on the same rectified taps."""
+    seen = {}
+    pipelined = cochlea._agc_pipelined
+
+    def spy(x, eps, target):
+        seen["taps"] = x.copy()
+        pipelined(x, eps, target)
+        seen["out"] = x.copy()
+
+    monkeypatch.setattr(cochlea, "_agc_pipelined", spy)
+    cochleagram(clip, cfg)
+    want = seen["taps"]
+    for tau, target in zip(cfg.agc_taus, cfg.agc_targets):
+        eps = 1.0 - math.exp(-1.0 / (tau * clip.sample_rate))
+        want = reference_agc_stage(want, eps, target)
+    return seen["out"], want
+
+
+@pytest.mark.parametrize("synth_seed", [1001, 1002])
+def test_pipelined_agc_is_bit_identical_on_corpus_clips(monkeypatch, synth_seed):
+    manifest = build_synth_manifest(synth_seed)
+    for i in sorted(random.Random(synth_seed).sample(range(len(manifest)), 4)):
+        clip = realize_clip(manifest.entries[i], sample_rate=manifest.sample_rate)
+        got, want = _agc_against_reference(monkeypatch, clip)
+        assert np.array_equal(got, want), manifest.entries[i].clip_id
+
+
+def test_pipelined_agc_is_bit_identical_on_tones_and_silence(monkeypatch):
+    t = np.arange(6250) / 12500.0
+    tone = 0.8 * np.sin(2 * np.pi * 1000.0 * t) * np.hanning(t.size)
+    got, want = _agc_against_reference(monkeypatch, _clip(tone))
+    assert np.array_equal(got, want)
+    # a leading stretch of exact zeros keeps every stage at rest
+    delayed = np.concatenate([np.zeros(1500), tone[:4750]])
+    got, want = _agc_against_reference(monkeypatch, _clip(delayed))
+    assert np.array_equal(got, want)
+    assert np.all(got[:, :1500] == 0.0)
+
+
+@pytest.mark.parametrize("min_freq, n_ch", [(5800.0, 1), (5700.0, 2)])
+def test_pipelined_agc_is_bit_identical_with_one_or_two_channels(monkeypatch, min_freq, n_ch):
+    cfg = CochlearConfig(min_freq=min_freq, expected_channels=n_ch)
+    rng = np.random.default_rng(n_ch)
+    got, want = _agc_against_reference(monkeypatch, _clip(rng.uniform(-0.9, 0.9, 5000)), cfg)
+    assert got.shape[0] == n_ch
+    assert np.array_equal(got, want)
+
+
+def test_empty_agc_chain_passes_rectified_taps_through(monkeypatch):
+    got, want = _agc_against_reference(monkeypatch, synth_digit(3, 100, 0),
+                                       CochlearConfig(agc_targets=(), agc_taus=()))
+    assert np.array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------
