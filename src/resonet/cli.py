@@ -256,7 +256,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", required=True, help="run configuration file")
         p.add_argument("--workers", type=int, default=0,
-                       help="threads that realize and featurize clips "
+                       help="threads that realize and featurize clips in bench, "
+                            "sweep, stratified and export-features "
                             "(default: eval.workers)")
         p.add_argument("--out", default="", help="output directory (default: output.dir)")
         p.add_argument("--seed-override", action="append", default=[],

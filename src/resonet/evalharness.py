@@ -14,7 +14,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from itertools import combinations
-from typing import Sequence
+from typing import Collection, Sequence
 
 import numpy as np
 
@@ -22,9 +22,9 @@ from .dataset import Manifest, ManifestEntry, SubsetPartition, realize_clip
 from .errors import ConfigError, DataError, NumericalError
 from .filterbank import (CochlearConfig, FeatureMatrix, MfccConfig, StftConfig,
                          featurize, pad_to)
-from .readout import (Metrics, ReadoutModel, ReadoutOptions, build_targets,
-                      classify, factor, predict_means, score_mse, score_wsr,
-                      solve)
+from .readout import (FACTOR_CHUNK, Metrics, ReadoutModel, ReadoutOptions,
+                      build_targets, classify, factor, factor_blocks,
+                      predict_means, score_mse, score_wsr, solve)
 from .reservoir import (NODE_KINDS, StnoParams, TanhParams, gen_mask,
                         mask_and_flatten, node_run_reference, reshape_states,
                         stno_run)
@@ -146,51 +146,79 @@ def _baseline_stage(entries: Sequence[ManifestEntry], groups: Sequence[int],
     del feats
     return PreparedCorpus(tuple(e.clip_id for e in entries),
                           np.array([e.label.digit for e in entries]), np.array(groups),
-                          tensors, n_frames_max, replace(pipeline, node_kind=None))
+                          n_frames_max, replace(pipeline, node_kind=None),
+                          tensors.mean(axis=2), tensors)
 
 
-def _node_stage(tensors: np.ndarray, pipeline: PipelineSpec) -> tuple[np.ndarray, float]:
-    """Mask, scale and run the node over padded features; returns the
-    states, shape (n_clips, n_theta, n_frames), and the input gain.
+def _node_stage(base: PreparedCorpus, pipeline: PipelineSpec, factored: Collection[int]
+                ) -> tuple[np.ndarray, dict[int, np.ndarray], float]:
+    """Mask, scale and run the node over a baseline preparation's padded
+    features; returns every clip's frame-mean state, shape (n_clips,
+    n_theta), the readout factor of each group in ``factored``, and the
+    input gain.
 
-    The input scale maps the largest masked feature magnitude over all of
-    ``tensors`` onto ``drive_ma``, so the drive spans +/-drive_ma.  State
+    The input scale maps the largest masked feature magnitude over the
+    whole corpus onto ``drive_ma``, so the drive spans +/-drive_ma.  State
     integration restarts from the rest amplitude at every clip boundary.
-    The node runs one clip at a time, as the single physical node does.
-    Overflow inside the node is not warned about: the state check after
-    the loop reports it as a ``NumericalError``.
+    The node runs one clip at a time, as the single physical node does,
+    and each group's clips run in their index order, ``FACTOR_CHUNK`` at a
+    time: the blocks ``factor`` forms.  A block's states are checked,
+    averaged over frames, stacked under their group's factor when the
+    group is in ``factored``, and dropped, so no more than one block of
+    states is held at once.  Overflow inside the node is not warned
+    about: the state check reports it as a ``NumericalError``.
     """
-    n_clips, n_rows, n_frames = tensors.shape
+    n_clips, n_rows, n_frames = base.tensors.shape
     mask = gen_mask(pipeline.mask_seed, pipeline.n_theta, n_rows)
-    peak = max(float(np.abs(mask.entries @ x).max()) for x in tensors)
+    peak = max(float(np.abs(mask.entries @ x).max()) for x in base.tensors)
     input_gain = pipeline.drive_ma / peak if peak > 0.0 else 0.0
     t = pipeline.tanh
-    # frame-major within each clip, the layout of the reshaped states;
-    # frame means are summed in this memory order
-    states = np.empty((n_clips, n_frames, pipeline.n_theta)).transpose(0, 2, 1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i, x in enumerate(tensors):
-            drive = input_gain * mask_and_flatten(x, mask)
-            if pipeline.node_kind == "stno":
-                v = stno_run(drive, pipeline.stno)
-            else:
-                v = node_run_reference(drive, t.gain, t.leak, t.v0)
-            states[i] = reshape_states(v, pipeline.n_theta, n_frames)
-    if not np.all(np.isfinite(states)):
-        raise NumericalError(f"{pipeline.node_kind} node states have non-finite entries")
-    if pipeline.node_kind == "stno" and states.min() < 0.0:
-        raise NumericalError("oscillator states must be nonnegative")
-    return states, input_gain
+    frame_means = np.empty((n_clips, pipeline.n_theta))
+
+    def _blocks(idx: np.ndarray):
+        for start in range(0, idx.size, FACTOR_CHUNK):
+            chunk = idx[start:start + FACTOR_CHUNK]
+            # frame-major within each clip, the layout of the reshaped
+            # states; frame means are summed in this memory order
+            states = np.empty((chunk.size, n_frames, pipeline.n_theta)).transpose(0, 2, 1)
+            with np.errstate(over="ignore", invalid="ignore"):
+                for j, i in enumerate(chunk):
+                    drive = input_gain * mask_and_flatten(base.tensors[i], mask)
+                    if pipeline.node_kind == "stno":
+                        v = stno_run(drive, pipeline.stno)
+                    else:
+                        v = node_run_reference(drive, t.gain, t.leak, t.v0)
+                    states[j] = reshape_states(v, pipeline.n_theta, n_frames)
+            if not np.all(np.isfinite(states)):
+                raise NumericalError(
+                    f"{pipeline.node_kind} node states have non-finite entries")
+            if pipeline.node_kind == "stno" and states.min() < 0.0:
+                raise NumericalError("oscillator states must be nonnegative")
+            frame_means[chunk] = states.mean(axis=2)
+            yield states, [build_targets(int(base.digits[i]), n_frames) for i in chunk]
+
+    factors = {}
+    for group in (int(g) for g in np.unique(base.subset_of)):
+        blocks = _blocks(base.indices_of_subsets([group]))
+        if group in factored:
+            factors[group] = factor_blocks(blocks, pipeline.readout)
+        else:
+            for _ in blocks:        # frame means only
+                pass
+    return frame_means, factors, input_gain
 
 
 @dataclass
 class PreparedCorpus:
     """Per-clip readout inputs, padded to a common frame count.
 
-    ``tensors[i]`` is the matrix fed to the readout for clip i: padded
-    features on the baseline route, reshaped node states on the total
-    route.  ``frame_means[i]`` is its mean over all ``n_frames_max``
-    frames, padding included, which is what fold scoring reads.
+    ``frame_means[i]`` is clip i's readout input averaged over all
+    ``n_frames_max`` frames, padding included, which is what fold
+    scoring reads.  On the baseline route ``tensors[i]`` holds that input
+    whole, clip i's padded features.  On the total route the node states
+    are never kept: ``factors[k]`` holds the readout factor (see
+    ``readout.factor``) of group k's states, for each group the
+    preparation was asked to train on, and ``tensors`` is None.
     ``subset_of[i]`` is clip i's group: its cross-validation subset, or
     its pool in a stratified report.  Built once, read-only afterward;
     folds only reindex it.
@@ -199,14 +227,12 @@ class PreparedCorpus:
     clip_ids: tuple[str, ...]
     digits: np.ndarray
     subset_of: np.ndarray
-    tensors: np.ndarray          # (n_clips, n_rows, n_frames_max)
     n_frames_max: int
     pipeline: PipelineSpec
+    frame_means: np.ndarray = field(repr=False)   # (n_clips, n_inputs)
+    tensors: np.ndarray | None = None             # (n_clips, n_rows, n_frames_max)
     input_gain: float | None = None
-    frame_means: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        self.frame_means = self.tensors.mean(axis=2)
+    factors: dict[int, np.ndarray] = field(default_factory=dict, repr=False)
 
     def indices_of_subsets(self, subsets: Sequence[int]) -> np.ndarray:
         wanted = set(subsets)
@@ -232,13 +258,18 @@ def prepare_corpus(manifest: Manifest, partition: SubsetPartition,
     return with_node(prep, pipeline)
 
 
-def with_node(prep: PreparedCorpus, pipeline: PipelineSpec) -> PreparedCorpus:
-    """The total route of a baseline preparation: the same clips, folds
-    and padded features, with the node's states as readout inputs.
-    ``pipeline`` must share the preparation's front end.
+def with_node(prep: PreparedCorpus, pipeline: PipelineSpec,
+              factored: Collection[int] | None = None) -> PreparedCorpus:
+    """The total route of a baseline preparation: the same clips and
+    folds, with the node's frame-mean states as scoring inputs and the
+    factors of the groups in ``factored`` (every group when None) as
+    training inputs.  ``pipeline`` must share the preparation's front end.
     """
-    states, input_gain = _node_stage(prep.tensors, pipeline)
-    return replace(prep, tensors=states, pipeline=pipeline, input_gain=input_gain)
+    if factored is None:
+        factored = set(int(g) for g in prep.subset_of)
+    frame_means, factors, input_gain = _node_stage(prep, pipeline, factored)
+    return replace(prep, pipeline=pipeline, frame_means=frame_means, tensors=None,
+                   input_gain=input_gain, factors=factors)
 
 
 @dataclass(frozen=True)
@@ -261,7 +292,13 @@ def _evaluate(model: ReadoutModel, prep: PreparedCorpus, idx: np.ndarray) -> Met
 
 
 def subset_factor(prep: PreparedCorpus, subset: int) -> np.ndarray:
-    """The readout factor (see ``readout.factor``) of one subset's clips."""
+    """The readout factor (see ``readout.factor``) of one subset's clips:
+    the node stage's on the total route, computed from the padded
+    features on the baseline route."""
+    if subset in prep.factors:
+        return prep.factors[subset]
+    if prep.tensors is None:
+        raise DataError(f"subset {subset} was not factored")
     idx = prep.indices_of_subsets([subset])
     if idx.size == 0:
         raise DataError(f"subset {subset} has no clips")
@@ -368,6 +405,8 @@ def alpha_sweep(manifest: Manifest, partition: SubsetPartition,
         prep = prepare_corpus(manifest, partition, pipe,
                               noise_seed=noise_seed, workers=workers)
         report = cross_validate(prep, n_train)
+        # drop this exponent's preparation before the next one is built
+        del prep
         points.append(SweepPoint(float(alpha), report.test.wsr, report.test.wsr_std))
     return points
 
@@ -460,7 +499,8 @@ def stratified_report(manifest: Manifest, pipeline: PipelineSpec,
     if pipeline.node_kind is None:
         wsr, gain = _grid(base), None
     else:
-        wsr = _grid(with_node(base, pipeline))
+        # only the training pool is factored; cells need frame means alone
+        wsr = _grid(with_node(base, pipeline, factored=(0,)))
         gain = wsr - _grid(base)
     return ConditionReport(tuple(float(s) for s in test_snrs),
                            tuple(test_noise_types), wsr, gain,

@@ -16,14 +16,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, DataError, NumericalError
 
 N_CLASSES = 10
-FACTOR_CHUNK = 50   # clips per QR block in ``factor``; bounds its transient memory
+FACTOR_CHUNK = 50   # clips per QR block of a factor; bounds its transient memory
 
 
 @dataclass(frozen=True)
@@ -90,25 +90,43 @@ def factor(states: Sequence, targets: Sequence,
         if t.shape != (N_CLASSES, v.shape[1]):
             raise DataError(
                 f"target shape {t.shape} does not match states with {v.shape[1]} frames")
-    n = n_rows + (1 if options.bias else 0)
-    r = np.empty((0, n + N_CLASSES))
-    for start in range(0, len(vs), FACTOR_CHUNK):
-        chunk = range(start, min(start + FACTOR_CHUNK, len(vs)))
+    return factor_blocks(((vs[i:i + FACTOR_CHUNK], ts[i:i + FACTOR_CHUNK])
+                          for i in range(0, len(vs), FACTOR_CHUNK)), options)
+
+
+def factor_blocks(blocks: Iterable[tuple[Sequence, Sequence]],
+                  options: ReadoutOptions = ReadoutOptions()) -> np.ndarray:
+    """Triangular factor [R | C] of a pool of clips given block by block.
+
+    ``blocks`` yields (states, targets) pairs of matched matrix
+    sequences, shaped as ``factor`` takes them and checked by the
+    caller.  Each block is stacked under the factor of the blocks before
+    it and factored again (TSQR), so only the current block's frames are
+    held; the blocks may be computed as they are consumed.
+    """
+    r = None
+    for vs, ts in blocks:
+        n_rows = vs[0].shape[0]
+        n = n_rows + (1 if options.bias else 0)
+        if r is None:
+            r = np.empty((0, n + N_CLASSES))
         # one frame per row, filled column-major: the layout LAPACK reads,
         # which copies each clip's states without a strided transpose
-        block = np.empty((r.shape[0] + sum(vs[i].shape[1] for i in chunk),
-                          n + N_CLASSES), order="F")
+        block = np.empty((r.shape[0] + sum(v.shape[1] for v in vs), n + N_CLASSES),
+                         order="F")
         block[:r.shape[0]] = r
         row = r.shape[0]
-        for i in chunk:
-            end = row + vs[i].shape[1]
-            block[row:end, :n_rows] = vs[i].T
+        for v, t in zip(vs, ts):
+            end = row + v.shape[1]
+            block[row:end, :n_rows] = v.T
             block[row:end, n_rows:n] = 1.0          # the bias column, if any
-            block[row:end, n:] = ts[i].T
+            block[row:end, n:] = t.T
             row = end
         # rows past n hold only the residual of the targets, which no
         # solution depends on
         r = np.linalg.qr(block, mode="r")[:n]
+    if r is None:
+        raise DataError("no clips to factor")
     return r
 
 

@@ -23,6 +23,7 @@ from resonet.filterbank import exponent_transform
 from resonet.readout import (ReadoutOptions, build_targets, classify, predict,
                              train_pinv)
 from resonet.reservoir import StnoParams, stno_run
+from test_evalharness import reference_node_stage
 
 WORKERS = max(4, os.cpu_count() or 1)
 
@@ -44,6 +45,19 @@ def _baseline_report(alpha: float):
         pipe = PipelineSpec(filter_kind="spectro_exp", alpha=alpha)
         prep = prepare_corpus(manifest, partition, pipe, workers=WORKERS)
         _CACHE[key] = (cross_validate(prep, 9), prep)
+    return _CACHE[key]
+
+
+def _total_states(alpha: float) -> np.ndarray:
+    """The total route's node states, which its preparation does not keep,
+    from the per-clip reference node stage over the baseline features."""
+    key = ("states", alpha)
+    if key not in _CACHE:
+        _, prep = _total_report(alpha)
+        _, base = _baseline_report(alpha)
+        states, input_gain = reference_node_stage(base.tensors, prep.pipeline)
+        assert input_gain == prep.input_gain
+        _CACHE[key] = states
     return _CACHE[key]
 
 
@@ -208,19 +222,20 @@ def test_criterion_08_state_scale_invariance():
     """Scaling all node states by 7.3 must not move any decision."""
     t0 = time.perf_counter()
     _, prep = _total_report(2.0)
+    states = _total_states(2.0)
     lam = 7.3
     fold = enumerate_folds(9)[0]
     tr = prep.indices_of_subsets(fold.train_subsets)
     te = prep.indices_of_subsets(fold.test_subsets)
     targets = [build_targets(int(prep.digits[i]), prep.n_frames_max) for i in tr]
-    m0 = train_pinv([prep.tensors[i] for i in tr], targets)
-    m1 = train_pinv([lam * prep.tensors[i] for i in tr], targets)
+    m0 = train_pinv([states[i] for i in tr], targets)
+    m1 = train_pinv([lam * states[i] for i in tr], targets)
     mse0 = mse1 = 0.0
     for i in te:
         t = np.zeros(10)
         t[int(prep.digits[i])] = 1.0
-        p0 = predict(m0, prep.tensors[i])
-        p1 = predict(m1, lam * prep.tensors[i])
+        p0 = predict(m0, states[i])
+        p1 = predict(m1, lam * states[i])
         assert classify(p0) == classify(p1), f"class moved on clip {i}"
         mse0 += float(np.sum((p0 - t) ** 2))
         mse1 += float(np.sum((p1 - t) ** 2))
@@ -249,11 +264,15 @@ def test_factored_readout_matches_reference_on_every_fold():
     """Per-subset factors give the direct solve's weights and decisions."""
     t0 = time.perf_counter()
     worst = 0.0
-    for report, prep in (_baseline_report(2.0), _total_report(2.0)):
+    base_report, base_prep = _baseline_report(2.0)
+    total_report, total_prep = _total_report(2.0)
+    routes = [(base_report, base_prep, base_prep.tensors),
+              (total_report, total_prep, _total_states(2.0))]
+    for report, prep, states in routes:
         for fm in report.folds:
             tr = prep.indices_of_subsets(fm.fold.train_subsets)
             targets = [build_targets(int(prep.digits[i]), prep.n_frames_max) for i in tr]
-            want = reference_readout([prep.tensors[i] for i in tr], targets,
+            want = reference_readout([states[i] for i in tr], targets,
                                      prep.pipeline.readout)
             got = fm.model.weights
             rel = float(np.linalg.norm(got - want) / np.linalg.norm(want))
@@ -261,8 +280,8 @@ def test_factored_readout_matches_reference_on_every_fold():
             assert rel < 1e-9, f"fold {fm.fold.describe()}: rel dev {rel:.3e}"
             # every clip, train and test, with frame-averaged W V as the score
             for i in range(len(prep.clip_ids)):
-                ref = classify((want @ prep.tensors[i]).mean(axis=1))
-                assert classify(predict(fm.model, prep.tensors[i])) == ref, \
+                ref = classify((want @ states[i]).mean(axis=1))
+                assert classify(predict(fm.model, states[i])) == ref, \
                     f"fold {fm.fold.describe()}: decision moved on clip {i}"
     elapsed = time.perf_counter() - t0
     print(f"PASS factored readout: 20 folds on both routes, max rel dev "

@@ -185,14 +185,20 @@ def test_bench_featurizes_each_clip_once_and_trains_each_fold_once(conf, monkeyp
     import resonet.evalharness as evalharness
     featurized, factored, trained = [], [], []
     featurize, factor, solve = evalharness.featurize, evalharness.factor, evalharness.solve
+    factor_blocks = evalharness.factor_blocks
 
     def counting_featurize(clip, *args, **kwargs):
         featurized.append(clip.clip_id)
         return featurize(clip, *args, **kwargs)
 
     def counting_factor(*args, **kwargs):
-        factored.append(len(args[0]))
+        factored.append(("features", len(args[0])))
         return factor(*args, **kwargs)
+
+    def counting_factor_blocks(blocks, *args, **kwargs):
+        blocks = list(blocks)
+        factored.append(("states", sum(len(states) for states, _ in blocks)))
+        return factor_blocks(blocks, *args, **kwargs)
 
     def counting_solve(*args, **kwargs):
         trained.append(len(args[0]))
@@ -200,12 +206,38 @@ def test_bench_featurizes_each_clip_once_and_trains_each_fold_once(conf, monkeyp
 
     monkeypatch.setattr(evalharness, "featurize", counting_featurize)
     monkeypatch.setattr(evalharness, "factor", counting_factor)
+    monkeypatch.setattr(evalharness, "factor_blocks", counting_factor_blocks)
     monkeypatch.setattr(evalharness, "solve", counting_solve)
     assert main(["bench", "--config", str(conf)]) == 0
     assert len(featurized) == 500
     assert len(set(featurized)) == 500
-    # each 50-clip subset is factored once per route ...
-    assert factored == [50] * 20
+    # each 50-clip subset is factored once per route: from its padded
+    # features on the baseline route, from its streamed node states on
+    # the total route ...
+    assert factored == [("features", 50)] * 10 + [("states", 50)] * 10
     # ... and ten folds on each of the baseline and total routes are solved,
     # each from its nine train subsets' factors, no more
     assert trained == [9] * 20
+
+
+@pytest.mark.parametrize("value, match", [(-1.0, "nonnegative"), (float("nan"), "non-finite")])
+def test_bad_states_in_the_last_node_block_give_exit_code_4(conf, monkeypatch, capsys,
+                                                            value, match):
+    import resonet.evalharness as evalharness
+    stno_run, calls = evalharness.stno_run, []
+
+    def stno_run_spoiling_the_last_clip(drive, params):
+        # the node stage runs each clip once, group by group, so the
+        # 500th call is the last clip of the last block of the last subset
+        v = stno_run(drive, params)
+        calls.append(None)
+        if len(calls) == 500:
+            v[-1] = value
+        return v
+
+    monkeypatch.setattr(evalharness, "stno_run", stno_run_spoiling_the_last_clip)
+    assert main(["bench", "--config", str(conf)]) == 4
+    assert len(calls) == 500
+    err = capsys.readouterr().err
+    assert "error: " in err and match in err
+    assert "Traceback" not in err

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -14,8 +15,8 @@ from resonet.evalharness import (CrossValReport, FoldSpec, GainReport,
                                  run_fold, stratified_report, subset_factor,
                                  summary_markdown, with_node)
 from resonet.filterbank import pad_to
-from resonet.readout import (Metrics, build_targets, classify, predict, score_mse,
-                             score_wsr, train_pinv)
+from resonet.readout import (Metrics, build_targets, classify, factor, predict,
+                             score_mse, score_wsr, train_pinv)
 from resonet.reservoir import (gen_mask, mask_and_flatten, node_run_reference,
                                reshape_states, stno_run)
 
@@ -105,14 +106,17 @@ NODE_PIPE = PipelineSpec(filter_kind="spectro_exp", alpha=2.0, node_kind="stno",
 
 
 @pytest.fixture(scope="module")
-def node_route(corpus):
-    """A small node-route preparation and each clip's unpadded features."""
+def node_route(corpus, baseline_prep):
+    """A small node-route preparation, its clips' states from
+    ``reference_node_stage`` (the preparation keeps none), and each clip's
+    unpadded features.  ``baseline_prep`` is its baseline route."""
     manifest, partition = corpus
     prep = prepare_corpus(manifest, partition, NODE_PIPE, workers=4)
+    states, _ = reference_node_stage(baseline_prep.tensors, NODE_PIPE)
     by_id = {e.clip_id: e for e in manifest.entries}
     feats = [clip_features(by_id[cid], NODE_PIPE, sample_rate=manifest.sample_rate)
              for cid in prep.clip_ids]
-    return prep, feats
+    return prep, states, feats
 
 
 def _clip_peaks(prep, feats):
@@ -123,17 +127,19 @@ def _clip_peaks(prep, feats):
 
 
 def test_prepare_corpus_node_route(node_route):
-    prep, feats = node_route
-    assert prep.tensors.shape[1] == 40
+    prep, states, feats = node_route
+    assert states.shape[1] == 40
+    assert prep.frame_means.shape == (500, 40)
     assert prep.input_gain is not None and prep.input_gain > 0
     # the scaled drive peaks exactly at drive_ma over the corpus
     assert prep.input_gain == pytest.approx(3.0 / float(np.max(_clip_peaks(prep, feats))))
-    assert np.all(prep.tensors >= 0.0)
+    assert np.all(states >= 0.0)
+    assert prep.tensors is None
 
 
 def test_input_gain_takes_the_peak_over_the_whole_corpus(node_route):
     """Drive scaling sees every clip, including each fold's test clips."""
-    prep, feats = node_route
+    prep, _, feats = node_route
     peaks = _clip_peaks(prep, feats)
     top = int(np.argmax(peaks))
     assert prep.input_gain == pytest.approx(NODE_PIPE.drive_ma / peaks[top], rel=1e-12)
@@ -151,20 +157,20 @@ def test_fold_scores_average_over_padded_frames(node_route):
     On the node route the padded frames hold the oscillator relaxing
     under zero drive, not zeros, so the true-frame mean scores differently.
     """
-    prep, feats = node_route
+    prep, states, feats = node_route
     fold = FoldSpec(tuple(range(9)))
     fm = run_fold(fold, prep, [subset_factor(prep, k) for k in range(10)])
     w = fm.model.weights
     test_idx = prep.indices_of_subsets(fold.test_subsets)
-    padded = [(w @ prep.tensors[i]).mean(axis=1) for i in test_idx]
-    true = [(w @ prep.tensors[i][:, :feats[i].n_frames]).mean(axis=1) for i in test_idx]
+    padded = [(w @ states[i]).mean(axis=1) for i in test_idx]
+    true = [(w @ states[i][:, :feats[i].n_frames]).mean(axis=1) for i in test_idx]
     onehot = [np.eye(10)[prep.digits[i]] for i in test_idx]
     digits = [int(prep.digits[i]) for i in test_idx]
     assert fm.test.wsr == score_wsr([int(np.argmax(s)) for s in padded], digits)
     assert fm.test.mse == pytest.approx(score_mse(padded, onehot), rel=1e-9)
     short = [i for i in test_idx if feats[i].n_frames < prep.n_frames_max]
     assert short, "every test clip has the longest frame count"
-    assert all(np.all(prep.tensors[i][:, feats[i].n_frames:] > 0.0) for i in short)
+    assert all(np.all(states[i][:, feats[i].n_frames:] > 0.0) for i in short)
     assert score_mse(true, onehot) != pytest.approx(fm.test.mse, rel=1e-6)
 
 
@@ -187,15 +193,62 @@ def reference_node_stage(tensors, pipeline):
     return np.stack(states), input_gain
 
 
+def assert_matches_reference(prep, states, factored):
+    """The streamed total route against ``reference_node_stage`` states:
+    every clip's frame mean equals the mean over its reference states, and
+    each group in ``factored``, and no other, has the factor that
+    ``readout.factor`` computes from its clips' reference states."""
+    assert prep.tensors is None
+    # frame means sum in memory order, so this also pins the state layout
+    assert np.array_equal(prep.frame_means, states.mean(axis=2))
+    assert sorted(prep.factors) == sorted(factored)
+    for k in factored:
+        idx = prep.indices_of_subsets([k])
+        want = factor([states[i] for i in idx],
+                      [build_targets(int(prep.digits[i]), prep.n_frames_max) for i in idx],
+                      prep.pipeline.readout)
+        assert np.array_equal(prep.factors[k], want), f"group {k}"
+
+
 @pytest.mark.parametrize("node_kind", ["stno", "tanh"])
 def test_node_stage_matches_the_per_clip_reference(baseline_prep, node_kind):
     pipe = replace(baseline_prep.pipeline, node_kind=node_kind, n_theta=40)
     prep = with_node(baseline_prep, pipe)
     states, input_gain = reference_node_stage(baseline_prep.tensors, pipe)
     assert prep.input_gain == input_gain
-    assert np.array_equal(prep.tensors, states)
-    # frame means sum in memory order, so this also pins the state layout
-    assert np.array_equal(prep.frame_means, states.mean(axis=2))
+    assert_matches_reference(prep, states, range(10))
+
+
+@pytest.mark.parametrize("layout", ["interleaved-thirds", "one-uneven-group"])
+def test_streamed_node_route_matches_the_reference_at_block_edges(baseline_prep, layout):
+    """Groups whose sizes are not multiples of FACTOR_CHUNK end in a short
+    block; group 1, left out of ``factored``, gets frame means and no factor."""
+    n = len(baseline_prep.clip_ids)
+    if layout == "interleaved-thirds":         # 167, 167 and 166 clips
+        groups, factored = np.arange(n) % 3, (0, 2)
+    else:                                      # 123 clips, then 377
+        groups, factored = (np.arange(n) >= 123).astype(int), (0,)
+    base = replace(baseline_prep, subset_of=groups)
+    prep = with_node(base, NODE_PIPE, factored=factored)
+    states, input_gain = reference_node_stage(base.tensors, NODE_PIPE)
+    assert prep.input_gain == input_gain
+    assert_matches_reference(prep, states, factored)
+    with pytest.raises(DataError, match="not factored"):
+        subset_factor(prep, 1)
+
+
+def test_with_node_never_holds_the_state_tensor(baseline_prep, node_route):
+    """The node route's largest transient is one block of states, far
+    below the (n_clips, n_theta, n_frames_max) state array."""
+    prep, _, _ = node_route
+    full = len(prep.clip_ids) * NODE_PIPE.n_theta * prep.n_frames_max * 8
+    tracemalloc.start()
+    try:
+        with_node(baseline_prep, NODE_PIPE)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < full, f"peak {peak} bytes, state array {full} bytes"
 
 
 @pytest.mark.parametrize("value, match", [(-1.0, "nonnegative"), (np.nan, "non-finite")])
@@ -205,6 +258,35 @@ def test_node_stage_rejects_unusable_oscillator_states(baseline_prep, monkeypatc
     pipe = replace(baseline_prep.pipeline, node_kind="stno", n_theta=4)
     with pytest.raises(NumericalError, match=match):
         with_node(baseline_prep, pipe)
+
+
+@pytest.mark.parametrize("layout", ["subsets", "one-uneven-group"])
+@pytest.mark.parametrize("value, match", [(-1.0, "nonnegative"), (np.nan, "non-finite")])
+def test_node_stage_checks_the_last_block_of_the_last_group(baseline_prep, monkeypatch,
+                                                            value, match, layout):
+    """One bad clip, in the block the node stage runs last, still fails:
+    the last of ten one-block subsets, or the eighth block of a group."""
+    base = baseline_prep
+    if layout == "one-uneven-group":           # 123 clips, then 377
+        base = replace(base, subset_of=(np.arange(len(base.clip_ids)) >= 123).astype(int))
+    pipe = replace(base.pipeline, node_kind="stno", n_theta=4)
+    last = base.indices_of_subsets([max(base.subset_of)])[-1]
+    mask = gen_mask(pipe.mask_seed, pipe.n_theta, base.tensors.shape[1])
+    _, gain = reference_node_stage(base.tensors, pipe)
+    bad_drive = gain * mask_and_flatten(base.tensors[last], mask)
+    hits = []
+
+    def stno_run_spoiling_one_clip(drive, params):
+        v = stno_run(drive, params)
+        if np.array_equal(drive, bad_drive):
+            hits.append(len(hits))
+            v[-1] = value
+        return v
+
+    monkeypatch.setattr(evalharness, "stno_run", stno_run_spoiling_one_clip)
+    with pytest.raises(NumericalError, match=match):
+        with_node(base, pipe)
+    assert hits == [0]
 
 
 def test_run_fold_produces_both_splits(baseline_prep):
@@ -362,3 +444,41 @@ def test_stratified_grid_is_worker_invariant(corpus):
         noise_seed=2002, workers=w) for w in (1, 2)]
     assert np.array_equal(reports[0].wsr, reports[1].wsr)
     assert np.array_equal(reports[0].gain, reports[1].gain)
+
+
+def test_stratified_node_route_factors_only_the_training_pool(corpus, monkeypatch):
+    """In the stratified layout (the training pool, then one group per
+    cell, each contiguous) the streamed route matches the reference, and
+    each route factors the 400-clip training pool once and no cell."""
+    manifest, _ = corpus
+    pipe = PipelineSpec(filter_kind="spectro_exp", alpha=2.0, node_kind="stno",
+                        n_theta=24)
+    routes, factored = [], []
+    with_node_, factor_, factor_blocks_ = (evalharness.with_node, evalharness.factor,
+                                           evalharness.factor_blocks)
+
+    def keeping_with_node(base, pipeline, factored=None):
+        prep = with_node_(base, pipeline, factored)
+        routes.append((base, prep))
+        return prep
+
+    def counting_factor(states, *args):
+        factored.append(len(states))
+        return factor_(states, *args)
+
+    def counting_factor_blocks(blocks, *args):
+        blocks = list(blocks)
+        factored.append(sum(len(states) for states, _ in blocks))
+        return factor_blocks_(blocks, *args)
+
+    monkeypatch.setattr(evalharness, "with_node", keeping_with_node)
+    monkeypatch.setattr(evalharness, "factor", counting_factor)
+    monkeypatch.setattr(evalharness, "factor_blocks", counting_factor_blocks)
+    stratified_report(manifest, pipe, 8, test_snrs=(math.inf, 10.0),
+                      test_noise_types=("synthetic-white",), noise_seed=2002, workers=4)
+    (base, prep), = routes
+    assert list(base.subset_of) == [0] * 400 + [1] * 100 + [2] * 100
+    states, input_gain = reference_node_stage(base.tensors, pipe)
+    assert prep.input_gain == input_gain
+    assert_matches_reference(prep, states, (0,))
+    assert factored == [400, 400]
