@@ -26,7 +26,8 @@ from pathlib import Path
 import numpy as np
 
 from . import cachefile
-from .config import GENERATOR_NAME, RunConfig, apply_seed_overrides, parse_config
+from .config import (GENERATOR_NAME, RunConfig, _parse_floats, apply_seed_overrides,
+                     parse_config)
 from .dataset import Manifest, save_manifest
 from .errors import ConfigError, ResonetError
 from .evalharness import (GainReport, PipelineSpec, clip_features,
@@ -62,6 +63,8 @@ def _load_config(args) -> RunConfig:
 
 
 def _workers(cfg: RunConfig, args) -> int:
+    if args.workers < 0:
+        raise ConfigError(f"--workers must be >= 0, got {args.workers}")
     return args.workers if args.workers else cfg["eval.workers"]
 
 
@@ -153,8 +156,8 @@ def cmd_sweep(args) -> int:
     pipeline = cfg.pipeline()
     workers = _workers(cfg, args)
     n_train = cfg["eval.train_subsets"]
-    alphas = [float(a) for a in args.alphas.split(",")] if args.alphas \
-        else list(cfg["sweep.alphas"])
+    alphas = _parse_floats(args.alphas, "--alphas") if args.alphas \
+        else cfg["sweep.alphas"]
     out = _out_dir(cfg, args)
 
     from .evalharness import alpha_sweep
@@ -205,25 +208,28 @@ def cmd_export_features(args) -> int:
     cached = _load_cached_features(cfg, manifest, _cache_root(cfg, args) / cfg.feature_hash())
     prep = prepare_corpus(manifest, partition, replace(pipeline, node_kind=None),
                           noise_seed=cfg["corpus.noise_seed"],
-                          workers=_workers(cfg, args), features=cached or None)
+                          workers=_workers(cfg, args), features=cached or None,
+                          factored=())
     n_rows = prep.tensors.shape[1]
-    lines = [f"# {h}" for h in _header_lines(cfg)]
     cols = ["clip_id", "digit", "speaker", "utterance", "noise_type", "snr_db",
             "frame"] + [f"x{j}" for j in range(n_rows)]
-    lines.append(",".join(cols))
     by_id = {e.clip_id: e for e in manifest.entries}
-    for i, cid in enumerate(prep.clip_ids):
-        label = by_id[cid].label
-        snr = "inf" if math.isinf(label.snr_db) else repr(label.snr_db)
-        prefix = f"{cid},{label.digit},{label.speaker},{label.utterance}," \
-                 f"{label.noise_type},{snr}"
-        mat = prep.tensors[i]
-        for tau in range(mat.shape[1]):
-            vals = ",".join(repr(v) for v in mat[:, tau])
-            lines.append(f"{prefix},{tau},{vals}")
     path = out / "features.csv"
-    path.write_text("\n".join(lines) + "\n")
-    n_data = len(lines) - 3  # two comment lines plus the column header
+    n_data = 0
+    with path.open("w") as fh:
+        for h in _header_lines(cfg):
+            fh.write(f"# {h}\n")
+        fh.write(",".join(cols) + "\n")
+        for i, cid in enumerate(prep.clip_ids):
+            label = by_id[cid].label
+            snr = "inf" if math.isinf(label.snr_db) else repr(label.snr_db)
+            prefix = f"{cid},{label.digit},{label.speaker},{label.utterance}," \
+                     f"{label.noise_type},{snr}"
+            mat = prep.tensors[i]
+            for tau in range(mat.shape[1]):
+                vals = ",".join(repr(v) for v in mat[:, tau])
+                fh.write(f"{prefix},{tau},{vals}\n")
+            n_data += mat.shape[1]
     print(f"wrote {n_data} feature rows to {path}")
     return 0
 

@@ -14,7 +14,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from itertools import combinations
-from typing import Collection, Sequence
+from typing import Callable, Collection, Sequence
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from .errors import ConfigError, DataError, NumericalError
 from .filterbank import (CochlearConfig, FeatureMatrix, MfccConfig, StftConfig,
                          featurize, pad_to)
 from .readout import (FACTOR_CHUNK, Metrics, ReadoutModel, ReadoutOptions,
-                      build_targets, classify, factor, factor_blocks,
+                      build_targets, classify, factor_blocks,
                       predict_means, score_mse, score_wsr, solve)
 from .reservoir import (NODE_KINDS, StnoParams, TanhParams, gen_mask,
                         mask_and_flatten, node_run_reference, reshape_states,
@@ -121,12 +121,13 @@ def clip_features(entry: ManifestEntry, pipeline: PipelineSpec, *,
 
 def _baseline_stage(entries: Sequence[ManifestEntry], groups: Sequence[int],
                     pipeline: PipelineSpec, *, sample_rate: int, noise_seed: int,
-                    workers: int, features: dict[str, FeatureMatrix] | None = None
-                    ) -> PreparedCorpus:
+                    workers: int, features: dict[str, FeatureMatrix] | None = None,
+                    factored: Collection[int] | None = None) -> PreparedCorpus:
     """Realize and featurize every entry (or reuse its cached features) and
     pad all of them to one frame count: the baseline route, with entry i
-    in group ``groups[i]``.  With ``workers > 1`` clips are featurized on
-    a thread pool, in order.
+    in group ``groups[i]`` and the groups in ``factored`` (every group
+    when None) factored.  With ``workers > 1`` clips are featurized on a
+    thread pool, in order.
     """
     def _load(entry: ManifestEntry) -> FeatureMatrix:
         if features is not None and entry.clip_id in features:
@@ -144,81 +145,59 @@ def _baseline_stage(entries: Sequence[ManifestEntry], groups: Sequence[int],
     # free the unpadded features before the arrays below are allocated on
     # top of them, so the heap they held can shrink (lower peak RSS)
     del feats
-    return PreparedCorpus(tuple(e.clip_id for e in entries),
+    prep = PreparedCorpus(tuple(e.clip_id for e in entries),
                           np.array([e.label.digit for e in entries]), np.array(groups),
-                          n_frames_max, replace(pipeline, node_kind=None),
-                          tensors.mean(axis=2), tensors)
+                          n_frames_max, replace(pipeline, node_kind=None), tensors=tensors)
+    return _reduce(prep, tensors.shape[1], lambda idx: tensors[idx], factored)
 
 
-def _node_stage(base: PreparedCorpus, pipeline: PipelineSpec, factored: Collection[int]
-                ) -> tuple[np.ndarray, dict[int, np.ndarray], float]:
-    """Mask, scale and run the node over a baseline preparation's padded
-    features; returns every clip's frame-mean state, shape (n_clips,
-    n_theta), the readout factor of each group in ``factored``, and the
-    input gain.
+def _reduce(prep: PreparedCorpus, n_inputs: int,
+            run_block: Callable[[np.ndarray], np.ndarray],
+            factored: Collection[int] | None) -> PreparedCorpus:
+    """``prep`` with every clip's frame-mean readout input and the readout
+    factor of each group in ``factored`` (every group when None).
 
-    The input scale maps the largest masked feature magnitude over the
-    whole corpus onto ``drive_ma``, so the drive spans +/-drive_ma.  State
-    integration restarts from the rest amplitude at every clip boundary.
-    The node runs one clip at a time, as the single physical node does,
-    and each group's clips run in their index order, ``FACTOR_CHUNK`` at a
-    time: the blocks ``factor`` forms.  A block's states are checked,
-    averaged over frames, stacked under their group's factor when the
-    group is in ``factored``, and dropped, so no more than one block of
-    states is held at once.  Overflow inside the node is not warned
-    about: the state check reports it as a ``NumericalError``.
+    Each group's clips are taken in index order, ``FACTOR_CHUNK`` at a
+    time: the blocks ``factor`` forms.  ``run_block(idx)`` gives those
+    clips' readout inputs, shaped (clips, n_inputs, n_frames_max); the
+    block is averaged over frames, stacked under its group's factor when
+    the group is in ``factored``, and dropped, so no more than one block
+    of inputs is produced at once.
     """
-    n_clips, n_rows, n_frames = base.tensors.shape
-    mask = gen_mask(pipeline.mask_seed, pipeline.n_theta, n_rows)
-    peak = max(float(np.abs(mask.entries @ x).max()) for x in base.tensors)
-    input_gain = pipeline.drive_ma / peak if peak > 0.0 else 0.0
-    t = pipeline.tanh
-    frame_means = np.empty((n_clips, pipeline.n_theta))
+    frame_means = np.empty((len(prep.clip_ids), n_inputs))
 
     def _blocks(idx: np.ndarray):
         for start in range(0, idx.size, FACTOR_CHUNK):
             chunk = idx[start:start + FACTOR_CHUNK]
-            # frame-major within each clip, the layout of the reshaped
-            # states; frame means are summed in this memory order
-            states = np.empty((chunk.size, n_frames, pipeline.n_theta)).transpose(0, 2, 1)
-            with np.errstate(over="ignore", invalid="ignore"):
-                for j, i in enumerate(chunk):
-                    drive = input_gain * mask_and_flatten(base.tensors[i], mask)
-                    if pipeline.node_kind == "stno":
-                        v = stno_run(drive, pipeline.stno)
-                    else:
-                        v = node_run_reference(drive, t.gain, t.leak, t.v0)
-                    states[j] = reshape_states(v, pipeline.n_theta, n_frames)
-            if not np.all(np.isfinite(states)):
-                raise NumericalError(
-                    f"{pipeline.node_kind} node states have non-finite entries")
-            if pipeline.node_kind == "stno" and states.min() < 0.0:
-                raise NumericalError("oscillator states must be nonnegative")
-            frame_means[chunk] = states.mean(axis=2)
-            yield states, [build_targets(int(base.digits[i]), n_frames) for i in chunk]
+            block = run_block(chunk)
+            frame_means[chunk] = block.mean(axis=2)
+            yield block, [build_targets(int(prep.digits[i]), prep.n_frames_max)
+                          for i in chunk]
 
     factors = {}
-    for group in (int(g) for g in np.unique(base.subset_of)):
-        blocks = _blocks(base.indices_of_subsets([group]))
-        if group in factored:
-            factors[group] = factor_blocks(blocks, pipeline.readout)
+    for group in (int(g) for g in np.unique(prep.subset_of)):
+        blocks = _blocks(prep.indices_of_subsets([group]))
+        if factored is None or group in factored:
+            factors[group] = factor_blocks(blocks, prep.pipeline.readout)
         else:
             for _ in blocks:        # frame means only
                 pass
-    return frame_means, factors, input_gain
+    return replace(prep, frame_means=frame_means, factors=factors)
 
 
 @dataclass
 class PreparedCorpus:
-    """Per-clip readout inputs, padded to a common frame count.
+    """Per-clip readout inputs, padded to a common frame count, reduced.
 
-    ``frame_means[i]`` is clip i's readout input averaged over all
-    ``n_frames_max`` frames, padding included, which is what fold
-    scoring reads.  On the baseline route ``tensors[i]`` holds that input
-    whole, clip i's padded features.  On the total route the node states
-    are never kept: ``factors[k]`` holds the readout factor (see
-    ``readout.factor``) of group k's states, for each group the
-    preparation was asked to train on, and ``tensors`` is None.
+    Both routes reduce every clip's readout input in one loop, 50 clips
+    at a time (``_reduce``).  ``frame_means[i]`` is clip i's input
+    averaged over all ``n_frames_max`` frames, padding included, which is
+    what fold scoring reads.  ``factors[k]`` holds the readout factor
+    (see ``readout.factor``) of group k's inputs, for each group the
+    preparation was asked to train on, which is what training reads.
+    On the baseline route ``tensors[i]`` keeps clip i's padded features,
+    because the node and ``export-features`` read them; on the total
+    route the node states are never kept and ``tensors`` is None.
     ``subset_of[i]`` is clip i's group: its cross-validation subset, or
     its pool in a stratified report.  Built once, read-only afterward;
     folds only reindex it.
@@ -229,7 +208,7 @@ class PreparedCorpus:
     subset_of: np.ndarray
     n_frames_max: int
     pipeline: PipelineSpec
-    frame_means: np.ndarray = field(repr=False)   # (n_clips, n_inputs)
+    frame_means: np.ndarray | None = field(default=None, repr=False)  # (n_clips, n_inputs)
     tensors: np.ndarray | None = None             # (n_clips, n_rows, n_frames_max)
     input_gain: float | None = None
     factors: dict[int, np.ndarray] = field(default_factory=dict, repr=False)
@@ -242,20 +221,22 @@ class PreparedCorpus:
 def prepare_corpus(manifest: Manifest, partition: SubsetPartition,
                    pipeline: PipelineSpec, *, noise_seed: int = 0,
                    workers: int = 1,
-                   features: dict[str, FeatureMatrix] | None = None) -> PreparedCorpus:
+                   features: dict[str, FeatureMatrix] | None = None,
+                   factored: Collection[int] | None = None) -> PreparedCorpus:
     """Featurize (or reuse cached features for) every clip and, when a
-    node is configured, run the reservoir over the padded features.
+    node is configured, run the reservoir over the padded features; the
+    subsets in ``factored`` (every subset when None) are factored.
     """
     subset_of_map = partition.subset_of()
     entries = [e for e in manifest.entries if e.clip_id in subset_of_map]
     if not entries:
         raise DataError("no manifest entries covered by the partition")
+    node = pipeline.node_kind is not None
     prep = _baseline_stage(entries, [subset_of_map[e.clip_id] for e in entries],
                            pipeline, sample_rate=manifest.sample_rate,
-                           noise_seed=noise_seed, workers=workers, features=features)
-    if pipeline.node_kind is None:
-        return prep
-    return with_node(prep, pipeline)
+                           noise_seed=noise_seed, workers=workers, features=features,
+                           factored=() if node else factored)
+    return with_node(prep, pipeline, factored) if node else prep
 
 
 def with_node(prep: PreparedCorpus, pipeline: PipelineSpec,
@@ -264,12 +245,41 @@ def with_node(prep: PreparedCorpus, pipeline: PipelineSpec,
     folds, with the node's frame-mean states as scoring inputs and the
     factors of the groups in ``factored`` (every group when None) as
     training inputs.  ``pipeline`` must share the preparation's front end.
+
+    The input scale maps the largest masked feature magnitude over the
+    whole corpus onto ``drive_ma``, so the drive spans +/-drive_ma.  State
+    integration restarts from the rest amplitude at every clip boundary.
+    The node runs one clip at a time, as the single physical node does,
+    one block of ``_reduce`` at a time; each block's states are checked
+    before they are reduced.  Overflow inside the node is not warned
+    about: the state check reports it as a ``NumericalError``.
     """
-    if factored is None:
-        factored = set(int(g) for g in prep.subset_of)
-    frame_means, factors, input_gain = _node_stage(prep, pipeline, factored)
-    return replace(prep, pipeline=pipeline, frame_means=frame_means, tensors=None,
-                   input_gain=input_gain, factors=factors)
+    n_frames = prep.n_frames_max
+    mask = gen_mask(pipeline.mask_seed, pipeline.n_theta, prep.tensors.shape[1])
+    peak = max(float(np.abs(mask.entries @ x).max()) for x in prep.tensors)
+    input_gain = pipeline.drive_ma / peak if peak > 0.0 else 0.0
+    t = pipeline.tanh
+
+    def _run_block(idx: np.ndarray) -> np.ndarray:
+        # frame-major within each clip, the layout of the reshaped states;
+        # frame means are summed in this memory order
+        states = np.empty((idx.size, n_frames, pipeline.n_theta)).transpose(0, 2, 1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j, i in enumerate(idx):
+                drive = input_gain * mask_and_flatten(prep.tensors[i], mask)
+                if pipeline.node_kind == "stno":
+                    v = stno_run(drive, pipeline.stno)
+                else:
+                    v = node_run_reference(drive, t.gain, t.leak, t.v0)
+                states[j] = reshape_states(v, pipeline.n_theta, n_frames)
+        if not np.all(np.isfinite(states)):
+            raise NumericalError(f"{pipeline.node_kind} node states have non-finite entries")
+        if pipeline.node_kind == "stno" and states.min() < 0.0:
+            raise NumericalError("oscillator states must be nonnegative")
+        return states
+
+    node = replace(prep, pipeline=pipeline, tensors=None, input_gain=input_gain)
+    return _reduce(node, pipeline.n_theta, _run_block, factored)
 
 
 @dataclass(frozen=True)
@@ -291,35 +301,15 @@ def _evaluate(model: ReadoutModel, prep: PreparedCorpus, idx: np.ndarray) -> Met
                    score_mse(list(scores), list(np.eye(N_CLASSES)[actual])))
 
 
-def subset_factor(prep: PreparedCorpus, subset: int) -> np.ndarray:
-    """The readout factor (see ``readout.factor``) of one subset's clips:
-    the node stage's on the total route, computed from the padded
-    features on the baseline route."""
-    if subset in prep.factors:
-        return prep.factors[subset]
-    if prep.tensors is None:
-        raise DataError(f"subset {subset} was not factored")
-    idx = prep.indices_of_subsets([subset])
-    if idx.size == 0:
-        raise DataError(f"subset {subset} has no clips")
-    return factor([prep.tensors[i] for i in idx],
-                  [build_targets(int(prep.digits[i]), prep.n_frames_max) for i in idx],
-                  prep.pipeline.readout)
-
-
-def run_fold(fold: FoldSpec, prep: PreparedCorpus,
-             factors: Sequence[np.ndarray]) -> FoldMetrics:
-    """Train on the fold's train subsets, score both splits.
-
-    ``factors[k]`` is subset k's readout factor (``subset_factor``).
-    """
+def run_fold(fold: FoldSpec, prep: PreparedCorpus) -> FoldMetrics:
+    """Train on the fold's train subsets' factors, score both splits."""
     train_idx = prep.indices_of_subsets(fold.train_subsets)
     test_idx = prep.indices_of_subsets(fold.test_subsets)
     if train_idx.size == 0 or test_idx.size == 0:
         raise DataError(f"fold {fold.describe()} has an empty split")
     if set(train_idx) & set(test_idx):
         raise DataError(f"fold {fold.describe()} train/test overlap")
-    model = solve([factors[k] for k in fold.train_subsets], prep.pipeline.readout)
+    model = solve([prep.factors[k] for k in fold.train_subsets], prep.pipeline.readout)
     return FoldMetrics(fold, _evaluate(model, prep, train_idx),
                        _evaluate(model, prep, test_idx), model)
 
@@ -353,13 +343,12 @@ def _aggregate(metrics: Sequence[Metrics]) -> Metrics:
 def cross_validate(prep: PreparedCorpus, n_train: int) -> CrossValReport:
     """Run every fold, in fold order.
 
-    Each subset is factored once and every fold solves from the stacked
-    factors of its train subsets.  Folds run one after another: BLAS
+    Every fold solves from the stacked factors of its train subsets,
+    which the preparation holds.  Folds run one after another: BLAS
     already spreads each factorization and solve over the cores, and a
     thread pool over folds made cross-validation slower.
     """
-    factors = [subset_factor(prep, k) for k in range(N_SUBSETS)]
-    results = [run_fold(f, prep, factors) for f in enumerate_folds(n_train)]
+    results = [run_fold(f, prep) for f in enumerate_folds(n_train)]
     return CrossValReport.from_folds(prep.pipeline.describe(), n_train, results)
 
 
@@ -487,11 +476,12 @@ def stratified_report(manifest: Manifest, pipeline: PipelineSpec,
     entries = train_entries + [e for pool in cells for e in pool]
     groups = [0] * len(train_entries) + [1 + j for j, pool in enumerate(cells)
                                          for _ in pool]
+    # only the training pool is factored; cells need frame means alone
     base = _baseline_stage(entries, groups, pipeline, sample_rate=manifest.sample_rate,
-                           noise_seed=noise_seed, workers=workers)
+                           noise_seed=noise_seed, workers=workers, factored=(0,))
 
     def _grid(prep: PreparedCorpus) -> np.ndarray:
-        model = solve([subset_factor(prep, 0)], prep.pipeline.readout)
+        model = solve([prep.factors[0]], prep.pipeline.readout)
         wsr = [_evaluate(model, prep, prep.indices_of_subsets([1 + j])).wsr
                for j in range(len(cells))]
         return np.array(wsr).reshape(len(test_snrs), len(test_noise_types))
@@ -499,7 +489,6 @@ def stratified_report(manifest: Manifest, pipeline: PipelineSpec,
     if pipeline.node_kind is None:
         wsr, gain = _grid(base), None
     else:
-        # only the training pool is factored; cells need frame means alone
         wsr = _grid(with_node(base, pipeline, factored=(0,)))
         gain = wsr - _grid(base)
     return ConditionReport(tuple(float(s) for s in test_snrs),

@@ -113,6 +113,17 @@ def test_export_features_row_count(conf, tmp_path, capsys):
     assert f"wrote {n_frames} feature rows" in out
 
 
+@pytest.mark.parametrize("alphas", ["1,x", ","])
+def test_bad_sweep_alphas_give_exit_code_2(conf, capsys, alphas):
+    assert main(["sweep", "--config", str(conf), "--alphas", alphas]) == 2
+    assert "error: " in capsys.readouterr().err
+
+
+def test_negative_workers_give_exit_code_2(conf, capsys):
+    assert main(["bench", "--config", str(conf), "--workers", "-3"]) == 2
+    assert "--workers" in capsys.readouterr().err
+
+
 def test_stratified_writes_grid(conf, tmp_path):
     assert main(["stratified", "--config", str(conf)]) == 0
     text = (tmp_path / "out" / "conditions.md").read_text()
@@ -184,20 +195,17 @@ def test_cache_dir_env_override(conf, tmp_path, monkeypatch):
 def test_bench_featurizes_each_clip_once_and_trains_each_fold_once(conf, monkeypatch):
     import resonet.evalharness as evalharness
     featurized, factored, trained = [], [], []
-    featurize, factor, solve = evalharness.featurize, evalharness.factor, evalharness.solve
+    featurize, solve = evalharness.featurize, evalharness.solve
     factor_blocks = evalharness.factor_blocks
 
     def counting_featurize(clip, *args, **kwargs):
         featurized.append(clip.clip_id)
         return featurize(clip, *args, **kwargs)
 
-    def counting_factor(*args, **kwargs):
-        factored.append(("features", len(args[0])))
-        return factor(*args, **kwargs)
-
     def counting_factor_blocks(blocks, *args, **kwargs):
         blocks = list(blocks)
-        factored.append(("states", sum(len(states) for states, _ in blocks)))
+        factored.append((sum(len(inputs) for inputs, _ in blocks),
+                         blocks[0][0][0].shape[0]))
         return factor_blocks(blocks, *args, **kwargs)
 
     def counting_solve(*args, **kwargs):
@@ -205,19 +213,22 @@ def test_bench_featurizes_each_clip_once_and_trains_each_fold_once(conf, monkeyp
         return solve(*args, **kwargs)
 
     monkeypatch.setattr(evalharness, "featurize", counting_featurize)
-    monkeypatch.setattr(evalharness, "factor", counting_factor)
     monkeypatch.setattr(evalharness, "factor_blocks", counting_factor_blocks)
     monkeypatch.setattr(evalharness, "solve", counting_solve)
     assert main(["bench", "--config", str(conf)]) == 0
     assert len(featurized) == 500
     assert len(set(featurized)) == 500
-    # each 50-clip subset is factored once per route: from its padded
-    # features on the baseline route, from its streamed node states on
-    # the total route ...
-    assert factored == [("features", 50)] * 10 + [("states", 50)] * 10
+    # each 50-clip subset is factored once per route, through the one
+    # block reduction: from its 65 padded feature rows on the baseline
+    # route, from its streamed node states on the total route ...
+    assert factored == [(50, 65)] * 10 + [(50, 16)] * 10
     # ... and ten folds on each of the baseline and total routes are solved,
     # each from its nine train subsets' factors, no more
     assert trained == [9] * 20
+    # export-features reads the padded features alone and factors nothing
+    factored.clear()
+    assert main(["export-features", "--config", str(conf)]) == 0
+    assert factored == []
 
 
 @pytest.mark.parametrize("value, match", [(-1.0, "nonnegative"), (float("nan"), "non-finite")])

@@ -12,8 +12,8 @@ from resonet.evalharness import (CrossValReport, FoldSpec, GainReport,
                                  PipelineSpec, chance_band, clip_features,
                                  condition_markdown, cross_validate,
                                  enumerate_folds, prepare_corpus, report_to_csv,
-                                 run_fold, stratified_report, subset_factor,
-                                 summary_markdown, with_node)
+                                 run_fold, stratified_report, summary_markdown,
+                                 with_node)
 from resonet.filterbank import pad_to
 from resonet.readout import (Metrics, build_targets, classify, factor, predict,
                              score_mse, score_wsr, train_pinv)
@@ -159,7 +159,7 @@ def test_fold_scores_average_over_padded_frames(node_route):
     """
     prep, states, feats = node_route
     fold = FoldSpec(tuple(range(9)))
-    fm = run_fold(fold, prep, [subset_factor(prep, k) for k in range(10)])
+    fm = run_fold(fold, prep)
     w = fm.model.weights
     test_idx = prep.indices_of_subsets(fold.test_subsets)
     padded = [(w @ states[i]).mean(axis=1) for i in test_idx]
@@ -194,11 +194,13 @@ def reference_node_stage(tensors, pipeline):
 
 
 def assert_matches_reference(prep, states, factored):
-    """The streamed total route against ``reference_node_stage`` states:
-    every clip's frame mean equals the mean over its reference states, and
-    each group in ``factored``, and no other, has the factor that
-    ``readout.factor`` computes from its clips' reference states."""
-    assert prep.tensors is None
+    """A streamed route against its reference inputs (``reference_node_stage``
+    states, or the padded features on the baseline route): every clip's
+    frame mean equals the mean over its reference inputs, and each group
+    in ``factored``, and no other, has the factor that ``readout.factor``
+    computes from its clips' reference inputs."""
+    # the total route keeps no states; the baseline keeps its features
+    assert (prep.tensors is None) == (prep.pipeline.node_kind is not None)
     # frame means sum in memory order, so this also pins the state layout
     assert np.array_equal(prep.frame_means, states.mean(axis=2))
     assert sorted(prep.factors) == sorted(factored)
@@ -219,22 +221,38 @@ def test_node_stage_matches_the_per_clip_reference(baseline_prep, node_kind):
     assert_matches_reference(prep, states, range(10))
 
 
-@pytest.mark.parametrize("layout", ["interleaved-thirds", "one-uneven-group"])
-def test_streamed_node_route_matches_the_reference_at_block_edges(baseline_prep, layout):
+@pytest.mark.parametrize("route, layout", [
+    ("stno", "interleaved-thirds"), ("stno", "one-uneven-group"),
+    ("baseline", "interleaved-thirds"), ("baseline", "one-uneven-group")],
+    ids=["interleaved-thirds", "one-uneven-group",
+         "baseline-interleaved-thirds", "baseline-one-uneven-group"])
+def test_streamed_node_route_matches_the_reference_at_block_edges(corpus, baseline_prep,
+                                                                  route, layout):
     """Groups whose sizes are not multiples of FACTOR_CHUNK end in a short
-    block; group 1, left out of ``factored``, gets frame means and no factor."""
+    block; group 1, left out of ``factored``, gets frame means and no
+    factor.  Both routes reduce their blocks through the same loop."""
     n = len(baseline_prep.clip_ids)
     if layout == "interleaved-thirds":         # 167, 167 and 166 clips
         groups, factored = np.arange(n) % 3, (0, 2)
     else:                                      # 123 clips, then 377
         groups, factored = (np.arange(n) >= 123).astype(int), (0,)
-    base = replace(baseline_prep, subset_of=groups)
-    prep = with_node(base, NODE_PIPE, factored=factored)
-    states, input_gain = reference_node_stage(base.tensors, NODE_PIPE)
-    assert prep.input_gain == input_gain
-    assert_matches_reference(prep, states, factored)
-    with pytest.raises(DataError, match="not factored"):
-        subset_factor(prep, 1)
+    if route == "baseline":
+        manifest, partition = corpus
+        ids = np.array(baseline_prep.clip_ids)
+        regrouped = SubsetPartition(tuple(tuple(ids[groups == k])
+                                          for k in range(groups.max() + 1)),
+                                    partition.seed)
+        prep = prepare_corpus(manifest, regrouped, baseline_prep.pipeline, workers=4,
+                              factored=factored)
+        assert prep.clip_ids == baseline_prep.clip_ids
+        assert np.array_equal(prep.subset_of, groups)
+        inputs = baseline_prep.tensors
+    else:
+        base = replace(baseline_prep, subset_of=groups)
+        prep = with_node(base, NODE_PIPE, factored=factored)
+        inputs, input_gain = reference_node_stage(base.tensors, NODE_PIPE)
+        assert prep.input_gain == input_gain
+    assert_matches_reference(prep, inputs, factored)
 
 
 def test_with_node_never_holds_the_state_tensor(baseline_prep, node_route):
@@ -291,8 +309,7 @@ def test_node_stage_checks_the_last_block_of_the_last_group(baseline_prep, monke
 
 def test_run_fold_produces_both_splits(baseline_prep):
     fold = FoldSpec(tuple(range(9)))
-    fm = run_fold(fold, baseline_prep,
-                  [subset_factor(baseline_prep, k) for k in range(10)])
+    fm = run_fold(fold, baseline_prep)
     assert 0.0 <= fm.test.wsr <= 100.0
     assert fm.train.mse > 0.0
     assert fm.overfit_ratio > 0.0
@@ -454,25 +471,19 @@ def test_stratified_node_route_factors_only_the_training_pool(corpus, monkeypatc
     pipe = PipelineSpec(filter_kind="spectro_exp", alpha=2.0, node_kind="stno",
                         n_theta=24)
     routes, factored = [], []
-    with_node_, factor_, factor_blocks_ = (evalharness.with_node, evalharness.factor,
-                                           evalharness.factor_blocks)
+    with_node_, factor_blocks_ = evalharness.with_node, evalharness.factor_blocks
 
     def keeping_with_node(base, pipeline, factored=None):
         prep = with_node_(base, pipeline, factored)
         routes.append((base, prep))
         return prep
 
-    def counting_factor(states, *args):
-        factored.append(len(states))
-        return factor_(states, *args)
-
     def counting_factor_blocks(blocks, *args):
         blocks = list(blocks)
-        factored.append(sum(len(states) for states, _ in blocks))
+        factored.append(sum(len(inputs) for inputs, _ in blocks))
         return factor_blocks_(blocks, *args)
 
     monkeypatch.setattr(evalharness, "with_node", keeping_with_node)
-    monkeypatch.setattr(evalharness, "factor", counting_factor)
     monkeypatch.setattr(evalharness, "factor_blocks", counting_factor_blocks)
     stratified_report(manifest, pipe, 8, test_snrs=(math.inf, 10.0),
                       test_noise_types=("synthetic-white",), noise_seed=2002, workers=4)
