@@ -30,10 +30,11 @@ from .config import (GENERATOR_NAME, RunConfig, _parse_floats, apply_seed_overri
                      parse_config)
 from .dataset import Manifest, save_manifest
 from .errors import ConfigError, ResonetError
-from .evalharness import (GainReport, PipelineSpec, clip_features,
+from .evalharness import (GainReport, PreparedCorpus, clip_features,
                           condition_markdown, cross_validate, prepare_corpus,
                           report_to_csv, stratified_report, summary_markdown,
                           with_node)
+from .filterbank import exponent_transform
 
 PARITY_ALPHA_THRESHOLD = 100.0
 
@@ -160,9 +161,10 @@ def cmd_sweep(args) -> int:
         else cfg["sweep.alphas"]
     out = _out_dir(cfg, args)
 
-    from .evalharness import alpha_sweep
-    points = alpha_sweep(manifest, partition, pipeline, alphas, n_train,
-                         noise_seed=cfg["corpus.noise_seed"], workers=workers)
+    from .evalharness import alpha_sweep, sweep_spectra
+    spectra = sweep_spectra(manifest, partition, pipeline,
+                            noise_seed=cfg["corpus.noise_seed"], workers=workers)
+    points = alpha_sweep(spectra, alphas, n_train)
     lines = [f"# {h}" for h in _header_lines(cfg)]
     lines.append("alpha,wsr_mean,wsr_std")
     for p in points:
@@ -171,32 +173,32 @@ def cmd_sweep(args) -> int:
 
     big = [a for a in alphas if a >= PARITY_ALPHA_THRESHOLD]
     if big:
-        _write_parity_diagnostic(cfg, manifest, pipeline, max(big), out)
+        _write_parity_diagnostic(cfg, spectra, max(big), out)
     for p in points:
         print(f"alpha={p.alpha:g}: test WSR {p.wsr:.2f} (std {p.wsr_std:.2f})")
     print(f"sweep written to {out/'sweep.csv'}")
     return 0
 
 
-def _write_parity_diagnostic(cfg: RunConfig, manifest: Manifest,
-                             pipeline: PipelineSpec, alpha: float, out: Path) -> None:
-    """Count which normalized entries survive a huge exponent.
+def _write_parity_diagnostic(cfg: RunConfig, spectra: PreparedCorpus,
+                             alpha: float, out: Path) -> None:
+    """Count which normalized entries of the sweep's spectra survive a
+    huge exponent, clip by clip over its true frames.
 
     Only magnitude-1 entries survive: they land on +1, or on -1 when the
     entry is negative and the integer part of the exponent is odd.
     """
-    exp_pipeline = replace(pipeline, filter_kind="spectro_exp", alpha=alpha)
     lines = [f"# {h}" for h in _header_lines(cfg)]
     lines.append(f"# alpha = {alpha!r}")
     lines.append("clip_id,digit,n_plus_one,n_minus_one,max_other")
-    for entry in manifest.entries:
-        r = clip_features(entry, exp_pipeline, sample_rate=manifest.sample_rate,
-                          noise_seed=cfg["corpus.noise_seed"]).values
+    for clip_id, digit, x, n in zip(spectra.clip_ids, spectra.digits, spectra.tensors,
+                                    spectra.n_frames):
+        r = exponent_transform(x[:, :n], alpha)
         plus = int(np.sum(r == 1.0))
         minus = int(np.sum(r == -1.0))
         others = np.abs(r[(r != 1.0) & (r != -1.0)])
         max_other = float(others.max()) if others.size else 0.0
-        lines.append(f"{entry.clip_id},{entry.label.digit},{plus},{minus},{max_other!r}")
+        lines.append(f"{clip_id},{digit},{plus},{minus},{max_other!r}")
     (out / "parity.csv").write_text("\n".join(lines) + "\n")
 
 

@@ -21,7 +21,7 @@ import numpy as np
 from .dataset import Manifest, ManifestEntry, SubsetPartition, realize_clip
 from .errors import ConfigError, DataError, NumericalError
 from .filterbank import (CochlearConfig, FeatureMatrix, MfccConfig, StftConfig,
-                         featurize, pad_to)
+                         exponent_transform, featurize, pad_to)
 from .readout import (FACTOR_CHUNK, Metrics, ReadoutModel, ReadoutOptions,
                       build_targets, classify, factor_blocks,
                       predict_means, score_mse, score_wsr, solve)
@@ -140,14 +140,16 @@ def _baseline_stage(entries: Sequence[ManifestEntry], groups: Sequence[int],
             feats = list(pool.map(_load, entries))
     else:
         feats = [_load(e) for e in entries]
-    n_frames_max = max(f.n_frames for f in feats)
+    n_frames = np.array([f.n_frames for f in feats])
+    n_frames_max = int(n_frames.max())
     tensors = np.stack([pad_to(f, n_frames_max).values for f in feats])
     # free the unpadded features before the arrays below are allocated on
     # top of them, so the heap they held can shrink (lower peak RSS)
     del feats
     prep = PreparedCorpus(tuple(e.clip_id for e in entries),
                           np.array([e.label.digit for e in entries]), np.array(groups),
-                          n_frames_max, replace(pipeline, node_kind=None), tensors=tensors)
+                          n_frames_max, replace(pipeline, node_kind=None), n_frames,
+                          tensors=tensors)
     return _reduce(prep, tensors.shape[1], lambda idx: tensors[idx], factored)
 
 
@@ -196,8 +198,11 @@ class PreparedCorpus:
     (see ``readout.factor``) of group k's inputs, for each group the
     preparation was asked to train on, which is what training reads.
     On the baseline route ``tensors[i]`` keeps clip i's padded features,
-    because the node and ``export-features`` read them; on the total
-    route the node states are never kept and ``tensors`` is None.
+    because the node, the alpha sweep and ``export-features`` read them;
+    on the total route the node states are never kept, nor a swept
+    exponent's features, and ``tensors`` is None.  ``n_frames[i]`` is
+    clip i's frame count before padding, on every route: frames from
+    ``n_frames[i]`` on are padding (zeros in ``tensors``).
     ``subset_of[i]`` is clip i's group: its cross-validation subset, or
     its pool in a stratified report.  Built once, read-only afterward;
     folds only reindex it.
@@ -208,6 +213,7 @@ class PreparedCorpus:
     subset_of: np.ndarray
     n_frames_max: int
     pipeline: PipelineSpec
+    n_frames: np.ndarray                          # (n_clips,) frames before padding
     frame_means: np.ndarray | None = field(default=None, repr=False)  # (n_clips, n_inputs)
     tensors: np.ndarray | None = None             # (n_clips, n_rows, n_frames_max)
     input_gain: float | None = None
@@ -309,6 +315,10 @@ def run_fold(fold: FoldSpec, prep: PreparedCorpus) -> FoldMetrics:
         raise DataError(f"fold {fold.describe()} has an empty split")
     if set(train_idx) & set(test_idx):
         raise DataError(f"fold {fold.describe()} train/test overlap")
+    missing = [k for k in fold.train_subsets if k not in prep.factors]
+    if missing:
+        raise DataError(f"fold {fold.describe()} trains on subset {missing[0]}, "
+                        "which the preparation did not factor")
     model = solve([prep.factors[k] for k in fold.train_subsets], prep.pipeline.readout)
     return FoldMetrics(fold, _evaluate(model, prep, train_idx),
                        _evaluate(model, prep, test_idx), model)
@@ -381,22 +391,52 @@ class SweepPoint:
     wsr_std: float
 
 
-def alpha_sweep(manifest: Manifest, partition: SubsetPartition,
-                base: PipelineSpec, alphas: Sequence[float], n_train: int, *,
-                noise_seed: int = 0, workers: int = 1) -> list[SweepPoint]:
-    """Baseline test WSR as a function of the spectral exponent."""
+def sweep_spectra(manifest: Manifest, partition: SubsetPartition,
+                  base: PipelineSpec, *, noise_seed: int = 0,
+                  workers: int = 1) -> PreparedCorpus:
+    """Every clip realized once and run through the ``spectro_real`` front
+    end: its max-abs-normalized real spectrum, padded.  ``alpha_sweep``
+    derives each exponent's features from it.
+    """
+    pipe = replace(base, filter_kind="spectro_real", alpha=None, node_kind=None)
+    return prepare_corpus(manifest, partition, pipe, noise_seed=noise_seed,
+                          workers=workers, factored=())
+
+
+def alpha_sweep(spectra: PreparedCorpus, alphas: Sequence[float],
+                n_train: int) -> list[SweepPoint]:
+    """Baseline test WSR as a function of the spectral exponent.
+
+    ``spectra`` is a ``sweep_spectra`` preparation.  Each exponent's
+    features are ``exponent_transform`` of those spectra, which is what
+    the ``spectro_exp`` front end computes, derived 50 clips at a time
+    inside ``_reduce``: no exponent's features are held for the whole
+    corpus.  Padding columns stay zero at every exponent.
+    """
     if len(alphas) == 0:
         raise ConfigError("alpha sweep needs at least one exponent")
+    frame = np.arange(spectra.n_frames_max)
     points = []
-    for alpha in alphas:
-        pipe = replace(base, filter_kind="spectro_exp", alpha=float(alpha),
-                       node_kind=None)
-        prep = prepare_corpus(manifest, partition, pipe,
-                              noise_seed=noise_seed, workers=workers)
+    for alpha in (float(a) for a in alphas):
+
+        def _run_block(idx: np.ndarray) -> np.ndarray:
+            # padding zeros may divide by zero or overflow (alpha < 0) and
+            # are zeroed below; a non-finite true entry is a DataError
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                block = exponent_transform(spectra.tensors[idx], alpha)
+            padding = frame >= spectra.n_frames[idx, None]     # (clips, frames)
+            block.transpose(0, 2, 1)[padding] = 0.0
+            finite = np.isfinite(block).all(axis=(1, 2))
+            if not finite.all():
+                bad = spectra.clip_ids[idx[np.argmin(finite)]]
+                raise DataError(f"feature matrix for {bad!r} has non-finite entries")
+            return block
+
+        pipe = replace(spectra.pipeline, filter_kind="spectro_exp", alpha=alpha)
+        prep = _reduce(replace(spectra, pipeline=pipe, tensors=None),
+                       spectra.tensors.shape[1], _run_block, None)
         report = cross_validate(prep, n_train)
-        # drop this exponent's preparation before the next one is built
-        del prep
-        points.append(SweepPoint(float(alpha), report.test.wsr, report.test.wsr_std))
+        points.append(SweepPoint(alpha, report.test.wsr, report.test.wsr_std))
     return points
 
 

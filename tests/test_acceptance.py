@@ -18,7 +18,7 @@ from resonet.cli import main
 from resonet.dataset import build_synth_manifest, load_manifest, partition_subsets
 from resonet.evalharness import (PipelineSpec, alpha_sweep, chance_band,
                                  cross_validate, enumerate_folds,
-                                 prepare_corpus)
+                                 prepare_corpus, sweep_spectra)
 from resonet.filterbank import exponent_transform
 from resonet.readout import (ReadoutOptions, build_targets, classify, predict,
                              train_pinv)
@@ -335,8 +335,8 @@ def test_criterion_10_reference_corpus_numbers():
         assert abs(total - want_total) <= 2.0, f"{kind} total {total:.1f}"
         lines.append(f"{kind}: base {base:.1f}, total {total:.1f}")
     base_pipe = PipelineSpec(filter_kind="spectro_exp", alpha=1.0)
-    points = alpha_sweep(manifest, partition, base_pipe,
-                         (0.0, 0.2, 0.5, 1.0, 2.0, 4.0), 9, workers=WORKERS)
+    points = alpha_sweep(sweep_spectra(manifest, partition, base_pipe, workers=WORKERS),
+                         (0.0, 0.2, 0.5, 1.0, 2.0, 4.0), 9)
     peak = max(points, key=lambda pt: pt.wsr)
     assert peak.alpha == 0.2, f"sweep peak at alpha={peak.alpha}"
     assert abs(peak.wsr - 88.0) <= 3.0, f"sweep peak {peak.wsr:.1f}"

@@ -231,6 +231,24 @@ def test_bench_featurizes_each_clip_once_and_trains_each_fold_once(conf, monkeyp
     assert factored == []
 
 
+@pytest.mark.parametrize("alphas", ["0,2", "1,1000"], ids=["sweep", "with-parity"])
+def test_sweep_realizes_each_clip_once(conf, tmp_path, monkeypatch, alphas):
+    """Every exponent, and the parity diagnostic, is derived from one
+    spectrum per clip."""
+    import resonet.dataset as dataset
+    realized, synth_digit = [], dataset.synth_digit
+
+    def counting_synth_digit(*args, clip_id, **kwargs):
+        realized.append(clip_id)
+        return synth_digit(*args, clip_id=clip_id, **kwargs)
+
+    monkeypatch.setattr(dataset, "synth_digit", counting_synth_digit)
+    assert main(["sweep", "--config", str(conf), "--alphas", alphas]) == 0
+    assert len(realized) == 500
+    assert len(set(realized)) == 500
+    assert (tmp_path / "out" / "parity.csv").exists() == ("1000" in alphas)
+
+
 @pytest.mark.parametrize("value, match", [(-1.0, "nonnegative"), (float("nan"), "non-finite")])
 def test_bad_states_in_the_last_node_block_give_exit_code_4(conf, monkeypatch, capsys,
                                                             value, match):

@@ -9,11 +9,11 @@ import resonet.evalharness as evalharness
 from resonet.dataset import SubsetPartition, build_synth_manifest
 from resonet.errors import ConfigError, DataError, NumericalError
 from resonet.evalharness import (CrossValReport, FoldSpec, GainReport,
-                                 PipelineSpec, chance_band, clip_features,
-                                 condition_markdown, cross_validate,
-                                 enumerate_folds, prepare_corpus, report_to_csv,
-                                 run_fold, stratified_report, summary_markdown,
-                                 with_node)
+                                 PipelineSpec, alpha_sweep, chance_band,
+                                 clip_features, condition_markdown,
+                                 cross_validate, enumerate_folds, prepare_corpus,
+                                 report_to_csv, run_fold, stratified_report,
+                                 summary_markdown, sweep_spectra, with_node)
 from resonet.filterbank import pad_to
 from resonet.readout import (Metrics, build_targets, classify, factor, predict,
                              score_mse, score_wsr, train_pinv)
@@ -135,6 +135,14 @@ def test_prepare_corpus_node_route(node_route):
     assert prep.input_gain == pytest.approx(3.0 / float(np.max(_clip_peaks(prep, feats))))
     assert np.all(states >= 0.0)
     assert prep.tensors is None
+
+
+def test_preparations_keep_each_clips_true_frame_count(baseline_prep, node_route):
+    prep, _, feats = node_route
+    want = [f.n_frames for f in feats]
+    assert min(want) < prep.n_frames_max == max(want)
+    assert np.array_equal(baseline_prep.n_frames, want)
+    assert np.array_equal(prep.n_frames, want)
 
 
 def test_input_gain_takes_the_peak_over_the_whole_corpus(node_route):
@@ -315,6 +323,17 @@ def test_run_fold_produces_both_splits(baseline_prep):
     assert fm.overfit_ratio > 0.0
 
 
+def test_run_fold_refuses_a_subset_that_was_not_factored(corpus):
+    manifest, partition = corpus
+    prep = prepare_corpus(manifest, partition, PipelineSpec(filter_kind="spectro_exp",
+                                                            alpha=2.0),
+                          workers=4, factored=(0,))
+    assert sorted(prep.factors) == [0]
+    # the first fold, 0+...+8, needs subset 1 first
+    with pytest.raises(DataError, match=r"fold 0\+1\+2\+3\+4\+5\+6\+7\+8 .*subset 1\b"):
+        cross_validate(prep, 9)
+
+
 def test_cross_validate_aggregates_match_folds(baseline_prep):
     report = cross_validate(baseline_prep, 9)
     assert len(report.folds) == 10
@@ -493,3 +512,52 @@ def test_stratified_node_route_factors_only_the_training_pool(corpus, monkeypatc
     assert prep.input_gain == input_gain
     assert_matches_reference(prep, states, (0,))
     assert factored == [400, 400]
+
+
+@pytest.fixture(scope="module")
+def spectra(corpus):
+    manifest, partition = corpus
+    return sweep_spectra(manifest, partition, PipelineSpec(filter_kind="mfcc"), workers=4)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.2, 0.5, 1.0, 2.0, 4.0])
+def test_sweep_derives_each_exponent_as_the_spectro_exp_front_end(corpus, spectra,
+                                                                 monkeypatch, alpha):
+    """Each exponent, derived block by block from the one spectrum pass,
+    has the frame means and factors of a ``spectro_exp`` preparation at
+    that exponent.  At alpha = 0 every true entry maps to 1, so equal
+    frame means show that the padding stays zero."""
+    manifest, partition = corpus
+    assert spectra.pipeline.filter_kind == "spectro_real"
+    assert min(spectra.n_frames) < spectra.n_frames_max
+    swept, cross_validate_ = [], evalharness.cross_validate
+
+    def keeping_cross_validate(prep, n_train):
+        swept.append(prep)
+        return cross_validate_(prep, n_train)
+
+    monkeypatch.setattr(evalharness, "cross_validate", keeping_cross_validate)
+    (point,) = alpha_sweep(spectra, [alpha], 9)
+    (prep,) = swept
+    assert point.alpha == alpha
+    want = prepare_corpus(manifest, partition,
+                          PipelineSpec(filter_kind="spectro_exp", alpha=alpha), workers=4)
+    assert prep.tensors is None
+    assert prep.pipeline == want.pipeline
+    assert np.array_equal(prep.n_frames, want.n_frames)
+    assert np.array_equal(prep.frame_means, want.frame_means)
+    assert sorted(prep.factors) == sorted(want.factors) == list(range(10))
+    for k in range(10):
+        assert np.array_equal(prep.factors[k], want.factors[k]), f"subset {k}"
+
+
+def test_sweep_rejects_non_finite_transformed_entries(spectra):
+    """An exact zero inside a clip's true frames has no finite negative
+    power; the padding zeros of every other clip do not count."""
+    last = spectra.indices_of_subsets([9])[-1]
+    tensors = spectra.tensors.copy()
+    tensors[last, 3, spectra.n_frames[last] - 1] = 0.0
+    spoiled = replace(spectra, tensors=tensors)
+    assert min(np.delete(spoiled.n_frames, last)) < spoiled.n_frames_max
+    with pytest.raises(DataError, match=f"{spoiled.clip_ids[last]!r} has non-finite"):
+        alpha_sweep(spoiled, [-1.0], 9)
