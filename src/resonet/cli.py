@@ -159,6 +159,8 @@ def cmd_sweep(args) -> int:
     n_train = cfg["eval.train_subsets"]
     alphas = _parse_floats(args.alphas, "--alphas") if args.alphas \
         else cfg["sweep.alphas"]
+    if not alphas:
+        raise ConfigError("alpha sweep needs at least one exponent")
     out = _out_dir(cfg, args)
 
     from .evalharness import alpha_sweep, sweep_spectra

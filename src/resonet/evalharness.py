@@ -413,8 +413,6 @@ def alpha_sweep(spectra: PreparedCorpus, alphas: Sequence[float],
     inside ``_reduce``: no exponent's features are held for the whole
     corpus.  Padding columns stay zero at every exponent.
     """
-    if len(alphas) == 0:
-        raise ConfigError("alpha sweep needs at least one exponent")
     frame = np.arange(spectra.n_frames_max)
     points = []
     for alpha in (float(a) for a in alphas):

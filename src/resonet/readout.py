@@ -8,8 +8,11 @@ never formed.  ``factor`` reduces a pool of clips to the triangular
 factor [R | C] of [V^T | T^T] (R^T R = V V^T, R^T C = V T^T), one block
 of clips at a time, and ``solve`` stacks the factors of any number of
 pools and solves R W^T = C, which has the same singular values and the
-same minimum-norm solution as the full problem.  Classification applies
-W to a clip's frame-mean state and picks the largest component.
+same minimum-norm solution as the full problem.  Where inputs repeat
+exactly (at alpha = 0 every feature row is the same pattern of ones and
+padding zeros), each distinct input is factored once, so a factor has one
+R row per distinct input.  Classification applies W to a clip's
+frame-mean state and picks the largest component.
 """
 
 from __future__ import annotations
@@ -73,9 +76,10 @@ def factor(states: Sequence, targets: Sequence,
     shared row count on the state side and one target column per state
     column; with ``options.bias`` a row of ones joins the states.  The
     result has n_inputs + N_CLASSES columns and at most n_inputs rows,
-    with R^T R = V V^T and R^T C = V T^T.  Clips are factored
-    ``FACTOR_CHUNK`` at a time, each block stacked under the factor so
-    far (TSQR), so only one block of frames is ever held at once.
+    with R^T R = V V^T and R^T C = V T^T; when inputs (the bias row
+    included) repeat exactly, it has one row per distinct input.  Clips
+    are factored ``FACTOR_CHUNK`` at a time, each block stacked under the
+    factor so far (TSQR), so only one block of frames is ever held at once.
     """
     if len(states) == 0 or len(states) != len(targets):
         raise DataError(
@@ -102,7 +106,11 @@ def factor_blocks(blocks: Iterable[tuple[Sequence, Sequence]],
     sequences, shaped as ``factor`` takes them and checked by the
     caller.  Each block is stacked under the factor of the blocks before
     it and factored again (TSQR), so only the current block's frames are
-    held; the blocks may be computed as they are consumed.
+    held; the blocks may be computed as they are consumed.  Input columns
+    of a stacked block that are exact copies of an earlier one are left
+    out of its QR and take their factor column from that one, so the
+    factor has one row per distinct column; a block without copies is
+    factored as it stands.
     """
     r = None
     for vs, ts in blocks:
@@ -124,10 +132,43 @@ def factor_blocks(blocks: Iterable[tuple[Sequence, Sequence]],
             row = end
         # rows past n hold only the residual of the targets, which no
         # solution depends on
-        r = np.linalg.qr(block, mode="r")[:n]
+        source = _copied_columns(block, n)
+        if source is None:
+            r = np.linalg.qr(block, mode="r")[:n]
+        else:
+            # QR over exact copies shrinks each copy's residue by about eps
+            # and then runs on subnormals; factor each distinct column once
+            kept, position = np.unique(source, return_inverse=True)
+            k = kept.size
+            rk = np.linalg.qr(block[:, np.r_[kept, n:n + N_CLASSES]], mode="r")[:k]
+            r = np.hstack([rk[:, position], rk[:, k:]])
     if r is None:
         raise DataError("no clips to factor")
     return r
+
+
+def _copied_columns(block: np.ndarray, n: int) -> np.ndarray | None:
+    """For each of the first ``n`` columns of ``block``, the index of the
+    first column equal to it; None when all of them differ.
+
+    Column sums filter the candidates, so a block whose sums all differ
+    costs one pass over it.
+    """
+    sums = block[:, :n].sum(axis=0)
+    _, group, counts = np.unique(sums, return_inverse=True, return_counts=True)
+    if counts.size == n:
+        return None
+    source = np.arange(n)
+    distinct: dict[int, list[int]] = {}
+    for j in np.flatnonzero(counts[group] > 1):
+        seen = distinct.setdefault(int(group[j]), [])
+        for i in seen:
+            if np.array_equal(block[:, i], block[:, j]):
+                source[j] = i
+                break
+        else:
+            seen.append(j)
+    return None if np.array_equal(source, np.arange(n)) else source
 
 
 def solve(factors: Sequence[np.ndarray],

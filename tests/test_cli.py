@@ -113,10 +113,37 @@ def test_export_features_row_count(conf, tmp_path, capsys):
     assert f"wrote {n_frames} feature rows" in out
 
 
+def _count_synth_digit(monkeypatch) -> list:
+    """Spy on ``dataset.synth_digit``: the returned list grows by one
+    clip id per realized clip."""
+    import resonet.dataset as dataset
+    realized, synth_digit = [], dataset.synth_digit
+
+    def counting_synth_digit(*args, clip_id, **kwargs):
+        realized.append(clip_id)
+        return synth_digit(*args, clip_id=clip_id, **kwargs)
+
+    monkeypatch.setattr(dataset, "synth_digit", counting_synth_digit)
+    return realized
+
+
 @pytest.mark.parametrize("alphas", ["1,x", ","])
-def test_bad_sweep_alphas_give_exit_code_2(conf, capsys, alphas):
+def test_bad_sweep_alphas_give_exit_code_2(conf, capsys, monkeypatch, alphas):
+    """A bad exponent list is refused before any clip is realized."""
+    realized = _count_synth_digit(monkeypatch)
     assert main(["sweep", "--config", str(conf), "--alphas", alphas]) == 2
     assert "error: " in capsys.readouterr().err
+    assert realized == []
+
+
+def test_empty_config_sweep_alphas_give_exit_code_2(tmp_path, capsys, monkeypatch):
+    conf = tmp_path / "run.conf"
+    conf.write_text(FAST_CONF.replace("sweep.alphas = 0.0,2.0", "sweep.alphas = ,")
+                    + f"output.dir = {tmp_path / 'out'}\n")
+    realized = _count_synth_digit(monkeypatch)
+    assert main(["sweep", "--config", str(conf)]) == 2
+    assert "needs at least one exponent" in capsys.readouterr().err
+    assert realized == []
 
 
 def test_negative_workers_give_exit_code_2(conf, capsys):
@@ -235,14 +262,7 @@ def test_bench_featurizes_each_clip_once_and_trains_each_fold_once(conf, monkeyp
 def test_sweep_realizes_each_clip_once(conf, tmp_path, monkeypatch, alphas):
     """Every exponent, and the parity diagnostic, is derived from one
     spectrum per clip."""
-    import resonet.dataset as dataset
-    realized, synth_digit = [], dataset.synth_digit
-
-    def counting_synth_digit(*args, clip_id, **kwargs):
-        realized.append(clip_id)
-        return synth_digit(*args, clip_id=clip_id, **kwargs)
-
-    monkeypatch.setattr(dataset, "synth_digit", counting_synth_digit)
+    realized = _count_synth_digit(monkeypatch)
     assert main(["sweep", "--config", str(conf), "--alphas", alphas]) == 0
     assert len(realized) == 500
     assert len(set(realized)) == 500

@@ -6,17 +6,19 @@ import numpy as np
 import pytest
 
 import resonet.evalharness as evalharness
+import resonet.readout as readout
+from resonet.config import SCHEMA
 from resonet.dataset import SubsetPartition, build_synth_manifest
 from resonet.errors import ConfigError, DataError, NumericalError
 from resonet.evalharness import (CrossValReport, FoldSpec, GainReport,
-                                 PipelineSpec, alpha_sweep, chance_band,
+                                 PipelineSpec, SweepPoint, alpha_sweep, chance_band,
                                  clip_features, condition_markdown,
                                  cross_validate, enumerate_folds, prepare_corpus,
                                  report_to_csv, run_fold, stratified_report,
                                  summary_markdown, sweep_spectra, with_node)
 from resonet.filterbank import pad_to
 from resonet.readout import (Metrics, build_targets, classify, factor, predict,
-                             score_mse, score_wsr, train_pinv)
+                             predict_means, score_mse, score_wsr, train_pinv)
 from resonet.reservoir import (gen_mask, mask_and_flatten, node_run_reference,
                                reshape_states, stno_run)
 
@@ -520,6 +522,20 @@ def spectra(corpus):
     return sweep_spectra(manifest, partition, PipelineSpec(filter_kind="mfcc"), workers=4)
 
 
+def _sweep(spectra, alphas, monkeypatch):
+    """``alpha_sweep``'s points, and each exponent's preparation and
+    cross-validation report."""
+    swept, cross_validate_ = [], evalharness.cross_validate
+
+    def keeping_cross_validate(prep, n_train):
+        report = cross_validate_(prep, n_train)
+        swept.append((prep, report))
+        return report
+
+    monkeypatch.setattr(evalharness, "cross_validate", keeping_cross_validate)
+    return alpha_sweep(spectra, alphas, 9), swept
+
+
 @pytest.mark.parametrize("alpha", [0.0, 0.2, 0.5, 1.0, 2.0, 4.0])
 def test_sweep_derives_each_exponent_as_the_spectro_exp_front_end(corpus, spectra,
                                                                  monkeypatch, alpha):
@@ -530,15 +546,7 @@ def test_sweep_derives_each_exponent_as_the_spectro_exp_front_end(corpus, spectr
     manifest, partition = corpus
     assert spectra.pipeline.filter_kind == "spectro_real"
     assert min(spectra.n_frames) < spectra.n_frames_max
-    swept, cross_validate_ = [], evalharness.cross_validate
-
-    def keeping_cross_validate(prep, n_train):
-        swept.append(prep)
-        return cross_validate_(prep, n_train)
-
-    monkeypatch.setattr(evalharness, "cross_validate", keeping_cross_validate)
-    (point,) = alpha_sweep(spectra, [alpha], 9)
-    (prep,) = swept
+    (point,), ((prep, _),) = _sweep(spectra, [alpha], monkeypatch)
     assert point.alpha == alpha
     want = prepare_corpus(manifest, partition,
                           PipelineSpec(filter_kind="spectro_exp", alpha=alpha), workers=4)
@@ -561,3 +569,70 @@ def test_sweep_rejects_non_finite_transformed_entries(spectra):
     assert min(np.delete(spoiled.n_frames, last)) < spoiled.n_frames_max
     with pytest.raises(DataError, match=f"{spoiled.clip_ids[last]!r} has non-finite"):
         alpha_sweep(spoiled, [-1.0], 9)
+
+
+# ---------------------------------------------------------------------------
+# repeated readout inputs: factored once, against one plain QR per block
+
+def _plain_qr(monkeypatch):
+    """The reference: factor every block with one QR, copies and all."""
+    monkeypatch.setattr(readout, "_copied_columns", lambda block, n: None)
+
+
+def _assert_same_readouts(prep, got: CrossValReport, want: CrossValReport):
+    """Fold by fold: weights within 1e-9 relative, and the same decision
+    on every clip of the corpus."""
+    assert [f.fold for f in got.folds] == [f.fold for f in want.folds]
+    for g, w in zip(got.folds, want.folds):
+        ref = w.model.weights
+        assert np.max(np.abs(g.model.weights - ref)) <= 1e-9 * np.max(np.abs(ref))
+        assert np.array_equal(np.argmax(predict_means(g.model, prep.frame_means), axis=1),
+                              np.argmax(predict_means(w.model, prep.frame_means), axis=1))
+    for split in ("train", "test"):
+        g, w = getattr(got, split), getattr(want, split)
+        assert (g.wsr, g.wsr_std) == (w.wsr, w.wsr_std)
+
+
+def test_sweep_readouts_match_the_plain_qr_on_every_fold(spectra, monkeypatch):
+    """At every default exponent each fold trains the weights and makes
+    the decisions of one plain QR per block.  At alpha = 0 every feature
+    row is the same, so each subset factor has one row and no subnormal
+    entry, where plain QR leaves 65 rows running down to subnormals."""
+    alphas = SCHEMA["sweep.alphas"][1]
+    assert alphas[0] == 0.0
+    points, swept = _sweep(spectra, alphas, monkeypatch)
+    _plain_qr(monkeypatch)
+    want_points, want = _sweep(spectra, alphas, monkeypatch)
+    assert points == want_points
+    assert points[0] == SweepPoint(0.0, 10.0, 0.0)
+    for (prep, report), (_, ref) in zip(swept, want):
+        _assert_same_readouts(prep, report, ref)
+    zero, plain_zero = swept[0][0], want[0][0]
+    tiny = np.finfo(float).tiny
+    for k in range(10):
+        f = zero.factors[k]
+        assert f.shape == (1, 65 + 10)
+        assert not np.any((f != 0.0) & (np.abs(f) < tiny))
+        assert plain_zero.factors[k].shape == (65, 65 + 10)
+    for (prep, _), (ref, _) in zip(swept[1:], want[1:]):
+        for k in range(10):
+            assert np.array_equal(prep.factors[k], ref.factors[k])
+
+
+def test_bench_readouts_match_the_plain_qr_on_every_fold(corpus, baseline_prep,
+                                                         monkeypatch):
+    """``bench``'s routes (alpha = 2 spectra, then the stno node at
+    n_theta 400) repeat no input, so every factor is bitwise the plain
+    QR's, and so are the weights and decisions."""
+    manifest, partition = corpus
+    total_pipe = replace(baseline_prep.pipeline, node_kind="stno")
+    assert total_pipe.n_theta == 400
+    total = with_node(baseline_prep, total_pipe)
+    got = [(p, cross_validate(p, 9)) for p in (baseline_prep, total)]
+    _plain_qr(monkeypatch)
+    plain = prepare_corpus(manifest, partition, baseline_prep.pipeline, workers=4)
+    for (prep, report), ref in zip(got, (plain, with_node(plain, total_pipe))):
+        assert sorted(ref.factors) == sorted(prep.factors) == list(range(10))
+        for k in range(10):
+            assert np.array_equal(prep.factors[k], ref.factors[k]), f"subset {k}"
+        _assert_same_readouts(prep, report, cross_validate(ref, 9))

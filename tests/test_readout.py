@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from resonet.errors import ConfigError, DataError
-from resonet.readout import (FACTOR_CHUNK, Metrics, ReadoutOptions, build_targets,
-                             classify, factor, predict, predict_means, score_mse,
-                             score_wsr, solve, train_pinv)
+from resonet.readout import (FACTOR_CHUNK, Metrics, ReadoutModel, ReadoutOptions,
+                             build_targets, classify, factor, predict, predict_means,
+                             score_mse, score_wsr, solve, train_pinv)
 
 
 def _toy_problem(rng, n_rows=12, n_clips=30, n_frames=8):
@@ -175,3 +175,106 @@ def test_metrics_validation():
         Metrics(101.0, 0.1)
     with pytest.raises(DataError):
         Metrics(50.0, -0.1)
+
+
+# ---------------------------------------------------------------------------
+# pools whose inputs repeat exactly: each distinct input is factored once
+
+TINY = np.finfo(float).tiny
+
+
+def _copied_pool(rng, n_clips, sources, n_rows=12, n_frames=9, copies_in=None):
+    """A pool in which input row j of every clip in ``copies_in`` (every
+    clip when None) is a copy of row ``sources[j]``; other clips keep
+    independent rows."""
+    states, targets, digits = _toy_problem(rng, n_rows, n_clips, n_frames)
+    for c, v in enumerate(states):
+        if copies_in is None or c in copies_in:
+            v[:] = v[sources]
+    return states, targets, digits
+
+
+def _pool_design(states, targets, bias):
+    big_v = np.hstack(states)
+    if bias:
+        big_v = np.vstack([big_v, np.ones(big_v.shape[1])])
+    return big_v, np.hstack(targets)
+
+
+def _assert_factor_keeps_the_grams(f, big_v, big_t):
+    n = big_v.shape[0]
+    r, c = f[:, :n], f[:, n:]
+    gram, cross = big_v @ big_v.T, big_v @ big_t.T
+    assert np.max(np.abs(r.T @ r - gram)) <= 1e-12 * np.max(np.abs(gram))
+    assert np.max(np.abs(r.T @ c - cross)) <= 1e-12 * np.max(np.abs(cross))
+    assert not np.any((f != 0.0) & (np.abs(f) < TINY)), "subnormal factor entries"
+
+
+ALL_COPIES = [0] * 12
+A_FEW_COPIES = [0, 1, 2, 1, 4, 5, 6, 1, 8, 4, 10, 11]
+
+
+@pytest.mark.parametrize("sources, n_clips, copies_in, bias, n_distinct", [
+    (ALL_COPIES, 30, None, False, 1),
+    (A_FEW_COPIES, 30, None, False, 9),
+    (ALL_COPIES, 2 * FACTOR_CHUNK + 7, None, False, 1),
+    (A_FEW_COPIES, 2 * FACTOR_CHUNK + 7, None, True, 10),
+    (A_FEW_COPIES, 2 * FACTOR_CHUNK + 7, range(FACTOR_CHUNK), False, 12),
+    (ALL_COPIES, 2 * FACTOR_CHUNK + 7, range(FACTOR_CHUNK, 2 * FACTOR_CHUNK + 7), True, 13),
+], ids=["all-copies", "a-few-copies", "all-copies-every-block",
+        "a-few-copies-every-block-bias", "copies-in-the-first-block",
+        "copies-in-the-later-blocks-bias"])
+def test_factor_of_repeated_inputs_keeps_the_grams(rng, sources, n_clips, copies_in,
+                                                   bias, n_distinct):
+    states, targets, _ = _copied_pool(rng, n_clips, sources, copies_in=copies_in)
+    opts = ReadoutOptions(bias=bias)
+    f = factor(states, targets, opts)
+    assert f.shape == (n_distinct, 12 + bias + 10)
+    _assert_factor_keeps_the_grams(f, *_pool_design(states, targets, bias))
+
+
+def test_bias_at_a_constant_feature_is_factored_once(rng):
+    """A feature that is 1 on every frame copies the bias input."""
+    states, targets, _ = _toy_problem(rng, n_clips=2 * FACTOR_CHUNK + 7)
+    for v in states:
+        v[5] = 1.0
+    f = factor(states, targets, ReadoutOptions(bias=True))
+    assert f.shape == (12, 13 + 10)
+    assert np.array_equal(f[:, 12], f[:, 5])
+    _assert_factor_keeps_the_grams(f, *_pool_design(states, targets, True))
+
+
+@pytest.mark.parametrize("bias", [False, True])
+def test_solve_over_mixed_height_factors_matches_the_pseudoinverse(rng, bias):
+    """Pools with all, some and no repeated inputs give factors of 1 (2
+    with the bias), 9 (10) and 12 (13) rows; stacked, alone or in part,
+    they solve to T pinv(V) with the decisions of those weights."""
+    opts = ReadoutOptions(bias=bias)
+    pools = [_copied_pool(rng, 30, ALL_COPIES), _copied_pool(rng, 40, A_FEW_COPIES),
+             _toy_problem(rng, n_clips=25, n_frames=9)]
+    factors = [factor(s, t, opts) for s, t, _ in pools]
+    assert [f.shape[0] for f in factors] == [1 + bias, 9 + bias, 12 + bias]
+    for used in ([0], [1], [0, 1], [0, 1, 2], [2, 0]):
+        states = [v for k in used for v in pools[k][0]]
+        targets = [t for k in used for t in pools[k][1]]
+        big_v, big_t = _pool_design(states, targets, bias)
+        want = big_t @ np.linalg.pinv(big_v, rcond=opts.rtol)
+        got = solve([factors[k] for k in used], opts).weights
+        assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want)), used
+        model, ref = ReadoutModel(got, opts), ReadoutModel(want, opts)
+        for v in states:
+            assert classify(predict(model, v)) == classify(predict(ref, v))
+
+
+def test_distinct_inputs_with_equal_sums_take_the_plain_qr(rng):
+    """Inputs whose sums collide but whose values differ are not copies:
+    the factor is bitwise the one plain QR of the block."""
+    v = rng.integers(-4, 5, size=(12, 40)).astype(float)
+    v[3] = v[7][::-1]                  # same integer sum, different column
+    v[9] = np.roll(v[2], 1)
+    sums = v.sum(axis=1)
+    assert sums[3] == sums[7] and sums[9] == sums[2]
+    t = build_targets(6, 40)
+    f = factor([v], [t])
+    block = np.asfortranarray(np.hstack([v.T, t.T]))
+    assert np.array_equal(f, np.linalg.qr(block, mode="r")[:12])
