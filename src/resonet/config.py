@@ -19,8 +19,8 @@ from .dataset import NOISE_TYPES, PHASE_MODES, Manifest, SubsetPartition, \
 from .errors import ConfigError
 from .evalharness import PipelineSpec
 from .filterbank import FILTER_KINDS, CochlearConfig, MfccConfig, StftConfig
+from .nodeparams import StnoParams, TanhParams
 from .readout import ReadoutOptions
-from .reservoir import StnoParams, TanhParams
 
 #: generator family used for every stochastic choice in a run
 GENERATOR_NAME = "philox4x64"

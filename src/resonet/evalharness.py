@@ -22,12 +22,10 @@ from .dataset import Manifest, ManifestEntry, SubsetPartition, realize_clip
 from .errors import ConfigError, DataError, NumericalError
 from .filterbank import (CochlearConfig, FeatureMatrix, MfccConfig, StftConfig,
                          exponent_transform, featurize, pad_to)
+from .nodeparams import NODE_KINDS, StnoParams, TanhParams
 from .readout import (FACTOR_CHUNK, Metrics, ReadoutModel, ReadoutOptions,
-                      build_targets, classify, factor_blocks,
-                      predict_means, score_mse, score_wsr, solve)
-from .reservoir import (NODE_KINDS, StnoParams, TanhParams, gen_mask,
-                        mask_and_flatten, node_run_reference, reshape_states,
-                        stno_run)
+                      build_targets, factor_blocks, predict_means, score_wsr,
+                      solve)
 
 N_SUBSETS = 10
 N_CLASSES = 10
@@ -259,7 +257,13 @@ def with_node(prep: PreparedCorpus, pipeline: PipelineSpec,
     one block of ``_reduce`` at a time; each block's states are checked
     before they are reduced.  Overflow inside the node is not warned
     about: the state check reports it as a ``NumericalError``.
+
+    The reservoir is imported here, not with this module, because it
+    loads ``scipy.signal``: runs without a node never pay for it.
     """
+    from .reservoir import (gen_mask, mask_and_flatten, node_run_reference,
+                            reshape_states, stno_run)
+
     n_frames = prep.n_frames_max
     mask = gen_mask(pipeline.mask_seed, pipeline.n_theta, prep.tensors.shape[1])
     peak = max(float(np.abs(mask.entries @ x).max()) for x in prep.tensors)
@@ -301,10 +305,18 @@ class FoldMetrics:
 
 
 def _evaluate(model: ReadoutModel, prep: PreparedCorpus, idx: np.ndarray) -> Metrics:
+    """WSR and MSE of the clips ``idx``, scored all at once.
+
+    The decisions are ``classify``'s (ties go to the lowest class), and the
+    clips' squared errors are added in clip order, as ``score_mse`` adds
+    them, so both metrics equal clip-by-clip scoring to the last bit.
+    """
     scores = predict_means(model, prep.frame_means[idx])
-    actual = [int(d) for d in prep.digits[idx]]
-    return Metrics(score_wsr([classify(s) for s in scores], actual),
-                   score_mse(list(scores), list(np.eye(N_CLASSES)[actual])))
+    actual = prep.digits[idx]
+    diff = scores - np.eye(N_CLASSES)[actual]
+    per_clip = (diff * diff).sum(axis=1)
+    return Metrics(score_wsr(scores.argmax(axis=1).tolist(), actual.tolist()),
+                   float(np.add.accumulate(per_clip)[-1]) / diff.size)
 
 
 def run_fold(fold: FoldSpec, prep: PreparedCorpus) -> FoldMetrics:

@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 from ..dataset import AudioClip
 from ..errors import ConfigError, DataError
@@ -147,6 +146,8 @@ def _agc_pipelined(x: np.ndarray, eps: np.ndarray, target: np.ndarray) -> None:
 
 def cochleagram(clip: AudioClip, cfg: CochlearConfig = CochlearConfig()) -> np.ndarray:
     """Nonnegative cochlear feature matrix, shape (n_channels, n_frames)."""
+    from scipy.signal import lfilter     # here, to keep scipy off the import path
+
     sr = clip.sample_rate
     cfs = design_center_freqs(sr, cfg)
     if cfs.size != cfg.expected_channels:

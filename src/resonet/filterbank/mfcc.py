@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import dct
 
 from ..dataset import AudioClip
 from ..errors import ConfigError, DataError
@@ -66,6 +65,8 @@ def mel_filterbank(n_filters: int, nfft: int, sample_rate: int) -> np.ndarray:
 
 def mfcc(clip: AudioClip, cfg: MfccConfig = MfccConfig()) -> np.ndarray:
     """Cepstral feature matrix, shape (n_coeffs, n_frames)."""
+    from scipy.fft import dct     # here, to keep scipy off the import path
+
     sr = clip.sample_rate
     frame_len = int(round(cfg.frame_seconds * sr))
     hop_len = int(round(cfg.hop_seconds * sr))

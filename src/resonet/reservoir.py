@@ -19,19 +19,20 @@ in milliamperes; ``c`` fixes the (arbitrary) amplitude unit.  Because
 each virtual-node step is much shorter than the relaxation time, the
 node never settles within a frame and consecutive virtual neurons stay
 coupled through the decaying state.
+
+The nodes' constants (``StnoParams``, ``TanhParams``) live in
+``nodeparams``, which needs no scipy; this module loads ``scipy.signal``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.signal import lfilter
 
 from .errors import ConfigError, DataError
-
-NODE_KINDS = ("stno", "tanh")
+from .nodeparams import StnoParams
 
 _TAG_MASK = 7
 
@@ -81,41 +82,6 @@ def mask_and_flatten(features: np.ndarray, mask: BinaryMask) -> np.ndarray:
     return (mask.entries @ x).flatten(order="F")
 
 
-@dataclass(frozen=True)
-class StnoParams:
-    """Oscillator constants.  Times in ns, currents in mA."""
-
-    dt: float = 5.0
-    t_relax: float = 410.0
-    i_dc: float = 6.0
-    i_c: float = 4.9
-    c: float = 1.0
-    allow_coarse_timestep: bool = False
-
-    def __post_init__(self) -> None:
-        if self.dt <= 0 or self.t_relax <= 0:
-            raise ConfigError("dt and t_relax must be positive")
-        if self.i_dc <= self.i_c:
-            raise ConfigError(
-                f"bias current ({self.i_dc} mA) must exceed the oscillation "
-                f"threshold ({self.i_c} mA)")
-        if self.dt >= self.t_relax and not self.allow_coarse_timestep:
-            raise ConfigError(
-                f"virtual-node spacing dt={self.dt} must be smaller than "
-                f"t_relax={self.t_relax}; set allow_coarse_timestep to override")
-        if self.c <= 0:
-            raise ConfigError("amplitude scale c must be positive")
-
-    @property
-    def decay(self) -> float:
-        return math.exp(-self.dt / self.t_relax)
-
-    @property
-    def rest_amplitude(self) -> float:
-        """Steady-state amplitude under zero drive."""
-        return self.c * math.sqrt(self.i_dc - self.i_c)
-
-
 def stno_run(x: np.ndarray, p: StnoParams, v0: float | None = None) -> np.ndarray:
     """Integrate the oscillator over a drive sequence.
 
@@ -155,17 +121,6 @@ def node_run_reference(x: np.ndarray, gain: float = 1.0, leak: float = 1.0,
     z = np.tanh(gain * x)
     v, _ = lfilter([leak], [1.0, -(1.0 - leak)], z, zi=[(1.0 - leak) * v0])
     return v
-
-
-@dataclass(frozen=True)
-class TanhParams:
-    gain: float = 1.0
-    leak: float = 1.0
-    v0: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.leak <= 1.0:
-            raise ConfigError(f"leak must lie in [0, 1], got {self.leak}")
 
 
 def reshape_states(v: np.ndarray, n_theta: int, n_frames: int) -> np.ndarray:

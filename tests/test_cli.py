@@ -272,8 +272,8 @@ def test_sweep_realizes_each_clip_once(conf, tmp_path, monkeypatch, alphas):
 @pytest.mark.parametrize("value, match", [(-1.0, "nonnegative"), (float("nan"), "non-finite")])
 def test_bad_states_in_the_last_node_block_give_exit_code_4(conf, monkeypatch, capsys,
                                                             value, match):
-    import resonet.evalharness as evalharness
-    stno_run, calls = evalharness.stno_run, []
+    import resonet.reservoir as reservoir
+    stno_run, calls = reservoir.stno_run, []
 
     def stno_run_spoiling_the_last_clip(drive, params):
         # the node stage runs each clip once, group by group, so the
@@ -284,7 +284,7 @@ def test_bad_states_in_the_last_node_block_give_exit_code_4(conf, monkeypatch, c
             v[-1] = value
         return v
 
-    monkeypatch.setattr(evalharness, "stno_run", stno_run_spoiling_the_last_clip)
+    monkeypatch.setattr(reservoir, "stno_run", stno_run_spoiling_the_last_clip)
     assert main(["bench", "--config", str(conf)]) == 4
     assert len(calls) == 500
     err = capsys.readouterr().err

@@ -7,6 +7,7 @@ import pytest
 
 import resonet.evalharness as evalharness
 import resonet.readout as readout
+import resonet.reservoir as reservoir
 from resonet.config import SCHEMA
 from resonet.dataset import SubsetPartition, build_synth_manifest
 from resonet.errors import ConfigError, DataError, NumericalError
@@ -282,7 +283,7 @@ def test_with_node_never_holds_the_state_tensor(baseline_prep, node_route):
 @pytest.mark.parametrize("value, match", [(-1.0, "nonnegative"), (np.nan, "non-finite")])
 def test_node_stage_rejects_unusable_oscillator_states(baseline_prep, monkeypatch,
                                                        value, match):
-    monkeypatch.setattr(evalharness, "stno_run", lambda x, p: np.full(x.size, value))
+    monkeypatch.setattr(reservoir, "stno_run", lambda x, p: np.full(x.size, value))
     pipe = replace(baseline_prep.pipeline, node_kind="stno", n_theta=4)
     with pytest.raises(NumericalError, match=match):
         with_node(baseline_prep, pipe)
@@ -311,7 +312,7 @@ def test_node_stage_checks_the_last_block_of_the_last_group(baseline_prep, monke
             v[-1] = value
         return v
 
-    monkeypatch.setattr(evalharness, "stno_run", stno_run_spoiling_one_clip)
+    monkeypatch.setattr(reservoir, "stno_run", stno_run_spoiling_one_clip)
     with pytest.raises(NumericalError, match=match):
         with_node(base, pipe)
     assert hits == [0]
@@ -323,6 +324,46 @@ def test_run_fold_produces_both_splits(baseline_prep):
     assert 0.0 <= fm.test.wsr <= 100.0
     assert fm.train.mse > 0.0
     assert fm.overfit_ratio > 0.0
+
+
+def clip_by_clip_metrics(model, prep, idx):
+    """Fold scoring as it once ran: ``classify`` on each clip's scores and
+    ``score_mse`` over per-clip lists."""
+    scores = predict_means(model, prep.frame_means[idx])
+    actual = [int(d) for d in prep.digits[idx]]
+    return Metrics(score_wsr([classify(s) for s in scores], actual),
+                   score_mse(list(scores), list(np.eye(10)[actual])))
+
+
+def test_fold_scoring_matches_clip_by_clip_scoring_exactly():
+    """Random score sets, half of them built from small integers so that
+    classes tie (the lowest tied class wins): the same WSR and the same
+    MSE to the last bit as scoring clip by clip."""
+    rng = np.random.default_rng(12)
+    for case in range(300):
+        n_clips, n_inputs = int(rng.integers(1, 120)), int(rng.integers(1, 12))
+        if case % 2:
+            means = rng.integers(-2, 3, (n_clips, n_inputs)).astype(float)
+            weights = rng.integers(-1, 2, (10, n_inputs)).astype(float)
+        else:
+            means = rng.standard_normal((n_clips, n_inputs)) * 10.0 ** rng.integers(-3, 4)
+            weights = rng.standard_normal((10, n_inputs))
+        model = readout.ReadoutModel(weights, readout.ReadoutOptions())
+        prep = evalharness.PreparedCorpus(
+            tuple(map(str, range(n_clips))), rng.integers(0, 10, n_clips),
+            np.zeros(n_clips, dtype=int), 1, PipelineSpec(filter_kind="mfcc"),
+            np.ones(n_clips, dtype=int), frame_means=means)
+        idx = rng.permutation(n_clips)[:int(rng.integers(1, n_clips + 1))]
+        assert evalharness._evaluate(model, prep, idx) == \
+            clip_by_clip_metrics(model, prep, idx), f"case {case}"
+
+
+def test_fold_metrics_match_clip_by_clip_scoring_on_every_fold(baseline_prep):
+    for fm in cross_validate(baseline_prep, 9).folds:
+        for split, subsets in ((fm.train, fm.fold.train_subsets),
+                               (fm.test, fm.fold.test_subsets)):
+            idx = baseline_prep.indices_of_subsets(subsets)
+            assert split == clip_by_clip_metrics(fm.model, baseline_prep, idx)
 
 
 def test_run_fold_refuses_a_subset_that_was_not_factored(corpus):

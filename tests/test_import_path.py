@@ -1,0 +1,33 @@
+"""scipy stays off the import path: only node integration and the cochlear
+and MFCC front ends load it, when they run.
+
+Each check runs in a fresh interpreter, since this test process has
+long since imported scipy.
+"""
+
+import json
+
+import pytest
+
+LIST_MODULES = "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"
+
+
+def test_the_package_and_its_set_up_layers_load_without_scipy(fresh_python):
+    out = fresh_python("import resonet, resonet.cli, resonet.config, "
+                       "resonet.evalharness, resonet.filterbank" + LIST_MODULES)
+    loaded = json.loads(out.splitlines()[-1])
+    assert "numpy" in loaded
+    assert [m for m in loaded if m.startswith("scipy")] == []
+    assert "resonet.reservoir" not in loaded
+
+
+@pytest.mark.parametrize("kind, module", [("cochlear", "scipy.signal"),
+                                          ("mfcc", "scipy.fft")])
+def test_a_front_end_loads_scipy_when_it_runs(fresh_python, kind, module):
+    out = fresh_python("from resonet.dataset import build_synth_manifest, realize_clip\n"
+                       "from resonet.filterbank import featurize\n"
+                       "entry = build_synth_manifest(1001).entries[0]\n"
+                       f"featurize(realize_clip(entry), {kind!r})" + LIST_MODULES)
+    loaded = json.loads(out.splitlines()[-1])
+    assert module in loaded
+    assert "resonet.reservoir" not in loaded
