@@ -258,8 +258,10 @@ def with_node(prep: PreparedCorpus, pipeline: PipelineSpec,
     before they are reduced.  Overflow inside the node is not warned
     about: the state check reports it as a ``NumericalError``.
 
-    The reservoir is imported here, not with this module, because it
-    loads ``scipy.signal``: runs without a node never pay for it.
+    The reservoir's functions are looked up here, each time a node
+    route starts, not bound when this module loads, so a wrapper patched
+    onto ``resonet.reservoir`` (a tracer's span, a test's reference
+    integrator) is what runs.
     """
     from .reservoir import (gen_mask, mask_and_flatten, node_run_reference,
                             reshape_states, stno_run)

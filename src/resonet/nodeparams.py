@@ -1,8 +1,8 @@
 """Reservoir node kinds and their constants.
 
-Kept apart from ``reservoir``, which loads ``scipy.signal`` to integrate
-the nodes, so that configuration and pipeline specs can name a node
-without importing scipy.  See ``reservoir`` for the node equations.
+Kept apart from ``reservoir``, so that configuration and pipeline specs
+can name and validate a node without loading the integrators.  See
+``reservoir`` for the node equations.
 """
 
 from __future__ import annotations

@@ -20,21 +20,23 @@ each virtual-node step is much shorter than the relaxation time, the
 node never settles within a frame and consecutive virtual neurons stay
 coupled through the decaying state.
 
-The nodes' constants (``StnoParams``, ``TanhParams``) live in
-``nodeparams``, which needs no scipy; this module loads ``scipy.signal``.
+Both nodes are first-order linear recurrences in their state, which
+``_linear_scan`` evaluates as a blocked prefix scan in numpy alone.  The
+nodes' constants (``StnoParams``, ``TanhParams``) live in ``nodeparams``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .errors import ConfigError, DataError
 from .nodeparams import StnoParams
 
 _TAG_MASK = 7
+_SCAN_ROW = 64
 
 
 @dataclass(frozen=True)
@@ -86,9 +88,9 @@ def stno_run(x: np.ndarray, p: StnoParams, v0: float | None = None) -> np.ndarra
     """Integrate the oscillator over a drive sequence.
 
     Equivalent to stepping the module docstring's recurrence once per
-    sample with drive ``x[i]`` (in mA), evaluated as a first-order
-    linear recurrence.  ``v0`` defaults to the rest amplitude; outputs
-    are finite and nonnegative.
+    sample with drive ``x[i]`` (in mA), evaluated by ``_linear_scan``.
+    ``v0`` defaults to the rest amplitude; outputs are finite and
+    nonnegative.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
@@ -101,8 +103,7 @@ def stno_run(x: np.ndarray, p: StnoParams, v0: float | None = None) -> np.ndarra
         return np.empty(0)
     v_inf = p.c * np.sqrt(np.maximum(0.0, p.i_dc - x - p.i_c))
     a = p.decay
-    v, _ = lfilter([1.0], [1.0, -a], (1.0 - a) * v_inf, zi=[a * v0])
-    return v
+    return _linear_scan((1.0 - a) * v_inf, a, v0)
 
 
 def node_run_reference(x: np.ndarray, gain: float = 1.0, leak: float = 1.0,
@@ -119,8 +120,46 @@ def node_run_reference(x: np.ndarray, gain: float = 1.0, leak: float = 1.0,
     if x.size == 0:
         return np.empty(0)
     z = np.tanh(gain * x)
-    v, _ = lfilter([leak], [1.0, -(1.0 - leak)], z, zi=[(1.0 - leak) * v0])
-    return v
+    return _linear_scan(leak * z, 1.0 - leak, v0)
+
+
+@lru_cache(maxsize=16)
+def _scan_tables(a: float) -> tuple[np.ndarray, np.ndarray]:
+    """``(table, carry)`` for a scan row with coefficient ``a``:
+    ``table[j, i] = a**(i - j)`` for ``j <= i`` (else 0) and
+    ``carry[i] = a**(i + 1)``.  Powers below the smallest normal float
+    are flushed to 0, so no product runs on subnormals."""
+    powers = a ** np.arange(_SCAN_ROW + 1, dtype=np.float64)
+    powers[powers < np.finfo(np.float64).tiny] = 0.0
+    k = np.arange(_SCAN_ROW)
+    table = np.triu(powers[np.abs(k[None, :] - k[:, None])])
+    carry = powers[1:]
+    table.flags.writeable = carry.flags.writeable = False
+    return table, carry
+
+
+def _linear_scan(u: np.ndarray, a: float, y0: float) -> np.ndarray:
+    """``y[i] = a * y[i-1] + u[i]`` from ``y[-1] = y0``, for 0 <= a <= 1.
+
+    A blocked prefix scan (Blelloch, CMU-CS-90-190): ``u`` is cut into
+    zero-padded rows of ``_SCAN_ROW`` samples, each row is scanned from
+    zero by one product with ``_scan_tables(a)``, the row ends are carried
+    across rows by the same scan one level up (coefficient
+    ``a**_SCAN_ROW``), and each row gets ``a**(i + 1)`` times the end of
+    the row before it.  At ``a = 0`` a finite ``u`` comes back exactly.
+    """
+    n = u.size
+    rows = -(-n // _SCAN_ROW)
+    table, carry = _scan_tables(float(a))
+    padded = np.zeros(rows * _SCAN_ROW)
+    padded[:n] = u
+    y = padded.reshape(rows, _SCAN_ROW) @ table
+    starts = np.empty(rows)
+    starts[0] = y0
+    if rows > 1:
+        starts[1:] = _linear_scan(y[:-1, -1], carry[-1], y0)
+    y += starts[:, None] * carry
+    return y.ravel()[:n]
 
 
 def reshape_states(v: np.ndarray, n_theta: int, n_frames: int) -> np.ndarray:

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.signal import lfilter
 
 from resonet.dataset import build_synth_manifest, partition_subsets
 
@@ -36,3 +37,31 @@ def fresh_python():
                               text=True, check=True).stdout
 
     return run
+
+
+def _lfilter_stno_run(x, p, v0=None):
+    """``reservoir.stno_run`` as ``scipy.signal.lfilter`` evaluates it."""
+    x = np.asarray(x, dtype=np.float64)
+    if v0 is None:
+        v0 = p.rest_amplitude
+    v_inf = p.c * np.sqrt(np.maximum(0.0, p.i_dc - x - p.i_c))
+    a = p.decay
+    return lfilter([1.0], [1.0, -a], (1.0 - a) * v_inf, zi=[a * v0])[0]
+
+
+def _lfilter_node_run_reference(x, gain=1.0, leak=1.0, v0=0.0):
+    """``reservoir.node_run_reference`` as ``scipy.signal.lfilter`` evaluates it."""
+    z = np.tanh(gain * np.asarray(x, dtype=np.float64))
+    return lfilter([leak], [1.0, -(1.0 - leak)], z, zi=[(1.0 - leak) * v0])[0]
+
+
+@pytest.fixture()
+def lfilter_stno_run():
+    """The reference integrator the oscillator's blocked scan is held to."""
+    return _lfilter_stno_run
+
+
+@pytest.fixture()
+def lfilter_node_run_reference():
+    """The reference integrator the tanh node's blocked scan is held to."""
+    return _lfilter_node_run_reference

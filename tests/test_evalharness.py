@@ -18,6 +18,7 @@ from resonet.evalharness import (CrossValReport, FoldSpec, GainReport,
                                  report_to_csv, run_fold, stratified_report,
                                  summary_markdown, sweep_spectra, with_node)
 from resonet.filterbank import pad_to
+from resonet.nodeparams import StnoParams
 from resonet.readout import (Metrics, build_targets, classify, factor, predict,
                              predict_means, score_mse, score_wsr, train_pinv)
 from resonet.reservoir import (gen_mask, mask_and_flatten, node_run_reference,
@@ -278,6 +279,50 @@ def test_with_node_never_holds_the_state_tensor(baseline_prep, node_route):
     finally:
         tracemalloc.stop()
     assert peak < full, f"peak {peak} bytes, state array {full} bytes"
+
+
+def test_memoryless_oscillator_frame_means_are_the_closed_form(baseline_prep):
+    """At t_relax 1e-3 ns the oscillator has no memory (its decay is
+    exactly 0), so every frame mean is the mean of the equilibrium
+    amplitudes of ``input_gain * (M @ X)``, bit for bit: an oracle for
+    the node route that needs no reference integrator."""
+    stno = StnoParams(t_relax=1e-3, allow_coarse_timestep=True)
+    assert stno.decay == 0.0
+    pipe = replace(NODE_PIPE, stno=stno)
+    prep = with_node(baseline_prep, pipe, factored=())
+    mask = gen_mask(pipe.mask_seed, pipe.n_theta, baseline_prep.tensors.shape[1])
+    for i, x in enumerate(baseline_prep.tensors):
+        drive = prep.input_gain * (mask.entries @ x)
+        v = stno.c * np.sqrt(np.maximum(0.0, stno.i_dc - drive - stno.i_c))
+        # summed over frames in the node route's frame-major memory order
+        assert np.array_equal(prep.frame_means[i], np.asfortranarray(v).mean(axis=1)), i
+
+
+def test_bench_node_route_matches_the_lfilter_integrator_on_every_fold(
+        baseline_prep, monkeypatch, lfilter_stno_run):
+    """``bench``'s total route (alpha = 2 spectra, stno at n_theta 400),
+    integrated by the blocked scan and by ``lfilter``: frame means within
+    1e-12 relative, every N = 9 fold's weights within 1e-9 relative, and
+    the same decision on every clip of both splits of every fold."""
+    pipe = replace(baseline_prep.pipeline, node_kind="stno")
+    assert pipe.n_theta == 400
+    got = with_node(baseline_prep, pipe)
+    monkeypatch.setattr(reservoir, "stno_run", lfilter_stno_run)
+    want = with_node(baseline_prep, pipe)
+    assert got.input_gain == want.input_gain
+    ref = want.frame_means
+    assert np.all(np.abs(got.frame_means - ref) <= 1e-12 * np.abs(ref))
+    got_cv, want_cv = cross_validate(got, 9), cross_validate(want, 9)
+    for g, w in zip(got_cv.folds, want_cv.folds):
+        assert g.fold == w.fold
+        weights = w.model.weights
+        assert np.max(np.abs(g.model.weights - weights)) <= 1e-9 * np.max(np.abs(weights))
+        for subsets in (g.fold.train_subsets, g.fold.test_subsets):
+            idx = got.indices_of_subsets(subsets)
+            assert np.array_equal(
+                np.argmax(predict_means(g.model, got.frame_means[idx]), axis=1),
+                np.argmax(predict_means(w.model, ref[idx]), axis=1)), g.fold.describe()
+        assert (g.train.wsr, g.test.wsr) == (w.train.wsr, w.test.wsr)
 
 
 @pytest.mark.parametrize("value, match", [(-1.0, "nonnegative"), (np.nan, "non-finite")])

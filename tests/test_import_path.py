@@ -1,5 +1,6 @@
-"""scipy stays off the import path: only node integration and the cochlear
-and MFCC front ends load it, when they run.
+"""scipy stays off the import path: only the cochlear and MFCC front ends
+load it, when they run.  The reservoir, and a node route through it,
+loads numpy alone.
 
 Each check runs in a fresh interpreter, since this test process has
 long since imported scipy.
@@ -31,3 +32,25 @@ def test_a_front_end_loads_scipy_when_it_runs(fresh_python, kind, module):
     loaded = json.loads(out.splitlines()[-1])
     assert module in loaded
     assert "resonet.reservoir" not in loaded
+
+
+def test_the_reservoir_loads_without_scipy(fresh_python):
+    loaded = json.loads(fresh_python("import resonet.reservoir" + LIST_MODULES).splitlines()[-1])
+    assert "numpy" in loaded
+    assert [m for m in loaded if m.startswith("scipy")] == []
+
+
+@pytest.mark.parametrize("node_kind", ["stno", "tanh"])
+def test_a_node_route_loads_without_scipy(fresh_python, node_kind):
+    out = fresh_python(f"""
+import numpy as np
+from resonet.evalharness import PipelineSpec, PreparedCorpus, with_node
+pipe = PipelineSpec(filter_kind="spectro_exp", alpha=2.0, node_kind={node_kind!r}, n_theta=4)
+tensors = np.random.default_rng(0).random((7, 3, 5))
+prep = PreparedCorpus(tuple("abcdefg"), np.arange(7), np.zeros(7, dtype=int), 5,
+                      PipelineSpec(filter_kind="spectro_exp", alpha=2.0),
+                      np.full(7, 5), tensors=tensors)
+assert with_node(prep, pipe).frame_means.shape == (7, 4)""" + LIST_MODULES)
+    loaded = json.loads(out.splitlines()[-1])
+    assert "resonet.reservoir" in loaded
+    assert [m for m in loaded if m.startswith("scipy")] == []

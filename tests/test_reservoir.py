@@ -5,7 +5,7 @@ import pytest
 
 from resonet.errors import ConfigError, DataError
 from resonet.nodeparams import StnoParams, TanhParams
-from resonet.reservoir import (BinaryMask, gen_mask, mask_and_flatten,
+from resonet.reservoir import (BinaryMask, _scan_tables, gen_mask, mask_and_flatten,
                                node_run_reference, reshape_states, stno_run)
 
 
@@ -135,3 +135,67 @@ def test_tanh_params_validation():
         TanhParams(leak=-0.1)
     with pytest.raises(ConfigError):
         TanhParams(leak=1.5)
+
+
+# ---------------------------------------------------------------------------
+# the blocked scan against lfilter, the integrator it replaced
+
+SCAN_LENGTHS = [1, 63, 64, 65, 4_097, 43_200, 100_000]
+
+
+@pytest.mark.parametrize("n", SCAN_LENGTHS)
+@pytest.mark.parametrize("t_relax", [5.0, 410.0, 4_100.0])
+@pytest.mark.parametrize("v0", [None, 0.0, 2.5], ids=["rest", "0", "2.5"])
+def test_stno_run_matches_lfilter(lfilter_stno_run, n, t_relax, v0):
+    """Every state within 1e-13 relative of lfilter's: within one row
+    and across row edges (1 and 63-65 samples), with row ends carried one
+    level up (4 097 samples) and two (43 200 and 100 000), for a one-step
+    relaxation, the default and a slow one."""
+    p = StnoParams(t_relax=t_relax, allow_coarse_timestep=True)
+    x = np.random.default_rng(n).uniform(-3.0, 3.0, size=n)
+    got, want = stno_run(x, p, v0), lfilter_stno_run(x, p, v0)
+    assert got.shape == want.shape == (n,)
+    assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+
+
+@pytest.mark.parametrize("n", SCAN_LENGTHS)
+@pytest.mark.parametrize("leak", [0.0, 0.3, 0.7, 1.0])
+@pytest.mark.parametrize("v0", [0.0, 2.5])
+def test_node_run_reference_matches_lfilter(lfilter_node_run_reference, n, leak, v0):
+    """Every state within 1e-13 of lfilter's largest state magnitude."""
+    x = np.random.default_rng(n).standard_normal(n)
+    got, want = node_run_reference(x, 1.3, leak, v0), lfilter_node_run_reference(x, 1.3, leak, v0)
+    assert got.shape == want.shape == (n,)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_scan_tables_hold_no_subnormal_power(lfilter_node_run_reference):
+    """A small coefficient's high powers are flushed to 0, not left
+    subnormal; the node still matches lfilter."""
+    tiny = np.finfo(float).tiny
+    for a in (1e-6, 1e-300):
+        for table in _scan_tables(a):
+            assert not np.any((table != 0.0) & (np.abs(table) < tiny))
+    x = np.random.default_rng(3).standard_normal(1_000)
+    got = node_run_reference(x, 1.3, 1.0 - 1e-6, 0.4)
+    want = lfilter_node_run_reference(x, 1.3, 1.0 - 1e-6, 0.4)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n", [1, 65, 43_200])
+@pytest.mark.parametrize("v0", [None, 0.0, 2.5], ids=["rest", "0", "2.5"])
+def test_memoryless_oscillator_is_its_equilibrium_exactly(n, v0):
+    """At t_relax 1e-3 ns the decay exp(-5000) is exactly 0, so each
+    state is its input's equilibrium amplitude, to the last bit."""
+    p = StnoParams(t_relax=1e-3, allow_coarse_timestep=True)
+    assert p.decay == 0.0
+    x = np.random.default_rng(n).uniform(-3.0, 3.0, size=n)
+    assert np.array_equal(stno_run(x, p, v0),
+                          p.c * np.sqrt(np.maximum(0.0, p.i_dc - x - p.i_c)))
+
+
+@pytest.mark.parametrize("n", [1, 65, 43_200])
+@pytest.mark.parametrize("v0", [0.0, 2.5])
+def test_tanh_node_at_leak_one_is_tanh_exactly(n, v0):
+    x = np.random.default_rng(n).standard_normal(n)
+    assert np.array_equal(node_run_reference(x, 1.3, 1.0, v0), np.tanh(1.3 * x))
