@@ -20,7 +20,6 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -30,10 +29,10 @@ from .config import (GENERATOR_NAME, RunConfig, _parse_floats, apply_seed_overri
                      parse_config)
 from .dataset import Manifest, save_manifest
 from .errors import ConfigError, ResonetError
-from .evalharness import (GainReport, PreparedCorpus, clip_features,
+from .evalharness import (GainReport, PreparedCorpus, alpha_sweep, clip_features,
                           condition_markdown, cross_validate, prepare_corpus,
                           report_to_csv, stratified_report, summary_markdown,
-                          with_node)
+                          sweep_spectra, with_node)
 from .filterbank import exponent_transform
 
 PARITY_ALPHA_THRESHOLD = 100.0
@@ -121,7 +120,7 @@ def cmd_bench(args) -> int:
     header = _header_lines(cfg)
     cached = _load_cached_features(cfg, manifest, _cache_root(cfg, args) / cfg.feature_hash())
 
-    base_prep = prepare_corpus(manifest, partition, replace(pipeline, node_kind=None),
+    base_prep = prepare_corpus(manifest, partition, pipeline,
                                noise_seed=cfg["corpus.noise_seed"],
                                workers=_workers(cfg, args), features=cached or None)
     baseline = cross_validate(base_prep, n_train)
@@ -163,7 +162,6 @@ def cmd_sweep(args) -> int:
         raise ConfigError("alpha sweep needs at least one exponent")
     out = _out_dir(cfg, args)
 
-    from .evalharness import alpha_sweep, sweep_spectra
     spectra = sweep_spectra(manifest, partition, pipeline,
                             noise_seed=cfg["corpus.noise_seed"], workers=workers)
     points = alpha_sweep(spectra, alphas, n_train)
@@ -210,7 +208,7 @@ def cmd_export_features(args) -> int:
     pipeline = cfg.pipeline()
     out = _out_dir(cfg, args)
     cached = _load_cached_features(cfg, manifest, _cache_root(cfg, args) / cfg.feature_hash())
-    prep = prepare_corpus(manifest, partition, replace(pipeline, node_kind=None),
+    prep = prepare_corpus(manifest, partition, pipeline,
                           noise_seed=cfg["corpus.noise_seed"],
                           workers=_workers(cfg, args), features=cached or None,
                           factored=())

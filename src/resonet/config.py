@@ -19,8 +19,8 @@ from .dataset import NOISE_TYPES, PHASE_MODES, Manifest, SubsetPartition, \
 from .errors import ConfigError
 from .evalharness import PipelineSpec
 from .filterbank import FILTER_KINDS, CochlearConfig, MfccConfig, StftConfig
-from .nodeparams import StnoParams, TanhParams
 from .readout import ReadoutOptions
+from .reservoir import StnoParams, TanhParams
 
 #: generator family used for every stochastic choice in a run
 GENERATOR_NAME = "philox4x64"
@@ -242,13 +242,11 @@ class RunConfig:
             manifest = build_synth_manifest(
                 v["corpus.synth_seed"], phase_mode=v["corpus.phase_mode"],
                 sample_rate=v["corpus.sample_rate"], conditions=conditions)
-        elif kind == "manifest":
+        else:
             path = v["corpus.manifest"]
             if not path:
                 raise ConfigError("corpus.manifest is required when corpus.kind = manifest")
             manifest = load_manifest(path, sample_rate=v["corpus.sample_rate"])
-        else:
-            raise ConfigError(f"corpus.kind: expected synthetic or manifest, got {kind!r}")
         partition = partition_subsets(manifest, v["eval.partition_seed"])
         return manifest, partition
 
@@ -282,6 +280,9 @@ def parse_config(path: str | Path) -> RunConfig:
 
 def _validate(cfg: RunConfig) -> None:
     v = cfg.values
+    if v["corpus.kind"] not in ("synthetic", "manifest"):
+        raise ConfigError(
+            f"corpus.kind: expected synthetic or manifest, got {v['corpus.kind']!r}")
     if v["corpus.phase_mode"] not in PHASE_MODES:
         raise ConfigError(f"corpus.phase_mode: expected one of {PHASE_MODES}")
     for key in SEED_KEYS:

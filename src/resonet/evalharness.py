@@ -18,17 +18,14 @@ from typing import Callable, Collection, Sequence
 
 import numpy as np
 
-from .dataset import Manifest, ManifestEntry, SubsetPartition, realize_clip
+from . import reservoir
+from .dataset import N_SUBSETS, Manifest, ManifestEntry, SubsetPartition, realize_clip
 from .errors import ConfigError, DataError, NumericalError
 from .filterbank import (CochlearConfig, FeatureMatrix, MfccConfig, StftConfig,
                          exponent_transform, featurize, pad_to)
-from .nodeparams import NODE_KINDS, StnoParams, TanhParams
-from .readout import (FACTOR_CHUNK, Metrics, ReadoutModel, ReadoutOptions,
+from .readout import (FACTOR_CHUNK, N_CLASSES, Metrics, ReadoutModel, ReadoutOptions,
                       build_targets, factor_blocks, predict_means, score_wsr,
                       solve)
-
-N_SUBSETS = 10
-N_CLASSES = 10
 
 
 @dataclass(frozen=True)
@@ -51,10 +48,6 @@ class FoldSpec:
     def test_subsets(self) -> tuple[int, ...]:
         return tuple(k for k in range(N_SUBSETS) if k not in self.train_subsets)
 
-    @property
-    def n_train(self) -> int:
-        return len(self.train_subsets)
-
     def describe(self) -> str:
         return "+".join(str(k) for k in self.train_subsets)
 
@@ -64,14 +57,6 @@ def enumerate_folds(n_train: int) -> list[FoldSpec]:
     if not 1 <= n_train <= N_SUBSETS - 1:
         raise ConfigError(f"n_train must lie in 1..{N_SUBSETS - 1}, got {n_train}")
     return [FoldSpec(c) for c in combinations(range(N_SUBSETS), n_train)]
-
-
-def chance_band(n_classes: int, n_trials: int, n_sigma: float = 3.0) -> tuple[float, float]:
-    """Symmetric band around chance-level WSR for a balanced task."""
-    p = 1.0 / n_classes
-    center = 100.0 * p
-    std = 100.0 * math.sqrt(p * (1.0 - p) / n_trials)
-    return center - n_sigma * std, center + n_sigma * std
 
 
 @dataclass(frozen=True)
@@ -86,13 +71,13 @@ class PipelineSpec:
     node_kind: str | None = None          # None -> baseline (features feed the readout)
     n_theta: int = 400
     mask_seed: int = 1
-    stno: StnoParams = field(default_factory=StnoParams)
-    tanh: TanhParams = field(default_factory=TanhParams)
+    stno: reservoir.StnoParams = field(default_factory=reservoir.StnoParams)
+    tanh: reservoir.TanhParams = field(default_factory=reservoir.TanhParams)
     drive_ma: float = 3.0                 # target peak drive after input scaling
     readout: ReadoutOptions = field(default_factory=ReadoutOptions)
 
     def __post_init__(self) -> None:
-        if self.node_kind is not None and self.node_kind not in NODE_KINDS:
+        if self.node_kind is not None and self.node_kind not in reservoir.NODE_KINDS:
             raise ConfigError(f"unknown node kind {self.node_kind!r}")
         if self.node_kind is not None and self.n_theta < 1:
             raise ConfigError(f"n_theta must be positive, got {self.n_theta}")
@@ -227,20 +212,19 @@ def prepare_corpus(manifest: Manifest, partition: SubsetPartition,
                    workers: int = 1,
                    features: dict[str, FeatureMatrix] | None = None,
                    factored: Collection[int] | None = None) -> PreparedCorpus:
-    """Featurize (or reuse cached features for) every clip and, when a
-    node is configured, run the reservoir over the padded features; the
-    subsets in ``factored`` (every subset when None) are factored.
+    """The baseline route of every clip the partition covers: featurized
+    (or taken from the cached ``features``) and padded, with the subsets
+    in ``factored`` (every subset when None) factored.  The pipeline's
+    node, if any, is ignored; ``with_node`` gives the total route.
     """
     subset_of_map = partition.subset_of()
     entries = [e for e in manifest.entries if e.clip_id in subset_of_map]
     if not entries:
         raise DataError("no manifest entries covered by the partition")
-    node = pipeline.node_kind is not None
-    prep = _baseline_stage(entries, [subset_of_map[e.clip_id] for e in entries],
+    return _baseline_stage(entries, [subset_of_map[e.clip_id] for e in entries],
                            pipeline, sample_rate=manifest.sample_rate,
                            noise_seed=noise_seed, workers=workers, features=features,
-                           factored=() if node else factored)
-    return with_node(prep, pipeline, factored) if node else prep
+                           factored=factored)
 
 
 def with_node(prep: PreparedCorpus, pipeline: PipelineSpec,
@@ -251,23 +235,22 @@ def with_node(prep: PreparedCorpus, pipeline: PipelineSpec,
     training inputs.  ``pipeline`` must share the preparation's front end.
 
     The input scale maps the largest masked feature magnitude over the
-    whole corpus onto ``drive_ma``, so the drive spans +/-drive_ma.  State
-    integration restarts from the rest amplitude at every clip boundary.
-    The node runs one clip at a time, as the single physical node does,
-    one block of ``_reduce`` at a time; each block's states are checked
-    before they are reduced.  Overflow inside the node is not warned
-    about: the state check reports it as a ``NumericalError``.
-
-    The reservoir's functions are looked up here, each time a node
-    route starts, not bound when this module loads, so a wrapper patched
-    onto ``resonet.reservoir`` (a tracer's span, a test's reference
+    whole corpus onto ``drive_ma``, so the drive spans +/-drive_ma.  That
+    peak must be known before the node's first step, so each clip's masked
+    features ``M @ X`` are computed twice, once for the peak and once for
+    the drive: holding them for the whole corpus instead would cost
+    n_clips x n_theta x n_frames_max floats (173 MB on the default corpus).
+    State integration restarts from the rest amplitude at every clip
+    boundary.  The node runs one clip at a time, as the single physical
+    node does, one block of ``_reduce`` at a time; each block's states are
+    checked before they are reduced.  Overflow inside the node is not
+    warned about: the state check reports it as a ``NumericalError``.
+    The node's functions are called through the ``reservoir`` module, so a
+    wrapper patched onto it (a tracer's span, a test's reference
     integrator) is what runs.
     """
-    from .reservoir import (gen_mask, mask_and_flatten, node_run_reference,
-                            reshape_states, stno_run)
-
     n_frames = prep.n_frames_max
-    mask = gen_mask(pipeline.mask_seed, pipeline.n_theta, prep.tensors.shape[1])
+    mask = reservoir.gen_mask(pipeline.mask_seed, pipeline.n_theta, prep.tensors.shape[1])
     peak = max(float(np.abs(mask.entries @ x).max()) for x in prep.tensors)
     input_gain = pipeline.drive_ma / peak if peak > 0.0 else 0.0
     t = pipeline.tanh
@@ -278,12 +261,12 @@ def with_node(prep: PreparedCorpus, pipeline: PipelineSpec,
         states = np.empty((idx.size, n_frames, pipeline.n_theta)).transpose(0, 2, 1)
         with np.errstate(over="ignore", invalid="ignore"):
             for j, i in enumerate(idx):
-                drive = input_gain * mask_and_flatten(prep.tensors[i], mask)
+                drive = input_gain * reservoir.mask_and_flatten(prep.tensors[i], mask)
                 if pipeline.node_kind == "stno":
-                    v = stno_run(drive, pipeline.stno)
+                    v = reservoir.stno_run(drive, pipeline.stno)
                 else:
-                    v = node_run_reference(drive, t.gain, t.leak, t.v0)
-                states[j] = reshape_states(v, pipeline.n_theta, n_frames)
+                    v = reservoir.node_run_reference(drive, t.gain, t.leak, t.v0)
+                states[j] = reservoir.reshape_states(v, pipeline.n_theta, n_frames)
         if not np.all(np.isfinite(states)):
             raise NumericalError(f"{pipeline.node_kind} node states have non-finite entries")
         if pipeline.node_kind == "stno" and states.min() < 0.0:
@@ -301,17 +284,14 @@ class FoldMetrics:
     test: Metrics
     model: ReadoutModel = field(compare=False, repr=False)
 
-    @property
-    def overfit_ratio(self) -> float:
-        return self.test.mse / self.train.mse if self.train.mse > 0 else math.inf
-
 
 def _evaluate(model: ReadoutModel, prep: PreparedCorpus, idx: np.ndarray) -> Metrics:
     """WSR and MSE of the clips ``idx``, scored all at once.
 
-    The decisions are ``classify``'s (ties go to the lowest class), and the
-    clips' squared errors are added in clip order, as ``score_mse`` adds
-    them, so both metrics equal clip-by-clip scoring to the last bit.
+    Each decision is the clip's largest score, ties going to the lowest
+    class, and the clips' squared errors are added in clip order, so both
+    metrics equal clip-by-clip scoring to the last bit; that oracle lives
+    in the tests.
     """
     scores = predict_means(model, prep.frame_means[idx])
     actual = prep.digits[idx]
@@ -412,7 +392,7 @@ def sweep_spectra(manifest: Manifest, partition: SubsetPartition,
     end: its max-abs-normalized real spectrum, padded.  ``alpha_sweep``
     derives each exponent's features from it.
     """
-    pipe = replace(base, filter_kind="spectro_real", alpha=None, node_kind=None)
+    pipe = replace(base, filter_kind="spectro_real", alpha=None)
     return prepare_corpus(manifest, partition, pipe, noise_seed=noise_seed,
                           workers=workers, factored=())
 

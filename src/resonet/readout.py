@@ -231,37 +231,12 @@ def predict(model: ReadoutModel, states) -> np.ndarray:
     return predict_means(model, v.mean(axis=1)[None])[0]
 
 
-def classify(scores: np.ndarray) -> int:
-    """Largest score wins; ties resolve to the lowest class index."""
-    scores = np.asarray(scores)
-    if scores.shape != (N_CLASSES,):
-        raise DataError(f"scores must have shape ({N_CLASSES},), got {scores.shape}")
-    return int(np.argmax(scores))
-
-
 def score_wsr(predicted: Sequence[int], actual: Sequence[int]) -> float:
     """Word success rate in percent."""
     if len(predicted) == 0 or len(predicted) != len(actual):
         raise DataError("predicted/actual must be nonempty and equally long")
     hits = sum(1 for p, a in zip(predicted, actual) if p == a)
     return 100.0 * hits / len(predicted)
-
-
-def score_mse(estimates: Sequence[np.ndarray], targets: Sequence[np.ndarray]) -> float:
-    """Mean squared error over all clips and target components."""
-    if len(estimates) == 0 or len(estimates) != len(targets):
-        raise DataError("estimates/targets must be nonempty and equally long")
-    total = 0.0
-    count = 0
-    for e, t in zip(estimates, targets):
-        e = np.asarray(e, dtype=np.float64)
-        t = np.asarray(t, dtype=np.float64)
-        if e.shape != t.shape:
-            raise DataError(f"estimate shape {e.shape} != target shape {t.shape}")
-        diff = e - t
-        total += float(np.sum(diff * diff))
-        count += diff.size
-    return total / count
 
 
 @dataclass(frozen=True)

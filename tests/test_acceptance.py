@@ -16,14 +16,14 @@ import pytest
 
 from resonet.cli import main
 from resonet.dataset import build_synth_manifest, load_manifest, partition_subsets
-from resonet.evalharness import (PipelineSpec, alpha_sweep, chance_band,
-                                 cross_validate, enumerate_folds,
-                                 prepare_corpus, sweep_spectra)
+from resonet.evalharness import (PipelineSpec, alpha_sweep, cross_validate,
+                                 enumerate_folds, prepare_corpus, sweep_spectra,
+                                 with_node)
 from resonet.filterbank import exponent_transform
-from resonet.readout import (ReadoutOptions, build_targets, classify, predict,
-                             train_pinv)
+from resonet.readout import ReadoutOptions, build_targets, predict, train_pinv
 from resonet.reservoir import StnoParams, stno_run
-from test_evalharness import reference_node_stage
+from test_evalharness import chance_band, reference_node_stage
+from test_readout import classify
 
 WORKERS = max(4, os.cpu_count() or 1)
 
@@ -65,13 +65,15 @@ def _baseline_wsr(alpha: float) -> float:
     return _baseline_report(alpha)[0].test.wsr
 
 
-def _total_report(alpha: float):
-    key = ("total", alpha)
+def _total_report(alpha: float, **node):
+    """The N = 9 report and preparation of the total route at n_theta 400,
+    built over ``_baseline_report(alpha)``'s preparation; ``node`` replaces
+    the pipeline's node fields (the default oscillator when empty)."""
+    key = ("total", alpha, tuple(sorted(node.items())))
     if key not in _CACHE:
-        manifest, partition = _corpus()
-        pipe = PipelineSpec(filter_kind="spectro_exp", alpha=alpha,
-                            node_kind="stno", n_theta=400, mask_seed=1)
-        prep = prepare_corpus(manifest, partition, pipe, workers=WORKERS)
+        _, base = _baseline_report(alpha)
+        fields = {"node_kind": "stno", "n_theta": 400, "mask_seed": 1, **node}
+        prep = with_node(base, replace(base.pipeline, **fields))
         _CACHE[key] = (cross_validate(prep, 9), prep)
     return _CACHE[key]
 
@@ -218,6 +220,31 @@ def test_criterion_07_reservoir_gain_ordering():
           f"gain(alpha=2)={gain_2:+.2f} >= 0 at n_theta=400, {elapsed:.1f}s")
 
 
+def test_the_reservoir_gain_is_nonlinearity_not_memory():
+    """Not a release criterion: pins README's reading of the gain.
+
+    An oscillator with no memory (t_relax 1e-3 ns, so its decay is exactly
+    0) scores within a point of the default one at alpha 1 and 2, while a
+    memoryless odd nonlinearity (the tanh node at leak 1) recovers little
+    of the alpha 1 gain: the rectifying sqrt(max(0, .)) carries it.
+    """
+    t0 = time.perf_counter()
+    memoryless = StnoParams(t_relax=1e-3, allow_coarse_timestep=True)
+    assert memoryless.decay == 0.0
+    default = {a: _total_report(a)[0].test.wsr for a in (1.0, 2.0)}
+    flat = {a: _total_report(a, stno=memoryless)[0].test.wsr for a in (1.0, 2.0)}
+    tanh = _total_report(1.0, node_kind="tanh")[0].test.wsr
+    elapsed = time.perf_counter() - t0
+    for a in (1.0, 2.0):
+        assert abs(flat[a] - default[a]) <= 1.0, \
+            f"alpha={a:g}: memoryless {flat[a]:.2f} vs default {default[a]:.2f}"
+    assert tanh <= default[1.0] - 40.0, \
+        f"tanh {tanh:.2f} vs stno {default[1.0]:.2f} at alpha=1"
+    print(f"PASS nonlinearity, not memory: memoryless {flat[1.0]:.1f} / {flat[2.0]:.1f} "
+          f"vs default {default[1.0]:.1f} / {default[2.0]:.1f} at alpha 1 / 2, "
+          f"tanh {tanh:.1f} at alpha 1, {elapsed:.1f}s")
+
+
 def test_criterion_08_state_scale_invariance():
     """Scaling all node states by 7.3 must not move any decision."""
     t0 = time.perf_counter()
@@ -329,8 +356,7 @@ def test_criterion_10_reference_corpus_numbers():
         prep = prepare_corpus(manifest, partition, pipe, workers=WORKERS)
         base = cross_validate(prep, 9).test.wsr
         node = replace(pipe, node_kind="stno", n_theta=400)
-        prep_t = prepare_corpus(manifest, partition, node, workers=WORKERS)
-        total = cross_validate(prep_t, 9).test.wsr
+        total = cross_validate(with_node(prep, node), 9).test.wsr
         assert abs(base - want_base) <= 2.0, f"{kind} baseline {base:.1f}"
         assert abs(total - want_total) <= 2.0, f"{kind} total {total:.1f}"
         lines.append(f"{kind}: base {base:.1f}, total {total:.1f}")

@@ -212,6 +212,16 @@ def test_synth_corpus_on_a_manifest_corpus_gives_exit_code_2(tmp_path, capsys):
     assert "corpus.kind = synthetic" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["synth-corpus", "bench"])
+def test_unknown_corpus_kind_gives_exit_code_2_at_parse_time(tmp_path, capsys, command):
+    conf = tmp_path / "run.conf"
+    conf.write_text(FAST_CONF.replace("corpus.kind = synthetic", "corpus.kind = synthtic")
+                    + f"output.dir = {tmp_path / 'out'}\n")
+    assert main([command, "--config", str(conf)]) == 2
+    assert "corpus.kind: expected synthetic or manifest, got 'synthtic'" in \
+        capsys.readouterr().err
+
+
 def test_cache_dir_env_override(conf, tmp_path, monkeypatch):
     cache_root = tmp_path / "elsewhere"
     monkeypatch.setenv("RESONET_CACHE_DIR", str(cache_root))

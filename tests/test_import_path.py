@@ -19,7 +19,6 @@ def test_the_package_and_its_set_up_layers_load_without_scipy(fresh_python):
     loaded = json.loads(out.splitlines()[-1])
     assert "numpy" in loaded
     assert [m for m in loaded if m.startswith("scipy")] == []
-    assert "resonet.reservoir" not in loaded
 
 
 @pytest.mark.parametrize("kind, module", [("cochlear", "scipy.signal"),

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from resonet.errors import ConfigError, DataError
-from resonet.nodeparams import StnoParams, TanhParams
-from resonet.reservoir import (BinaryMask, _scan_tables, gen_mask, mask_and_flatten,
-                               node_run_reference, reshape_states, stno_run)
+from resonet.reservoir import (BinaryMask, StnoParams, TanhParams, _scan_tables, gen_mask,
+                               mask_and_flatten, node_run_reference, reshape_states,
+                               stno_run)
 
 
 def test_gen_mask_entries_and_determinism():

@@ -4,11 +4,13 @@
 so it loads here without running anything.
 """
 
+import ast
 import importlib.util
 import json
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def _load_tracer():
@@ -27,8 +29,8 @@ def test_every_tracer_target_resolves():
 
 
 def test_the_tracer_sees_the_node_calls_of_a_node_route(fresh_python):
-    """``with_node`` imports ``stno_run`` when it runs, so it must pick up
-    the wrapper the tracer put on ``resonet.reservoir``: one span per clip.
+    """``with_node`` calls ``stno_run`` through the ``reservoir`` module, so
+    it must pick up the wrapper the tracer put there: one span per clip.
     Runs in a fresh interpreter, since the tracer patches module attributes.
     """
     code = f"""
@@ -52,3 +54,35 @@ print(json.dumps([s[1] for s in recorder.spans]))
     names = json.loads(fresh_python(code).splitlines()[-1])
     assert names.count("reservoir.stno_run") == 7
     assert names.count("reservoir.mask_and_flatten") == 7
+
+
+def _names_used(node: ast.AST) -> set[str]:
+    used = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            used.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            used.add(n.attr)
+        elif isinstance(n, ast.ImportFrom):
+            used.update(alias.name for alias in n.names)
+    return used
+
+
+def test_every_public_name_has_a_product_caller():
+    """No product code that only tests reach: every public module-level
+    function or class in ``src/resonet`` is named somewhere else in
+    ``src/resonet``, or the tracer wraps it by name."""
+    defined, used = [], set()
+    for path in sorted((ROOT / "src" / "resonet").rglob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                if not node.name.startswith("_"):
+                    defined.append((path.name, node.name))
+                # a definition's own body does not count as its caller
+                used |= _names_used(node) - {node.name}
+            else:
+                used |= _names_used(node)
+    traced = {attr for _, attr, _ in _load_tracer().TARGETS}
+    orphans = [f"{module}:{name}" for module, name in defined
+               if name not in used and name not in traced]
+    assert orphans == []
