@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Sequence
 
@@ -44,17 +45,20 @@ def _parse_int(text: str, key: str) -> int:
         raise ConfigError(f"{key}: expected an integer, got {text!r}") from None
 
 
-def _parse_float(text: str, key: str) -> float:
-    if text.lower() in ("inf", "+inf"):
-        return math.inf
+def _parse_float(text: str, key: str, *, snr: bool = False) -> float:
+    """A finite number; an SNR (``snr``) may also be +inf, a clean clip."""
     try:
-        return float(text)
+        val = float(text)
     except ValueError:
         raise ConfigError(f"{key}: expected a number, got {text!r}") from None
+    if not (math.isfinite(val) or (snr and val == math.inf)):
+        raise ConfigError(f"{key}: expected a finite number{' or +inf' if snr else ''}, "
+                          f"got {text!r}")
+    return val
 
 
-def _parse_floats(text: str, key: str) -> tuple[float, ...]:
-    return tuple(_parse_float(p.strip(), key) for p in text.split(",") if p.strip())
+def _parse_floats(text: str, key: str, *, snr: bool = False) -> tuple[float, ...]:
+    return tuple(_parse_float(p.strip(), key, snr=snr) for p in text.split(",") if p.strip())
 
 
 def _parse_str(text: str, key: str) -> str:
@@ -71,7 +75,7 @@ def _parse_conditions(text: str, key: str) -> tuple[tuple[str, float], ...]:
         if "@" not in part:
             raise ConfigError(f"{key}: condition {part!r} needs type@snr")
         ntype, snr = part.rsplit("@", 1)
-        out.append((ntype.strip(), _parse_float(snr.strip(), key)))
+        out.append((ntype.strip(), _parse_float(snr.strip(), key, snr=True)))
     if not out:
         raise ConfigError(f"{key}: empty condition list")
     return tuple(out)
@@ -145,7 +149,7 @@ SCHEMA: dict[str, tuple] = {
     "sweep.alphas": (_parse_floats, (0.0, 0.2, 0.5, 1.0, 2.0, 4.0)),
 
     "strat.train_utterances": (_parse_int, 8),
-    "strat.test_snrs": (_parse_floats, (math.inf, 20.0, 10.0)),
+    "strat.test_snrs": (partial(_parse_floats, snr=True), (math.inf, 20.0, 10.0)),
     "strat.test_noise_types": (_parse_strs, ("synthetic-white",)),
 
     "output.dir": (_parse_str, "out"),
@@ -288,6 +292,8 @@ def _validate(cfg: RunConfig) -> None:
     for key in SEED_KEYS:
         if v[key] < 0:
             raise ConfigError(f"{key}: seeds must be nonnegative")
+    if v["corpus.sample_rate"] <= 0:
+        raise ConfigError("corpus.sample_rate must be positive")
     if not 1 <= v["eval.train_subsets"] <= 9:
         raise ConfigError("eval.train_subsets must lie in 1..9")
     if v["eval.workers"] < 1:

@@ -68,7 +68,7 @@ class DigitLabel:
     snr_db: float = math.inf
 
     def __post_init__(self) -> None:
-        if not 0 <= self.digit <= 9:
+        if not 0 <= self.digit < N_CLASSES:
             raise ManifestError(f"digit out of range: {self.digit}")
         if self.utterance < 0:
             raise ManifestError(f"utterance index out of range: {self.utterance}")
@@ -226,7 +226,7 @@ def parse_recipe(source: str) -> tuple[int, int, int, str]:
     mode = parts[4]
     if mode not in PHASE_MODES:
         raise ManifestError(f"bad phase mode in recipe: {source!r}")
-    if not 0 <= digit <= 9 or spk < 0 or utt < 0:
+    if not 0 <= digit < N_CLASSES or spk < 0 or utt < 0:
         raise ManifestError(f"recipe fields out of range: {source!r}")
     return digit, spk, utt, mode
 
@@ -256,7 +256,7 @@ _GOLDEN = 0.6180339887498949
 
 def class_template(digit: int) -> tuple[np.ndarray, np.ndarray]:
     """Nominal partial frequencies (Hz) and amplitudes for a digit class."""
-    if not 0 <= digit <= 9:
+    if not 0 <= digit < N_CLASSES:
         raise DataError(f"digit out of range: {digit}")
     m = np.arange(_GRID_SLOTS, dtype=np.float64)
     freqs = (_GRID_BASE + _GRID_STRIDE * m) * _BIN_HZ

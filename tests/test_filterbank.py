@@ -361,11 +361,16 @@ def test_spectro_real_is_alpha_one():
 
 
 def test_pad_to_extends_with_zero_frames():
-    fm = FeatureMatrix(np.ones((3, 4)), "mfcc", "clip")
-    out = pad_to(fm, 6)
-    assert out.values.shape == (3, 6)
-    assert np.all(out.values[:, :4] == 1.0)
-    assert np.all(out.values[:, 4:] == 0.0)
-    assert pad_to(fm, 4) is fm
-    with pytest.raises(DataError):
-        pad_to(fm, 3)
+    short = FeatureMatrix(np.full((3, 4), 2.0), "mfcc", "short")
+    long = FeatureMatrix(np.ones((3, 6)), "mfcc", "long")
+    out = pad_to([short, long])
+    assert out.shape == (2, 3, 6)
+    assert np.all(out[0, :, :4] == 2.0)
+    assert np.all(out[0, :, 4:] == 0.0)
+    assert np.all(out[1] == 1.0)
+    wide = pad_to([short, long], 9)
+    assert wide.shape == (2, 3, 9)
+    assert np.array_equal(wide[:, :, :6], out)
+    assert np.all(wide[:, :, 6:] == 0.0)
+    with pytest.raises(DataError, match="cannot pad 'long' down"):
+        pad_to([short, long], 5)
