@@ -227,11 +227,11 @@ def cmd_export_features(args) -> int:
             snr = "inf" if math.isinf(label.snr_db) else repr(label.snr_db)
             prefix = f"{cid},{label.digit},{label.speaker},{label.utterance}," \
                      f"{label.noise_type},{snr}"
-            mat = prep.tensors[i]
-            for tau in range(mat.shape[1]):
-                vals = ",".join(repr(v) for v in mat[:, tau])
-                fh.write(f"{prefix},{tau},{vals}\n")
-            n_data += mat.shape[1]
+            # the clip's true frames only, as Python floats (numpy 2's repr reads np.float64(...))
+            frames = prep.tensors[i, :, :prep.n_frames[i]].T.tolist()
+            for tau, row in enumerate(frames):
+                fh.write(f"{prefix},{tau},{','.join(map(repr, row))}\n")
+            n_data += len(frames)
     print(f"wrote {n_data} feature rows to {path}")
     return 0
 

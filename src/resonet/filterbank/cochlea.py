@@ -16,7 +16,10 @@ the designed channel count disagrees with ``expected_channels``.
 The gain control recursion runs as one Python time loop for all stages
 (see ``_agc_pipelined``): stage s trails stage s - 1 by one sample, and
 each stage's arithmetic is unchanged, so the features are bit-identical
-to running the stages one after another.
+to running the stages one after another.  The loop works on flat buffers
+in which every stage's channels sit between zero-weighted zero borders,
+with its constants expanded to that layout before the first sample, so
+none of its arithmetic broadcasts or strides.
 """
 
 from __future__ import annotations
@@ -103,36 +106,62 @@ def _agc_pipelined(x: np.ndarray, eps: np.ndarray, target: np.ndarray) -> None:
     ``eps[s]`` and is smoothed with a [1/4, 1/2, 1/4] kernel ([3/4, 1/4] at
     the edges), so loud channels also depress their neighbors.  Stage s + 1
     compresses stage s's output and at time t reads only stage s at time t,
-    so one loop runs all stages on an (n_stages, n_ch) state: at step k,
-    stage s handles sample k - s from what stage s - 1 produced at step
-    k - 1.  A stage not yet at sample 0 sees zero input from a zero state,
-    which stays exactly zero.  Each stage's operations keep the order of the
-    stage-by-stage recursion, and the edges read a zero border with zero
-    weight: ``(0 + 0.75*s[0]) + 0.25*s[1]`` and ``(0.25*s[-2] + 0.75*s[-1])
-    + 0`` round as the two-term edge sums do, so the output is bit-identical.
+    so one loop runs all stages at once: at step k, stage s handles sample
+    k - s from what stage s - 1 produced at step k - 1.  A stage not yet at
+    sample 0 sees zero input from a zero state, which stays exactly zero.
+
+    The loop's cost is the count of numpy calls, so every operand is a flat,
+    contiguous vector of one length and nothing broadcasts.  Each stage is a
+    row of ``n_ch + 2`` slots, its channels between two zero border slots;
+    the state buffer holds the rows end to end plus one zero slot at each
+    end, so ``state``, ``left`` and ``right`` are three shifted slices of it.
+    The stage outputs ``z`` hold one more row, the input, so stage s reads
+    row s and writes row s + 1.  ``eps``, ``target`` and the smoothing
+    weights are expanded to that layout once; the border slots get rate 0,
+    target 1 and weights 0, so they stay exactly 0.  Each channel sees the
+    operands of the stage-by-stage recursion in the same order, and an edge
+    reads its zero border with zero weight: ``(0 + 0.75*s[0]) + 0.25*s[1]``
+    and ``(0.25*s[-2] + 0.75*s[-1]) + 0`` round as the two-term edge sums
+    do, so the output is bit-identical.
+
+    The clamp needs no upper bound: the state is never negative, since the
+    taps, the gain, ``eps`` and the weights are all nonnegative and rounding
+    is monotone, so ``state + fl(eps * fl(y/target - state))`` is at least 0
+    and ``1 - state`` is at most 1.
     """
     n_stages = eps.shape[0]
     if n_stages == 0:
         return
     n_ch, n_t = x.shape
     samples = x.T                       # samples[t] is the channel vector at time t
-    z = np.zeros((n_stages + 1, n_ch))  # z[0] the input, z[s + 1] stage s's latest output
-    z_in, z_out = z[:-1], z[1:]
-    padded = np.zeros((n_stages, n_ch + 2))
-    state, left, right = padded[:, 1:-1], padded[:, :-2], padded[:, 2:]
+    w = n_ch + 2                        # one row: a border slot, the channels, a border slot
+    size = n_stages * w
+
+    def flat(values, border=0.0):
+        """``values`` as (n_stages, n_ch), each row between two border slots, raveled."""
+        rows = np.full((n_stages, w), border)
+        rows[:, 1:-1] = values
+        return rows.ravel()
+
     w_left = np.r_[0.0, np.full(n_ch - 1, 0.25)]
-    w_right = w_left[::-1].copy()
+    w_right = w_left[::-1]
     w_mid = 1.0 - w_left - w_right      # 0.5 inside, 0.75 at an edge, 1 alone
-    gain, tmp = np.empty((n_stages, n_ch)), np.empty((n_stages, n_ch))
+    w_left, w_mid, w_right = flat(w_left), flat(w_mid), flat(w_right)
+    eps, target = flat(eps), flat(target, border=1.0)   # on a border, 0 / 1 stays 0
+    z = np.zeros(size + w)              # row 0 the input, row s + 1 stage s's latest output
+    z_in, z_out = z[:size], z[w:]
+    z_first, z_last = z[1:n_ch + 1], z[size + 1:size + n_ch + 1]
+    buf = np.zeros(size + 2)            # the stages' rows, plus one zero slot at each end
+    state, left, right = buf[1:-1], buf[:-2], buf[2:]
+    gain, tmp = np.empty(size), np.empty(size)
     for k in range(n_t + n_stages - 1):
         if k < n_t:
-            z[0] = samples[k]
+            z_first[...] = samples[k]
         np.subtract(1.0, state, out=gain)
         np.maximum(gain, 0.0, out=gain)
-        np.minimum(gain, 1.0, out=gain)
         np.multiply(z_in, gain, out=z_out)
         if k >= n_stages - 1:   # sample k - n_stages + 1 has left the last stage
-            samples[k - n_stages + 1] = z[-1]
+            samples[k - n_stages + 1] = z_last
         np.divide(z_out, target, out=tmp)
         np.subtract(tmp, state, out=tmp)
         np.multiply(eps, tmp, out=tmp)

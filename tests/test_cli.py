@@ -1,11 +1,16 @@
 """End-to-end runs of every subcommand against a small configuration."""
 
+import contextlib
+import io
 import warnings
 
+import numpy as np
 import pytest
 
 from resonet.cli import main
+from resonet.config import parse_config
 from resonet.dataset import load_manifest
+from resonet.evalharness import clip_features
 
 FAST_CONF = """
 corpus.kind = synthetic
@@ -103,14 +108,48 @@ def test_sweep_parity_diagnostic_at_huge_alpha(conf, tmp_path):
     assert 0.0 <= float(row[4]) < 1.0
 
 
-def test_export_features_row_count(conf, tmp_path, capsys):
-    assert main(["export-features", "--config", str(conf)]) == 0
+@pytest.fixture(scope="module")
+def exported(tmp_path_factory):
+    """One ``export-features`` run on the fast config: its data lines
+    (column header first) and what it printed."""
+    tmp_path = tmp_path_factory.mktemp("export")
+    conf = tmp_path / "run.conf"
+    conf.write_text(FAST_CONF + f"output.dir = {tmp_path / 'out'}\n")
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        assert main(["export-features", "--config", str(conf)]) == 0
     text = (tmp_path / "out" / "features.csv").read_text().splitlines()
-    data = [ln for ln in text if not ln.startswith("#")]
+    return [ln for ln in text if not ln.startswith("#")], printed.getvalue(), conf
+
+
+def test_export_features_row_count(exported):
+    data, out, _ = exported
     n_frames = len(data) - 1  # minus the column header
-    assert n_frames % 500 == 0
-    out = capsys.readouterr().out
+    # true frames only: the 500 clips' frame counts sum to 47 932; with
+    # every clip padded to the longest it was 54 000
+    assert n_frames == 47932
     assert f"wrote {n_frames} feature rows" in out
+
+
+def test_export_features_cells_are_the_clip_features_bit_for_bit(exported):
+    data, _, conf = exported
+    cfg = parse_config(conf)
+    manifest, _ = cfg.load_corpus()
+    pipeline = cfg.pipeline()
+    header = data[0].split(",")
+    frame, first_x = header.index("frame"), header.index("x0")
+    rows_of = {}
+    for line in data[1:]:
+        cells = line.split(",")
+        rows_of.setdefault(cells[0], []).append(cells)
+    assert list(rows_of) == [e.clip_id for e in manifest.entries]
+    for entry in manifest.entries:
+        want = clip_features(entry, pipeline, sample_rate=manifest.sample_rate,
+                             noise_seed=cfg["corpus.noise_seed"]).values
+        rows = rows_of[entry.clip_id]
+        assert [int(r[frame]) for r in rows] == list(range(want.shape[1]))
+        got = np.array([[float(c) for c in r[first_x:]] for r in rows]).T
+        assert np.array_equal(got, want), entry.clip_id
 
 
 def _count_synth_digit(monkeypatch) -> list:

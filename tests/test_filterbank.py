@@ -47,6 +47,32 @@ def test_window_values_periodic_hann():
     assert window_values("rectangular", 8) == pytest.approx(np.ones(8))
 
 
+def test_hann_window_makes_the_real_spectrum_rank_deficient():
+    """The rank cut behind the alpha=1 baseline (README, "Rank cut").
+
+    The periodic Hann window has w[0] = 0, so for the 128-point frames
+    X_0 + 2 * sum(Re X_k, k = 1..63) + X_64 = 128 * x[0] * w[0] = 0 in
+    every frame: the default ``spectro_real`` rows are linearly
+    dependent, and a readout on them can reach rank 64 of 65 only.
+    """
+    weights = np.r_[1.0, np.full(63, 2.0), 1.0]
+    manifest = build_synth_manifest(1001)
+    frames = []
+    for i in sorted(random.Random(1001).sample(range(len(manifest)), 4)):
+        clip = realize_clip(manifest.entries[i], sample_rate=manifest.sample_rate)
+        feats = featurize(clip, "spectro_real").values
+        # zero to rounding, frame by frame
+        bound = 128 * np.finfo(float).eps * (weights @ np.abs(feats))
+        assert np.all(np.abs(weights @ feats) <= bound), manifest.entries[i].clip_id
+        # a window without a zero sample breaks the identity
+        rect = featurize(clip, "spectro_real", stft_cfg=StftConfig(window="rectangular")).values
+        assert np.max(np.abs(weights @ rect)) > 0.1
+        frames.append(feats.T)
+    # the default readout cut (rtol 1e-10) removes that one direction and no other
+    s = np.linalg.svd(np.vstack(frames), compute_uv=False)
+    assert s[-1] < 1e-10 * s[0] < s[-2]
+
+
 def test_stft_matches_naive_dft(rng):
     """Windowed frames against an explicit DFT matrix."""
     cfg = StftConfig(fft_size=32, hop=16, window="hann")
@@ -315,6 +341,20 @@ def test_pipelined_agc_is_bit_identical_on_tones_and_silence(monkeypatch):
     got, want = _agc_against_reference(monkeypatch, _clip(delayed))
     assert np.array_equal(got, want)
     assert np.all(got[:, :1500] == 0.0)
+
+
+def test_pipelined_agc_is_bit_identical_at_the_clamp(monkeypatch):
+    """The loud clip of ``test_cochleagram_agc_compresses_level`` drives
+    the gain to its clamp at 0.  The pipelined loop clamps the gain from
+    below only; the reference clamps both ends with ``np.clip``."""
+    rng = np.random.default_rng(5)
+    noise = rng.standard_normal(12500)
+    noise /= np.max(np.abs(noise))
+    got, want = _agc_against_reference(monkeypatch, _clip(0.9 * noise))
+    assert np.array_equal(got, want)
+    taps = _agc_against_reference(monkeypatch, _clip(0.9 * noise),
+                                  CochlearConfig(agc_targets=(), agc_taus=()))[0]
+    assert np.any((taps > 0.0) & (got == 0.0))   # the clamp is reached
 
 
 @pytest.mark.parametrize("min_freq, n_ch", [(5800.0, 1), (5700.0, 2)])
