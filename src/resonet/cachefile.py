@@ -3,9 +3,9 @@
 All files share a fixed little-endian layout: a 4-byte magic, a u16
 format version, a type-specific header, a row-major float64 payload and
 a trailing 64-bit checksum (BLAKE2b-8 over everything before it).
-Readers verify magic, version, checksum and, when given one, the config
-hash recorded at write time, so caches from different configurations
-cannot be mixed silently.
+Readers verify magic, version, checksum and the config hash recorded at
+write time, so caches from different configurations cannot be mixed
+silently.
 """
 
 from __future__ import annotations
@@ -36,9 +36,7 @@ def _checksum(data: bytes) -> bytes:
     return hashlib.blake2b(data, digest_size=8).digest()
 
 
-def _normalize_hash(config_hash: bytes | str | None) -> bytes:
-    if config_hash is None:
-        return b"\x00" * _HASH_LEN
+def _normalize_hash(config_hash: bytes | str) -> bytes:
     if isinstance(config_hash, str):
         config_hash = bytes.fromhex(config_hash)
     if len(config_hash) != _HASH_LEN:
@@ -72,9 +70,7 @@ def _open(path: str | Path, magic: bytes) -> bytes:
     return body[6:]
 
 
-def _check_hash(path, stored: bytes, expected: bytes | str | None) -> None:
-    if expected is None:
-        return
+def _check_hash(path, stored: bytes, expected: bytes | str) -> None:
     if stored != _normalize_hash(expected):
         raise CacheError(
             f"{path}: cache was written under a different config "
@@ -82,7 +78,7 @@ def _check_hash(path, stored: bytes, expected: bytes | str | None) -> None:
 
 
 def write_feature_cache(path: str | Path, fm: FeatureMatrix,
-                        config_hash: bytes | str | None = None) -> None:
+                        config_hash: bytes | str) -> None:
     alpha = fm.alpha if fm.alpha is not None else float("nan")
     header = MAGIC_FEATURES + struct.pack("<HBdII", CACHE_VERSION,
                                           FILTER_CODES[fm.filter_kind], alpha,
@@ -94,8 +90,7 @@ def write_feature_cache(path: str | Path, fm: FeatureMatrix,
     _finish(Path(path), header + payload)
 
 
-def read_feature_cache(path: str | Path,
-                       config_hash: bytes | str | None = None) -> FeatureMatrix:
+def read_feature_cache(path: str | Path, config_hash: bytes | str) -> FeatureMatrix:
     body = _open(path, MAGIC_FEATURES)
     kind_code, alpha, n_rows, n_frames = struct.unpack_from("<BdII", body, 0)
     off = struct.calcsize("<BdII")
@@ -120,7 +115,7 @@ def read_feature_cache(path: str | Path,
 
 def write_model(path: str | Path, model: ReadoutModel, *, filter_kind: str,
                 node_kind: str, alpha: float | None, trained_on: str,
-                config_hash: bytes | str | None = None) -> None:
+                config_hash: bytes | str) -> None:
     """Store a readout with the front end and node (``"none"`` on the
     baseline route) it reads from and the clips it was trained on."""
     if filter_kind not in FILTER_CODES or node_kind not in NODE_CODES:

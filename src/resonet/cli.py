@@ -27,9 +27,9 @@ import numpy as np
 from . import cachefile
 from .config import (GENERATOR_NAME, RunConfig, _parse_floats, apply_seed_overrides,
                      parse_config)
-from .dataset import Manifest, save_manifest
+from .dataset import save_manifest
 from .errors import ConfigError, ResonetError
-from .evalharness import (GainReport, PreparedCorpus, alpha_sweep, clip_features,
+from .evalharness import (GainReport, PreparedCorpus, alpha_sweep, corpus_features,
                           condition_markdown, cross_validate, prepare_corpus,
                           report_to_csv, stratified_report, summary_markdown,
                           sweep_spectra, with_node)
@@ -48,11 +48,10 @@ def _out_dir(cfg: RunConfig, args) -> Path:
     return out
 
 
-def _cache_root(cfg: RunConfig, args) -> Path:
+def _feature_cache(cfg: RunConfig, args) -> Path:
     env = os.environ.get("RESONET_CACHE_DIR")
-    if env:
-        return Path(env)
-    return _out_dir(cfg, args) / "cache"
+    root = Path(env) if env else _out_dir(cfg, args) / "cache"
+    return root / cfg.feature_hash()
 
 
 def _load_config(args) -> RunConfig:
@@ -63,8 +62,6 @@ def _load_config(args) -> RunConfig:
 
 
 def _workers(cfg: RunConfig, args) -> int:
-    if args.workers < 0:
-        raise ConfigError(f"--workers must be >= 0, got {args.workers}")
     return args.workers if args.workers else cfg["eval.workers"]
 
 
@@ -82,33 +79,23 @@ def cmd_synth_corpus(args) -> int:
 
 def cmd_featurize(args) -> int:
     cfg = _load_config(args)
-    manifest, partition = cfg.load_corpus()
-    pipeline = cfg.pipeline()
-    cache_dir = _cache_root(cfg, args) / cfg.feature_hash()
+    manifest, _ = cfg.load_corpus()
+    cache = _feature_cache(cfg, args)
+    feats = corpus_features(manifest.entries, cfg.pipeline(),
+                            sample_rate=manifest.sample_rate,
+                            noise_seed=cfg["corpus.noise_seed"],
+                            workers=_workers(cfg, args), cache=cache)
     written = skipped = 0
-    for entry in manifest.entries:
-        path = cache_dir / f"{entry.clip_id}.rnbf"
+    for fm in feats:
+        # only this loop writes the files, so one that exists was read and checked
+        path = cache / f"{fm.clip_id}.rnbf"
         if path.exists():
-            cachefile.read_feature_cache(path, cfg.feature_hash())
             skipped += 1
             continue
-        fm = clip_features(entry, pipeline, sample_rate=manifest.sample_rate,
-                           noise_seed=cfg["corpus.noise_seed"])
         cachefile.write_feature_cache(path, fm, cfg.feature_hash())
         written += 1
-    print(f"feature cache {cache_dir}: {written} written, {skipped} already current")
+    print(f"feature cache {cache}: {written} written, {skipped} already current")
     return 0
-
-
-def _load_cached_features(cfg: RunConfig, manifest: Manifest, cache_dir: Path):
-    feats = {}
-    if not cache_dir.exists():
-        return feats
-    for entry in manifest.entries:
-        path = cache_dir / f"{entry.clip_id}.rnbf"
-        if path.exists():
-            feats[entry.clip_id] = cachefile.read_feature_cache(path, cfg.feature_hash())
-    return feats
 
 
 def cmd_bench(args) -> int:
@@ -118,11 +105,10 @@ def cmd_bench(args) -> int:
     n_train = cfg["eval.train_subsets"]
     out = _out_dir(cfg, args)
     header = _header_lines(cfg)
-    cached = _load_cached_features(cfg, manifest, _cache_root(cfg, args) / cfg.feature_hash())
 
     base_prep = prepare_corpus(manifest, partition, pipeline,
                                noise_seed=cfg["corpus.noise_seed"],
-                               workers=_workers(cfg, args), features=cached or None)
+                               workers=_workers(cfg, args), cache=_feature_cache(cfg, args))
     baseline = cross_validate(base_prep, n_train)
     (out / "report_baseline.csv").write_text(report_to_csv(baseline, header))
     reports = [baseline]
@@ -204,31 +190,27 @@ def _write_parity_diagnostic(cfg: RunConfig, spectra: PreparedCorpus,
 
 def cmd_export_features(args) -> int:
     cfg = _load_config(args)
-    manifest, partition = cfg.load_corpus()
-    pipeline = cfg.pipeline()
+    manifest, _ = cfg.load_corpus()
     out = _out_dir(cfg, args)
-    cached = _load_cached_features(cfg, manifest, _cache_root(cfg, args) / cfg.feature_hash())
-    prep = prepare_corpus(manifest, partition, pipeline,
-                          noise_seed=cfg["corpus.noise_seed"],
-                          workers=_workers(cfg, args), features=cached or None,
-                          factored=())
-    n_rows = prep.tensors.shape[1]
-    cols = ["clip_id", "digit", "speaker", "utterance", "noise_type", "snr_db",
-            "frame"] + [f"x{j}" for j in range(n_rows)]
-    by_id = {e.clip_id: e for e in manifest.entries}
+    feats = corpus_features(manifest.entries, cfg.pipeline(),
+                            sample_rate=manifest.sample_rate,
+                            noise_seed=cfg["corpus.noise_seed"],
+                            workers=_workers(cfg, args), cache=_feature_cache(cfg, args))
+    cols = ["clip_id", "digit", "speaker", "utterance", "noise_type", "snr_db", "frame"]
     path = out / "features.csv"
     n_data = 0
     with path.open("w") as fh:
         for h in _header_lines(cfg):
             fh.write(f"# {h}\n")
-        fh.write(",".join(cols) + "\n")
-        for i, cid in enumerate(prep.clip_ids):
-            label = by_id[cid].label
+        for i, (entry, fm) in enumerate(zip(manifest.entries, feats)):
+            if i == 0:      # the feature count is known from the first clip on
+                fh.write(",".join(cols + [f"x{j}" for j in range(fm.n_rows)]) + "\n")
+            label = entry.label
             snr = "inf" if math.isinf(label.snr_db) else repr(label.snr_db)
-            prefix = f"{cid},{label.digit},{label.speaker},{label.utterance}," \
+            prefix = f"{entry.clip_id},{label.digit},{label.speaker},{label.utterance}," \
                      f"{label.noise_type},{snr}"
-            # the clip's true frames only, as Python floats (numpy 2's repr reads np.float64(...))
-            frames = prep.tensors[i, :, :prep.n_frames[i]].T.tolist()
+            # Python floats: numpy 2's repr of a numpy scalar reads np.float64(...)
+            frames = fm.values.T.tolist()
             for tau, row in enumerate(frames):
                 fh.write(f"{prefix},{tau},{','.join(map(repr, row))}\n")
             n_data += len(frames)
@@ -264,8 +246,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", required=True, help="run configuration file")
         p.add_argument("--workers", type=int, default=0,
-                       help="threads that realize and featurize clips in bench, "
-                            "sweep, stratified and export-features "
+                       help="threads that realize and featurize clips in featurize, "
+                            "bench, sweep, stratified and export-features "
                             "(default: eval.workers)")
         p.add_argument("--out", default="", help="output directory (default: output.dir)")
         p.add_argument("--seed-override", action="append", default=[],
@@ -303,6 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.workers < 0:
+            raise ConfigError(f"--workers must be >= 0, got {args.workers}")
         return args.func(args)
     except ResonetError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -14,13 +14,15 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from itertools import combinations
-from typing import Callable, Collection, Sequence
+from pathlib import Path
+from typing import Callable, Collection, Iterator, Sequence
 
 import numpy as np
 
 from . import reservoir
+from .cachefile import read_feature_cache
 from .dataset import N_SUBSETS, Manifest, ManifestEntry, SubsetPartition, realize_clip
-from .errors import ConfigError, DataError, NumericalError
+from .errors import CacheError, ConfigError, DataError, NumericalError
 from .filterbank import (CochlearConfig, FeatureMatrix, MfccConfig, StftConfig,
                          exponent_transform, featurize, pad_to)
 from .readout import (FACTOR_CHUNK, N_CLASSES, Metrics, ReadoutModel, ReadoutOptions,
@@ -102,28 +104,47 @@ def clip_features(entry: ManifestEntry, pipeline: PipelineSpec, *,
                      cochlear_cfg=pipeline.cochlear)
 
 
-def _baseline_stage(entries: Sequence[ManifestEntry], groups: Sequence[int],
-                    pipeline: PipelineSpec, *, sample_rate: int, noise_seed: int,
-                    workers: int, features: dict[str, FeatureMatrix] | None = None,
-                    factored: Collection[int] | None = None) -> PreparedCorpus:
-    """Realize and featurize every entry (or reuse its cached features) and
-    pad all of them to one frame count: the baseline route, with entry i
-    in group ``groups[i]`` and the groups in ``factored`` (every group
-    when None) factored.  With ``workers > 1`` clips are featurized on a
-    thread pool, in order.
+def corpus_features(entries: Sequence[ManifestEntry], pipeline: PipelineSpec, *,
+                    sample_rate: int, noise_seed: int, workers: int,
+                    cache: Path | None = None) -> Iterator[FeatureMatrix]:
+    """Every entry's features, in entry order: read from ``<cache>/<clip_id>.rnbf``
+    where that file exists, else realized and featurized, on a thread pool
+    when ``workers > 1``.  ``cache`` is a ``<cache root>/<feature hash>``
+    directory, and a file in it from another configuration or for another
+    clip is a ``CacheError``.  Only the configured front end on the
+    manifest's own conditions may read it: not ``sweep`` (``spectro_real``)
+    nor ``stratified`` (test clips re-realized at other noise conditions
+    under the same clip id), which pass None and look up no file.
     """
     def _load(entry: ManifestEntry) -> FeatureMatrix:
-        if features is not None and entry.clip_id in features:
-            return features[entry.clip_id]
-        return clip_features(entry, pipeline, sample_rate=sample_rate,
-                             noise_seed=noise_seed)
+        path = None if cache is None else cache / f"{entry.clip_id}.rnbf"
+        if path is None or not path.exists():
+            return clip_features(entry, pipeline, sample_rate=sample_rate,
+                                 noise_seed=noise_seed)
+        fm = read_feature_cache(path, cache.name)
+        if fm.clip_id != entry.clip_id:
+            raise CacheError(f"{path}: holds the features of clip {fm.clip_id!r}, "
+                             f"not {entry.clip_id!r}; regenerate it")
+        return fm
 
     # no pool at 1 worker: per-thread malloc arenas cost 90 -> 108 MiB peak RSS on sweep
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            feats = list(pool.map(_load, entries))
+            yield from pool.map(_load, entries)
     else:
-        feats = [_load(e) for e in entries]
+        yield from map(_load, entries)
+
+
+def _baseline_stage(entries: Sequence[ManifestEntry], groups: Sequence[int],
+                    pipeline: PipelineSpec, *, sample_rate: int, noise_seed: int,
+                    workers: int, cache: Path | None = None,
+                    factored: Collection[int] | None = None) -> PreparedCorpus:
+    """Every entry's features (``corpus_features``), padded to one frame
+    count: the baseline route, with entry i in group ``groups[i]`` and the
+    groups in ``factored`` (every group when None) factored.
+    """
+    feats = list(corpus_features(entries, pipeline, sample_rate=sample_rate,
+                                 noise_seed=noise_seed, workers=workers, cache=cache))
     tensors = pad_to(feats)
     n_frames = np.array([f.n_frames for f in feats])
     del feats   # before the reduction: peak RSS on sweep 105 -> 90 MiB
@@ -179,9 +200,9 @@ class PreparedCorpus:
     (see ``readout.factor``) of group k's inputs, for each group the
     preparation was asked to train on, which is what training reads.
     On the baseline route ``tensors[i]`` keeps clip i's features, padded
-    by ``pad_to``, because the node, the alpha sweep and ``export-features``
-    read them; on the total route the node states are never kept, nor a
-    swept exponent's features, and ``tensors`` is None.  ``n_frames[i]`` is
+    by ``pad_to``, because the node and the alpha sweep read them; on the
+    total route the node states are never kept, nor a swept exponent's
+    features, and ``tensors`` is None.  ``n_frames[i]`` is
     clip i's frame count before padding, on every route: frames from
     ``n_frames[i]`` on are padding (zeros in ``tensors``).
     ``subset_of[i]`` is clip i's group: its cross-validation subset, or
@@ -207,13 +228,12 @@ class PreparedCorpus:
 
 def prepare_corpus(manifest: Manifest, partition: SubsetPartition,
                    pipeline: PipelineSpec, *, noise_seed: int = 0,
-                   workers: int = 1,
-                   features: dict[str, FeatureMatrix] | None = None,
+                   workers: int = 1, cache: Path | None = None,
                    factored: Collection[int] | None = None) -> PreparedCorpus:
     """The baseline route of every clip the partition covers: featurized
-    (or taken from the cached ``features``) and padded, with the subsets
-    in ``factored`` (every subset when None) factored.  The pipeline's
-    node, if any, is ignored; ``with_node`` gives the total route.
+    (``corpus_features``) and padded, with the subsets in ``factored``
+    (every subset when None) factored.  The pipeline's node, if any, is
+    ignored; ``with_node`` gives the total route.
     """
     subset_of_map = partition.subset_of()
     entries = [e for e in manifest.entries if e.clip_id in subset_of_map]
@@ -221,7 +241,7 @@ def prepare_corpus(manifest: Manifest, partition: SubsetPartition,
         raise DataError("no manifest entries covered by the partition")
     return _baseline_stage(entries, [subset_of_map[e.clip_id] for e in entries],
                            pipeline, sample_rate=manifest.sample_rate,
-                           noise_seed=noise_seed, workers=workers, features=features,
+                           noise_seed=noise_seed, workers=workers, cache=cache,
                            factored=factored)
 
 

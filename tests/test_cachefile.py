@@ -11,9 +11,10 @@ from resonet.filterbank import FeatureMatrix
 from resonet.readout import ReadoutModel, ReadoutOptions
 
 NODE_NAMES = {v: k for k, v in NODE_CODES.items()}
+HASH = "00112233aabbccdd"
 
 
-def read_model(path, config_hash=None) -> tuple[ReadoutModel, dict]:
+def read_model(path, config_hash) -> tuple[ReadoutModel, dict]:
     """Oracle reader for the ``.rnbm`` files ``write_model`` produces.
 
     Returns the model and its header fields, keyed as ``write_model``
@@ -53,8 +54,8 @@ def _feature_matrix(rng):
 def test_feature_cache_round_trip(tmp_path, rng):
     fm = _feature_matrix(rng)
     path = tmp_path / "f.rnbf"
-    write_feature_cache(path, fm, config_hash="00112233aabbccdd")
-    back = read_feature_cache(path, config_hash="00112233aabbccdd")
+    write_feature_cache(path, fm, config_hash=HASH)
+    back = read_feature_cache(path, config_hash=HASH)
     assert np.array_equal(back.values, fm.values)
     assert back.filter_kind == "spectro_exp"
     assert back.clip_id == "d3_s1_u07"
@@ -64,58 +65,56 @@ def test_feature_cache_round_trip(tmp_path, rng):
 def test_feature_cache_none_alpha(tmp_path, rng):
     fm = FeatureMatrix(rng.standard_normal((4, 4)), "mfcc", "c")
     path = tmp_path / "f.rnbf"
-    write_feature_cache(path, fm)
-    assert read_feature_cache(path).alpha is None
+    write_feature_cache(path, fm, HASH)
+    assert read_feature_cache(path, HASH).alpha is None
 
 
 def test_feature_cache_wrong_hash_refused(tmp_path, rng):
     path = tmp_path / "f.rnbf"
-    write_feature_cache(path, _feature_matrix(rng), config_hash="00112233aabbccdd")
+    write_feature_cache(path, _feature_matrix(rng), config_hash=HASH)
     with pytest.raises(CacheError, match="different config"):
         read_feature_cache(path, config_hash="ffffffffffffffff")
-    # omitting the expectation skips the comparison
-    read_feature_cache(path)
 
 
 def test_cache_detects_corruption(tmp_path, rng):
     path = tmp_path / "f.rnbf"
-    write_feature_cache(path, _feature_matrix(rng))
+    write_feature_cache(path, _feature_matrix(rng), HASH)
     blob = bytearray(path.read_bytes())
     blob[40] ^= 0x01
     path.write_bytes(bytes(blob))
     with pytest.raises(CacheError, match="checksum"):
-        read_feature_cache(path)
+        read_feature_cache(path, HASH)
 
 
 def test_cache_rejects_wrong_magic(tmp_path, rng):
     path = tmp_path / "f.rnbf"
-    write_feature_cache(path, _feature_matrix(rng))
+    write_feature_cache(path, _feature_matrix(rng), HASH)
     blob = bytearray(path.read_bytes())
     blob[:4] = b"RNBS"
     path.write_bytes(bytes(blob))
     with pytest.raises(CacheError, match="magic"):
-        read_feature_cache(path)
+        read_feature_cache(path, HASH)
 
 
 def test_cache_rejects_truncation(tmp_path):
     path = tmp_path / "f.rnbf"
     path.write_bytes(b"RNBF\x01")
     with pytest.raises(CacheError, match="truncated"):
-        read_feature_cache(path)
+        read_feature_cache(path, HASH)
     with pytest.raises(CacheError, match="not found"):
-        read_feature_cache(tmp_path / "nope.rnbf")
+        read_feature_cache(tmp_path / "nope.rnbf", HASH)
 
 
 def test_cache_version_message(tmp_path, rng):
     from resonet.cachefile import _checksum
     path = tmp_path / "f.rnbf"
-    write_feature_cache(path, _feature_matrix(rng))
+    write_feature_cache(path, _feature_matrix(rng), HASH)
     blob = bytearray(path.read_bytes())[:-8]
     blob[4:6] = struct.pack("<H", 9)
     body = bytes(blob)
     path.write_bytes(body + _checksum(body))
     with pytest.raises(CacheError, match="regenerate"):
-        read_feature_cache(path)
+        read_feature_cache(path, HASH)
 
 
 @pytest.mark.parametrize("bias", [True, False], ids=["bias", "no_bias"])
@@ -126,10 +125,10 @@ def test_model_round_trip(tmp_path, rng, filter_kind, node_kind, bias):
     model = ReadoutModel(w, ReadoutOptions(rtol=1e-9, ridge=0.5, bias=bias))
     fields = {"filter_kind": filter_kind, "node_kind": node_kind,
               "alpha": 2.0 if filter_kind == "spectro_exp" else None,
-              "trained_on": "0+1+2", "config_hash": "00112233aabbccdd"}
+              "trained_on": "0+1+2", "config_hash": HASH}
     path = tmp_path / "m.rnbm"
     write_model(path, model, **fields)
-    back, stored = read_model(path, config_hash="00112233aabbccdd")
+    back, stored = read_model(path, config_hash=HASH)
     assert np.array_equal(back.weights, w)
     assert back.options == model.options
     assert stored == fields
@@ -142,14 +141,14 @@ def test_model_header_refuses_unknown_kinds(tmp_path, rng):
     for filter_kind, node_kind in (("wavelet", "stno"), ("mfcc", "lstm")):
         with pytest.raises(CacheError, match="cannot serialize"):
             write_model(path, model, filter_kind=filter_kind, node_kind=node_kind,
-                        alpha=None, trained_on="0")
+                        alpha=None, trained_on="0", config_hash=HASH)
     # a stored code no writer produces is an error, not a default name
     write_model(path, model, filter_kind="mfcc", node_kind="stno", alpha=None,
-                trained_on="0")
+                trained_on="0", config_hash=HASH)
     for offset in (6, 7):                        # node code, filter code
         body = bytearray(path.read_bytes()[:-8])
         body[offset] = 99
         bad = tmp_path / f"bad{offset}.rnbm"
         bad.write_bytes(bytes(body) + _checksum(bytes(body)))
         with pytest.raises(CacheError, match="unknown filter or node code"):
-            read_model(bad)
+            read_model(bad, HASH)

@@ -2,7 +2,9 @@
 
 import contextlib
 import io
+import shutil
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -185,8 +187,10 @@ def test_empty_config_sweep_alphas_give_exit_code_2(tmp_path, capsys, monkeypatc
     assert realized == []
 
 
-def test_negative_workers_give_exit_code_2(conf, capsys):
-    assert main(["bench", "--config", str(conf), "--workers", "-3"]) == 2
+@pytest.mark.parametrize("command", ["bench", "synth-corpus", "featurize", "sweep",
+                                     "export-features", "stratified"])
+def test_negative_workers_give_exit_code_2(conf, capsys, command):
+    assert main([command, "--config", str(conf), "--workers", "-3"]) == 2
     assert "--workers" in capsys.readouterr().err
 
 
@@ -268,15 +272,80 @@ def test_cache_dir_env_override(conf, tmp_path, monkeypatch):
     assert len(list(cache_root.rglob("*.rnbf"))) == 500
 
 
-def test_bench_featurizes_each_clip_once_and_trains_each_fold_once(conf, monkeypatch):
+def _count_featurize(monkeypatch) -> list:
+    """Spy on the front end: the returned list grows by one clip id per
+    featurized clip."""
     import resonet.evalharness as evalharness
-    featurized, factored, trained = [], [], []
-    featurize, solve = evalharness.featurize, evalharness.solve
-    factor_blocks = evalharness.factor_blocks
+    featurized, featurize = [], evalharness.featurize
 
     def counting_featurize(clip, *args, **kwargs):
         featurized.append(clip.clip_id)
         return featurize(clip, *args, **kwargs)
+
+    monkeypatch.setattr(evalharness, "featurize", counting_featurize)
+    return featurized
+
+
+def _files(root: Path) -> dict:
+    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*"))
+            if p.is_file()}
+
+
+def test_a_warm_feature_cache_is_read_not_recomputed(conf, tmp_path, monkeypatch):
+    monkeypatch.setenv("RESONET_CACHE_DIR", str(tmp_path / "cache"))
+    for command in ("bench", "export-features"):
+        assert main([command, "--config", str(conf), "--out", str(tmp_path / "cold")]) == 0
+    assert main(["featurize", "--config", str(conf)]) == 0
+    featurized = _count_featurize(monkeypatch)
+    for command in ("bench", "export-features"):
+        assert main([command, "--config", str(conf), "--out", str(tmp_path / "warm")]) == 0
+    assert featurized == []
+    cold, warm = _files(tmp_path / "cold"), _files(tmp_path / "warm")
+    assert Path("features.csv") in cold and Path("summary.md") in cold
+    assert warm == cold
+
+
+def _spy_feature_cache_files(monkeypatch) -> list:
+    """The returned list grows by one path per ``.rnbf`` file looked up or read."""
+    touched = []
+    for name in ("exists", "read_bytes"):
+        def spy(self, *args, _original=getattr(Path, name), **kwargs):
+            if self.suffix == ".rnbf":
+                touched.append(self)
+            return _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, name, spy)
+    return touched
+
+
+@pytest.mark.parametrize("command", ["sweep", "stratified"])
+def test_sweep_and_stratified_never_read_the_feature_cache(conf, monkeypatch, command):
+    """``sweep`` featurizes another front end than the configured one, and
+    ``stratified`` re-realizes test clips under their manifest clip ids,
+    so a cached file would be the wrong features for both."""
+    assert main(["featurize", "--config", str(conf)]) == 0
+    touched = _spy_feature_cache_files(monkeypatch)
+    assert main([command, "--config", str(conf)]) == 0
+    assert touched == []
+
+
+@pytest.mark.parametrize("command", ["bench", "export-features", "featurize"])
+def test_a_cache_file_of_another_clip_gives_exit_code_3(conf, tmp_path, capsys, command):
+    assert main(["featurize", "--config", str(conf)]) == 0
+    (cache,) = (tmp_path / "out" / "cache").iterdir()
+    shutil.copy(cache / "d0_s0_u00.rnbf", cache / "d1_s0_u00.rnbf")
+    capsys.readouterr()
+    assert main([command, "--config", str(conf)]) == 3
+    err = capsys.readouterr().err
+    assert "d1_s0_u00.rnbf" in err and "'d0_s0_u00'" in err
+    assert "Traceback" not in err
+
+
+def test_bench_featurizes_each_clip_once_and_trains_each_fold_once(conf, monkeypatch):
+    import resonet.evalharness as evalharness
+    featurized = _count_featurize(monkeypatch)
+    factored, trained = [], []
+    solve, factor_blocks = evalharness.solve, evalharness.factor_blocks
 
     def counting_factor_blocks(blocks, *args, **kwargs):
         blocks = list(blocks)
@@ -288,7 +357,6 @@ def test_bench_featurizes_each_clip_once_and_trains_each_fold_once(conf, monkeyp
         trained.append(len(args[0]))
         return solve(*args, **kwargs)
 
-    monkeypatch.setattr(evalharness, "featurize", counting_featurize)
     monkeypatch.setattr(evalharness, "factor_blocks", counting_factor_blocks)
     monkeypatch.setattr(evalharness, "solve", counting_solve)
     assert main(["bench", "--config", str(conf)]) == 0
@@ -301,7 +369,7 @@ def test_bench_featurizes_each_clip_once_and_trains_each_fold_once(conf, monkeyp
     # ... and ten folds on each of the baseline and total routes are solved,
     # each from its nine train subsets' factors, no more
     assert trained == [9] * 20
-    # export-features reads the padded features alone and factors nothing
+    # export-features writes each clip's features and factors nothing
     factored.clear()
     assert main(["export-features", "--config", str(conf)]) == 0
     assert factored == []
