@@ -9,9 +9,13 @@ Subcommands:
 * ``export-features``  flat per-frame CSV for embedding/visualization tools
 * ``stratified``       train on mixed conditions, test per noise condition
 
+Everything a run computes is in the config file, and all of it is hashed;
+``--out`` and ``--workers`` say only where a run writes and how many
+threads it uses, and ``--seed-override`` rewrites the config before hashing.
+
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numerical
 error.  The cache root is ``$RESONET_CACHE_DIR`` when set, otherwise
-``<output.dir>/cache``.
+``<--out>/cache``.
 """
 
 from __future__ import annotations
@@ -25,8 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import cachefile
-from .config import (GENERATOR_NAME, RunConfig, _parse_floats, apply_seed_overrides,
-                     parse_config)
+from .config import GENERATOR_NAME, RunConfig, apply_seed_overrides, parse_config
 from .dataset import save_manifest
 from .errors import ConfigError, ResonetError
 from .evalharness import (GainReport, PreparedCorpus, alpha_sweep, corpus_features,
@@ -42,15 +45,15 @@ def _header_lines(cfg: RunConfig) -> list[str]:
     return [f"config {cfg.config_hash()}", f"generator {GENERATOR_NAME}"]
 
 
-def _out_dir(cfg: RunConfig, args) -> Path:
-    out = Path(args.out) if args.out else Path(cfg["output.dir"])
+def _out_dir(args) -> Path:
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
 def _feature_cache(cfg: RunConfig, args) -> Path:
     env = os.environ.get("RESONET_CACHE_DIR")
-    root = Path(env) if env else _out_dir(cfg, args) / "cache"
+    root = Path(env) if env else _out_dir(args) / "cache"
     return root / cfg.feature_hash()
 
 
@@ -61,16 +64,12 @@ def _load_config(args) -> RunConfig:
     return cfg
 
 
-def _workers(cfg: RunConfig, args) -> int:
-    return args.workers if args.workers else cfg["eval.workers"]
-
-
 def cmd_synth_corpus(args) -> int:
     cfg = _load_config(args)
     if cfg["corpus.kind"] != "synthetic":
         raise ConfigError("synth-corpus needs corpus.kind = synthetic")
     manifest, _ = cfg.load_corpus()
-    out = _out_dir(cfg, args)
+    out = _out_dir(args)
     path = out / "manifest.csv"
     save_manifest(manifest, path)
     print(f"wrote {len(manifest)} clips to {path}")
@@ -84,7 +83,7 @@ def cmd_featurize(args) -> int:
     feats = corpus_features(manifest.entries, cfg.pipeline(),
                             sample_rate=manifest.sample_rate,
                             noise_seed=cfg["corpus.noise_seed"],
-                            workers=_workers(cfg, args), cache=cache)
+                            workers=args.workers, cache=cache)
     written = skipped = 0
     for fm in feats:
         # only this loop writes the files, so one that exists was read and checked
@@ -103,12 +102,12 @@ def cmd_bench(args) -> int:
     manifest, partition = cfg.load_corpus()
     pipeline = cfg.pipeline()
     n_train = cfg["eval.train_subsets"]
-    out = _out_dir(cfg, args)
+    out = _out_dir(args)
     header = _header_lines(cfg)
 
     base_prep = prepare_corpus(manifest, partition, pipeline,
                                noise_seed=cfg["corpus.noise_seed"],
-                               workers=_workers(cfg, args), cache=_feature_cache(cfg, args))
+                               workers=args.workers, cache=_feature_cache(cfg, args))
     baseline = cross_validate(base_prep, n_train)
     (out / "report_baseline.csv").write_text(report_to_csv(baseline, header))
     reports = [baseline]
@@ -140,16 +139,14 @@ def cmd_sweep(args) -> int:
     cfg = _load_config(args)
     manifest, partition = cfg.load_corpus()
     pipeline = cfg.pipeline()
-    workers = _workers(cfg, args)
     n_train = cfg["eval.train_subsets"]
-    alphas = _parse_floats(args.alphas, "--alphas") if args.alphas \
-        else cfg["sweep.alphas"]
+    alphas = cfg["sweep.alphas"]
     if not alphas:
         raise ConfigError("alpha sweep needs at least one exponent")
-    out = _out_dir(cfg, args)
+    out = _out_dir(args)
 
     spectra = sweep_spectra(manifest, partition, pipeline,
-                            noise_seed=cfg["corpus.noise_seed"], workers=workers)
+                            noise_seed=cfg["corpus.noise_seed"], workers=args.workers)
     points = alpha_sweep(spectra, alphas, n_train)
     lines = [f"# {h}" for h in _header_lines(cfg)]
     lines.append("alpha,wsr_mean,wsr_std")
@@ -191,11 +188,11 @@ def _write_parity_diagnostic(cfg: RunConfig, spectra: PreparedCorpus,
 def cmd_export_features(args) -> int:
     cfg = _load_config(args)
     manifest, _ = cfg.load_corpus()
-    out = _out_dir(cfg, args)
+    out = _out_dir(args)
     feats = corpus_features(manifest.entries, cfg.pipeline(),
                             sample_rate=manifest.sample_rate,
                             noise_seed=cfg["corpus.noise_seed"],
-                            workers=_workers(cfg, args), cache=_feature_cache(cfg, args))
+                            workers=args.workers, cache=_feature_cache(cfg, args))
     cols = ["clip_id", "digit", "speaker", "utterance", "noise_type", "snr_db", "frame"]
     path = out / "features.csv"
     n_data = 0
@@ -222,13 +219,13 @@ def cmd_stratified(args) -> int:
     cfg = _load_config(args)
     manifest, _ = cfg.load_corpus()
     pipeline = cfg.pipeline()
-    out = _out_dir(cfg, args)
+    out = _out_dir(args)
     report = stratified_report(
         manifest, pipeline, cfg["strat.train_utterances"],
         test_snrs=cfg["strat.test_snrs"],
         test_noise_types=cfg["strat.test_noise_types"],
         noise_seed=cfg["corpus.noise_seed"],
-        workers=_workers(cfg, args))
+        workers=args.workers)
     (out / "conditions.md").write_text(condition_markdown(report, _header_lines(cfg)))
     print(f"overall WSR {report.overall:.2f} over "
           f"{len(report.snrs)}x{len(report.noise_types)} conditions")
@@ -245,11 +242,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--config", required=True, help="run configuration file")
-        p.add_argument("--workers", type=int, default=0,
+        p.add_argument("--workers", type=int, default=1,
                        help="threads that realize and featurize clips in featurize, "
-                            "bench, sweep, stratified and export-features "
-                            "(default: eval.workers)")
-        p.add_argument("--out", default="", help="output directory (default: output.dir)")
+                            "bench, sweep, stratified and export-features (default: 1)")
+        p.add_argument("--out", default="out", help="output directory (default: out)")
         p.add_argument("--seed-override", action="append", default=[],
                        metavar="NAME=VALUE",
                        help="override a seed, e.g. mask_seed=9 (repeatable)")
@@ -268,7 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="baseline WSR versus spectral exponent")
     common(p)
-    p.add_argument("--alphas", default="", help="comma-separated exponents")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("export-features", help="flat per-frame feature CSV")
@@ -285,8 +280,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.workers < 0:
-            raise ConfigError(f"--workers must be >= 0, got {args.workers}")
+        if args.workers < 1:
+            raise ConfigError(f"--workers must be >= 1, got {args.workers}")
         return args.func(args)
     except ResonetError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -144,19 +144,13 @@ SCHEMA: dict[str, tuple] = {
 
     "eval.train_subsets": (_parse_int, 9),
     "eval.partition_seed": (_parse_int, 55),
-    "eval.workers": (_parse_int, 1),
 
     "sweep.alphas": (_parse_floats, (0.0, 0.2, 0.5, 1.0, 2.0, 4.0)),
 
     "strat.train_utterances": (_parse_int, 8),
     "strat.test_snrs": (partial(_parse_floats, snr=True), (math.inf, 20.0, 10.0)),
     "strat.test_noise_types": (_parse_strs, ("synthetic-white",)),
-
-    "output.dir": (_parse_str, "out"),
 }
-
-#: keys that change where or how fast a run goes, never what it computes
-UNHASHED_KEYS = ("eval.workers", "output.dir")
 
 SEED_KEYS = ("corpus.synth_seed", "corpus.noise_seed", "node.mask_seed",
              "eval.partition_seed")
@@ -188,8 +182,7 @@ class RunConfig:
 
     def config_hash(self, prefixes: tuple[str, ...] | None = None) -> str:
         """16-hex-digit digest of the (optionally section-filtered) config."""
-        lines = [ln for ln in self.canonical_lines()
-                 if ln.partition(" = ")[0] not in UNHASHED_KEYS]
+        lines = self.canonical_lines()
         if prefixes is not None:
             lines = [ln for ln in lines if ln.split(".")[0] in prefixes]
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
@@ -296,8 +289,6 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError("corpus.sample_rate must be positive")
     if not 1 <= v["eval.train_subsets"] <= 9:
         raise ConfigError("eval.train_subsets must lie in 1..9")
-    if v["eval.workers"] < 1:
-        raise ConfigError("eval.workers must be >= 1")
     if v["corpus.kind"] == "manifest" and v["corpus.manifest"]:
         if not Path(v["corpus.manifest"]).exists():
             raise ConfigError(f"corpus.manifest: file not found: {v['corpus.manifest']}")

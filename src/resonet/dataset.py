@@ -117,7 +117,6 @@ class ManifestEntry:
 @dataclass(frozen=True)
 class Manifest:
     entries: tuple[ManifestEntry, ...]
-    corpus_name: str
     sample_rate: int
 
     def __len__(self) -> int:
@@ -199,7 +198,7 @@ def load_manifest(path: str | Path, *, sample_rate: int = SYNTH_SAMPLE_RATE) -> 
                 raise ManifestError(f"manifest row {i}: audio file not found: {wav}")
             src = str(wav)
         entries.append(ManifestEntry(clip_id, src, label))
-    return Manifest(tuple(entries), corpus_name=path.stem, sample_rate=sample_rate)
+    return Manifest(tuple(entries), sample_rate=sample_rate)
 
 
 def save_manifest(manifest: Manifest, path: str | Path) -> None:
@@ -340,12 +339,10 @@ def synth_digit(digit: int, speaker_seed: int, utterance_seed: int,
 
 
 def build_synth_manifest(synth_seed: int, *, phase_mode: str = "random",
-                         speakers: int = PROFILE_SPEAKERS,
-                         utterances: int = PROFILE_UTTERANCES,
                          sample_rate: int = SYNTH_SAMPLE_RATE,
-                         conditions: Sequence[tuple[str, float]] | None = None,
-                         corpus_name: str = "synthetic") -> Manifest:
-    """Assemble a balanced synthetic manifest (10 digits x speakers x utterances).
+                         conditions: Sequence[tuple[str, float]] | None = None) -> Manifest:
+    """Assemble the balanced synthetic manifest (10 digits x 5 speakers x
+    10 utterances, the profile ``check_profile`` accepts).
 
     ``conditions`` optionally tags utterances with (noise_type, snr_db)
     pairs cycled by utterance index, producing a mixed-condition corpus
@@ -355,9 +352,9 @@ def build_synth_manifest(synth_seed: int, *, phase_mode: str = "random",
         raise ManifestError(f"unknown phase_mode: {phase_mode!r}")
     entries = []
     for digit in range(N_CLASSES):
-        for s in range(speakers):
+        for s in range(PROFILE_SPEAKERS):
             speaker_seed = synth_seed * 100 + s
-            for u in range(utterances):
+            for u in range(PROFILE_UTTERANCES):
                 if conditions:
                     ntype, snr = conditions[u % len(conditions)]
                 else:
@@ -365,7 +362,7 @@ def build_synth_manifest(synth_seed: int, *, phase_mode: str = "random",
                 label = DigitLabel(digit, f"s{s}", u, ntype, snr)
                 recipe = f"synth:{digit}:{speaker_seed}:{u}:{phase_mode}"
                 entries.append(ManifestEntry(f"d{digit}_s{s}_u{u:02d}", recipe, label))
-    return Manifest(tuple(entries), corpus_name=corpus_name, sample_rate=sample_rate)
+    return Manifest(tuple(entries), sample_rate=sample_rate)
 
 
 # ---------------------------------------------------------------------------

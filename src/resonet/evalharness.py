@@ -11,6 +11,7 @@ gain.
 from __future__ import annotations
 
 import math
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from itertools import combinations
@@ -109,12 +110,13 @@ def corpus_features(entries: Sequence[ManifestEntry], pipeline: PipelineSpec, *,
                     cache: Path | None = None) -> Iterator[FeatureMatrix]:
     """Every entry's features, in entry order: read from ``<cache>/<clip_id>.rnbf``
     where that file exists, else realized and featurized, on a thread pool
-    when ``workers > 1``.  ``cache`` is a ``<cache root>/<feature hash>``
-    directory, and a file in it from another configuration or for another
-    clip is a ``CacheError``.  Only the configured front end on the
-    manifest's own conditions may read it: not ``sweep`` (``spectro_real``)
-    nor ``stratified`` (test clips re-realized at other noise conditions
-    under the same clip id), which pass None and look up no file.
+    when ``workers > 1`` that keeps at most ``2 * workers`` clips in flight.
+    ``cache`` is a ``<cache root>/<feature hash>`` directory, and a file in
+    it from another configuration or for another clip is a ``CacheError``.
+    Only the configured front end on the manifest's own conditions may read
+    it: not ``sweep`` (``spectro_real``) nor ``stratified`` (test clips
+    re-realized at other noise conditions under the same clip id), which
+    pass None and look up no file.
     """
     def _load(entry: ManifestEntry) -> FeatureMatrix:
         path = None if cache is None else cache / f"{entry.clip_id}.rnbf"
@@ -129,8 +131,15 @@ def corpus_features(entries: Sequence[ManifestEntry], pipeline: PipelineSpec, *,
 
     # no pool at 1 worker: per-thread malloc arenas cost 90 -> 108 MiB peak RSS on sweep
     if workers > 1:
+        # at most 2 * workers clips in flight, so a slow consumer holds only those
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            yield from pool.map(_load, entries)
+            pending = deque()
+            for entry in entries:
+                if len(pending) == 2 * workers:
+                    yield pending.popleft().result()
+                pending.append(pool.submit(_load, entry))
+            while pending:
+                yield pending.popleft().result()
     else:
         yield from map(_load, entries)
 
@@ -283,7 +292,7 @@ def with_node(prep: PreparedCorpus, pipeline: PipelineSpec,
                 if pipeline.node_kind == "stno":
                     v = reservoir.stno_run(drive, pipeline.stno)
                 else:
-                    v = reservoir.node_run_reference(drive, t.gain, t.leak, t.v0)
+                    v = reservoir.node_run_reference(drive, t.gain, t.leak)
                 states[j] = reservoir.reshape_states(v, pipeline.n_theta, n_frames)
         if not np.all(np.isfinite(states)):
             raise NumericalError(f"{pipeline.node_kind} node states have non-finite entries")

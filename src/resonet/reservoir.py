@@ -80,7 +80,6 @@ class StnoParams:
 class TanhParams:
     gain: float = 1.0
     leak: float = 1.0
-    v0: float = 0.0
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.leak <= 1.0:
@@ -92,7 +91,6 @@ class BinaryMask:
     """Fixed +/-1 input expansion, shape (n_theta, n_rows)."""
 
     entries: np.ndarray
-    seed: int
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.entries, dtype=np.float64)
@@ -114,7 +112,7 @@ def gen_mask(seed: int, n_theta: int, n_rows: int) -> BinaryMask:
         raise ConfigError(f"mask dimensions must be positive, got {n_theta}x{n_rows}")
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([_TAG_MASK, seed])))
     entries = rng.integers(0, 2, size=(n_theta, n_rows)).astype(np.float64) * 2.0 - 1.0
-    return BinaryMask(entries, seed)
+    return BinaryMask(entries)
 
 
 def mask_and_flatten(features: np.ndarray, mask: BinaryMask) -> np.ndarray:

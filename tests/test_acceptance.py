@@ -315,6 +315,39 @@ def test_factored_readout_matches_reference_on_every_fold():
           f"{worst:.2e}, every decision identical, {elapsed:.1f}s")
 
 
+def test_baseline_decisions_do_not_depend_on_padding():
+    """Not a release criterion: pins README's frame-padding bullet.
+
+    On the baseline route a padded frame is a zero feature, which adds
+    nothing to V V^T or V T^T, so training on each clip's true frames
+    gives every fold's weights. With the bias off, the padded frame mean
+    is a positive rescale of the true-frame mean, which keeps its argmax.
+    """
+    t0 = time.perf_counter()
+    worst = 0.0
+    for alpha in (1.0, 2.0):
+        report, prep = _baseline_report(alpha)
+        assert not prep.pipeline.readout.bias
+        assert min(prep.n_frames) < prep.n_frames_max
+        true = [x[:, :n] for x, n in zip(prep.tensors, prep.n_frames)]
+        for fm in report.folds:
+            tr = prep.indices_of_subsets(fm.fold.train_subsets)
+            targets = [build_targets(int(prep.digits[i]), int(prep.n_frames[i])) for i in tr]
+            want = reference_readout([true[i] for i in tr], targets, prep.pipeline.readout)
+            got = fm.model.weights
+            rel = float(np.linalg.norm(got - want) / np.linalg.norm(want))
+            worst = max(worst, rel)
+            assert rel < 1e-9, f"alpha={alpha:g} fold {fm.fold.describe()}: rel dev {rel:.3e}"
+            for i in prep.indices_of_subsets(fm.fold.test_subsets):
+                assert classify(want @ true[i].mean(axis=1)) == \
+                    classify(predict(fm.model, prep.tensors[i])), \
+                    f"alpha={alpha:g} fold {fm.fold.describe()}: decision moved on clip {i}"
+    elapsed = time.perf_counter() - t0
+    print(f"PASS padding invariance: 20 baseline folds at alpha 1 and 2 trained on "
+          f"true frames, max rel dev {worst:.2e}, every test decision identical, "
+          f"{elapsed:.1f}s")
+
+
 def test_criterion_09_bench_runs_are_byte_identical(tmp_path, monkeypatch):
     monkeypatch.setenv("RESONET_CACHE_DIR", str(tmp_path / "cache"))
     t0 = time.perf_counter()
@@ -326,10 +359,11 @@ def test_criterion_09_bench_runs_are_byte_identical(tmp_path, monkeypatch):
         "filter.alpha = 2.0\n"
         "node.kind = stno\n"
         "node.n_theta = 400\n"
-        f"eval.workers = {WORKERS}\n"
     )
-    assert main(["bench", "--config", str(conf), "--out", str(tmp_path / "a")]) == 0
-    assert main(["bench", "--config", str(conf), "--out", str(tmp_path / "b")]) == 0
+    assert main(["bench", "--config", str(conf), "--workers", str(WORKERS),
+                 "--out", str(tmp_path / "a")]) == 0
+    assert main(["bench", "--config", str(conf), "--workers", str(WORKERS),
+                 "--out", str(tmp_path / "b")]) == 0
     names = ["report_baseline.csv", "report_total.csv", "summary.md"]
     names += [f"models/fold_{i:03d}.rnbm" for i in range(10)]
     for name in names:

@@ -1,5 +1,6 @@
 """End-to-end runs of every subcommand against a small configuration."""
 
+import argparse
 import contextlib
 import io
 import shutil
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from resonet.cli import main
+from resonet.cli import build_parser, main
 from resonet.config import parse_config
 from resonet.dataset import load_manifest
 from resonet.evalharness import clip_features
@@ -22,39 +23,49 @@ filter.alpha = 2.0
 node.kind = stno
 node.n_theta = 16
 eval.train_subsets = 9
-eval.workers = 4
 sweep.alphas = 0.0,2.0
 strat.test_snrs = inf,10
 strat.test_noise_types = synthetic-white
 """
 
 
-@pytest.fixture()
-def conf(tmp_path):
+def _write_conf(tmp_path: Path, text: str = FAST_CONF) -> Path:
     path = tmp_path / "run.conf"
-    path.write_text(FAST_CONF + f"output.dir = {tmp_path / 'out'}\n")
+    path.write_text(text)
     return path
 
 
+def run(command: str, conf: Path, *args: str) -> int:
+    """``resonet <command>`` on ``conf`` at 4 workers, writing to the ``out``
+    directory next to it; ``args`` come last, so they override either."""
+    return main([command, "--config", str(conf), "--workers", "4",
+                 "--out", str(conf.parent / "out"), *args])
+
+
+@pytest.fixture()
+def conf(tmp_path):
+    return _write_conf(tmp_path)
+
+
 def test_synth_corpus_writes_manifest(conf, tmp_path, capsys):
-    assert main(["synth-corpus", "--config", str(conf)]) == 0
+    assert run("synth-corpus", conf) == 0
     manifest = load_manifest(tmp_path / "out" / "manifest.csv")
     assert len(manifest) == 500
     assert "500 clips" in capsys.readouterr().out
 
 
 def test_featurize_writes_and_reuses_cache(conf, tmp_path, capsys):
-    assert main(["featurize", "--config", str(conf)]) == 0
+    assert run("featurize", conf) == 0
     out = capsys.readouterr().out
     assert "500 written" in out
     cache = list((tmp_path / "out" / "cache").rglob("*.rnbf"))
     assert len(cache) == 500
-    assert main(["featurize", "--config", str(conf)]) == 0
+    assert run("featurize", conf) == 0
     assert "500 already current" in capsys.readouterr().out
 
 
 def test_bench_writes_reports(conf, tmp_path, capsys):
-    assert main(["bench", "--config", str(conf)]) == 0
+    assert run("bench", conf) == 0
     out_dir = tmp_path / "out"
     for name in ("report_baseline.csv", "report_total.csv", "summary.md"):
         assert (out_dir / name).exists(), name
@@ -67,8 +78,8 @@ def test_bench_writes_reports(conf, tmp_path, capsys):
 
 
 def test_bench_is_deterministic_across_runs(conf, tmp_path):
-    assert main(["bench", "--config", str(conf), "--out", str(tmp_path / "a")]) == 0
-    assert main(["bench", "--config", str(conf), "--out", str(tmp_path / "b")]) == 0
+    assert run("bench", conf, "--out", str(tmp_path / "a")) == 0
+    assert run("bench", conf, "--out", str(tmp_path / "b")) == 0
     for name in ("report_baseline.csv", "report_total.csv", "summary.md"):
         a = (tmp_path / "a" / name).read_bytes()
         b = (tmp_path / "b" / name).read_bytes()
@@ -76,10 +87,10 @@ def test_bench_is_deterministic_across_runs(conf, tmp_path):
 
 
 def test_seed_override_changes_the_mask(conf, tmp_path):
-    assert main(["bench", "--config", str(conf), "--out", str(tmp_path / "a"),
-                 "--seed-override", "mask_seed=1"]) == 0
-    assert main(["bench", "--config", str(conf), "--out", str(tmp_path / "b"),
-                 "--seed-override", "mask_seed=99"]) == 0
+    assert run("bench", conf, "--out", str(tmp_path / "a"),
+               "--seed-override", "mask_seed=1") == 0
+    assert run("bench", conf, "--out", str(tmp_path / "b"),
+               "--seed-override", "mask_seed=99") == 0
     a = (tmp_path / "a" / "report_total.csv").read_text()
     b = (tmp_path / "b" / "report_total.csv").read_text()
     assert a != b
@@ -90,7 +101,7 @@ def test_seed_override_changes_the_mask(conf, tmp_path):
 
 
 def test_sweep_writes_csv(conf, tmp_path, capsys):
-    assert main(["sweep", "--config", str(conf)]) == 0
+    assert run("sweep", conf) == 0
     text = (tmp_path / "out" / "sweep.csv").read_text()
     lines = [ln for ln in text.splitlines() if not ln.startswith("#")]
     assert lines[0] == "alpha,wsr_mean,wsr_std"
@@ -99,8 +110,10 @@ def test_sweep_writes_csv(conf, tmp_path, capsys):
     assert lines[2].startswith("2.0,")
 
 
-def test_sweep_parity_diagnostic_at_huge_alpha(conf, tmp_path):
-    assert main(["sweep", "--config", str(conf), "--alphas", "1,1000"]) == 0
+def test_sweep_parity_diagnostic_at_huge_alpha(tmp_path):
+    conf = _write_conf(tmp_path, FAST_CONF.replace("sweep.alphas = 0.0,2.0",
+                                                   "sweep.alphas = 1,1000"))
+    assert run("sweep", conf) == 0
     parity = (tmp_path / "out" / "parity.csv").read_text().splitlines()
     header = [ln for ln in parity if not ln.startswith("#")][0]
     assert header == "clip_id,digit,n_plus_one,n_minus_one,max_other"
@@ -115,11 +128,10 @@ def exported(tmp_path_factory):
     """One ``export-features`` run on the fast config: its data lines
     (column header first) and what it printed."""
     tmp_path = tmp_path_factory.mktemp("export")
-    conf = tmp_path / "run.conf"
-    conf.write_text(FAST_CONF + f"output.dir = {tmp_path / 'out'}\n")
+    conf = _write_conf(tmp_path)
     printed = io.StringIO()
     with contextlib.redirect_stdout(printed):
-        assert main(["export-features", "--config", str(conf)]) == 0
+        assert run("export-features", conf) == 0
     text = (tmp_path / "out" / "features.csv").read_text().splitlines()
     return [ln for ln in text if not ln.startswith("#")], printed.getvalue(), conf
 
@@ -168,34 +180,61 @@ def _count_synth_digit(monkeypatch) -> list:
     return realized
 
 
-@pytest.mark.parametrize("alphas", ["1,x", ",", "1,inf"])
-def test_bad_sweep_alphas_give_exit_code_2(conf, capsys, monkeypatch, alphas):
+@pytest.mark.parametrize("alphas", ["1,x", "1,inf"])
+def test_bad_sweep_alphas_give_exit_code_2(tmp_path, capsys, monkeypatch, alphas):
     """A bad exponent list is refused before any clip is realized."""
+    conf = _write_conf(tmp_path, FAST_CONF.replace("sweep.alphas = 0.0,2.0",
+                                                   f"sweep.alphas = {alphas}"))
     realized = _count_synth_digit(monkeypatch)
-    assert main(["sweep", "--config", str(conf), "--alphas", alphas]) == 2
+    assert run("sweep", conf) == 2
     assert "error: " in capsys.readouterr().err
     assert realized == []
 
 
 def test_empty_config_sweep_alphas_give_exit_code_2(tmp_path, capsys, monkeypatch):
-    conf = tmp_path / "run.conf"
-    conf.write_text(FAST_CONF.replace("sweep.alphas = 0.0,2.0", "sweep.alphas = ,")
-                    + f"output.dir = {tmp_path / 'out'}\n")
+    conf = _write_conf(tmp_path, FAST_CONF.replace("sweep.alphas = 0.0,2.0",
+                                                   "sweep.alphas = ,"))
     realized = _count_synth_digit(monkeypatch)
-    assert main(["sweep", "--config", str(conf)]) == 2
+    assert run("sweep", conf) == 2
     assert "needs at least one exponent" in capsys.readouterr().err
     assert realized == []
 
 
-@pytest.mark.parametrize("command", ["bench", "synth-corpus", "featurize", "sweep",
-                                     "export-features", "stratified"])
-def test_negative_workers_give_exit_code_2(conf, capsys, command):
-    assert main([command, "--config", str(conf), "--workers", "-3"]) == 2
-    assert "--workers" in capsys.readouterr().err
+COMMANDS = ["bench", "synth-corpus", "featurize", "sweep", "export-features", "stratified"]
+
+
+@pytest.mark.parametrize("command, workers",
+                         [(c, "-3") for c in COMMANDS] + [(c, "0") for c in COMMANDS],
+                         ids=COMMANDS + [f"{c}-zero" for c in COMMANDS])
+def test_negative_workers_give_exit_code_2(conf, capsys, command, workers):
+    assert run(command, conf, "--workers", workers) == 2
+    assert "--workers must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ["eval.workers = 4", "output.dir = elsewhere"],
+                         ids=["eval.workers", "output.dir"])
+def test_where_and_how_fast_are_flags_not_config_keys(tmp_path, capsys, line):
+    """Every config key is hashed; worker count and output directory are
+    the ``--workers`` and ``--out`` flags only."""
+    conf = _write_conf(tmp_path, FAST_CONF + line + "\n")
+    assert run("bench", conf) == 2
+    assert "unknown config key" in capsys.readouterr().err
+
+
+def test_every_subcommand_takes_only_where_how_fast_and_seed_flags():
+    """The config file holds everything a run computes; a flag may say only
+    where a run writes, how many threads it uses, and which seeds it
+    overrides (applied to the config before it is hashed)."""
+    (sub,) = [a for a in build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    assert sorted(sub.choices) == sorted(COMMANDS)
+    for name, parser in sub.choices.items():
+        flags = {s for a in parser._actions for s in a.option_strings} - {"-h", "--help"}
+        assert flags == {"--config", "--workers", "--out", "--seed-override"}, name
 
 
 def test_stratified_writes_grid(conf, tmp_path):
-    assert main(["stratified", "--config", str(conf)]) == 0
+    assert run("stratified", conf) == 0
     text = (tmp_path / "out" / "conditions.md").read_text()
     assert "| SNR (dB) |" in text
     assert "clean" in text
@@ -209,23 +248,20 @@ def test_missing_config_gives_exit_code_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("noise_types", ["white", "subway"])
 def test_unbuildable_stratified_noise_type_gives_exit_code_2(tmp_path, capsys, noise_types):
-    conf = tmp_path / "run.conf"
-    conf.write_text(FAST_CONF.replace("strat.test_noise_types = synthetic-white",
-                                      f"strat.test_noise_types = {noise_types}")
-                    + f"output.dir = {tmp_path / 'out'}\n")
-    code = main(["stratified", "--config", str(conf)])
+    conf = _write_conf(tmp_path, FAST_CONF.replace(
+        "strat.test_noise_types = synthetic-white",
+        f"strat.test_noise_types = {noise_types}"))
+    code = run("stratified", conf)
     assert code == 2
     assert "strat.test_noise_types" in capsys.readouterr().err
 
 
 def test_non_finite_node_states_give_exit_code_4(tmp_path, capsys):
-    conf = tmp_path / "run.conf"
-    conf.write_text(FAST_CONF.replace("node.n_theta = 16", "node.n_theta = 4")
-                    + "node.c = 1e300\nnode.drive_ma = 1e300\n"
-                    + f"output.dir = {tmp_path / 'out'}\n")
+    conf = _write_conf(tmp_path, FAST_CONF.replace("node.n_theta = 16", "node.n_theta = 4")
+                       + "node.c = 1e300\nnode.drive_ma = 1e300\n")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        code = main(["bench", "--config", str(conf)])
+        code = run("bench", conf)
     assert code == 4
     assert "non-finite" in capsys.readouterr().err
     # the error is the whole report: no numpy warning precedes it
@@ -233,34 +269,30 @@ def test_non_finite_node_states_give_exit_code_4(tmp_path, capsys):
 
 
 def _one_row_manifest_conf(tmp_path):
-    conf = tmp_path / "run.conf"
     manifest = tmp_path / "m.csv"
     manifest.write_text("clip_id,path,digit,speaker,utterance,noise_type,snr_db\n"
                         "a,synth:12:0:0:random,2,s0,0,clean,inf\n")
-    conf.write_text(f"corpus.kind = manifest\ncorpus.manifest = {manifest}\n"
-                    f"output.dir = {tmp_path / 'out'}\n")
-    return conf
+    return _write_conf(tmp_path, f"corpus.kind = manifest\ncorpus.manifest = {manifest}\n")
 
 
 def test_bad_manifest_gives_exit_code_3(tmp_path, capsys):
-    code = main(["bench", "--config", str(_one_row_manifest_conf(tmp_path))])
+    code = run("bench", _one_row_manifest_conf(tmp_path))
     assert code == 3
     assert "error:" in capsys.readouterr().err
 
 
 def test_synth_corpus_on_a_manifest_corpus_gives_exit_code_2(tmp_path, capsys):
     # the corpus kind is checked before the manifest is read
-    code = main(["synth-corpus", "--config", str(_one_row_manifest_conf(tmp_path))])
+    code = run("synth-corpus", _one_row_manifest_conf(tmp_path))
     assert code == 2
     assert "corpus.kind = synthetic" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["synth-corpus", "bench"])
 def test_unknown_corpus_kind_gives_exit_code_2_at_parse_time(tmp_path, capsys, command):
-    conf = tmp_path / "run.conf"
-    conf.write_text(FAST_CONF.replace("corpus.kind = synthetic", "corpus.kind = synthtic")
-                    + f"output.dir = {tmp_path / 'out'}\n")
-    assert main([command, "--config", str(conf)]) == 2
+    conf = _write_conf(tmp_path, FAST_CONF.replace("corpus.kind = synthetic",
+                                                   "corpus.kind = synthtic"))
+    assert run(command, conf) == 2
     assert "corpus.kind: expected synthetic or manifest, got 'synthtic'" in \
         capsys.readouterr().err
 
@@ -268,7 +300,7 @@ def test_unknown_corpus_kind_gives_exit_code_2_at_parse_time(tmp_path, capsys, c
 def test_cache_dir_env_override(conf, tmp_path, monkeypatch):
     cache_root = tmp_path / "elsewhere"
     monkeypatch.setenv("RESONET_CACHE_DIR", str(cache_root))
-    assert main(["featurize", "--config", str(conf)]) == 0
+    assert run("featurize", conf) == 0
     assert len(list(cache_root.rglob("*.rnbf"))) == 500
 
 
@@ -294,11 +326,11 @@ def _files(root: Path) -> dict:
 def test_a_warm_feature_cache_is_read_not_recomputed(conf, tmp_path, monkeypatch):
     monkeypatch.setenv("RESONET_CACHE_DIR", str(tmp_path / "cache"))
     for command in ("bench", "export-features"):
-        assert main([command, "--config", str(conf), "--out", str(tmp_path / "cold")]) == 0
-    assert main(["featurize", "--config", str(conf)]) == 0
+        assert run(command, conf, "--out", str(tmp_path / "cold")) == 0
+    assert run("featurize", conf) == 0
     featurized = _count_featurize(monkeypatch)
     for command in ("bench", "export-features"):
-        assert main([command, "--config", str(conf), "--out", str(tmp_path / "warm")]) == 0
+        assert run(command, conf, "--out", str(tmp_path / "warm")) == 0
     assert featurized == []
     cold, warm = _files(tmp_path / "cold"), _files(tmp_path / "warm")
     assert Path("features.csv") in cold and Path("summary.md") in cold
@@ -323,19 +355,19 @@ def test_sweep_and_stratified_never_read_the_feature_cache(conf, monkeypatch, co
     """``sweep`` featurizes another front end than the configured one, and
     ``stratified`` re-realizes test clips under their manifest clip ids,
     so a cached file would be the wrong features for both."""
-    assert main(["featurize", "--config", str(conf)]) == 0
+    assert run("featurize", conf) == 0
     touched = _spy_feature_cache_files(monkeypatch)
-    assert main([command, "--config", str(conf)]) == 0
+    assert run(command, conf) == 0
     assert touched == []
 
 
 @pytest.mark.parametrize("command", ["bench", "export-features", "featurize"])
 def test_a_cache_file_of_another_clip_gives_exit_code_3(conf, tmp_path, capsys, command):
-    assert main(["featurize", "--config", str(conf)]) == 0
+    assert run("featurize", conf) == 0
     (cache,) = (tmp_path / "out" / "cache").iterdir()
     shutil.copy(cache / "d0_s0_u00.rnbf", cache / "d1_s0_u00.rnbf")
     capsys.readouterr()
-    assert main([command, "--config", str(conf)]) == 3
+    assert run(command, conf) == 3
     err = capsys.readouterr().err
     assert "d1_s0_u00.rnbf" in err and "'d0_s0_u00'" in err
     assert "Traceback" not in err
@@ -359,7 +391,7 @@ def test_bench_featurizes_each_clip_once_and_trains_each_fold_once(conf, monkeyp
 
     monkeypatch.setattr(evalharness, "factor_blocks", counting_factor_blocks)
     monkeypatch.setattr(evalharness, "solve", counting_solve)
-    assert main(["bench", "--config", str(conf)]) == 0
+    assert run("bench", conf) == 0
     assert len(featurized) == 500
     assert len(set(featurized)) == 500
     # each 50-clip subset is factored once per route, through the one
@@ -371,16 +403,18 @@ def test_bench_featurizes_each_clip_once_and_trains_each_fold_once(conf, monkeyp
     assert trained == [9] * 20
     # export-features writes each clip's features and factors nothing
     factored.clear()
-    assert main(["export-features", "--config", str(conf)]) == 0
+    assert run("export-features", conf) == 0
     assert factored == []
 
 
 @pytest.mark.parametrize("alphas", ["0,2", "1,1000"], ids=["sweep", "with-parity"])
-def test_sweep_realizes_each_clip_once(conf, tmp_path, monkeypatch, alphas):
+def test_sweep_realizes_each_clip_once(tmp_path, monkeypatch, alphas):
     """Every exponent, and the parity diagnostic, is derived from one
     spectrum per clip."""
+    conf = _write_conf(tmp_path, FAST_CONF.replace("sweep.alphas = 0.0,2.0",
+                                                   f"sweep.alphas = {alphas}"))
     realized = _count_synth_digit(monkeypatch)
-    assert main(["sweep", "--config", str(conf), "--alphas", alphas]) == 0
+    assert run("sweep", conf) == 0
     assert len(realized) == 500
     assert len(set(realized)) == 500
     assert (tmp_path / "out" / "parity.csv").exists() == ("1000" in alphas)
@@ -402,7 +436,7 @@ def test_bad_states_in_the_last_node_block_give_exit_code_4(conf, monkeypatch, c
         return v
 
     monkeypatch.setattr(reservoir, "stno_run", stno_run_spoiling_the_last_clip)
-    assert main(["bench", "--config", str(conf)]) == 4
+    assert run("bench", conf) == 4
     assert len(calls) == 500
     err = capsys.readouterr().err
     assert "error: " in err and match in err

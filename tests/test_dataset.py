@@ -102,7 +102,7 @@ def test_check_profile_reports_the_broken_pair():
     entries = tuple(e for e in manifest.entries
                     if not (e.label.digit == 4 and e.label.speaker == "s2"
                             and e.label.utterance == 9))
-    broken = Manifest(entries, "synthetic", manifest.sample_rate)
+    broken = Manifest(entries, manifest.sample_rate)
     with pytest.raises(PartitionError, match="digit 4"):
         check_profile(broken)
 

@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -117,6 +118,32 @@ NODE_PIPE = PipelineSpec(filter_kind="spectro_exp", alpha=2.0, node_kind="stno",
                          n_theta=40, drive_ma=3.0)
 
 
+def test_corpus_features_keeps_a_bounded_window_of_clips_in_flight(corpus, monkeypatch):
+    """A consumer that stops after one clip leaves at most ``2 * workers``
+    clips featurized ahead of it, not the rest of the corpus."""
+    manifest, _ = corpus
+    featurized, clip_features = [], evalharness.clip_features
+
+    def counting_clip_features(entry, *args, **kwargs):
+        featurized.append(entry.clip_id)
+        return clip_features(entry, *args, **kwargs)
+
+    monkeypatch.setattr(evalharness, "clip_features", counting_clip_features)
+    feats = evalharness.corpus_features(manifest.entries[:40],
+                                        PipelineSpec(filter_kind="spectro_real"),
+                                        sample_rate=manifest.sample_rate, noise_seed=0,
+                                        workers=2)
+    assert next(feats).clip_id == manifest.entries[0].clip_id
+    seen = 0
+    for _ in range(50):     # until the pool has gone idle, 10 s at most
+        time.sleep(0.2)
+        if len(featurized) == seen:
+            break
+        seen = len(featurized)
+    assert 1 <= len(featurized) <= 5
+    feats.close()
+
+
 @pytest.fixture(scope="module")
 def node_route(corpus, baseline_prep):
     """A small node-route preparation, its clips' states from
@@ -207,7 +234,7 @@ def reference_node_stage(tensors, pipeline):
             v = stno_run(input_gain * d, pipeline.stno)
         else:
             t = pipeline.tanh
-            v = node_run_reference(input_gain * d, t.gain, t.leak, t.v0)
+            v = node_run_reference(input_gain * d, t.gain, t.leak)
         states.append(reshape_states(v, pipeline.n_theta, n_frames))
     return np.stack(states), input_gain
 

@@ -22,7 +22,7 @@ def test_gen_mask_entries_and_determinism():
 
 def test_binary_mask_rejects_other_values():
     with pytest.raises(DataError):
-        BinaryMask(np.array([[1.0, 0.0]]), seed=0)
+        BinaryMask(np.array([[1.0, 0.0]]))
 
 
 def test_mask_and_flatten_frozen_example():
@@ -31,7 +31,7 @@ def test_mask_and_flatten_frozen_example():
                   [4.0, 5.0, 6.0]])
     mask = BinaryMask(np.array([[1.0, -1.0],
                                 [-1.0, 1.0],
-                                [1.0, 1.0]]), seed=0)
+                                [1.0, 1.0]]))
     got = mask_and_flatten(x, mask)
     assert np.array_equal(got, [-3.0, 3.0, 5.0, -3.0, 3.0, 7.0, -3.0, 3.0, 9.0])
 
