@@ -4,19 +4,25 @@ Every key is validated against a known schema; unknown keys or sections
 are configuration errors, as are type mismatches.  A short hash of the
 canonicalized key/value pairs stamps every output and cache file, so
 artifacts from different configurations never mix silently.
+
+Each default is written once.  The ``stft``, ``mfcc``, ``cochlear`` and
+``readout`` keys are the fields of their typed configs, with the fields'
+defaults.  The ``node.*`` keys carry units, so they are named here, but
+their defaults read ``StnoParams``, ``TanhParams`` and ``PipelineSpec``.
+Only settings no typed object holds write their default literally.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import partial
 from pathlib import Path
 from typing import Sequence
 
-from .dataset import NOISE_TYPES, PHASE_MODES, Manifest, SubsetPartition, \
-    build_synth_manifest, load_manifest, partition_subsets
+from .dataset import NOISE_TYPES, PHASE_MODES, SYNTH_SAMPLE_RATE, Manifest, \
+    SubsetPartition, build_synth_manifest, load_manifest, partition_subsets
 from .errors import ConfigError
 from .evalharness import PipelineSpec
 from .filterbank import FILTER_KINDS, CochlearConfig, MfccConfig, StftConfig
@@ -88,12 +94,20 @@ def _parse_strs(text: str, key: str) -> tuple[str, ...]:
     return vals
 
 
+#: config section -> the typed config built from it, one key per field
+TYPED_SECTIONS = {"stft": StftConfig, "mfcc": MfccConfig, "cochlear": CochlearConfig,
+                  "readout": ReadoutOptions}
+
+#: a typed field's default type -> the parser of its value (tuple fields hold floats)
+_PARSERS = {bool: _parse_bool, int: _parse_int, float: _parse_float, str: _parse_str,
+            tuple: _parse_floats}
+
 # key -> (parser, default).  Defaults are explicit: a run's effective
 # configuration never depends on ambient state.
 SCHEMA: dict[str, tuple] = {
     "corpus.kind": (_parse_str, "synthetic"),
     "corpus.manifest": (_parse_str, ""),
-    "corpus.sample_rate": (_parse_int, 12500),
+    "corpus.sample_rate": (_parse_int, SYNTH_SAMPLE_RATE),
     "corpus.phase_mode": (_parse_str, "random"),
     "corpus.synth_seed": (_parse_int, 1001),
     "corpus.noise_seed": (_parse_int, 2002),
@@ -102,45 +116,21 @@ SCHEMA: dict[str, tuple] = {
     "filter.kind": (_parse_str, "spectro_exp"),
     "filter.alpha": (_parse_float, 1.0),
 
-    "stft.fft_size": (_parse_int, 128),
-    "stft.hop": (_parse_int, 64),
-    "stft.window": (_parse_str, "hann"),
-
-    "mfcc.pre_emphasis": (_parse_float, 0.97),
-    "mfcc.frame_seconds": (_parse_float, 0.025),
-    "mfcc.hop_seconds": (_parse_float, 0.010),
-    "mfcc.n_filters": (_parse_int, 26),
-    "mfcc.n_coeffs": (_parse_int, 13),
-    "mfcc.log_floor": (_parse_float, 1e-10),
-
-    "cochlear.ear_q": (_parse_float, 8.0),
-    "cochlear.step_factor": (_parse_float, 0.25),
-    "cochlear.break_freq": (_parse_float, 1000.0),
-    "cochlear.min_freq": (_parse_float, 44.0),
-    "cochlear.top_margin": (_parse_float, 0.05),
-    "cochlear.sharpness": (_parse_float, 5.0),
-    "cochlear.zero_offset": (_parse_float, 1.5),
-    "cochlear.agc_targets": (_parse_floats, (0.0032, 0.0016, 0.0008, 0.0004)),
-    "cochlear.agc_taus": (_parse_floats, (0.64, 0.16, 0.04, 0.01)),
-    "cochlear.decim_seconds": (_parse_float, 0.02),
-    "cochlear.expected_channels": (_parse_int, 78),
+    **{f"{section}.{f.name}": (_PARSERS[type(f.default)], f.default)
+       for section, cls in TYPED_SECTIONS.items() for f in fields(cls)},
 
     "node.kind": (_parse_str, "none"),
-    "node.n_theta": (_parse_int, 400),
-    "node.mask_seed": (_parse_int, 1),
-    "node.dt_ns": (_parse_float, 5.0),
-    "node.t_relax_ns": (_parse_float, 410.0),
-    "node.i_dc_ma": (_parse_float, 6.0),
-    "node.i_c_ma": (_parse_float, 4.9),
-    "node.c": (_parse_float, 1.0),
-    "node.drive_ma": (_parse_float, 3.0),
-    "node.allow_coarse_timestep": (_parse_bool, False),
-    "node.tanh_gain": (_parse_float, 1.0),
-    "node.tanh_leak": (_parse_float, 1.0),
-
-    "readout.rtol": (_parse_float, 1e-10),
-    "readout.ridge": (_parse_float, 0.0),
-    "readout.bias": (_parse_bool, False),
+    "node.n_theta": (_parse_int, PipelineSpec.n_theta),
+    "node.mask_seed": (_parse_int, PipelineSpec.mask_seed),
+    "node.dt_ns": (_parse_float, StnoParams.dt),
+    "node.t_relax_ns": (_parse_float, StnoParams.t_relax),
+    "node.i_dc_ma": (_parse_float, StnoParams.i_dc),
+    "node.i_c_ma": (_parse_float, StnoParams.i_c),
+    "node.c": (_parse_float, StnoParams.c),
+    "node.drive_ma": (_parse_float, PipelineSpec.drive_ma),
+    "node.allow_coarse_timestep": (_parse_bool, StnoParams.allow_coarse_timestep),
+    "node.tanh_gain": (_parse_float, TanhParams.gain),
+    "node.tanh_leak": (_parse_float, TanhParams.leak),
 
     "eval.train_subsets": (_parse_int, 9),
     "eval.partition_seed": (_parse_int, 55),
@@ -204,29 +194,18 @@ class RunConfig:
                           i_dc=v["node.i_dc_ma"], i_c=v["node.i_c_ma"],
                           c=v["node.c"],
                           allow_coarse_timestep=v["node.allow_coarse_timestep"])
+        typed = {section: cls(**{f.name: v[f"{section}.{f.name}"] for f in fields(cls)})
+                 for section, cls in TYPED_SECTIONS.items()}
         return PipelineSpec(
             filter_kind=kind,
             alpha=v["filter.alpha"] if kind == "spectro_exp" else None,
-            stft=StftConfig(v["stft.fft_size"], v["stft.hop"], v["stft.window"]),
-            mfcc=MfccConfig(v["mfcc.pre_emphasis"], v["mfcc.frame_seconds"],
-                            v["mfcc.hop_seconds"], v["mfcc.n_filters"],
-                            v["mfcc.n_coeffs"], v["mfcc.log_floor"]),
-            cochlear=CochlearConfig(
-                ear_q=v["cochlear.ear_q"], step_factor=v["cochlear.step_factor"],
-                break_freq=v["cochlear.break_freq"], min_freq=v["cochlear.min_freq"],
-                top_margin=v["cochlear.top_margin"], sharpness=v["cochlear.sharpness"],
-                zero_offset=v["cochlear.zero_offset"],
-                agc_targets=v["cochlear.agc_targets"], agc_taus=v["cochlear.agc_taus"],
-                decim_seconds=v["cochlear.decim_seconds"],
-                expected_channels=v["cochlear.expected_channels"]),
             node_kind=None if node_kind == "none" else node_kind,
             n_theta=v["node.n_theta"],
             mask_seed=v["node.mask_seed"],
             stno=stno,
             tanh=TanhParams(gain=v["node.tanh_gain"], leak=v["node.tanh_leak"]),
             drive_ma=v["node.drive_ma"],
-            readout=ReadoutOptions(rtol=v["readout.rtol"], ridge=v["readout.ridge"],
-                                   bias=v["readout.bias"]),
+            **typed,
         )
 
     def load_corpus(self) -> tuple[Manifest, SubsetPartition]:
@@ -334,7 +313,8 @@ def _check_noise_conditions(key: str, pairs: Sequence[tuple[str, float]], *,
 
 
 def apply_seed_overrides(cfg: RunConfig, overrides: list[str]) -> RunConfig:
-    """Apply ``name=value`` seed overrides (e.g. ``mask_seed=9``)."""
+    """Apply ``name=value`` seed overrides (e.g. ``mask_seed=9``), validated
+    like a parsed config."""
     values = dict(cfg.values)
     by_name = {k.split(".", 1)[1]: k for k in SEED_KEYS}
     for item in overrides:
@@ -346,6 +326,6 @@ def apply_seed_overrides(cfg: RunConfig, overrides: list[str]) -> RunConfig:
             raise ConfigError(
                 f"unknown seed {name!r}; expected one of {sorted(by_name)}")
         values[by_name[name]] = _parse_int(text.strip(), name)
-        if values[by_name[name]] < 0:
-            raise ConfigError(f"{name}: seeds must be nonnegative")
-    return RunConfig(values)
+    out = RunConfig(values)
+    _validate(out)
+    return out

@@ -20,8 +20,10 @@ from resonet.evalharness import (PipelineSpec, alpha_sweep, cross_validate,
                                  enumerate_folds, prepare_corpus, sweep_spectra,
                                  with_node)
 from resonet.filterbank import exponent_transform
-from resonet.readout import ReadoutOptions, build_targets, predict, train_pinv
-from resonet.reservoir import StnoParams, stno_run
+from resonet.readout import (ReadoutOptions, build_targets, factor, predict,
+                             predict_means, score_wsr, solve, train_pinv)
+from resonet.reservoir import (StnoParams, gen_mask, mask_and_flatten, reshape_states,
+                               stno_run)
 from test_evalharness import chance_band, reference_node_stage
 from test_readout import classify
 
@@ -346,6 +348,51 @@ def test_baseline_decisions_do_not_depend_on_padding():
     print(f"PASS padding invariance: 20 baseline folds at alpha 1 and 2 trained on "
           f"true frames, max rel dev {worst:.2e}, every test decision identical, "
           f"{elapsed:.1f}s")
+
+
+def test_the_headline_holds_on_true_frames():
+    """Not a release criterion: pins README's reading of frame padding on
+    the total route.
+
+    The oscillator runs on each clip's true frames only, under the padded
+    route's corpus-wide input gain; every fold trains on true-frame
+    targets and scores true-frame means. The mean test WSR stays within
+    1.0 point of its golden value at alpha 1 and 2.
+    """
+    t0 = time.perf_counter()
+    golden = {1.0: 62.0, 2.0: 69.8}
+    got = {}
+    for alpha in golden:
+        _, base = _baseline_report(alpha)
+        _, prep = _total_report(alpha)
+        pipe = prep.pipeline
+        mask = gen_mask(pipe.mask_seed, pipe.n_theta, base.tensors.shape[1])
+        states = []
+        for x, n in zip(base.tensors, base.n_frames.tolist()):
+            drive = prep.input_gain * mask_and_flatten(x[:, :n], mask)
+            states.append(reshape_states(stno_run(drive, pipe.stno), pipe.n_theta, n))
+        factors = {}
+        for k in range(10):
+            idx = prep.indices_of_subsets([k])
+            factors[k] = factor([states[i] for i in idx],
+                                [build_targets(int(prep.digits[i]), states[i].shape[1])
+                                 for i in idx], pipe.readout)
+        means = np.array([v.mean(axis=1) for v in states])
+        wsrs = []
+        for fold in enumerate_folds(9):
+            model = solve([factors[k] for k in fold.train_subsets], pipe.readout)
+            te = prep.indices_of_subsets(fold.test_subsets)
+            decided = predict_means(model, means[te]).argmax(axis=1)
+            wsrs.append(score_wsr(decided.tolist(), prep.digits[te].tolist()))
+        got[alpha] = float(np.mean(wsrs))
+    elapsed = time.perf_counter() - t0
+    print(f"true-frame total WSR {got[1.0]:.1f} / {got[2.0]:.1f} at alpha 1 / 2, "
+          f"golden {golden[1.0]:.1f} / {golden[2.0]:.1f}")
+    for alpha, want in golden.items():
+        assert abs(got[alpha] - want) <= 1.0, \
+            f"alpha={alpha:g}: true-frame total {got[alpha]:.2f} vs golden {want:.1f}"
+    print(f"PASS headline on true frames: {got[1.0]:.1f} / {got[2.0]:.1f} at alpha 1 / 2, "
+          f"within 1.0 point of {golden[1.0]:.1f} / {golden[2.0]:.1f}, {elapsed:.1f}s")
 
 
 def test_criterion_09_bench_runs_are_byte_identical(tmp_path, monkeypatch):

@@ -100,6 +100,13 @@ def test_seed_override_changes_the_mask(conf, tmp_path):
     assert a0.splitlines()[2:] == b0.splitlines()[2:]  # same rows, new hash
 
 
+def test_negative_seed_override_gives_exit_code_2(conf, tmp_path, capsys):
+    """An override is validated like the config file it rewrites."""
+    assert run("bench", conf, "--seed-override", "mask_seed=-1") == 2
+    assert "seeds must be nonnegative" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_sweep_writes_csv(conf, tmp_path, capsys):
     assert run("sweep", conf) == 0
     text = (tmp_path / "out" / "sweep.csv").read_text()

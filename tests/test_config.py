@@ -7,6 +7,7 @@ import pytest
 from resonet.config import (GENERATOR_NAME, RunConfig, SCHEMA,
                             apply_seed_overrides, parse_config)
 from resonet.errors import ConfigError
+from resonet.evalharness import PipelineSpec
 
 
 def _write(tmp_path, text, name="run.conf"):
@@ -198,12 +199,67 @@ def test_generator_name_is_pinned():
     assert GENERATOR_NAME == "philox4x64"
 
 
+def _configuration_section() -> str:
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    return readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+
+
 def test_readme_configuration_table_names_only_schema_keys():
     """A row for a key the schema does not know documents a setting that
     every config file naming it is refused for."""
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-    section = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
-    rows = [ln for ln in section.splitlines() if ln.startswith("| `")]
+    rows = [ln for ln in _configuration_section().splitlines() if ln.startswith("| `")]
     keys = {k for row in rows for k in re.findall(r"`([a-z]+\.[a-z_]+)`", row)}
     assert len(keys) >= len(rows) > 0
     assert sorted(keys - set(SCHEMA)) == []
+
+
+BENCH_A2_STNO = ("filter.kind = spectro_exp\nfilter.alpha = 2.0\n"
+                 "node.kind = stno\nnode.n_theta = 400\neval.train_subsets = 9\n")
+ONE_KEY_PER_DERIVED_SECTION = """
+filter.kind = mfcc
+stft.hop = 32
+mfcc.n_coeffs = 12
+cochlear.agc_taus = 0.5,0.1,0.02,0.01
+readout.ridge = 0.5
+readout.bias = true
+node.kind = stno
+node.t_relax_ns = 300
+"""
+
+
+@pytest.mark.parametrize("text, config_hash, feature_hash", [
+    ("", "e29d302150ce0636", "fd8720c3d758cf83"),
+    (BENCH_A2_STNO, "035b7971e49f5bb1", "ecc17e8116f717c6"),
+    ("filter.kind = cochlear\n", "9ef408899be80376", "195880b6ebebb5f2"),
+    (ONE_KEY_PER_DERIVED_SECTION, "07cf56294de251ec", "a799564d78601d77"),
+], ids=["defaults", "bench-a2-stno", "cochlear", "one-key-per-derived-section"])
+def test_config_stamps_are_pinned(tmp_path, text, config_hash, feature_hash):
+    """Every report, model and feature cache carries these stamps; a schema
+    change that moves one orphans every artifact written before it."""
+    cfg = parse_config(_write(tmp_path, text))
+    assert (cfg.config_hash(), cfg.feature_hash()) == (config_hash, feature_hash)
+
+
+def test_default_config_builds_the_typed_defaults(tmp_path):
+    """The schema holds no default of its own for anything a typed object
+    holds: an empty config builds exactly the objects' defaults."""
+    pipe = parse_config(_write(tmp_path, "")).pipeline()
+    assert pipe == PipelineSpec(filter_kind="spectro_exp", alpha=1.0)
+
+
+def test_readme_configuration_defaults_are_the_schema_defaults():
+    """The README's table and its oscillator sentence restate defaults; each
+    must read back, through its key's parser, as the schema's default."""
+    section = _configuration_section()
+    documented = {}
+    for row in section.splitlines():
+        if row.startswith("| `"):
+            key_cell, default_cell = (c.strip() for c in row.split("|")[1:3])
+            documented[key_cell.strip("`")] = default_cell.strip("`")
+    oscillator = section.split("Oscillator constants", 1)[1].split("\n\n", 1)[0]
+    pairs = re.findall(r"`([a-z]+\.[a-z_]+) = ([^`]+)`", " ".join(oscillator.split()))
+    assert len(pairs) == 4
+    documented.update(pairs)
+    for key, text in documented.items():
+        parser, default = SCHEMA[key]
+        assert parser(text, key) == default, key
