@@ -174,9 +174,8 @@ def _write_parity_diagnostic(cfg: RunConfig, spectra: PreparedCorpus,
     lines = [f"# {h}" for h in _header_lines(cfg)]
     lines.append(f"# alpha = {alpha!r}")
     lines.append("clip_id,digit,n_plus_one,n_minus_one,max_other")
-    for clip_id, digit, x, n in zip(spectra.clip_ids, spectra.digits, spectra.tensors,
-                                    spectra.n_frames):
-        r = exponent_transform(x[:, :n], alpha)
+    for clip_id, digit, fm in zip(spectra.clip_ids, spectra.digits, spectra.features):
+        r = exponent_transform(fm.values, alpha)
         plus = int(np.sum(r == 1.0))
         minus = int(np.sum(r == -1.0))
         others = np.abs(r[(r != 1.0) & (r != -1.0)])

@@ -75,9 +75,9 @@ class DigitLabel:
         if self.noise_type not in NOISE_TYPES:
             raise ManifestError(f"unknown noise_type: {self.noise_type!r}")
         clean = self.noise_type == "clean"
-        if clean != math.isinf(self.snr_db):
+        if not (self.snr_db == math.inf if clean else math.isfinite(self.snr_db)):
             raise ManifestError(
-                f"snr_db must be infinite exactly when noise_type is clean, "
+                f"snr_db must be +inf when noise_type is clean and finite otherwise, "
                 f"got {self.noise_type!r} at {self.snr_db} dB")
 
 
@@ -193,7 +193,7 @@ def load_manifest(path: str | Path, *, sample_rate: int = SYNTH_SAMPLE_RATE) -> 
             except ManifestError as exc:
                 raise ManifestError(f"manifest row {i}: {exc}") from None
         else:
-            wav = (path.parent / src).expanduser()
+            wav = path.parent / Path(src).expanduser()
             if not wav.exists():
                 raise ManifestError(f"manifest row {i}: audio file not found: {wav}")
             src = str(wav)

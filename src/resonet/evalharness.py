@@ -148,20 +148,19 @@ def _baseline_stage(entries: Sequence[ManifestEntry], groups: Sequence[int],
                     pipeline: PipelineSpec, *, sample_rate: int, noise_seed: int,
                     workers: int, cache: Path | None = None,
                     factored: Collection[int] | None = None) -> PreparedCorpus:
-    """Every entry's features (``corpus_features``), padded to one frame
-    count: the baseline route, with entry i in group ``groups[i]`` and the
-    groups in ``factored`` (every group when None) factored.
+    """Every entry's features (``corpus_features``): the baseline route,
+    with entry i in group ``groups[i]`` and the groups in ``factored``
+    (every group when None) factored.
     """
-    feats = list(corpus_features(entries, pipeline, sample_rate=sample_rate,
-                                 noise_seed=noise_seed, workers=workers, cache=cache))
-    tensors = pad_to(feats)
+    feats = tuple(corpus_features(entries, pipeline, sample_rate=sample_rate,
+                                  noise_seed=noise_seed, workers=workers, cache=cache))
     n_frames = np.array([f.n_frames for f in feats])
-    del feats   # before the reduction: peak RSS on sweep 105 -> 90 MiB
     prep = PreparedCorpus(tuple(e.clip_id for e in entries),
                           np.array([e.label.digit for e in entries]), np.array(groups),
-                          tensors.shape[2], replace(pipeline, node_kind=None), n_frames,
-                          tensors=tensors)
-    return _reduce(prep, tensors.shape[1], lambda idx: tensors[idx], factored)
+                          int(n_frames.max()), replace(pipeline, node_kind=None), n_frames,
+                          features=feats)
+    return _reduce(prep, feats[0].n_rows,
+                   lambda idx: pad_to([feats[i] for i in idx], prep.n_frames_max), factored)
 
 
 def _reduce(prep: PreparedCorpus, n_inputs: int,
@@ -186,6 +185,7 @@ def _reduce(prep: PreparedCorpus, n_inputs: int,
             frame_means[chunk] = block.mean(axis=2)
             yield block, [build_targets(int(prep.digits[i]), prep.n_frames_max)
                           for i in chunk]
+            del block       # before the next block is made
 
     factors = {}
     for group in (int(g) for g in np.unique(prep.subset_of)):
@@ -193,8 +193,7 @@ def _reduce(prep: PreparedCorpus, n_inputs: int,
         if factored is None or group in factored:
             factors[group] = factor_blocks(blocks, prep.pipeline.readout)
         else:
-            for _ in blocks:        # frame means only
-                pass
+            deque(blocks, maxlen=0)     # frame means only, one block held at a time
     return replace(prep, frame_means=frame_means, factors=factors)
 
 
@@ -203,17 +202,16 @@ class PreparedCorpus:
     """Per-clip readout inputs, padded to a common frame count, reduced.
 
     Both routes reduce every clip's readout input in one loop, 50 clips
-    at a time (``_reduce``).  ``frame_means[i]`` is clip i's input
-    averaged over all ``n_frames_max`` frames, padding included, which is
-    what fold scoring reads.  ``factors[k]`` holds the readout factor
-    (see ``readout.factor``) of group k's inputs, for each group the
-    preparation was asked to train on, which is what training reads.
-    On the baseline route ``tensors[i]`` keeps clip i's features, padded
-    by ``pad_to``, because the node and the alpha sweep read them; on the
-    total route the node states are never kept, nor a swept exponent's
-    features, and ``tensors`` is None.  ``n_frames[i]`` is
-    clip i's frame count before padding, on every route: frames from
-    ``n_frames[i]`` on are padding (zeros in ``tensors``).
+    at a time (``_reduce``), padding only that block.  ``frame_means[i]``
+    is clip i's input averaged over all ``n_frames_max`` frames, padding
+    included, which is what fold scoring reads.  ``factors[k]`` holds the
+    readout factor (see ``readout.factor``) of group k's inputs, for each
+    group the preparation was asked to train on: what training reads.  On
+    the baseline route ``features[i]`` is clip i's ``FeatureMatrix`` as the
+    front end gave it, unpadded, which the node, the alpha sweep and its
+    parity diagnostic read; on the total route the node states are never
+    kept, nor a swept exponent's features, and ``features`` is None.
+    ``n_frames[i]`` is clip i's frame count before padding, on every route.
     ``subset_of[i]`` is clip i's group: its cross-validation subset, or
     its pool in a stratified report.  Built once, read-only afterward;
     folds only reindex it.
@@ -226,7 +224,7 @@ class PreparedCorpus:
     pipeline: PipelineSpec
     n_frames: np.ndarray                          # (n_clips,) frames before padding
     frame_means: np.ndarray | None = field(default=None, repr=False)  # (n_clips, n_inputs)
-    tensors: np.ndarray | None = None             # (n_clips, n_rows, n_frames_max)
+    features: tuple[FeatureMatrix, ...] | None = field(default=None, repr=False)
     input_gain: float | None = None
     factors: dict[int, np.ndarray] = field(default_factory=dict, repr=False)
 
@@ -240,7 +238,7 @@ def prepare_corpus(manifest: Manifest, partition: SubsetPartition,
                    workers: int = 1, cache: Path | None = None,
                    factored: Collection[int] | None = None) -> PreparedCorpus:
     """The baseline route of every clip the partition covers: featurized
-    (``corpus_features``) and padded, with the subsets in ``factored``
+    (``corpus_features``), with the subsets in ``factored``
     (every subset when None) factored.  The pipeline's node, if any, is
     ignored; ``with_node`` gives the total route.
     """
@@ -277,8 +275,10 @@ def with_node(prep: PreparedCorpus, pipeline: PipelineSpec,
     integrator) is what runs.
     """
     n_frames = prep.n_frames_max
-    mask = reservoir.gen_mask(pipeline.mask_seed, pipeline.n_theta, prep.tensors.shape[1])
-    peak = max(float(np.abs(mask.entries @ x).max()) for x in prep.tensors)
+    mask = reservoir.gen_mask(pipeline.mask_seed, pipeline.n_theta, prep.features[0].n_rows)
+    # padded as in its drive block: M @ X over bare frames can differ in the last bit
+    peak = max(float(np.abs(mask.entries @ pad_to([fm], n_frames)[0]).max())
+               for fm in prep.features)
     input_gain = pipeline.drive_ma / peak if peak > 0.0 else 0.0
     t = pipeline.tanh
 
@@ -287,8 +287,8 @@ def with_node(prep: PreparedCorpus, pipeline: PipelineSpec,
         # frame means are summed in this memory order
         states = np.empty((idx.size, n_frames, pipeline.n_theta)).transpose(0, 2, 1)
         with np.errstate(over="ignore", invalid="ignore"):
-            for j, i in enumerate(idx):
-                drive = input_gain * reservoir.mask_and_flatten(prep.tensors[i], mask)
+            for j, x in enumerate(pad_to([prep.features[i] for i in idx], n_frames)):
+                drive = input_gain * reservoir.mask_and_flatten(x, mask)
                 if pipeline.node_kind == "stno":
                     v = reservoir.stno_run(drive, pipeline.stno)
                 else:
@@ -300,7 +300,7 @@ def with_node(prep: PreparedCorpus, pipeline: PipelineSpec,
             raise NumericalError("oscillator states must be nonnegative")
         return states
 
-    node = replace(prep, pipeline=pipeline, tensors=None, input_gain=input_gain)
+    node = replace(prep, pipeline=pipeline, features=None, input_gain=input_gain)
     return _reduce(node, pipeline.n_theta, _run_block, factored)
 
 
@@ -416,8 +416,8 @@ def sweep_spectra(manifest: Manifest, partition: SubsetPartition,
                   base: PipelineSpec, *, noise_seed: int = 0,
                   workers: int = 1) -> PreparedCorpus:
     """Every clip realized once and run through the ``spectro_real`` front
-    end: its max-abs-normalized real spectrum, padded.  ``alpha_sweep``
-    derives each exponent's features from it.
+    end: its max-abs-normalized real spectrum.  ``alpha_sweep`` derives
+    each exponent's features from it.
     """
     pipe = replace(base, filter_kind="spectro_real", alpha=None)
     return prepare_corpus(manifest, partition, pipe, noise_seed=noise_seed,
@@ -430,8 +430,8 @@ def alpha_sweep(spectra: PreparedCorpus, alphas: Sequence[float],
 
     ``spectra`` is a ``sweep_spectra`` preparation.  Each exponent's
     features are the ``spectro_exp`` front end's: ``exponent_transform``
-    of each clip's unpadded spectrum, checked as a ``FeatureMatrix`` and
-    padded by ``pad_to``, 50 clips at a time inside ``_reduce``.
+    of each clip's ``spectra.features``, checked as a ``FeatureMatrix``
+    and padded by ``pad_to``, 50 clips at a time inside ``_reduce``.
     """
     points = []
     for alpha in (float(a) for a in alphas):
@@ -441,13 +441,13 @@ def alpha_sweep(spectra: PreparedCorpus, alphas: Sequence[float],
             # overflows; FeatureMatrix then names the clip in a DataError
             with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
                 return pad_to([FeatureMatrix(
-                    exponent_transform(spectra.tensors[i, :, :spectra.n_frames[i]], alpha),
+                    exponent_transform(spectra.features[i].values, alpha),
                     "spectro_exp", spectra.clip_ids[i], alpha) for i in idx],
                     spectra.n_frames_max)
 
         pipe = replace(spectra.pipeline, filter_kind="spectro_exp", alpha=alpha)
-        prep = _reduce(replace(spectra, pipeline=pipe, tensors=None),
-                       spectra.tensors.shape[1], _run_block, None)
+        prep = _reduce(replace(spectra, pipeline=pipe, features=None),
+                       spectra.features[0].n_rows, _run_block, None)
         report = cross_validate(prep, n_train)
         points.append(SweepPoint(alpha, report.test.wsr, report.test.wsr_std))
     return points

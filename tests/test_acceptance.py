@@ -19,7 +19,7 @@ from resonet.dataset import build_synth_manifest, load_manifest, partition_subse
 from resonet.evalharness import (PipelineSpec, alpha_sweep, cross_validate,
                                  enumerate_folds, prepare_corpus, sweep_spectra,
                                  with_node)
-from resonet.filterbank import exponent_transform
+from resonet.filterbank import exponent_transform, pad_to
 from resonet.readout import (ReadoutOptions, build_targets, factor, predict,
                              predict_means, score_wsr, solve, train_pinv)
 from resonet.reservoir import (StnoParams, gen_mask, mask_and_flatten, reshape_states,
@@ -57,7 +57,7 @@ def _total_states(alpha: float) -> np.ndarray:
     if key not in _CACHE:
         _, prep = _total_report(alpha)
         _, base = _baseline_report(alpha)
-        states, input_gain = reference_node_stage(base.tensors, prep.pipeline)
+        states, input_gain = reference_node_stage(pad_to(base.features), prep.pipeline)
         assert input_gain == prep.input_gain
         _CACHE[key] = states
     return _CACHE[key]
@@ -295,7 +295,7 @@ def test_factored_readout_matches_reference_on_every_fold():
     worst = 0.0
     base_report, base_prep = _baseline_report(2.0)
     total_report, total_prep = _total_report(2.0)
-    routes = [(base_report, base_prep, base_prep.tensors),
+    routes = [(base_report, base_prep, pad_to(base_prep.features)),
               (total_report, total_prep, _total_states(2.0))]
     for report, prep, states in routes:
         for fm in report.folds:
@@ -331,7 +331,8 @@ def test_baseline_decisions_do_not_depend_on_padding():
         report, prep = _baseline_report(alpha)
         assert not prep.pipeline.readout.bias
         assert min(prep.n_frames) < prep.n_frames_max
-        true = [x[:, :n] for x, n in zip(prep.tensors, prep.n_frames)]
+        tensors = pad_to(prep.features)
+        true = [x[:, :n] for x, n in zip(tensors, prep.n_frames)]
         for fm in report.folds:
             tr = prep.indices_of_subsets(fm.fold.train_subsets)
             targets = [build_targets(int(prep.digits[i]), int(prep.n_frames[i])) for i in tr]
@@ -342,7 +343,7 @@ def test_baseline_decisions_do_not_depend_on_padding():
             assert rel < 1e-9, f"alpha={alpha:g} fold {fm.fold.describe()}: rel dev {rel:.3e}"
             for i in prep.indices_of_subsets(fm.fold.test_subsets):
                 assert classify(want @ true[i].mean(axis=1)) == \
-                    classify(predict(fm.model, prep.tensors[i])), \
+                    classify(predict(fm.model, tensors[i])), \
                     f"alpha={alpha:g} fold {fm.fold.describe()}: decision moved on clip {i}"
     elapsed = time.perf_counter() - t0
     print(f"PASS padding invariance: 20 baseline folds at alpha 1 and 2 trained on "
@@ -366,9 +367,10 @@ def test_the_headline_holds_on_true_frames():
         _, base = _baseline_report(alpha)
         _, prep = _total_report(alpha)
         pipe = prep.pipeline
-        mask = gen_mask(pipe.mask_seed, pipe.n_theta, base.tensors.shape[1])
+        tensors = pad_to(base.features)
+        mask = gen_mask(pipe.mask_seed, pipe.n_theta, tensors.shape[1])
         states = []
-        for x, n in zip(base.tensors, base.n_frames.tolist()):
+        for x, n in zip(tensors, base.n_frames.tolist()):
             drive = prep.input_gain * mask_and_flatten(x[:, :n], mask)
             states.append(reshape_states(stno_run(drive, pipe.stno), pipe.n_theta, n))
         factors = {}

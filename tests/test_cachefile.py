@@ -7,8 +7,9 @@ from resonet.cachefile import (FILTER_CODES, FILTER_NAMES, MAGIC_MODEL, NODE_COD
                                _HASH_LEN, _check_hash, _open, read_feature_cache,
                                write_feature_cache, write_model)
 from resonet.errors import CacheError
-from resonet.filterbank import FeatureMatrix
+from resonet.filterbank import FILTER_KINDS, FeatureMatrix
 from resonet.readout import ReadoutModel, ReadoutOptions
+from resonet.reservoir import NODE_KINDS
 
 NODE_NAMES = {v: k for k, v in NODE_CODES.items()}
 HASH = "00112233aabbccdd"
@@ -152,3 +153,11 @@ def test_model_header_refuses_unknown_kinds(tmp_path, rng):
         bad.write_bytes(bytes(body) + _checksum(bytes(body)))
         with pytest.raises(CacheError, match="unknown filter or node code"):
             read_model(bad, HASH)
+
+
+def test_every_filter_and_node_kind_has_its_own_cache_code():
+    """A kind without a code would fail only when a file of it is written."""
+    assert sorted(FILTER_CODES) == sorted(FILTER_KINDS)
+    assert sorted(NODE_CODES) == sorted(NODE_KINDS + ("none",))
+    for codes in (FILTER_CODES, NODE_CODES):
+        assert len(set(codes.values())) == len(codes)

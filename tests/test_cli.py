@@ -288,6 +288,18 @@ def test_bad_manifest_gives_exit_code_3(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("noise_type, snr", [("synthetic-white", "nan"), ("clean", "-inf")],
+                         ids=["noisy-nan", "clean-minus-inf"])
+def test_a_manifest_snr_its_noise_type_cannot_have_gives_exit_code_3(tmp_path, capsys,
+                                                                    noise_type, snr):
+    manifest = tmp_path / "m.csv"
+    manifest.write_text("clip_id,path,digit,speaker,utterance,noise_type,snr_db\n"
+                        f"a,synth:2:0:0:random,2,s0,0,{noise_type},{snr}\n")
+    conf = _write_conf(tmp_path, f"corpus.kind = manifest\ncorpus.manifest = {manifest}\n")
+    assert run("bench", conf) == 3
+    assert "manifest row 2: snr_db must be +inf" in capsys.readouterr().err
+
+
 def test_synth_corpus_on_a_manifest_corpus_gives_exit_code_2(tmp_path, capsys):
     # the corpus kind is checked before the manifest is read
     code = run("synth-corpus", _one_row_manifest_conf(tmp_path))
@@ -412,6 +424,28 @@ def test_bench_featurizes_each_clip_once_and_trains_each_fold_once(conf, monkeyp
     factored.clear()
     assert run("export-features", conf) == 0
     assert factored == []
+
+
+@pytest.mark.parametrize("command, clips", [("bench", 3 * 500), ("sweep", 3 * 500),
+                                             ("stratified", 3 * (400 + 2 * 100))])
+def test_clips_are_padded_only_in_reduction_blocks(conf, monkeypatch, command, clips):
+    """No call pads more than the ``FACTOR_CHUNK`` clips of one block.
+    Each clip is padded once per reduction (both bench routes; the
+    sweep's spectra and its two exponents; both stratified routes over
+    the training pool and the two cells) and once for the node's input
+    scale."""
+    import resonet.evalharness as evalharness
+    from resonet.readout import FACTOR_CHUNK
+    padded, pad_to = [], evalharness.pad_to
+
+    def counting_pad_to(features, *args, **kwargs):
+        padded.append(len(features))
+        return pad_to(features, *args, **kwargs)
+
+    monkeypatch.setattr(evalharness, "pad_to", counting_pad_to)
+    assert run(command, conf) == 0
+    assert max(padded) <= FACTOR_CHUNK
+    assert sum(padded) == clips
 
 
 @pytest.mark.parametrize("alphas", ["0,2", "1,1000"], ids=["sweep", "with-parity"])

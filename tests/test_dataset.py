@@ -137,6 +137,32 @@ def test_load_manifest_rejects_duplicate_ids(tmp_path):
         load_manifest(path)
 
 
+@pytest.mark.parametrize("noise_type, snr", [("synthetic-white", "nan"), ("clean", "-inf")],
+                         ids=["noisy-nan", "clean-minus-inf"])
+def test_load_manifest_refuses_an_snr_its_noise_type_cannot_have(tmp_path, noise_type, snr):
+    """A clean row is at +inf dB and a noisy row at a finite SNR, as the
+    config requires of its test conditions."""
+    path = tmp_path / "m.csv"
+    path.write_text("clip_id,path,digit,speaker,utterance,noise_type,snr_db\n"
+                    "a,synth:1:1:0:random,1,s0,0,clean,inf\n"
+                    f"b,synth:2:1:0:random,2,s0,0,{noise_type},{snr}\n")
+    with pytest.raises(ManifestError, match=r"row 3: snr_db must be \+inf when noise_type "
+                                            r"is clean and finite otherwise"):
+        load_manifest(path)
+
+
+def test_load_manifest_expands_a_home_relative_path(tmp_path, monkeypatch):
+    home = tmp_path / "home"
+    home.mkdir()
+    _write_wav(home / "a.wav", 0.5 * np.sin(np.arange(800) * 0.3))
+    monkeypatch.setenv("HOME", str(home))
+    path = tmp_path / "corpus" / "m.csv"
+    path.parent.mkdir()
+    path.write_text("clip_id,path,digit,speaker,utterance,noise_type,snr_db\n"
+                    "a,~/a.wav,1,s0,0,clean,inf\n")
+    assert load_manifest(path).entries[0].source == str(home / "a.wav")
+
+
 def _write_wav(path: Path, samples: np.ndarray, rate: int = 8000,
                width: int = 2) -> None:
     with wave.open(str(path), "wb") as w:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import time
 import tracemalloc
@@ -19,8 +20,8 @@ from resonet.evalharness import (CrossValReport, FoldSpec, GainReport,
                                  report_to_csv, run_fold, stratified_report,
                                  summary_markdown, sweep_spectra, with_node)
 from resonet.filterbank import pad_to
-from resonet.readout import (Metrics, build_targets, factor, predict, predict_means,
-                             score_wsr, train_pinv)
+from resonet.readout import (FACTOR_CHUNK, Metrics, build_targets, factor, predict,
+                             predict_means, score_wsr, train_pinv)
 from resonet.reservoir import (StnoParams, gen_mask, mask_and_flatten, node_run_reference,
                                reshape_states, stno_run)
 from test_readout import classify, score_mse
@@ -84,13 +85,27 @@ def baseline_prep(corpus):
 def test_prepare_corpus_baseline_shapes(baseline_prep, corpus):
     manifest, partition = corpus
     prep = baseline_prep
-    assert prep.tensors.shape[0] == 500
-    assert prep.tensors.shape[1] == 65
-    assert prep.tensors.shape[2] == prep.n_frames_max
+    tensors = pad_to(prep.features)
+    assert tensors.shape[0] == 500
+    assert tensors.shape[1] == 65
+    assert tensors.shape[2] == prep.n_frames_max
     assert prep.input_gain is None
     where = partition.subset_of()
     for i, cid in enumerate(prep.clip_ids):
         assert where[cid] == prep.subset_of[i]
+
+
+def test_preparations_keep_the_front_end_features_unpadded(baseline_prep, spectra):
+    """No field of a baseline preparation holds a padded copy of the
+    corpus; each clip's features are kept as the front end gave them."""
+    for prep in (baseline_prep, spectra):
+        padded = len(prep.clip_ids) * prep.frame_means.shape[1] * prep.n_frames_max
+        for f in dataclasses.fields(prep):
+            value = getattr(prep, f.name)
+            assert not (isinstance(value, np.ndarray) and value.size >= padded), f.name
+        assert [fm.clip_id for fm in prep.features] == list(prep.clip_ids)
+        assert [fm.n_frames for fm in prep.features] == prep.n_frames.tolist()
+        assert {fm.filter_kind for fm in prep.features} == {prep.pipeline.filter_kind}
 
 
 def test_prepare_corpus_worker_invariance(corpus):
@@ -99,7 +114,7 @@ def test_prepare_corpus_worker_invariance(corpus):
     a = prepare_corpus(manifest, partition, pipe, workers=1)
     b = prepare_corpus(manifest, partition, pipe, workers=4)
     assert a.clip_ids == b.clip_ids
-    assert np.array_equal(a.tensors, b.tensors)
+    assert np.array_equal(pad_to(a.features), pad_to(b.features))
 
 
 def test_cochlear_features_are_worker_invariant(corpus):
@@ -111,7 +126,7 @@ def test_cochlear_features_are_worker_invariant(corpus):
     a = prepare_corpus(manifest, small, pipe, workers=1)
     b = prepare_corpus(manifest, small, pipe, workers=2)
     assert a.clip_ids == b.clip_ids
-    assert np.array_equal(a.tensors, b.tensors)
+    assert np.array_equal(pad_to(a.features), pad_to(b.features))
 
 
 NODE_PIPE = PipelineSpec(filter_kind="spectro_exp", alpha=2.0, node_kind="stno",
@@ -151,7 +166,7 @@ def node_route(corpus, baseline_prep):
     unpadded features.  ``baseline_prep`` is its baseline route."""
     manifest, _ = corpus
     prep = with_node(baseline_prep, NODE_PIPE)
-    states, _ = reference_node_stage(baseline_prep.tensors, NODE_PIPE)
+    states, _ = reference_node_stage(pad_to(baseline_prep.features), NODE_PIPE)
     by_id = {e.clip_id: e for e in manifest.entries}
     feats = [clip_features(by_id[cid], NODE_PIPE, sample_rate=manifest.sample_rate)
              for cid in prep.clip_ids]
@@ -172,7 +187,7 @@ def test_with_node_route(node_route):
     # the scaled drive peaks exactly at drive_ma over the corpus
     assert prep.input_gain == pytest.approx(3.0 / float(np.max(_clip_peaks(prep, feats))))
     assert np.all(states >= 0.0)
-    assert prep.tensors is None
+    assert prep.features is None
 
 
 def test_preparations_keep_each_clips_true_frame_count(baseline_prep, node_route):
@@ -246,7 +261,7 @@ def assert_matches_reference(prep, states, factored):
     in ``factored``, and no other, has the factor that ``readout.factor``
     computes from its clips' reference inputs."""
     # the total route keeps no states; the baseline keeps its features
-    assert (prep.tensors is None) == (prep.pipeline.node_kind is not None)
+    assert (prep.features is None) == (prep.pipeline.node_kind is not None)
     # frame means sum in memory order, so this also pins the state layout
     assert np.array_equal(prep.frame_means, states.mean(axis=2))
     assert sorted(prep.factors) == sorted(factored)
@@ -262,7 +277,7 @@ def assert_matches_reference(prep, states, factored):
 def test_node_stage_matches_the_per_clip_reference(baseline_prep, node_kind):
     pipe = replace(baseline_prep.pipeline, node_kind=node_kind, n_theta=40)
     prep = with_node(baseline_prep, pipe)
-    states, input_gain = reference_node_stage(baseline_prep.tensors, pipe)
+    states, input_gain = reference_node_stage(pad_to(baseline_prep.features), pipe)
     assert prep.input_gain == input_gain
     assert_matches_reference(prep, states, range(10))
 
@@ -292,11 +307,11 @@ def test_streamed_node_route_matches_the_reference_at_block_edges(corpus, baseli
                               factored=factored)
         assert prep.clip_ids == baseline_prep.clip_ids
         assert np.array_equal(prep.subset_of, groups)
-        inputs = baseline_prep.tensors
+        inputs = pad_to(baseline_prep.features)
     else:
         base = replace(baseline_prep, subset_of=groups)
         prep = with_node(base, NODE_PIPE, factored=factored)
-        inputs, input_gain = reference_node_stage(base.tensors, NODE_PIPE)
+        inputs, input_gain = reference_node_stage(pad_to(base.features), NODE_PIPE)
         assert prep.input_gain == input_gain
     assert_matches_reference(prep, inputs, factored)
 
@@ -316,8 +331,10 @@ def test_with_node_never_holds_the_state_tensor(baseline_prep, node_route):
 
 
 def test_baseline_route_copies_the_corpus_once(corpus):
-    """Building a baseline preparation holds the unpadded features and
-    one padded copy of the corpus, never a second copy."""
+    """Building a baseline preparation holds each clip's features as the
+    front end gave them, once, and pads no more than the blocks the
+    reduction works on: its peak stays under the true-frame feature bytes
+    plus two padded blocks, never a padded copy of the corpus."""
     manifest, partition = corpus
     tracemalloc.start()
     try:
@@ -326,7 +343,11 @@ def test_baseline_route_copies_the_corpus_once(corpus):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2.2 * prep.tensors.nbytes, f"peak {peak / prep.tensors.nbytes:.2f} x tensors"
+    n_rows = prep.frame_means.shape[1]
+    features = int(prep.n_frames.sum()) * n_rows * 8
+    block = FACTOR_CHUNK * n_rows * prep.n_frames_max * 8
+    assert peak < features + 2 * block, \
+        f"peak {(peak - features) / block:.2f} blocks over the true-frame features"
 
 
 def test_memoryless_oscillator_frame_means_are_the_closed_form(baseline_prep):
@@ -338,8 +359,9 @@ def test_memoryless_oscillator_frame_means_are_the_closed_form(baseline_prep):
     assert stno.decay == 0.0
     pipe = replace(NODE_PIPE, stno=stno)
     prep = with_node(baseline_prep, pipe, factored=())
-    mask = gen_mask(pipe.mask_seed, pipe.n_theta, baseline_prep.tensors.shape[1])
-    for i, x in enumerate(baseline_prep.tensors):
+    tensors = pad_to(baseline_prep.features)
+    mask = gen_mask(pipe.mask_seed, pipe.n_theta, tensors.shape[1])
+    for i, x in enumerate(tensors):
         drive = prep.input_gain * (mask.entries @ x)
         v = stno.c * np.sqrt(np.maximum(0.0, stno.i_dc - drive - stno.i_c))
         # summed over frames in the node route's frame-major memory order
@@ -393,9 +415,10 @@ def test_node_stage_checks_the_last_block_of_the_last_group(baseline_prep, monke
         base = replace(base, subset_of=(np.arange(len(base.clip_ids)) >= 123).astype(int))
     pipe = replace(base.pipeline, node_kind="stno", n_theta=4)
     last = base.indices_of_subsets([max(base.subset_of)])[-1]
-    mask = gen_mask(pipe.mask_seed, pipe.n_theta, base.tensors.shape[1])
-    _, gain = reference_node_stage(base.tensors, pipe)
-    bad_drive = gain * mask_and_flatten(base.tensors[last], mask)
+    tensors = pad_to(base.features)
+    mask = gen_mask(pipe.mask_seed, pipe.n_theta, tensors.shape[1])
+    _, gain = reference_node_stage(tensors, pipe)
+    bad_drive = gain * mask_and_flatten(tensors[last], mask)
     hits = []
 
     def stno_run_spoiling_one_clip(drive, params):
@@ -644,7 +667,7 @@ def test_stratified_node_route_factors_only_the_training_pool(corpus, monkeypatc
                       test_noise_types=("synthetic-white",), noise_seed=2002, workers=4)
     (base, prep), = routes
     assert list(base.subset_of) == [0] * 400 + [1] * 100 + [2] * 100
-    states, input_gain = reference_node_stage(base.tensors, pipe)
+    states, input_gain = reference_node_stage(pad_to(base.features), pipe)
     assert prep.input_gain == input_gain
     assert_matches_reference(prep, states, (0,))
     assert factored == [400, 400]
@@ -684,7 +707,7 @@ def test_sweep_derives_each_exponent_as_the_spectro_exp_front_end(corpus, spectr
     assert point.alpha == alpha
     want = prepare_corpus(manifest, partition,
                           PipelineSpec(filter_kind="spectro_exp", alpha=alpha), workers=4)
-    assert prep.tensors is None
+    assert prep.features is None
     assert prep.pipeline == want.pipeline
     assert np.array_equal(prep.n_frames, want.n_frames)
     assert np.array_equal(prep.frame_means, want.frame_means)
@@ -697,9 +720,11 @@ def test_sweep_rejects_non_finite_transformed_entries(spectra):
     """An exact zero inside a clip's true frames has no finite negative
     power; the padding zeros of every other clip do not count."""
     last = spectra.indices_of_subsets([9])[-1]
-    tensors = spectra.tensors.copy()
-    tensors[last, 3, spectra.n_frames[last] - 1] = 0.0
-    spoiled = replace(spectra, tensors=tensors)
+    values = spectra.features[last].values.copy()
+    values[3, spectra.n_frames[last] - 1] = 0.0
+    features = list(spectra.features)
+    features[last] = replace(features[last], values=values)
+    spoiled = replace(spectra, features=tuple(features))
     assert min(np.delete(spoiled.n_frames, last)) < spoiled.n_frames_max
     with pytest.raises(DataError, match=f"{spoiled.clip_ids[last]!r} has non-finite"):
         alpha_sweep(spoiled, [-1.0], 9)
