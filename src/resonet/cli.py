@@ -32,10 +32,10 @@ from . import cachefile
 from .config import GENERATOR_NAME, RunConfig, apply_seed_overrides, parse_config
 from .dataset import save_manifest
 from .errors import ConfigError, ResonetError
-from .evalharness import (GainReport, PreparedCorpus, alpha_sweep, corpus_features,
-                          condition_markdown, cross_validate, prepare_corpus,
-                          report_to_csv, stratified_report, summary_markdown,
-                          sweep_spectra, with_node)
+from .evalharness import (Corpus, GainReport, alpha_sweep, baseline_route,
+                          corpus_features, condition_markdown, cross_validate,
+                          prepare_corpus, report_to_csv, stratified_report,
+                          summary_markdown, sweep_spectra, with_node)
 from .filterbank import exponent_transform
 
 PARITY_ALPHA_THRESHOLD = 100.0
@@ -105,17 +105,16 @@ def cmd_bench(args) -> int:
     out = _out_dir(args)
     header = _header_lines(cfg)
 
-    base_prep = prepare_corpus(manifest, partition, pipeline,
-                               noise_seed=cfg["corpus.noise_seed"],
-                               workers=args.workers, cache=_feature_cache(cfg, args))
-    baseline = cross_validate(base_prep, n_train)
+    corpus = prepare_corpus(manifest, partition, pipeline,
+                            noise_seed=cfg["corpus.noise_seed"],
+                            workers=args.workers, cache=_feature_cache(cfg, args))
+    baseline = cross_validate(baseline_route(corpus, pipeline), n_train)
     (out / "report_baseline.csv").write_text(report_to_csv(baseline, header))
     reports = [baseline]
     gain = None
 
     if pipeline.node_kind is not None:
-        prep = with_node(base_prep, pipeline)
-        total = cross_validate(prep, n_train)
+        total = cross_validate(with_node(corpus, pipeline), n_train)
         (out / "report_total.csv").write_text(report_to_csv(total, header))
         reports.append(total)
         gain = GainReport(baseline, total)
@@ -147,7 +146,7 @@ def cmd_sweep(args) -> int:
 
     spectra = sweep_spectra(manifest, partition, pipeline,
                             noise_seed=cfg["corpus.noise_seed"], workers=args.workers)
-    points = alpha_sweep(spectra, alphas, n_train)
+    points = alpha_sweep(spectra, pipeline, alphas, n_train)
     lines = [f"# {h}" for h in _header_lines(cfg)]
     lines.append("alpha,wsr_mean,wsr_std")
     for p in points:
@@ -163,7 +162,7 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _write_parity_diagnostic(cfg: RunConfig, spectra: PreparedCorpus,
+def _write_parity_diagnostic(cfg: RunConfig, spectra: Corpus,
                              alpha: float, out: Path) -> None:
     """Count which normalized entries of the sweep's spectra survive a
     huge exponent, clip by clip over its true frames.

@@ -371,14 +371,18 @@ def build_synth_manifest(synth_seed: int, *, phase_mode: str = "random",
 def read_clip(entry: ManifestEntry, *, sample_rate: int = SYNTH_SAMPLE_RATE) -> AudioClip:
     """Load a manifest entry into memory, without applying its noise tag.
 
-    WAV sources must be mono 8- or 16-bit PCM; their own sample rate is
-    preserved (there is no implicit resampling).  Synthetic recipes are
-    rendered at ``sample_rate``.
+    WAV sources must be mono 8- or 16-bit PCM at ``sample_rate``, the corpus
+    rate: there is no implicit resampling, and a WAV at another rate is an
+    ``AudioFormatError``.  Synthetic recipes are rendered at ``sample_rate``.
     """
     if entry.is_synthetic:
         digit, spk, utt, mode = parse_recipe(entry.source)
         return synth_digit(digit, spk, utt, mode, sample_rate, clip_id=entry.clip_id)
-    return read_wav(entry.source, clip_id=entry.clip_id)
+    clip = read_wav(entry.source, clip_id=entry.clip_id)
+    if clip.sample_rate != sample_rate:
+        raise AudioFormatError(f"clip {entry.clip_id!r}: {entry.source} is sampled at "
+                               f"{clip.sample_rate} Hz, the corpus at {sample_rate} Hz")
+    return clip
 
 
 def read_wav(path: str | Path, *, clip_id: str | None = None) -> AudioClip:

@@ -144,120 +144,113 @@ def corpus_features(entries: Sequence[ManifestEntry], pipeline: PipelineSpec, *,
         yield from map(_load, entries)
 
 
-def _baseline_stage(entries: Sequence[ManifestEntry], groups: Sequence[int],
-                    pipeline: PipelineSpec, *, sample_rate: int, noise_seed: int,
-                    workers: int, cache: Path | None = None,
-                    factored: Collection[int] | None = None) -> PreparedCorpus:
-    """Every entry's features (``corpus_features``): the baseline route,
-    with entry i in group ``groups[i]`` and the groups in ``factored``
-    (every group when None) factored.
-    """
-    feats = tuple(corpus_features(entries, pipeline, sample_rate=sample_rate,
-                                  noise_seed=noise_seed, workers=workers, cache=cache))
-    n_frames = np.array([f.n_frames for f in feats])
-    prep = PreparedCorpus(tuple(e.clip_id for e in entries),
-                          np.array([e.label.digit for e in entries]), np.array(groups),
-                          int(n_frames.max()), replace(pipeline, node_kind=None), n_frames,
-                          features=feats)
-    return _reduce(prep, feats[0].n_rows,
-                   lambda idx: pad_to([feats[i] for i in idx], prep.n_frames_max), factored)
-
-
-def _reduce(prep: PreparedCorpus, n_inputs: int,
-            run_block: Callable[[np.ndarray], np.ndarray],
-            factored: Collection[int] | None) -> PreparedCorpus:
-    """``prep`` with every clip's frame-mean readout input and the readout
-    factor of each group in ``factored`` (every group when None).
-
-    Each group's clips are taken in index order, ``FACTOR_CHUNK`` at a
-    time: the blocks ``factor`` forms.  ``run_block(idx)`` gives those
-    clips' readout inputs, shaped (clips, n_inputs, n_frames_max); the
-    block is averaged over frames, stacked under its group's factor when
-    the group is in ``factored``, and dropped, so no more than one block
-    of inputs is produced at once.
-    """
-    frame_means = np.empty((len(prep.clip_ids), n_inputs))
-
-    def _blocks(idx: np.ndarray):
-        for start in range(0, idx.size, FACTOR_CHUNK):
-            chunk = idx[start:start + FACTOR_CHUNK]
-            block = run_block(chunk)
-            frame_means[chunk] = block.mean(axis=2)
-            yield block, [build_targets(int(prep.digits[i]), prep.n_frames_max)
-                          for i in chunk]
-            del block       # before the next block is made
-
-    factors = {}
-    for group in (int(g) for g in np.unique(prep.subset_of)):
-        blocks = _blocks(prep.indices_of_subsets([group]))
-        if factored is None or group in factored:
-            factors[group] = factor_blocks(blocks, prep.pipeline.readout)
-        else:
-            deque(blocks, maxlen=0)     # frame means only, one block held at a time
-    return replace(prep, frame_means=frame_means, factors=factors)
-
-
-@dataclass
-class PreparedCorpus:
-    """Per-clip readout inputs, padded to a common frame count, reduced.
-
-    Both routes reduce every clip's readout input in one loop, 50 clips
-    at a time (``_reduce``), padding only that block.  ``frame_means[i]``
-    is clip i's input averaged over all ``n_frames_max`` frames, padding
-    included, which is what fold scoring reads.  ``factors[k]`` holds the
-    readout factor (see ``readout.factor``) of group k's inputs, for each
-    group the preparation was asked to train on: what training reads.  On
-    the baseline route ``features[i]`` is clip i's ``FeatureMatrix`` as the
-    front end gave it, unpadded, which the node, the alpha sweep and its
-    parity diagnostic read; on the total route the node states are never
-    kept, nor a swept exponent's features, and ``features`` is None.
-    ``n_frames[i]`` is clip i's frame count before padding, on every route.
-    ``subset_of[i]`` is clip i's group: its cross-validation subset, or
-    its pool in a stratified report.  Built once, read-only afterward;
-    folds only reindex it.
-    """
+@dataclass(frozen=True, eq=False)
+class Corpus:
+    """The clips a run evaluates, featurized once: ``features[i]`` is clip
+    i's ``FeatureMatrix`` as the front end gave it, unpadded, and
+    ``subset_of[i]`` its group (its cross-validation subset, or its pool
+    in a stratified report).  Every route of a run reduces the same corpus."""
 
     clip_ids: tuple[str, ...]
     digits: np.ndarray
     subset_of: np.ndarray
-    n_frames_max: int
-    pipeline: PipelineSpec
-    n_frames: np.ndarray                          # (n_clips,) frames before padding
-    frame_means: np.ndarray | None = field(default=None, repr=False)  # (n_clips, n_inputs)
-    features: tuple[FeatureMatrix, ...] | None = field(default=None, repr=False)
-    input_gain: float | None = None
-    factors: dict[int, np.ndarray] = field(default_factory=dict, repr=False)
+    features: tuple[FeatureMatrix, ...] = field(repr=False)
+
+    @property
+    def n_frames_max(self) -> int:     # what a route pads every clip to
+        return max(fm.n_frames for fm in self.features)
 
     def indices_of_subsets(self, subsets: Sequence[int]) -> np.ndarray:
-        wanted = set(subsets)
-        return np.array([i for i, s in enumerate(self.subset_of) if s in wanted])
+        return np.flatnonzero(np.isin(self.subset_of, list(subsets)))
+
+
+def _featurized(entries: Sequence[ManifestEntry], groups: Sequence[int],
+                pipeline: PipelineSpec, **load) -> Corpus:
+    """The entries, entry i in group ``groups[i]``, as ``corpus_features``
+    (called with ``load``) featurizes them."""
+    return Corpus(tuple(e.clip_id for e in entries),
+                  np.array([e.label.digit for e in entries]), np.array(groups),
+                  tuple(corpus_features(entries, pipeline, **load)))
+
+
+@dataclass(frozen=True, eq=False)
+class Route:
+    """One route's reduction of a corpus (``_reduce``); folds only reindex
+    it.  ``frame_means[i]`` is clip i's readout input averaged over all
+    ``corpus.n_frames_max`` frames, padding included: what scoring reads.
+    ``factors[k]`` is the readout factor (``readout.factor``) of group k's
+    inputs, for each group the route trains on: what training reads.
+    ``input_gain`` is the node's input scale, None without a node."""
+
+    corpus: Corpus
+    pipeline: PipelineSpec
+    frame_means: np.ndarray = field(repr=False)               # (n_clips, n_inputs)
+    factors: dict[int, np.ndarray] = field(repr=False)
+    input_gain: float | None = None
+
+
+def _reduce(corpus: Corpus, pipeline: PipelineSpec, n_inputs: int,
+            run_block: Callable[[np.ndarray, np.ndarray], np.ndarray],
+            factored: Collection[int] | None, input_gain: float | None = None) -> Route:
+    """The route ``pipeline`` of ``corpus``, with the groups in ``factored``
+    (every group when None) factored.  Each group's clips are taken in
+    index order, ``FACTOR_CHUNK`` at a time, the blocks ``factor`` forms.
+    ``run_block(idx, padded)`` gives those clips' readout inputs, shaped
+    (clips, n_inputs, n_frames_max), and may pad their features into
+    ``padded``, the one block buffer the route reuses.  Each block is
+    averaged over frames, stacked under its group's factor when the group
+    is factored, and dropped, so the inputs themselves are never kept."""
+    n_frames = corpus.n_frames_max
+    padded = np.empty((FACTOR_CHUNK, corpus.features[0].n_rows, n_frames))
+    frame_means = np.empty((len(corpus.clip_ids), n_inputs))
+
+    def _blocks(idx: np.ndarray):
+        for start in range(0, idx.size, FACTOR_CHUNK):
+            chunk = idx[start:start + FACTOR_CHUNK]
+            block = run_block(chunk, padded)
+            frame_means[chunk] = block.mean(axis=2)
+            yield block, [build_targets(int(corpus.digits[i]), n_frames) for i in chunk]
+            del block       # before the next block is made
+
+    factors = {}
+    for group in (int(g) for g in np.unique(corpus.subset_of)):
+        blocks = _blocks(corpus.indices_of_subsets([group]))
+        if factored is None or group in factored:
+            factors[group] = factor_blocks(blocks, pipeline.readout)
+        else:
+            deque(blocks, maxlen=0)     # frame means only, one block held at a time
+    return Route(corpus, pipeline, frame_means, factors, input_gain)
 
 
 def prepare_corpus(manifest: Manifest, partition: SubsetPartition,
                    pipeline: PipelineSpec, *, noise_seed: int = 0,
-                   workers: int = 1, cache: Path | None = None,
-                   factored: Collection[int] | None = None) -> PreparedCorpus:
-    """The baseline route of every clip the partition covers: featurized
-    (``corpus_features``), with the subsets in ``factored``
-    (every subset when None) factored.  The pipeline's node, if any, is
-    ignored; ``with_node`` gives the total route.
-    """
+                   workers: int = 1, cache: Path | None = None) -> Corpus:
+    """Every clip the partition covers, grouped by subset and featurized
+    (``corpus_features``) by the pipeline's front end."""
     subset_of_map = partition.subset_of()
     entries = [e for e in manifest.entries if e.clip_id in subset_of_map]
     if not entries:
         raise DataError("no manifest entries covered by the partition")
-    return _baseline_stage(entries, [subset_of_map[e.clip_id] for e in entries],
-                           pipeline, sample_rate=manifest.sample_rate,
-                           noise_seed=noise_seed, workers=workers, cache=cache,
-                           factored=factored)
+    return _featurized(entries, [subset_of_map[e.clip_id] for e in entries], pipeline,
+                       sample_rate=manifest.sample_rate, noise_seed=noise_seed,
+                       workers=workers, cache=cache)
 
 
-def with_node(prep: PreparedCorpus, pipeline: PipelineSpec,
-              factored: Collection[int] | None = None) -> PreparedCorpus:
-    """The total route of a baseline preparation: the same clips and
-    folds, with the node's frame-mean states as scoring inputs and the
-    factors of the groups in ``factored`` (every group when None) as
-    training inputs.  ``pipeline`` must share the preparation's front end.
+def baseline_route(corpus: Corpus, pipeline: PipelineSpec,
+                   factored: Collection[int] | None = None) -> Route:
+    """The baseline route of a corpus of ``pipeline``'s front end, its node
+    ignored: padded features feed the readout, factored as ``_reduce`` says."""
+    return _reduce(corpus, replace(pipeline, node_kind=None), corpus.features[0].n_rows,
+                   lambda idx, padded: pad_to([corpus.features[i] for i in idx],
+                                              corpus.n_frames_max, out=padded),
+                   factored)
+
+
+def with_node(corpus: Corpus, pipeline: PipelineSpec,
+              factored: Collection[int] | None = None) -> Route:
+    """The total route: the node's frame-mean states as scoring inputs and
+    the factors of the groups in ``factored`` (every group when None) as
+    training inputs.  ``pipeline`` must be the corpus's front end.
 
     The input scale maps the largest masked feature magnitude over the
     whole corpus onto ``drive_ma``, so the drive spans +/-drive_ma.  That
@@ -274,20 +267,21 @@ def with_node(prep: PreparedCorpus, pipeline: PipelineSpec,
     wrapper patched onto it (a tracer's span, a test's reference
     integrator) is what runs.
     """
-    n_frames = prep.n_frames_max
-    mask = reservoir.gen_mask(pipeline.mask_seed, pipeline.n_theta, prep.features[0].n_rows)
+    n_frames = corpus.n_frames_max
+    mask = reservoir.gen_mask(pipeline.mask_seed, pipeline.n_theta, corpus.features[0].n_rows)
     # padded as in its drive block: M @ X over bare frames can differ in the last bit
     peak = max(float(np.abs(mask.entries @ pad_to([fm], n_frames)[0]).max())
-               for fm in prep.features)
+               for fm in corpus.features)
     input_gain = pipeline.drive_ma / peak if peak > 0.0 else 0.0
     t = pipeline.tanh
 
-    def _run_block(idx: np.ndarray) -> np.ndarray:
+    def _run_block(idx: np.ndarray, padded: np.ndarray) -> np.ndarray:
         # frame-major within each clip, the layout of the reshaped states;
         # frame means are summed in this memory order
         states = np.empty((idx.size, n_frames, pipeline.n_theta)).transpose(0, 2, 1)
+        inputs = pad_to([corpus.features[i] for i in idx], n_frames, out=padded)
         with np.errstate(over="ignore", invalid="ignore"):
-            for j, x in enumerate(pad_to([prep.features[i] for i in idx], n_frames)):
+            for j, x in enumerate(inputs):
                 drive = input_gain * reservoir.mask_and_flatten(x, mask)
                 if pipeline.node_kind == "stno":
                     v = reservoir.stno_run(drive, pipeline.stno)
@@ -300,8 +294,7 @@ def with_node(prep: PreparedCorpus, pipeline: PipelineSpec,
             raise NumericalError("oscillator states must be nonnegative")
         return states
 
-    node = replace(prep, pipeline=pipeline, features=None, input_gain=input_gain)
-    return _reduce(node, pipeline.n_theta, _run_block, factored)
+    return _reduce(corpus, pipeline, pipeline.n_theta, _run_block, factored, input_gain)
 
 
 @dataclass(frozen=True)
@@ -312,7 +305,7 @@ class FoldMetrics:
     model: ReadoutModel = field(compare=False, repr=False)
 
 
-def _evaluate(model: ReadoutModel, prep: PreparedCorpus, idx: np.ndarray) -> Metrics:
+def _evaluate(model: ReadoutModel, route: Route, idx: np.ndarray) -> Metrics:
     """WSR and MSE of the clips ``idx``, scored all at once.
 
     Each decision is the clip's largest score, ties going to the lowest
@@ -320,29 +313,29 @@ def _evaluate(model: ReadoutModel, prep: PreparedCorpus, idx: np.ndarray) -> Met
     metrics equal clip-by-clip scoring to the last bit; that oracle lives
     in the tests.
     """
-    scores = predict_means(model, prep.frame_means[idx])
-    actual = prep.digits[idx]
+    scores = predict_means(model, route.frame_means[idx])
+    actual = route.corpus.digits[idx]
     diff = scores - np.eye(N_CLASSES)[actual]
     per_clip = (diff * diff).sum(axis=1)
     return Metrics(score_wsr(scores.argmax(axis=1).tolist(), actual.tolist()),
                    float(np.add.accumulate(per_clip)[-1]) / diff.size)
 
 
-def run_fold(fold: FoldSpec, prep: PreparedCorpus) -> FoldMetrics:
+def run_fold(fold: FoldSpec, route: Route) -> FoldMetrics:
     """Train on the fold's train subsets' factors, score both splits."""
-    train_idx = prep.indices_of_subsets(fold.train_subsets)
-    test_idx = prep.indices_of_subsets(fold.test_subsets)
+    train_idx = route.corpus.indices_of_subsets(fold.train_subsets)
+    test_idx = route.corpus.indices_of_subsets(fold.test_subsets)
     if train_idx.size == 0 or test_idx.size == 0:
         raise DataError(f"fold {fold.describe()} has an empty split")
     if set(train_idx) & set(test_idx):
         raise DataError(f"fold {fold.describe()} train/test overlap")
-    missing = [k for k in fold.train_subsets if k not in prep.factors]
+    missing = [k for k in fold.train_subsets if k not in route.factors]
     if missing:
         raise DataError(f"fold {fold.describe()} trains on subset {missing[0]}, "
-                        "which the preparation did not factor")
-    model = solve([prep.factors[k] for k in fold.train_subsets], prep.pipeline.readout)
-    return FoldMetrics(fold, _evaluate(model, prep, train_idx),
-                       _evaluate(model, prep, test_idx), model)
+                        "which the route did not factor")
+    model = solve([route.factors[k] for k in fold.train_subsets], route.pipeline.readout)
+    return FoldMetrics(fold, _evaluate(model, route, train_idx),
+                       _evaluate(model, route, test_idx), model)
 
 
 @dataclass(frozen=True)
@@ -371,16 +364,16 @@ def _aggregate(metrics: Sequence[Metrics]) -> Metrics:
                    float(wsr.std(ddof=ddof)), float(mse.std(ddof=ddof)))
 
 
-def cross_validate(prep: PreparedCorpus, n_train: int) -> CrossValReport:
+def cross_validate(route: Route, n_train: int) -> CrossValReport:
     """Run every fold, in fold order.
 
     Every fold solves from the stacked factors of its train subsets,
-    which the preparation holds.  Folds run one after another: BLAS
-    already spreads each factorization and solve over the cores, and a
-    thread pool over folds made cross-validation slower.
+    which the route holds.  Folds run one after another: BLAS already
+    spreads each factorization and solve over the cores, and a thread
+    pool over folds made cross-validation slower.
     """
-    results = [run_fold(f, prep) for f in enumerate_folds(n_train)]
-    return CrossValReport.from_folds(prep.pipeline.describe(), n_train, results)
+    results = [run_fold(f, route) for f in enumerate_folds(n_train)]
+    return CrossValReport.from_folds(route.pipeline.describe(), n_train, results)
 
 
 @dataclass(frozen=True)
@@ -414,41 +407,39 @@ class SweepPoint:
 
 def sweep_spectra(manifest: Manifest, partition: SubsetPartition,
                   base: PipelineSpec, *, noise_seed: int = 0,
-                  workers: int = 1) -> PreparedCorpus:
+                  workers: int = 1) -> Corpus:
     """Every clip realized once and run through the ``spectro_real`` front
     end: its max-abs-normalized real spectrum.  ``alpha_sweep`` derives
     each exponent's features from it.
     """
     pipe = replace(base, filter_kind="spectro_real", alpha=None)
-    return prepare_corpus(manifest, partition, pipe, noise_seed=noise_seed,
-                          workers=workers, factored=())
+    return prepare_corpus(manifest, partition, pipe, noise_seed=noise_seed, workers=workers)
 
 
-def alpha_sweep(spectra: PreparedCorpus, alphas: Sequence[float],
+def alpha_sweep(spectra: Corpus, pipeline: PipelineSpec, alphas: Sequence[float],
                 n_train: int) -> list[SweepPoint]:
     """Baseline test WSR as a function of the spectral exponent.
 
-    ``spectra`` is a ``sweep_spectra`` preparation.  Each exponent's
-    features are the ``spectro_exp`` front end's: ``exponent_transform``
-    of each clip's ``spectra.features``, checked as a ``FeatureMatrix``
-    and padded by ``pad_to``, 50 clips at a time inside ``_reduce``.
+    ``spectra`` is a ``sweep_spectra`` corpus; ``pipeline`` sets the
+    readout.  Each exponent's features are the ``spectro_exp`` front end's:
+    ``exponent_transform`` of each clip's ``spectra.features``, checked as
+    a ``FeatureMatrix`` and padded by ``pad_to`` inside ``_reduce``.
     """
     points = []
     for alpha in (float(a) for a in alphas):
 
-        def _run_block(idx: np.ndarray) -> np.ndarray:
+        def _run_block(idx: np.ndarray, padded: np.ndarray) -> np.ndarray:
             # at alpha < 0 a zero entry divides by zero or a tiny one
             # overflows; FeatureMatrix then names the clip in a DataError
             with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
                 return pad_to([FeatureMatrix(
                     exponent_transform(spectra.features[i].values, alpha),
                     "spectro_exp", spectra.clip_ids[i], alpha) for i in idx],
-                    spectra.n_frames_max)
+                    spectra.n_frames_max, out=padded)
 
-        pipe = replace(spectra.pipeline, filter_kind="spectro_exp", alpha=alpha)
-        prep = _reduce(replace(spectra, pipeline=pipe, features=None),
-                       spectra.features[0].n_rows, _run_block, None)
-        report = cross_validate(prep, n_train)
+        pipe = replace(pipeline, filter_kind="spectro_exp", alpha=alpha, node_kind=None)
+        route = _reduce(spectra, pipe, spectra.features[0].n_rows, _run_block, None)
+        report = cross_validate(route, n_train)
         points.append(SweepPoint(alpha, report.test.wsr, report.test.wsr_std))
     return points
 
@@ -493,8 +484,8 @@ def stratified_report(manifest: Manifest, pipeline: PipelineSpec,
     matches their manifest tag.  Training entries are realized at their
     tagged conditions.  All clips, train and test, are padded together
     and share one input scale.  The readout is trained and scored as a
-    fold is: the training pool is group 0 of one preparation and cell j
-    is group 1 + j.
+    fold is: the training pool is group 0 of one corpus and cell j is
+    group 1 + j.
     """
     if not test_snrs or not test_noise_types:
         raise ConfigError("stratified evaluation needs test snrs and noise types")
@@ -529,21 +520,22 @@ def stratified_report(manifest: Manifest, pipeline: PipelineSpec,
     entries = train_entries + [e for pool in cells for e in pool]
     groups = [0] * len(train_entries) + [1 + j for j, pool in enumerate(cells)
                                          for _ in pool]
-    # only the training pool is factored; cells need frame means alone
-    base = _baseline_stage(entries, groups, pipeline, sample_rate=manifest.sample_rate,
-                           noise_seed=noise_seed, workers=workers, factored=(0,))
+    corpus = _featurized(entries, groups, pipeline, sample_rate=manifest.sample_rate,
+                         noise_seed=noise_seed, workers=workers)
 
-    def _grid(prep: PreparedCorpus) -> np.ndarray:
-        model = solve([prep.factors[0]], prep.pipeline.readout)
-        wsr = [_evaluate(model, prep, prep.indices_of_subsets([1 + j])).wsr
+    def _grid(route: Route) -> np.ndarray:
+        model = solve([route.factors[0]], route.pipeline.readout)
+        wsr = [_evaluate(model, route, corpus.indices_of_subsets([1 + j])).wsr
                for j in range(len(cells))]
         return np.array(wsr).reshape(len(test_snrs), len(test_noise_types))
 
+    # only the training pool is factored; cells need frame means alone
+    base = _grid(baseline_route(corpus, pipeline, factored=(0,)))
     if pipeline.node_kind is None:
-        wsr, gain = _grid(base), None
+        wsr, gain = base, None
     else:
-        wsr = _grid(with_node(base, pipeline, factored=(0,)))
-        gain = wsr - _grid(base)
+        wsr = _grid(with_node(corpus, pipeline, factored=(0,)))
+        gain = wsr - base
     return ConditionReport(tuple(float(s) for s in test_snrs),
                            tuple(test_noise_types), wsr, gain,
                            n_train_clips=len(train_entries),

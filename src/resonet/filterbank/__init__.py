@@ -97,16 +97,20 @@ def featurize(clip: AudioClip, kind: str, alpha: float | None = None, *,
     raise ConfigError(f"unknown filter kind {kind!r}, expected one of {FILTER_KINDS}")
 
 
-def pad_to(features: Sequence[FeatureMatrix], n_frames: int | None = None) -> np.ndarray:
-    """The clips' feature matrices in one zero-filled array of shape
-    (n_clips, n_rows, n_frames): each clip's frames, then zero frames up
-    to ``n_frames``, the longest clip's frame count when None."""
+def pad_to(features: Sequence[FeatureMatrix], n_frames: int | None = None, *,
+           out: np.ndarray | None = None) -> np.ndarray:
+    """The clips' feature matrices in one array of shape (n_clips, n_rows,
+    n_frames): each clip's frames, then zero frames up to ``n_frames``, the
+    longest clip's frame count when None.  Written into the leading n_clips
+    of ``out`` when given, every entry of them, so nothing stale shows."""
     if n_frames is None:
         n_frames = max(fm.n_frames for fm in features)
-    padded = np.zeros((len(features), features[0].n_rows, n_frames))
-    for out, fm in zip(padded, features):
+    padded = (np.zeros((len(features), features[0].n_rows, n_frames)) if out is None
+              else out[:len(features)])
+    for clip, fm in zip(padded, features):
         if fm.n_frames > n_frames:
             raise DataError(
                 f"cannot pad {fm.clip_id!r} down: has {fm.n_frames} frames, wants {n_frames}")
-        out[:, : fm.n_frames] = fm.values
+        clip[:, : fm.n_frames] = fm.values
+        clip[:, fm.n_frames:] = 0.0
     return padded

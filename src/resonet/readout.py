@@ -106,7 +106,8 @@ def factor_blocks(blocks: Iterable[tuple[Sequence, Sequence]],
     sequences, shaped as ``factor`` takes them and checked by the
     caller.  Each block is stacked under the factor of the blocks before
     it and factored again (TSQR), so only the current block's frames are
-    held; the blocks may be computed as they are consumed.  Input columns
+    held; the blocks may be computed as they are consumed, and a yielded
+    block is valid only until the next one is requested.  Input columns
     of a stacked block that are exact copies of an earlier one are left
     out of its QR and take their factor column from that one, so the
     factor has one row per distinct column; a block without copies is

@@ -2,7 +2,7 @@
 
 Each test prints a single PASS line on success (run with ``-s`` to see
 them).  Thresholds and runtime budgets are frozen; do not loosen them to
-make a failing build pass.  Criteria 6 and 7 share corpus preparations
+make a failing build pass.  Criteria 6 and 7 share corpora and routes
 through a module-level cache, so the file is meant to run as a unit.
 """
 
@@ -16,9 +16,9 @@ import pytest
 
 from resonet.cli import main
 from resonet.dataset import build_synth_manifest, load_manifest, partition_subsets
-from resonet.evalharness import (PipelineSpec, alpha_sweep, cross_validate,
-                                 enumerate_folds, prepare_corpus, sweep_spectra,
-                                 with_node)
+from resonet.evalharness import (PipelineSpec, alpha_sweep, baseline_route,
+                                 cross_validate, enumerate_folds, prepare_corpus,
+                                 sweep_spectra, with_node)
 from resonet.filterbank import exponent_transform, pad_to
 from resonet.readout import (ReadoutOptions, build_targets, factor, predict,
                              predict_means, score_wsr, solve, train_pinv)
@@ -45,19 +45,20 @@ def _baseline_report(alpha: float):
     if key not in _CACHE:
         manifest, partition = _corpus()
         pipe = PipelineSpec(filter_kind="spectro_exp", alpha=alpha)
-        prep = prepare_corpus(manifest, partition, pipe, workers=WORKERS)
+        prep = baseline_route(prepare_corpus(manifest, partition, pipe, workers=WORKERS),
+                              pipe)
         _CACHE[key] = (cross_validate(prep, 9), prep)
     return _CACHE[key]
 
 
 def _total_states(alpha: float) -> np.ndarray:
-    """The total route's node states, which its preparation does not keep,
-    from the per-clip reference node stage over the baseline features."""
+    """The total route's node states, which the route does not keep, from
+    the per-clip reference node stage over the corpus features."""
     key = ("states", alpha)
     if key not in _CACHE:
         _, prep = _total_report(alpha)
-        _, base = _baseline_report(alpha)
-        states, input_gain = reference_node_stage(pad_to(base.features), prep.pipeline)
+        states, input_gain = reference_node_stage(pad_to(prep.corpus.features),
+                                                  prep.pipeline)
         assert input_gain == prep.input_gain
         _CACHE[key] = states
     return _CACHE[key]
@@ -68,14 +69,14 @@ def _baseline_wsr(alpha: float) -> float:
 
 
 def _total_report(alpha: float, **node):
-    """The N = 9 report and preparation of the total route at n_theta 400,
-    built over ``_baseline_report(alpha)``'s preparation; ``node`` replaces
-    the pipeline's node fields (the default oscillator when empty)."""
+    """The N = 9 report and route of the total route at n_theta 400, built
+    over the corpus of ``_baseline_report(alpha)``; ``node`` replaces the
+    pipeline's node fields (the default oscillator when empty)."""
     key = ("total", alpha, tuple(sorted(node.items())))
     if key not in _CACHE:
         _, base = _baseline_report(alpha)
         fields = {"node_kind": "stno", "n_theta": 400, "mask_seed": 1, **node}
-        prep = with_node(base, replace(base.pipeline, **fields))
+        prep = with_node(base.corpus, replace(base.pipeline, **fields))
         _CACHE[key] = (cross_validate(prep, 9), prep)
     return _CACHE[key]
 
@@ -254,15 +255,16 @@ def test_criterion_08_state_scale_invariance():
     states = _total_states(2.0)
     lam = 7.3
     fold = enumerate_folds(9)[0]
-    tr = prep.indices_of_subsets(fold.train_subsets)
-    te = prep.indices_of_subsets(fold.test_subsets)
-    targets = [build_targets(int(prep.digits[i]), prep.n_frames_max) for i in tr]
+    tr = prep.corpus.indices_of_subsets(fold.train_subsets)
+    te = prep.corpus.indices_of_subsets(fold.test_subsets)
+    targets = [build_targets(int(prep.corpus.digits[i]), prep.corpus.n_frames_max)
+               for i in tr]
     m0 = train_pinv([states[i] for i in tr], targets)
     m1 = train_pinv([lam * states[i] for i in tr], targets)
     mse0 = mse1 = 0.0
     for i in te:
         t = np.zeros(10)
-        t[int(prep.digits[i])] = 1.0
+        t[int(prep.corpus.digits[i])] = 1.0
         p0 = predict(m0, states[i])
         p1 = predict(m1, lam * states[i])
         assert classify(p0) == classify(p1), f"class moved on clip {i}"
@@ -295,12 +297,13 @@ def test_factored_readout_matches_reference_on_every_fold():
     worst = 0.0
     base_report, base_prep = _baseline_report(2.0)
     total_report, total_prep = _total_report(2.0)
-    routes = [(base_report, base_prep, pad_to(base_prep.features)),
+    routes = [(base_report, base_prep, pad_to(base_prep.corpus.features)),
               (total_report, total_prep, _total_states(2.0))]
     for report, prep, states in routes:
+        corpus = prep.corpus
         for fm in report.folds:
-            tr = prep.indices_of_subsets(fm.fold.train_subsets)
-            targets = [build_targets(int(prep.digits[i]), prep.n_frames_max) for i in tr]
+            tr = corpus.indices_of_subsets(fm.fold.train_subsets)
+            targets = [build_targets(int(corpus.digits[i]), corpus.n_frames_max) for i in tr]
             want = reference_readout([states[i] for i in tr], targets,
                                      prep.pipeline.readout)
             got = fm.model.weights
@@ -308,7 +311,7 @@ def test_factored_readout_matches_reference_on_every_fold():
             worst = max(worst, rel)
             assert rel < 1e-9, f"fold {fm.fold.describe()}: rel dev {rel:.3e}"
             # every clip, train and test, with frame-averaged W V as the score
-            for i in range(len(prep.clip_ids)):
+            for i in range(len(corpus.clip_ids)):
                 ref = classify((want @ states[i]).mean(axis=1))
                 assert classify(predict(fm.model, states[i])) == ref, \
                     f"fold {fm.fold.describe()}: decision moved on clip {i}"
@@ -329,19 +332,21 @@ def test_baseline_decisions_do_not_depend_on_padding():
     worst = 0.0
     for alpha in (1.0, 2.0):
         report, prep = _baseline_report(alpha)
+        corpus = prep.corpus
+        n_frames = [fm.n_frames for fm in corpus.features]
         assert not prep.pipeline.readout.bias
-        assert min(prep.n_frames) < prep.n_frames_max
-        tensors = pad_to(prep.features)
-        true = [x[:, :n] for x, n in zip(tensors, prep.n_frames)]
+        assert min(n_frames) < corpus.n_frames_max
+        tensors = pad_to(corpus.features)
+        true = [x[:, :n] for x, n in zip(tensors, n_frames)]
         for fm in report.folds:
-            tr = prep.indices_of_subsets(fm.fold.train_subsets)
-            targets = [build_targets(int(prep.digits[i]), int(prep.n_frames[i])) for i in tr]
+            tr = corpus.indices_of_subsets(fm.fold.train_subsets)
+            targets = [build_targets(int(corpus.digits[i]), n_frames[i]) for i in tr]
             want = reference_readout([true[i] for i in tr], targets, prep.pipeline.readout)
             got = fm.model.weights
             rel = float(np.linalg.norm(got - want) / np.linalg.norm(want))
             worst = max(worst, rel)
             assert rel < 1e-9, f"alpha={alpha:g} fold {fm.fold.describe()}: rel dev {rel:.3e}"
-            for i in prep.indices_of_subsets(fm.fold.test_subsets):
+            for i in corpus.indices_of_subsets(fm.fold.test_subsets):
                 assert classify(want @ true[i].mean(axis=1)) == \
                     classify(predict(fm.model, tensors[i])), \
                     f"alpha={alpha:g} fold {fm.fold.describe()}: decision moved on clip {i}"
@@ -364,28 +369,27 @@ def test_the_headline_holds_on_true_frames():
     golden = {1.0: 62.0, 2.0: 69.8}
     got = {}
     for alpha in golden:
-        _, base = _baseline_report(alpha)
         _, prep = _total_report(alpha)
-        pipe = prep.pipeline
-        tensors = pad_to(base.features)
+        pipe, corpus = prep.pipeline, prep.corpus
+        tensors = pad_to(corpus.features)
         mask = gen_mask(pipe.mask_seed, pipe.n_theta, tensors.shape[1])
         states = []
-        for x, n in zip(tensors, base.n_frames.tolist()):
+        for x, n in zip(tensors, [fm.n_frames for fm in corpus.features]):
             drive = prep.input_gain * mask_and_flatten(x[:, :n], mask)
             states.append(reshape_states(stno_run(drive, pipe.stno), pipe.n_theta, n))
         factors = {}
         for k in range(10):
-            idx = prep.indices_of_subsets([k])
+            idx = corpus.indices_of_subsets([k])
             factors[k] = factor([states[i] for i in idx],
-                                [build_targets(int(prep.digits[i]), states[i].shape[1])
+                                [build_targets(int(corpus.digits[i]), states[i].shape[1])
                                  for i in idx], pipe.readout)
         means = np.array([v.mean(axis=1) for v in states])
         wsrs = []
         for fold in enumerate_folds(9):
             model = solve([factors[k] for k in fold.train_subsets], pipe.readout)
-            te = prep.indices_of_subsets(fold.test_subsets)
+            te = corpus.indices_of_subsets(fold.test_subsets)
             decided = predict_means(model, means[te]).argmax(axis=1)
-            wsrs.append(score_wsr(decided.tolist(), prep.digits[te].tolist()))
+            wsrs.append(score_wsr(decided.tolist(), corpus.digits[te].tolist()))
         got[alpha] = float(np.mean(wsrs))
     elapsed = time.perf_counter() - t0
     print(f"true-frame total WSR {got[1.0]:.1f} / {got[2.0]:.1f} at alpha 1 / 2, "
@@ -436,16 +440,16 @@ def test_criterion_10_reference_corpus_numbers():
     lines = []
     for kind, (want_base, want_total) in expected.items():
         pipe = PipelineSpec(filter_kind=kind)
-        prep = prepare_corpus(manifest, partition, pipe, workers=WORKERS)
-        base = cross_validate(prep, 9).test.wsr
+        corpus = prepare_corpus(manifest, partition, pipe, workers=WORKERS)
+        base = cross_validate(baseline_route(corpus, pipe), 9).test.wsr
         node = replace(pipe, node_kind="stno", n_theta=400)
-        total = cross_validate(with_node(prep, node), 9).test.wsr
+        total = cross_validate(with_node(corpus, node), 9).test.wsr
         assert abs(base - want_base) <= 2.0, f"{kind} baseline {base:.1f}"
         assert abs(total - want_total) <= 2.0, f"{kind} total {total:.1f}"
         lines.append(f"{kind}: base {base:.1f}, total {total:.1f}")
     base_pipe = PipelineSpec(filter_kind="spectro_exp", alpha=1.0)
     points = alpha_sweep(sweep_spectra(manifest, partition, base_pipe, workers=WORKERS),
-                         (0.0, 0.2, 0.5, 1.0, 2.0, 4.0), 9)
+                         base_pipe, (0.0, 0.2, 0.5, 1.0, 2.0, 4.0), 9)
     peak = max(points, key=lambda pt: pt.wsr)
     assert peak.alpha == 0.2, f"sweep peak at alpha={peak.alpha}"
     assert abs(peak.wsr - 88.0) <= 3.0, f"sweep peak {peak.wsr:.1f}"

@@ -3,8 +3,10 @@
 import argparse
 import contextlib
 import io
+import re
 import shutil
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -12,8 +14,10 @@ import pytest
 
 from resonet.cli import build_parser, main
 from resonet.config import parse_config
-from resonet.dataset import load_manifest
+from resonet.dataset import Manifest, build_synth_manifest, load_manifest, save_manifest
+from resonet.errors import DegenerateInputWarning
 from resonet.evalharness import clip_features
+from test_dataset import _write_wav
 
 FAST_CONF = """
 corpus.kind = synthetic
@@ -399,10 +403,14 @@ def test_bench_featurizes_each_clip_once_and_trains_each_fold_once(conf, monkeyp
     solve, factor_blocks = evalharness.solve, evalharness.factor_blocks
 
     def counting_factor_blocks(blocks, *args, **kwargs):
-        blocks = list(blocks)
-        factored.append((sum(len(inputs) for inputs, _ in blocks),
-                         blocks[0][0][0].shape[0]))
-        return factor_blocks(blocks, *args, **kwargs)
+        # a block is valid only until the next one is drawn: count as drawn
+        factored.append((0, None))
+
+        def counted():
+            for inputs, targets in blocks:
+                factored[-1] = (factored[-1][0] + len(inputs), inputs[0].shape[0])
+                yield inputs, targets
+        return factor_blocks(counted(), *args, **kwargs)
 
     def counting_solve(*args, **kwargs):
         trained.append(len(args[0]))
@@ -426,14 +434,14 @@ def test_bench_featurizes_each_clip_once_and_trains_each_fold_once(conf, monkeyp
     assert factored == []
 
 
-@pytest.mark.parametrize("command, clips", [("bench", 3 * 500), ("sweep", 3 * 500),
+@pytest.mark.parametrize("command, clips", [("bench", 3 * 500), ("sweep", 2 * 500),
                                              ("stratified", 3 * (400 + 2 * 100))])
 def test_clips_are_padded_only_in_reduction_blocks(conf, monkeypatch, command, clips):
     """No call pads more than the ``FACTOR_CHUNK`` clips of one block.
     Each clip is padded once per reduction (both bench routes; the
-    sweep's spectra and its two exponents; both stratified routes over
-    the training pool and the two cells) and once for the node's input
-    scale."""
+    sweep's two exponents, but not its spectra, which nothing reduces;
+    both stratified routes over the training pool and the two cells) and
+    once for the node's input scale."""
     import resonet.evalharness as evalharness
     from resonet.readout import FACTOR_CHUNK
     padded, pad_to = [], evalharness.pad_to
@@ -482,3 +490,66 @@ def test_bad_states_in_the_last_node_block_give_exit_code_4(conf, monkeypatch, c
     err = capsys.readouterr().err
     assert "error: " in err and match in err
     assert "Traceback" not in err
+
+
+@pytest.fixture(scope="module")
+def degenerate_manifests(tmp_path_factory):
+    """Manifests of the default corpus's 500 labels over short WAV clips at
+    the corpus rate: a 1 024-sample tone per digit, with clip 0 replaced
+    by a degenerate clip, or every clip silent."""
+    root = tmp_path_factory.mktemp("degenerate")
+    rate, t = 12500, np.arange(1024) / 12500
+    wavs = {f"tone{d}": (0.5 * np.sin(2 * np.pi * (200 + 150 * d) * t), rate)
+            for d in range(10)}
+    wavs.update({"silent": (np.zeros(1024), rate),
+                 "shorter-than-a-frame": (0.5 * np.sin(t[:100] * 3000), rate),
+                 "one-frame": (0.5 * np.sin(t[:128] * 3000), rate),   # one STFT frame
+                 "off-rate": (0.5 * np.sin(t * 3000), 8000)})
+    for name, (samples, wav_rate) in wavs.items():
+        _write_wav(root / f"{name}.wav", samples, rate=wav_rate)
+    entries = build_synth_manifest(1001).entries
+    manifests = {}
+    for case in ("shorter-than-a-frame", "one-frame", "silent-corpus", "off-rate"):
+        rows = [replace(e, source=str(root / ("silent.wav" if case == "silent-corpus"
+                                               else f"tone{e.label.digit}.wav")))
+                for e in entries]
+        if case != "silent-corpus":
+            rows[0] = replace(rows[0], source=str(root / f"{case}.wav"))
+        manifests[case] = root / f"{case}.csv"
+        save_manifest(Manifest(tuple(rows), sample_rate=rate), manifests[case])
+    return manifests
+
+
+@pytest.mark.parametrize("command", ["bench", "sweep", "stratified", "featurize",
+                                     "export-features"])
+@pytest.mark.parametrize("case, front_end, code", [
+    ("shorter-than-a-frame", "spectro_exp", 3), ("one-frame", "spectro_exp", 0),
+    ("silent-corpus", "spectro_exp", 0), ("off-rate", "spectro_exp", 3),
+    ("off-rate", "cochlear", 3)])
+def test_degenerate_inputs_end_in_their_exit_code(tmp_path, capsys, degenerate_manifests,
+                                                  command, case, front_end, code):
+    """A clip no frame fits in, and a clip at another sample rate, are
+    data errors (exit 3); a one-frame clip and a silent corpus run to
+    the end (exit 0), the silent one at exactly chance, with one
+    ``DegenerateInputWarning`` per silent clip.  No run prints a traceback."""
+    conf = _write_conf(tmp_path, f"corpus.kind = manifest\n"
+                                 f"corpus.manifest = {degenerate_manifests[case]}\n"
+                                 f"filter.kind = {front_end}\nfilter.alpha = 2.0\n"
+                                 "node.kind = stno\nnode.n_theta = 4\n"
+                                 "eval.train_subsets = 1\nsweep.alphas = 0.0,2.0\n"
+                                 "strat.test_snrs = inf\n"
+                                 "strat.test_noise_types = synthetic-white\n")
+    if case == "silent-corpus":
+        with pytest.warns(DegenerateInputWarning):
+            assert run(command, conf) == code
+    else:
+        assert run(command, conf) == code
+    out, err = capsys.readouterr()
+    assert "Traceback" not in out + err
+    if code == 3:
+        assert err.startswith("error: ")
+        if case == "off-rate":
+            assert "'d0_s0_u00'" in err and "8000 Hz, the corpus at 12500 Hz" in err
+    if case == "silent-corpus" and command in ("bench", "sweep", "stratified"):
+        wsrs = re.findall(r"WSR (\d+\.\d+)", out)
+        assert wsrs and set(wsrs) == {"10.00"}

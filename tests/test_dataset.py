@@ -214,6 +214,16 @@ def test_read_clip_dispatches_on_source(tmp_path):
     assert clip.clip_id == "c1"
 
 
+def test_read_clip_refuses_a_wav_off_the_corpus_rate(tmp_path):
+    path = tmp_path / "a.wav"
+    _write_wav(path, 0.5 * np.sin(np.arange(800) * 0.3), rate=8000)
+    entry = ManifestEntry("a", str(path), DigitLabel(1, "s0", 0, "clean", math.inf))
+    with pytest.raises(AudioFormatError, match=r"clip 'a': .*a\.wav is sampled at "
+                                               r"8000 Hz, the corpus at 12500 Hz"):
+        read_clip(entry, sample_rate=12500)
+    assert read_clip(entry, sample_rate=8000).sample_rate == 8000
+
+
 def test_add_noise_hits_requested_snr():
     s = 0.05 * np.sin(np.arange(4000) * 0.21)
     clip = AudioClip(s, 12500, "c")

@@ -14,8 +14,8 @@ from resonet.config import SCHEMA
 from resonet.dataset import SubsetPartition, build_synth_manifest
 from resonet.errors import ConfigError, DataError, NumericalError
 from resonet.evalharness import (CrossValReport, FoldSpec, GainReport,
-                                 PipelineSpec, SweepPoint, alpha_sweep,
-                                 clip_features, condition_markdown,
+                                 PipelineSpec, Route, SweepPoint, alpha_sweep,
+                                 baseline_route, clip_features, condition_markdown,
                                  cross_validate, enumerate_folds, prepare_corpus,
                                  report_to_csv, run_fold, stratified_report,
                                  summary_markdown, sweep_spectra, with_node)
@@ -76,36 +76,39 @@ def test_pipeline_spec_validation():
 
 
 @pytest.fixture(scope="module")
-def baseline_prep(corpus):
+def baseline(corpus):
+    """The baseline route of the default corpus at alpha = 2; its
+    ``corpus`` is what the node routes reduce."""
     manifest, partition = corpus
     pipe = PipelineSpec(filter_kind="spectro_exp", alpha=2.0)
-    return prepare_corpus(manifest, partition, pipe, workers=4)
+    return baseline_route(prepare_corpus(manifest, partition, pipe, workers=4), pipe)
 
 
-def test_prepare_corpus_baseline_shapes(baseline_prep, corpus):
+def test_prepare_corpus_baseline_shapes(baseline, corpus):
     manifest, partition = corpus
-    prep = baseline_prep
-    tensors = pad_to(prep.features)
+    prep = baseline
+    tensors = pad_to(prep.corpus.features)
     assert tensors.shape[0] == 500
     assert tensors.shape[1] == 65
-    assert tensors.shape[2] == prep.n_frames_max
+    assert tensors.shape[2] == prep.corpus.n_frames_max
     assert prep.input_gain is None
     where = partition.subset_of()
-    for i, cid in enumerate(prep.clip_ids):
-        assert where[cid] == prep.subset_of[i]
+    for i, cid in enumerate(prep.corpus.clip_ids):
+        assert where[cid] == prep.corpus.subset_of[i]
 
 
-def test_preparations_keep_the_front_end_features_unpadded(baseline_prep, spectra):
-    """No field of a baseline preparation holds a padded copy of the
+def test_preparations_keep_the_front_end_features_unpadded(baseline, spectra):
+    """No field of a corpus or of a route holds a padded copy of the
     corpus; each clip's features are kept as the front end gave them."""
-    for prep in (baseline_prep, spectra):
-        padded = len(prep.clip_ids) * prep.frame_means.shape[1] * prep.n_frames_max
-        for f in dataclasses.fields(prep):
-            value = getattr(prep, f.name)
-            assert not (isinstance(value, np.ndarray) and value.size >= padded), f.name
-        assert [fm.clip_id for fm in prep.features] == list(prep.clip_ids)
-        assert [fm.n_frames for fm in prep.features] == prep.n_frames.tolist()
-        assert {fm.filter_kind for fm in prep.features} == {prep.pipeline.filter_kind}
+    for corpus, kind in ((baseline.corpus, baseline.pipeline.filter_kind),
+                         (spectra, "spectro_real")):
+        padded = len(corpus.clip_ids) * corpus.features[0].n_rows * corpus.n_frames_max
+        for holder in (corpus, baseline):
+            for f in dataclasses.fields(holder):
+                value = getattr(holder, f.name)
+                assert not (isinstance(value, np.ndarray) and value.size >= padded), f.name
+        assert [fm.clip_id for fm in corpus.features] == list(corpus.clip_ids)
+        assert {fm.filter_kind for fm in corpus.features} == {kind}
 
 
 def test_prepare_corpus_worker_invariance(corpus):
@@ -160,23 +163,23 @@ def test_corpus_features_keeps_a_bounded_window_of_clips_in_flight(corpus, monke
 
 
 @pytest.fixture(scope="module")
-def node_route(corpus, baseline_prep):
-    """A small node-route preparation, its clips' states from
-    ``reference_node_stage`` (the preparation keeps none), and each clip's
-    unpadded features.  ``baseline_prep`` is its baseline route."""
+def node_route(corpus, baseline):
+    """A small node route of ``baseline.corpus``, its clips' states from
+    ``reference_node_stage`` (the route keeps none), and each clip's
+    unpadded features."""
     manifest, _ = corpus
-    prep = with_node(baseline_prep, NODE_PIPE)
-    states, _ = reference_node_stage(pad_to(baseline_prep.features), NODE_PIPE)
+    prep = with_node(baseline.corpus, NODE_PIPE)
+    states, _ = reference_node_stage(pad_to(baseline.corpus.features), NODE_PIPE)
     by_id = {e.clip_id: e for e in manifest.entries}
     feats = [clip_features(by_id[cid], NODE_PIPE, sample_rate=manifest.sample_rate)
-             for cid in prep.clip_ids]
+             for cid in prep.corpus.clip_ids]
     return prep, states, feats
 
 
 def _clip_peaks(prep, feats):
     mask = gen_mask(NODE_PIPE.mask_seed, NODE_PIPE.n_theta, feats[0].n_rows)
     return np.array([np.max(np.abs(mask_and_flatten(x, mask)))
-                     for x in pad_to(feats, prep.n_frames_max)])
+                     for x in pad_to(feats, prep.corpus.n_frames_max)])
 
 
 def test_with_node_route(node_route):
@@ -187,15 +190,14 @@ def test_with_node_route(node_route):
     # the scaled drive peaks exactly at drive_ma over the corpus
     assert prep.input_gain == pytest.approx(3.0 / float(np.max(_clip_peaks(prep, feats))))
     assert np.all(states >= 0.0)
-    assert prep.features is None
 
 
-def test_preparations_keep_each_clips_true_frame_count(baseline_prep, node_route):
+def test_preparations_keep_each_clips_true_frame_count(baseline, node_route):
     prep, _, feats = node_route
     want = [f.n_frames for f in feats]
-    assert min(want) < prep.n_frames_max == max(want)
-    assert np.array_equal(baseline_prep.n_frames, want)
-    assert np.array_equal(prep.n_frames, want)
+    assert min(want) < prep.corpus.n_frames_max == max(want)
+    assert [fm.n_frames for fm in baseline.corpus.features] == want
+    assert [fm.n_frames for fm in prep.corpus.features] == want
 
 
 def test_input_gain_takes_the_peak_over_the_whole_corpus(node_route):
@@ -206,8 +208,8 @@ def test_input_gain_takes_the_peak_over_the_whole_corpus(node_route):
     assert prep.input_gain == pytest.approx(NODE_PIPE.drive_ma / peaks[top], rel=1e-12)
     # the fold that tests on the loudest clip's subset never trains on it,
     # and its train clips alone would give a larger gain
-    fold = FoldSpec(tuple(k for k in range(10) if k != prep.subset_of[top]))
-    train_peak = float(np.max(peaks[prep.indices_of_subsets(fold.train_subsets)]))
+    fold = FoldSpec(tuple(k for k in range(10) if k != prep.corpus.subset_of[top]))
+    train_peak = float(np.max(peaks[prep.corpus.indices_of_subsets(fold.train_subsets)]))
     assert train_peak < peaks[top]
     assert prep.input_gain < NODE_PIPE.drive_ma / train_peak
 
@@ -222,14 +224,14 @@ def test_fold_scores_average_over_padded_frames(node_route):
     fold = FoldSpec(tuple(range(9)))
     fm = run_fold(fold, prep)
     w = fm.model.weights
-    test_idx = prep.indices_of_subsets(fold.test_subsets)
+    test_idx = prep.corpus.indices_of_subsets(fold.test_subsets)
     padded = [(w @ states[i]).mean(axis=1) for i in test_idx]
     true = [(w @ states[i][:, :feats[i].n_frames]).mean(axis=1) for i in test_idx]
-    onehot = [np.eye(10)[prep.digits[i]] for i in test_idx]
-    digits = [int(prep.digits[i]) for i in test_idx]
+    onehot = [np.eye(10)[prep.corpus.digits[i]] for i in test_idx]
+    digits = [int(prep.corpus.digits[i]) for i in test_idx]
     assert fm.test.wsr == score_wsr([int(np.argmax(s)) for s in padded], digits)
     assert fm.test.mse == pytest.approx(score_mse(padded, onehot), rel=1e-9)
-    short = [i for i in test_idx if feats[i].n_frames < prep.n_frames_max]
+    short = [i for i in test_idx if feats[i].n_frames < prep.corpus.n_frames_max]
     assert short, "every test clip has the longest frame count"
     assert all(np.all(states[i][:, feats[i].n_frames:] > 0.0) for i in short)
     assert score_mse(true, onehot) != pytest.approx(fm.test.mse, rel=1e-6)
@@ -256,28 +258,28 @@ def reference_node_stage(tensors, pipeline):
 
 def assert_matches_reference(prep, states, factored):
     """A streamed route against its reference inputs (``reference_node_stage``
-    states, or the padded features on the baseline route): every clip's
-    frame mean equals the mean over its reference inputs, and each group
-    in ``factored``, and no other, has the factor that ``readout.factor``
-    computes from its clips' reference inputs."""
-    # the total route keeps no states; the baseline keeps its features
-    assert (prep.features is None) == (prep.pipeline.node_kind is not None)
+    states, or freshly padded features on a route without a node): every
+    clip's frame mean equals the mean over its reference inputs, and each
+    group in ``factored``, and no other, has the factor that
+    ``readout.factor`` computes from its clips' reference inputs."""
     # frame means sum in memory order, so this also pins the state layout
     assert np.array_equal(prep.frame_means, states.mean(axis=2))
     assert sorted(prep.factors) == sorted(factored)
+    corpus = prep.corpus
     for k in factored:
-        idx = prep.indices_of_subsets([k])
+        idx = corpus.indices_of_subsets([k])
         want = factor([states[i] for i in idx],
-                      [build_targets(int(prep.digits[i]), prep.n_frames_max) for i in idx],
+                      [build_targets(int(corpus.digits[i]), corpus.n_frames_max)
+                       for i in idx],
                       prep.pipeline.readout)
         assert np.array_equal(prep.factors[k], want), f"group {k}"
 
 
 @pytest.mark.parametrize("node_kind", ["stno", "tanh"])
-def test_node_stage_matches_the_per_clip_reference(baseline_prep, node_kind):
-    pipe = replace(baseline_prep.pipeline, node_kind=node_kind, n_theta=40)
-    prep = with_node(baseline_prep, pipe)
-    states, input_gain = reference_node_stage(pad_to(baseline_prep.features), pipe)
+def test_node_stage_matches_the_per_clip_reference(baseline, node_kind):
+    pipe = replace(baseline.pipeline, node_kind=node_kind, n_theta=40)
+    prep = with_node(baseline.corpus, pipe)
+    states, input_gain = reference_node_stage(pad_to(baseline.corpus.features), pipe)
     assert prep.input_gain == input_gain
     assert_matches_reference(prep, states, range(10))
 
@@ -287,43 +289,44 @@ def test_node_stage_matches_the_per_clip_reference(baseline_prep, node_kind):
     ("baseline", "interleaved-thirds"), ("baseline", "one-uneven-group")],
     ids=["interleaved-thirds", "one-uneven-group",
          "baseline-interleaved-thirds", "baseline-one-uneven-group"])
-def test_streamed_node_route_matches_the_reference_at_block_edges(corpus, baseline_prep,
+def test_streamed_node_route_matches_the_reference_at_block_edges(corpus, baseline,
                                                                   route, layout):
     """Groups whose sizes are not multiples of FACTOR_CHUNK end in a short
     block; group 1, left out of ``factored``, gets frame means and no
     factor.  Both routes reduce their blocks through the same loop."""
-    n = len(baseline_prep.clip_ids)
+    n = len(baseline.corpus.clip_ids)
     if layout == "interleaved-thirds":         # 167, 167 and 166 clips
         groups, factored = np.arange(n) % 3, (0, 2)
     else:                                      # 123 clips, then 377
         groups, factored = (np.arange(n) >= 123).astype(int), (0,)
     if route == "baseline":
         manifest, partition = corpus
-        ids = np.array(baseline_prep.clip_ids)
+        ids = np.array(baseline.corpus.clip_ids)
         regrouped = SubsetPartition(tuple(tuple(ids[groups == k])
                                           for k in range(groups.max() + 1)),
                                     partition.seed)
-        prep = prepare_corpus(manifest, regrouped, baseline_prep.pipeline, workers=4,
-                              factored=factored)
-        assert prep.clip_ids == baseline_prep.clip_ids
-        assert np.array_equal(prep.subset_of, groups)
-        inputs = pad_to(baseline_prep.features)
+        prep = baseline_route(prepare_corpus(manifest, regrouped, baseline.pipeline,
+                                             workers=4),
+                              baseline.pipeline, factored=factored)
+        assert prep.corpus.clip_ids == baseline.corpus.clip_ids
+        assert np.array_equal(prep.corpus.subset_of, groups)
+        inputs = pad_to(baseline.corpus.features)
     else:
-        base = replace(baseline_prep, subset_of=groups)
+        base = replace(baseline.corpus, subset_of=groups)
         prep = with_node(base, NODE_PIPE, factored=factored)
         inputs, input_gain = reference_node_stage(pad_to(base.features), NODE_PIPE)
         assert prep.input_gain == input_gain
     assert_matches_reference(prep, inputs, factored)
 
 
-def test_with_node_never_holds_the_state_tensor(baseline_prep, node_route):
+def test_with_node_never_holds_the_state_tensor(baseline, node_route):
     """The node route's largest transient is one block of states, far
     below the (n_clips, n_theta, n_frames_max) state array."""
     prep, _, _ = node_route
-    full = len(prep.clip_ids) * NODE_PIPE.n_theta * prep.n_frames_max * 8
+    full = len(prep.corpus.clip_ids) * NODE_PIPE.n_theta * prep.corpus.n_frames_max * 8
     tracemalloc.start()
     try:
-        with_node(baseline_prep, NODE_PIPE)
+        with_node(baseline.corpus, NODE_PIPE)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -331,26 +334,26 @@ def test_with_node_never_holds_the_state_tensor(baseline_prep, node_route):
 
 
 def test_baseline_route_copies_the_corpus_once(corpus):
-    """Building a baseline preparation holds each clip's features as the
-    front end gave them, once, and pads no more than the blocks the
-    reduction works on: its peak stays under the true-frame feature bytes
-    plus two padded blocks, never a padded copy of the corpus."""
+    """Building a corpus and its baseline route holds each clip's
+    features as the front end gave them, once, and pads no more than the
+    blocks the reduction works on: its peak stays under the true-frame
+    feature bytes plus two padded blocks, never a padded copy of the corpus."""
     manifest, partition = corpus
+    pipe = PipelineSpec(filter_kind="spectro_real")
     tracemalloc.start()
     try:
-        prep = prepare_corpus(manifest, partition, PipelineSpec(filter_kind="spectro_real"),
-                              factored=())
+        prep = baseline_route(prepare_corpus(manifest, partition, pipe), pipe, factored=())
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     n_rows = prep.frame_means.shape[1]
-    features = int(prep.n_frames.sum()) * n_rows * 8
-    block = FACTOR_CHUNK * n_rows * prep.n_frames_max * 8
+    features = sum(fm.n_frames for fm in prep.corpus.features) * n_rows * 8
+    block = FACTOR_CHUNK * n_rows * prep.corpus.n_frames_max * 8
     assert peak < features + 2 * block, \
         f"peak {(peak - features) / block:.2f} blocks over the true-frame features"
 
 
-def test_memoryless_oscillator_frame_means_are_the_closed_form(baseline_prep):
+def test_memoryless_oscillator_frame_means_are_the_closed_form(baseline):
     """At t_relax 1e-3 ns the oscillator has no memory (its decay is
     exactly 0), so every frame mean is the mean of the equilibrium
     amplitudes of ``input_gain * (M @ X)``, bit for bit: an oracle for
@@ -358,8 +361,8 @@ def test_memoryless_oscillator_frame_means_are_the_closed_form(baseline_prep):
     stno = StnoParams(t_relax=1e-3, allow_coarse_timestep=True)
     assert stno.decay == 0.0
     pipe = replace(NODE_PIPE, stno=stno)
-    prep = with_node(baseline_prep, pipe, factored=())
-    tensors = pad_to(baseline_prep.features)
+    prep = with_node(baseline.corpus, pipe, factored=())
+    tensors = pad_to(baseline.corpus.features)
     mask = gen_mask(pipe.mask_seed, pipe.n_theta, tensors.shape[1])
     for i, x in enumerate(tensors):
         drive = prep.input_gain * (mask.entries @ x)
@@ -369,16 +372,16 @@ def test_memoryless_oscillator_frame_means_are_the_closed_form(baseline_prep):
 
 
 def test_bench_node_route_matches_the_lfilter_integrator_on_every_fold(
-        baseline_prep, monkeypatch, lfilter_stno_run):
+        baseline, monkeypatch, lfilter_stno_run):
     """``bench``'s total route (alpha = 2 spectra, stno at n_theta 400),
     integrated by the blocked scan and by ``lfilter``: frame means within
     1e-12 relative, every N = 9 fold's weights within 1e-9 relative, and
     the same decision on every clip of both splits of every fold."""
-    pipe = replace(baseline_prep.pipeline, node_kind="stno")
+    pipe = replace(baseline.pipeline, node_kind="stno")
     assert pipe.n_theta == 400
-    got = with_node(baseline_prep, pipe)
+    got = with_node(baseline.corpus, pipe)
     monkeypatch.setattr(reservoir, "stno_run", lfilter_stno_run)
-    want = with_node(baseline_prep, pipe)
+    want = with_node(baseline.corpus, pipe)
     assert got.input_gain == want.input_gain
     ref = want.frame_means
     assert np.all(np.abs(got.frame_means - ref) <= 1e-12 * np.abs(ref))
@@ -388,7 +391,7 @@ def test_bench_node_route_matches_the_lfilter_integrator_on_every_fold(
         weights = w.model.weights
         assert np.max(np.abs(g.model.weights - weights)) <= 1e-9 * np.max(np.abs(weights))
         for subsets in (g.fold.train_subsets, g.fold.test_subsets):
-            idx = got.indices_of_subsets(subsets)
+            idx = got.corpus.indices_of_subsets(subsets)
             assert np.array_equal(
                 np.argmax(predict_means(g.model, got.frame_means[idx]), axis=1),
                 np.argmax(predict_means(w.model, ref[idx]), axis=1)), g.fold.describe()
@@ -396,24 +399,24 @@ def test_bench_node_route_matches_the_lfilter_integrator_on_every_fold(
 
 
 @pytest.mark.parametrize("value, match", [(-1.0, "nonnegative"), (np.nan, "non-finite")])
-def test_node_stage_rejects_unusable_oscillator_states(baseline_prep, monkeypatch,
+def test_node_stage_rejects_unusable_oscillator_states(baseline, monkeypatch,
                                                        value, match):
     monkeypatch.setattr(reservoir, "stno_run", lambda x, p: np.full(x.size, value))
-    pipe = replace(baseline_prep.pipeline, node_kind="stno", n_theta=4)
+    pipe = replace(baseline.pipeline, node_kind="stno", n_theta=4)
     with pytest.raises(NumericalError, match=match):
-        with_node(baseline_prep, pipe)
+        with_node(baseline.corpus, pipe)
 
 
 @pytest.mark.parametrize("layout", ["subsets", "one-uneven-group"])
 @pytest.mark.parametrize("value, match", [(-1.0, "nonnegative"), (np.nan, "non-finite")])
-def test_node_stage_checks_the_last_block_of_the_last_group(baseline_prep, monkeypatch,
+def test_node_stage_checks_the_last_block_of_the_last_group(baseline, monkeypatch,
                                                             value, match, layout):
     """One bad clip, in the block the node stage runs last, still fails:
     the last of ten one-block subsets, or the eighth block of a group."""
-    base = baseline_prep
+    base = baseline.corpus
     if layout == "one-uneven-group":           # 123 clips, then 377
         base = replace(base, subset_of=(np.arange(len(base.clip_ids)) >= 123).astype(int))
-    pipe = replace(base.pipeline, node_kind="stno", n_theta=4)
+    pipe = replace(baseline.pipeline, node_kind="stno", n_theta=4)
     last = base.indices_of_subsets([max(base.subset_of)])[-1]
     tensors = pad_to(base.features)
     mask = gen_mask(pipe.mask_seed, pipe.n_theta, tensors.shape[1])
@@ -434,9 +437,9 @@ def test_node_stage_checks_the_last_block_of_the_last_group(baseline_prep, monke
     assert hits == [0]
 
 
-def test_run_fold_produces_both_splits(baseline_prep):
+def test_run_fold_produces_both_splits(baseline):
     fold = FoldSpec(tuple(range(9)))
-    fm = run_fold(fold, baseline_prep)
+    fm = run_fold(fold, baseline)
     assert 0.0 <= fm.test.wsr <= 100.0
     assert fm.train.mse > 0.0
     assert fm.test.mse > 0.0
@@ -446,7 +449,7 @@ def clip_by_clip_metrics(model, prep, idx):
     """Fold scoring as it once ran: ``classify`` on each clip's scores and
     ``score_mse`` over per-clip lists."""
     scores = predict_means(model, prep.frame_means[idx])
-    actual = [int(d) for d in prep.digits[idx]]
+    actual = [int(d) for d in prep.corpus.digits[idx]]
     return Metrics(score_wsr([classify(s) for s in scores], actual),
                    score_mse(list(scores), list(np.eye(10)[actual])))
 
@@ -465,36 +468,36 @@ def test_fold_scoring_matches_clip_by_clip_scoring_exactly():
             means = rng.standard_normal((n_clips, n_inputs)) * 10.0 ** rng.integers(-3, 4)
             weights = rng.standard_normal((10, n_inputs))
         model = readout.ReadoutModel(weights, readout.ReadoutOptions())
-        prep = evalharness.PreparedCorpus(
-            tuple(map(str, range(n_clips))), rng.integers(0, 10, n_clips),
-            np.zeros(n_clips, dtype=int), 1, PipelineSpec(filter_kind="mfcc"),
-            np.ones(n_clips, dtype=int), frame_means=means)
+        clips = evalharness.Corpus(tuple(map(str, range(n_clips))),
+                                   rng.integers(0, 10, n_clips),
+                                   np.zeros(n_clips, dtype=int), ())
+        prep = Route(clips, PipelineSpec(filter_kind="mfcc"), means, {})
         idx = rng.permutation(n_clips)[:int(rng.integers(1, n_clips + 1))]
         assert evalharness._evaluate(model, prep, idx) == \
             clip_by_clip_metrics(model, prep, idx), f"case {case}"
 
 
-def test_fold_metrics_match_clip_by_clip_scoring_on_every_fold(baseline_prep):
-    for fm in cross_validate(baseline_prep, 9).folds:
+def test_fold_metrics_match_clip_by_clip_scoring_on_every_fold(baseline):
+    for fm in cross_validate(baseline, 9).folds:
         for split, subsets in ((fm.train, fm.fold.train_subsets),
                                (fm.test, fm.fold.test_subsets)):
-            idx = baseline_prep.indices_of_subsets(subsets)
-            assert split == clip_by_clip_metrics(fm.model, baseline_prep, idx)
+            idx = baseline.corpus.indices_of_subsets(subsets)
+            assert split == clip_by_clip_metrics(fm.model, baseline, idx)
 
 
 def test_run_fold_refuses_a_subset_that_was_not_factored(corpus):
     manifest, partition = corpus
-    prep = prepare_corpus(manifest, partition, PipelineSpec(filter_kind="spectro_exp",
-                                                            alpha=2.0),
-                          workers=4, factored=(0,))
+    pipe = PipelineSpec(filter_kind="spectro_exp", alpha=2.0)
+    prep = baseline_route(prepare_corpus(manifest, partition, pipe, workers=4), pipe,
+                          factored=(0,))
     assert sorted(prep.factors) == [0]
     # the first fold, 0+...+8, needs subset 1 first
     with pytest.raises(DataError, match=r"fold 0\+1\+2\+3\+4\+5\+6\+7\+8 .*subset 1\b"):
         cross_validate(prep, 9)
 
 
-def test_cross_validate_aggregates_match_folds(baseline_prep):
-    report = cross_validate(baseline_prep, 9)
+def test_cross_validate_aggregates_match_folds(baseline):
+    report = cross_validate(baseline, 9)
     assert len(report.folds) == 10
     wsr = [f.test.wsr for f in report.folds]
     assert report.test.wsr == pytest.approx(np.mean(wsr))
@@ -504,12 +507,12 @@ def test_cross_validate_aggregates_match_folds(baseline_prep):
     assert report.overfit_ratio == pytest.approx(mse_te / mse_tr)
 
 
-def test_cross_validate_worker_invariance(baseline_prep, corpus):
+def test_cross_validate_worker_invariance(baseline, corpus):
     # workers reach the featurize and node stages; folds run in order
     manifest, partition = corpus
-    serial = prepare_corpus(manifest, partition, baseline_prep.pipeline, workers=1)
-    a = cross_validate(serial, 8)
-    b = cross_validate(baseline_prep, 8)
+    serial = prepare_corpus(manifest, partition, baseline.pipeline, workers=1)
+    a = cross_validate(baseline_route(serial, baseline.pipeline), 8)
+    b = cross_validate(baseline, 8)
     assert len(a.folds) == len(b.folds) == 45
     for fa, fb in zip(a.folds, b.folds):
         assert fa.fold.train_subsets == fb.fold.train_subsets
@@ -518,22 +521,22 @@ def test_cross_validate_worker_invariance(baseline_prep, corpus):
         assert np.array_equal(fa.model.weights, fb.model.weights)
 
 
-def test_gain_report_arithmetic(baseline_prep):
-    base = cross_validate(baseline_prep, 9)
+def test_gain_report_arithmetic(baseline):
+    base = cross_validate(baseline, 9)
     fake_total = CrossValReport.from_folds("x total", 9, base.folds)
     gain = GainReport(base, fake_total)
     assert gain.gain_points == pytest.approx(0.0)
 
 
-def test_gain_report_rejects_mismatched_folds(baseline_prep):
-    base = cross_validate(baseline_prep, 9)
-    other = cross_validate(baseline_prep, 8)
+def test_gain_report_rejects_mismatched_folds(baseline):
+    base = cross_validate(baseline, 9)
+    other = cross_validate(baseline, 8)
     with pytest.raises(DataError):
         GainReport(base, other)
 
 
-def test_report_to_csv_layout(baseline_prep):
-    report = cross_validate(baseline_prep, 9)
+def test_report_to_csv_layout(baseline):
+    report = cross_validate(baseline, 9)
     text = report_to_csv(report, ["config abc"])
     lines = text.strip().split("\n")
     assert lines[0] == "# config abc"
@@ -544,8 +547,8 @@ def test_report_to_csv_layout(baseline_prep):
     assert lines[-1].startswith("std,")
 
 
-def test_summary_markdown_mentions_routes(baseline_prep):
-    report = cross_validate(baseline_prep, 9)
+def test_summary_markdown_mentions_routes(baseline):
+    report = cross_validate(baseline, 9)
     text = summary_markdown([report], None, ["config abc"])
     assert "baseline" in text
     assert "| WSR" in text or "WSR" in text
@@ -657,9 +660,14 @@ def test_stratified_node_route_factors_only_the_training_pool(corpus, monkeypatc
         return prep
 
     def counting_factor_blocks(blocks, *args):
-        blocks = list(blocks)
-        factored.append(sum(len(inputs) for inputs, _ in blocks))
-        return factor_blocks_(blocks, *args)
+        # a block is valid only until the next one is drawn: count as drawn
+        factored.append(0)
+
+        def counted():
+            for inputs, targets in blocks:
+                factored[-1] += len(inputs)
+                yield inputs, targets
+        return factor_blocks_(counted(), *args)
 
     monkeypatch.setattr(evalharness, "with_node", keeping_with_node)
     monkeypatch.setattr(evalharness, "factor_blocks", counting_factor_blocks)
@@ -680,7 +688,7 @@ def spectra(corpus):
 
 
 def _sweep(spectra, alphas, monkeypatch):
-    """``alpha_sweep``'s points, and each exponent's preparation and
+    """``alpha_sweep``'s points, and each exponent's route and
     cross-validation report."""
     swept, cross_validate_ = [], evalharness.cross_validate
 
@@ -690,30 +698,29 @@ def _sweep(spectra, alphas, monkeypatch):
         return report
 
     monkeypatch.setattr(evalharness, "cross_validate", keeping_cross_validate)
-    return alpha_sweep(spectra, alphas, 9), swept
+    return alpha_sweep(spectra, PipelineSpec(filter_kind="mfcc"), alphas, 9), swept
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.2, 0.5, 1.0, 2.0, 4.0])
 def test_sweep_derives_each_exponent_as_the_spectro_exp_front_end(corpus, spectra,
                                                                  monkeypatch, alpha):
     """Each exponent, derived block by block from the one spectrum pass,
-    has the frame means and factors of a ``spectro_exp`` preparation at
-    that exponent.  At alpha = 0 every true entry maps to 1, so equal
-    frame means show that the padding stays zero."""
+    has the frame means and factors of the ``spectro_exp`` front end's
+    features at that exponent, freshly padded.  At alpha = 0 every true
+    entry maps to 1, so equal frame means show that the padding stays
+    zero, not what the reused block held before."""
     manifest, partition = corpus
-    assert spectra.pipeline.filter_kind == "spectro_real"
-    assert min(spectra.n_frames) < spectra.n_frames_max
+    assert {fm.filter_kind for fm in spectra.features} == {"spectro_real"}
+    assert min(fm.n_frames for fm in spectra.features) < spectra.n_frames_max
     (point,), ((prep, _),) = _sweep(spectra, [alpha], monkeypatch)
     assert point.alpha == alpha
-    want = prepare_corpus(manifest, partition,
-                          PipelineSpec(filter_kind="spectro_exp", alpha=alpha), workers=4)
-    assert prep.features is None
-    assert prep.pipeline == want.pipeline
-    assert np.array_equal(prep.n_frames, want.n_frames)
-    assert np.array_equal(prep.frame_means, want.frame_means)
-    assert sorted(prep.factors) == sorted(want.factors) == list(range(10))
-    for k in range(10):
-        assert np.array_equal(prep.factors[k], want.factors[k]), f"subset {k}"
+    pipe = PipelineSpec(filter_kind="spectro_exp", alpha=alpha)
+    want = prepare_corpus(manifest, partition, pipe, workers=4)
+    assert prep.pipeline == pipe
+    assert prep.corpus.clip_ids == want.clip_ids
+    assert [fm.n_frames for fm in prep.corpus.features] == \
+        [fm.n_frames for fm in want.features]
+    assert_matches_reference(prep, pad_to(want.features), range(10))
 
 
 def test_sweep_rejects_non_finite_transformed_entries(spectra):
@@ -721,13 +728,14 @@ def test_sweep_rejects_non_finite_transformed_entries(spectra):
     power; the padding zeros of every other clip do not count."""
     last = spectra.indices_of_subsets([9])[-1]
     values = spectra.features[last].values.copy()
-    values[3, spectra.n_frames[last] - 1] = 0.0
+    values[3, spectra.features[last].n_frames - 1] = 0.0
     features = list(spectra.features)
     features[last] = replace(features[last], values=values)
     spoiled = replace(spectra, features=tuple(features))
-    assert min(np.delete(spoiled.n_frames, last)) < spoiled.n_frames_max
+    assert min(fm.n_frames for i, fm in enumerate(spoiled.features) if i != last) < \
+        spoiled.n_frames_max
     with pytest.raises(DataError, match=f"{spoiled.clip_ids[last]!r} has non-finite"):
-        alpha_sweep(spoiled, [-1.0], 9)
+        alpha_sweep(spoiled, PipelineSpec(filter_kind="mfcc"), [-1.0], 9)
 
 
 # ---------------------------------------------------------------------------
@@ -778,19 +786,20 @@ def test_sweep_readouts_match_the_plain_qr_on_every_fold(spectra, monkeypatch):
             assert np.array_equal(prep.factors[k], ref.factors[k])
 
 
-def test_bench_readouts_match_the_plain_qr_on_every_fold(corpus, baseline_prep,
+def test_bench_readouts_match_the_plain_qr_on_every_fold(corpus, baseline,
                                                          monkeypatch):
     """``bench``'s routes (alpha = 2 spectra, then the stno node at
     n_theta 400) repeat no input, so every factor is bitwise the plain
     QR's, and so are the weights and decisions."""
     manifest, partition = corpus
-    total_pipe = replace(baseline_prep.pipeline, node_kind="stno")
+    total_pipe = replace(baseline.pipeline, node_kind="stno")
     assert total_pipe.n_theta == 400
-    total = with_node(baseline_prep, total_pipe)
-    got = [(p, cross_validate(p, 9)) for p in (baseline_prep, total)]
+    total = with_node(baseline.corpus, total_pipe)
+    got = [(p, cross_validate(p, 9)) for p in (baseline, total)]
     _plain_qr(monkeypatch)
-    plain = prepare_corpus(manifest, partition, baseline_prep.pipeline, workers=4)
-    for (prep, report), ref in zip(got, (plain, with_node(plain, total_pipe))):
+    plain = prepare_corpus(manifest, partition, baseline.pipeline, workers=4)
+    refs = (baseline_route(plain, baseline.pipeline), with_node(plain, total_pipe))
+    for (prep, report), ref in zip(got, refs):
         assert sorted(ref.factors) == sorted(prep.factors) == list(range(10))
         for k in range(10):
             assert np.array_equal(prep.factors[k], ref.factors[k]), f"subset {k}"

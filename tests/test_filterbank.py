@@ -414,3 +414,10 @@ def test_pad_to_extends_with_zero_frames():
     assert np.all(wide[:, :, 6:] == 0.0)
     with pytest.raises(DataError, match="cannot pad 'long' down"):
         pad_to([short, long], 5)
+    # into a reused buffer that held other values: only its leading clips
+    # are used, and every entry of them is written
+    stale = np.full((3, 3, 9), np.nan)
+    reused = pad_to([short, long], 9, out=stale)
+    assert np.shares_memory(reused, stale) and reused.shape == (2, 3, 9)
+    assert np.array_equal(reused, wide)
+    assert np.all(np.isnan(stale[2]))

@@ -43,15 +43,13 @@ def test_the_reservoir_loads_without_scipy(fresh_python):
 def test_a_node_route_loads_without_scipy(fresh_python, node_kind):
     out = fresh_python(f"""
 import numpy as np
-from resonet.evalharness import PipelineSpec, PreparedCorpus, with_node
+from resonet.evalharness import Corpus, PipelineSpec, with_node
 from resonet.filterbank import FeatureMatrix
 pipe = PipelineSpec(filter_kind="spectro_exp", alpha=2.0, node_kind={node_kind!r}, n_theta=4)
 features = tuple(FeatureMatrix(x, "spectro_exp", c, 2.0) for c, x in
                  zip("abcdefg", np.random.default_rng(0).random((7, 3, 5))))
-prep = PreparedCorpus(tuple("abcdefg"), np.arange(7), np.zeros(7, dtype=int), 5,
-                      PipelineSpec(filter_kind="spectro_exp", alpha=2.0),
-                      np.full(7, 5), features=features)
-assert with_node(prep, pipe).frame_means.shape == (7, 4)""" + LIST_MODULES)
+corpus = Corpus(tuple("abcdefg"), np.arange(7), np.zeros(7, dtype=int), features)
+assert with_node(corpus, pipe).frame_means.shape == (7, 4)""" + LIST_MODULES)
     loaded = json.loads(out.splitlines()[-1])
     assert "resonet.reservoir" in loaded
     assert [m for m in loaded if m.startswith("scipy")] == []

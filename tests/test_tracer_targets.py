@@ -42,15 +42,13 @@ spec.loader.exec_module(tracer)
 recorder = tracer.Recorder()
 import resonet.cli
 recorder.install()
-from resonet.evalharness import PipelineSpec, PreparedCorpus, with_node
+from resonet.evalharness import Corpus, PipelineSpec, with_node
 from resonet.filterbank import FeatureMatrix
 pipe = PipelineSpec(filter_kind="spectro_exp", alpha=2.0, node_kind="stno", n_theta=4)
 features = tuple(FeatureMatrix(x, "spectro_exp", c, 2.0) for c, x in
                  zip("abcdefg", np.random.default_rng(0).random((7, 3, 5))))
-prep = PreparedCorpus(tuple("abcdefg"), np.arange(7), np.zeros(7, dtype=int), 5,
-                      PipelineSpec(filter_kind="spectro_exp", alpha=2.0),
-                      np.full(7, 5), features=features)
-with_node(prep, pipe, factored=())
+corpus = Corpus(tuple("abcdefg"), np.arange(7), np.zeros(7, dtype=int), features)
+with_node(corpus, pipe, factored=())
 print(json.dumps([s[1] for s in recorder.spans]))
 """
     names = json.loads(fresh_python(code).splitlines()[-1])
