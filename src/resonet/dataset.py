@@ -412,13 +412,15 @@ def read_wav(path: str | Path, *, clip_id: str | None = None) -> AudioClip:
 
 
 def realize_clip(entry: ManifestEntry, *, sample_rate: int = SYNTH_SAMPLE_RATE,
-                 noise_seed: int = 0) -> AudioClip:
+                 noise_seed: int = 0, clip: AudioClip | None = None) -> AudioClip:
     """Load a clip and, for synthetic entries, realize its noise tag.
 
+    ``clip``, when given, is the entry's source as ``read_clip`` gave it,
+    so one read serves several tags of the same clip; it is not read again.
     File-backed entries are returned as stored: their condition tags
     describe content already present in the audio.
     """
-    clip = read_clip(entry, sample_rate=sample_rate)
+    clip = read_clip(entry, sample_rate=sample_rate) if clip is None else clip
     if entry.is_synthetic and not math.isinf(entry.label.snr_db):
         seed = derived_noise_seed(noise_seed, entry.clip_id, entry.label.noise_type,
                                   entry.label.snr_db)

@@ -14,7 +14,7 @@ import math
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from itertools import combinations
+from itertools import chain, combinations, groupby
 from pathlib import Path
 from typing import Callable, Collection, Iterator, Sequence
 
@@ -22,7 +22,8 @@ import numpy as np
 
 from . import reservoir
 from .cachefile import read_feature_cache
-from .dataset import N_SUBSETS, Manifest, ManifestEntry, SubsetPartition, realize_clip
+from .dataset import (N_SUBSETS, AudioClip, Manifest, ManifestEntry, SubsetPartition,
+                      read_clip, realize_clip)
 from .errors import CacheError, ConfigError, DataError, NumericalError
 from .filterbank import (CochlearConfig, FeatureMatrix, MfccConfig, StftConfig,
                          exponent_transform, featurize, pad_to)
@@ -96,10 +97,10 @@ class PipelineSpec:
         return f"{name} + {self.node_kind}(n_theta={self.n_theta})"
 
 
-def clip_features(entry: ManifestEntry, pipeline: PipelineSpec, *,
-                  sample_rate: int, noise_seed: int = 0) -> FeatureMatrix:
+def clip_features(entry: ManifestEntry, pipeline: PipelineSpec, *, sample_rate: int,
+                  noise_seed: int = 0, clip: AudioClip | None = None) -> FeatureMatrix:
     """Realize one manifest entry and run it through the pipeline's front end."""
-    clip = realize_clip(entry, sample_rate=sample_rate, noise_seed=noise_seed)
+    clip = realize_clip(entry, sample_rate=sample_rate, noise_seed=noise_seed, clip=clip)
     return featurize(clip, pipeline.filter_kind, pipeline.alpha,
                      stft_cfg=pipeline.stft, mfcc_cfg=pipeline.mfcc,
                      cochlear_cfg=pipeline.cochlear)
@@ -109,39 +110,44 @@ def corpus_features(entries: Sequence[ManifestEntry], pipeline: PipelineSpec, *,
                     sample_rate: int, noise_seed: int, workers: int,
                     cache: Path | None = None) -> Iterator[FeatureMatrix]:
     """Every entry's features, in entry order: read from ``<cache>/<clip_id>.rnbf``
-    where that file exists, else realized and featurized, on a thread pool
-    when ``workers > 1`` that keeps at most ``2 * workers`` clips in flight.
-    ``cache`` is a ``<cache root>/<feature hash>`` directory, and a file in
-    it from another configuration or for another clip is a ``CacheError``.
-    Only the configured front end on the manifest's own conditions may read
-    it: not ``sweep`` (``spectro_real``) nor ``stratified`` (test clips
-    re-realized at other noise conditions under the same clip id), which
-    pass None and look up no file.
+    where that file exists, else realized and featurized.  Consecutive
+    entries that share a clip id (a ``stratified`` test clip's cells) form
+    one run, whose source is read once (``read_clip``) and mixed with each
+    entry's own noise tag.  Runs go to a thread pool when ``workers > 1``
+    that keeps at most ``2 * workers`` runs in flight.  ``cache`` is a
+    ``<cache root>/<feature hash>`` directory, and a file in it from another
+    configuration or for another clip is a ``CacheError``.  Only the
+    configured front end on the manifest's own conditions may read it: not
+    ``sweep`` (``spectro_real``) nor ``stratified`` (test clips at other
+    noise conditions under the same clip id), which pass None.  Manifest
+    clip ids are unique, so every run with a cache is a single entry.
     """
-    def _load(entry: ManifestEntry) -> FeatureMatrix:
-        path = None if cache is None else cache / f"{entry.clip_id}.rnbf"
+    def _load(run: list[ManifestEntry]) -> list[FeatureMatrix]:
+        path = None if cache is None else cache / f"{run[0].clip_id}.rnbf"
         if path is None or not path.exists():
-            return clip_features(entry, pipeline, sample_rate=sample_rate,
-                                 noise_seed=noise_seed)
+            clip = read_clip(run[0], sample_rate=sample_rate)
+            return [clip_features(e, pipeline, sample_rate=sample_rate,
+                                  noise_seed=noise_seed, clip=clip) for e in run]
         fm = read_feature_cache(path, cache.name)
-        if fm.clip_id != entry.clip_id:
+        if fm.clip_id != run[0].clip_id:
             raise CacheError(f"{path}: holds the features of clip {fm.clip_id!r}, "
-                             f"not {entry.clip_id!r}; regenerate it")
-        return fm
+                             f"not {run[0].clip_id!r}; regenerate it")
+        return [fm]
 
+    runs = (list(run) for _, run in groupby(entries, key=lambda e: e.clip_id))
     # no pool at 1 worker: per-thread malloc arenas cost 90 -> 108 MiB peak RSS on sweep
     if workers > 1:
-        # at most 2 * workers clips in flight, so a slow consumer holds only those
+        # at most 2 * workers runs in flight, so a slow consumer holds only those
         with ThreadPoolExecutor(max_workers=workers) as pool:
             pending = deque()
-            for entry in entries:
+            for run in runs:
                 if len(pending) == 2 * workers:
-                    yield pending.popleft().result()
-                pending.append(pool.submit(_load, entry))
+                    yield from pending.popleft().result()
+                pending.append(pool.submit(_load, run))
             while pending:
-                yield pending.popleft().result()
+                yield from pending.popleft().result()
     else:
-        yield from map(_load, entries)
+        yield from chain.from_iterable(map(_load, runs))
 
 
 @dataclass(frozen=True, eq=False)
@@ -456,7 +462,7 @@ class ConditionReport:
     wsr: np.ndarray                    # (n_snrs, n_types)
     gain: np.ndarray | None            # same shape, total minus baseline
     n_train_clips: int
-    n_test_clips: int
+    n_cell_clips: tuple[int, ...]      # test clips each cell scored, row-major
 
     @property
     def row_avg(self) -> np.ndarray:
@@ -478,14 +484,15 @@ def stratified_report(manifest: Manifest, pipeline: PipelineSpec,
     """Train once on a mixed-condition pool, test per condition cell.
 
     Entries with an utterance index below ``train_utterances`` form the
-    training pool; everything else is the test pool.  Synthetic test
-    entries are re-realized at each cell's (noise_type, snr) condition,
-    while file-backed test entries join only the cells whose condition
-    matches their manifest tag.  Training entries are realized at their
-    tagged conditions.  All clips, train and test, are padded together
-    and share one input scale.  The readout is trained and scored as a
-    fold is: the training pool is group 0 of one corpus and cell j is
-    group 1 + j.
+    training pool; everything else is the test pool.  Cell j is the j-th
+    (noise_type, snr) condition, row-major, ``"clean"`` at an infinite snr.
+    A synthetic test entry joins every cell, relabeled with its condition;
+    a file-backed one joins the cells whose condition is its manifest tag.
+    Each test clip's cell entries follow each other, after the training
+    pool, so ``corpus_features`` reads the clip once.  All clips, train and
+    test, are padded together and share one input scale.  The readout is
+    trained and scored as a fold is: the training pool is group 0 of one
+    corpus and cell j is group 1 + j, in the test pool's clip order.
     """
     if not test_snrs or not test_noise_types:
         raise ConfigError("stratified evaluation needs test snrs and noise types")
@@ -496,30 +503,19 @@ def stratified_report(manifest: Manifest, pipeline: PipelineSpec,
     if not test_entries:
         raise DataError("stratified test pool is empty")
 
-    def _tag_matches(label, ntype: str, snr: float) -> bool:
-        if label.snr_db != snr:
-            return False
-        return label.noise_type == ntype or (math.isinf(snr)
-                                             and label.noise_type == "clean")
-
-    def _at(entry: ManifestEntry, ntype: str, snr: float) -> ManifestEntry:
-        label = replace(entry.label, snr_db=snr,
-                        noise_type="clean" if math.isinf(snr) else ntype)
-        return replace(entry, label=label)
-
-    cells: list[list[ManifestEntry]] = []        # row-major over (snr, noise_type)
-    for snr in (float(s) for s in test_snrs):
-        for ntype in test_noise_types:
-            pool = [_at(e, ntype, snr) if e.is_synthetic else e for e in test_entries
-                    if e.is_synthetic or _tag_matches(e.label, ntype, snr)]
-            if not pool:
-                raise DataError(
-                    f"no test clips for condition ({ntype!r}, {snr} dB)")
-            cells.append(pool)
-
-    entries = train_entries + [e for pool in cells for e in pool]
-    groups = [0] * len(train_entries) + [1 + j for j, pool in enumerate(cells)
-                                         for _ in pool]
+    cells = [("clean", math.inf) if math.isinf(snr) else (ntype, snr)
+             for snr in map(float, test_snrs) for ntype in test_noise_types]
+    entries, groups = list(train_entries), [0] * len(train_entries)
+    for e in test_entries:
+        for j, (ntype, snr) in enumerate(cells):
+            if e.is_synthetic or (e.label.noise_type, e.label.snr_db) == (ntype, snr):
+                entries.append(replace(e, label=replace(e.label, noise_type=ntype,
+                                                        snr_db=snr)))
+                groups.append(1 + j)
+    n_cell_clips = tuple(np.bincount(groups, minlength=1 + len(cells))[1:].tolist())
+    for (ntype, snr), n in zip(cells, n_cell_clips):
+        if n == 0:
+            raise DataError(f"no test clips for condition ({ntype!r}, {snr} dB)")
     corpus = _featurized(entries, groups, pipeline, sample_rate=manifest.sample_rate,
                          noise_seed=noise_seed, workers=workers)
 
@@ -539,7 +535,7 @@ def stratified_report(manifest: Manifest, pipeline: PipelineSpec,
     return ConditionReport(tuple(float(s) for s in test_snrs),
                            tuple(test_noise_types), wsr, gain,
                            n_train_clips=len(train_entries),
-                           n_test_clips=len(test_entries))
+                           n_cell_clips=n_cell_clips)
 
 
 # ---------------------------------------------------------------------------
@@ -613,6 +609,7 @@ def condition_markdown(report: ConditionReport,
     avg_row = ["avg"] + [f"{v:.2f}" for v in report.col_avg] + [f"{report.overall:.2f}"]
     out.append("| " + " | ".join(avg_row) + " |")
     out.append("")
+    lo, hi = min(report.n_cell_clips), max(report.n_cell_clips)
     out.append(f"Trained on {report.n_train_clips} clips; "
-               f"{report.n_test_clips} test clips per cell population.")
+               f"{lo if lo == hi else f'{lo} to {hi}'} test clips per cell population.")
     return "\n".join(out) + "\n"

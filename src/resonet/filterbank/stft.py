@@ -42,10 +42,10 @@ def window_values(kind: str, n: int) -> np.ndarray:
     raise ConfigError(f"unknown window {kind!r}")
 
 
-def frame_count(n_samples: int, cfg: StftConfig) -> int:
+def frame_count(n_samples: int, cfg: StftConfig, clip_id: str = "?") -> int:
     if n_samples < cfg.fft_size:
         raise DataError(
-            f"clip too short for analysis: {n_samples} samples < one "
+            f"clip {clip_id!r} too short for analysis: {n_samples} samples < one "
             f"{cfg.fft_size}-sample frame")
     return 1 + (n_samples - cfg.fft_size) // cfg.hop
 
@@ -55,7 +55,7 @@ def stft_complex(clip: AudioClip, cfg: StftConfig = StftConfig()) -> np.ndarray:
 
     Linear in the input samples.
     """
-    n_frames = frame_count(clip.samples.size, cfg)
+    n_frames = frame_count(clip.samples.size, cfg, clip.clip_id)
     frames = np.lib.stride_tricks.sliding_window_view(clip.samples, cfg.fft_size)
     frames = frames[:: cfg.hop][:n_frames]
     win = window_values(cfg.window, cfg.fft_size)

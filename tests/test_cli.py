@@ -529,7 +529,7 @@ def degenerate_manifests(tmp_path_factory):
 def test_degenerate_inputs_end_in_their_exit_code(tmp_path, capsys, degenerate_manifests,
                                                   command, case, front_end, code):
     """A clip no frame fits in, and a clip at another sample rate, are
-    data errors (exit 3); a one-frame clip and a silent corpus run to
+    data errors (exit 3) that name the clip; a one-frame clip and a silent corpus run to
     the end (exit 0), the silent one at exactly chance, with one
     ``DegenerateInputWarning`` per silent clip.  No run prints a traceback."""
     conf = _write_conf(tmp_path, f"corpus.kind = manifest\n"
@@ -548,8 +548,82 @@ def test_degenerate_inputs_end_in_their_exit_code(tmp_path, capsys, degenerate_m
     assert "Traceback" not in out + err
     if code == 3:
         assert err.startswith("error: ")
+        assert "'d0_s0_u00'" in err
         if case == "off-rate":
-            assert "'d0_s0_u00'" in err and "8000 Hz, the corpus at 12500 Hz" in err
+            assert "8000 Hz, the corpus at 12500 Hz" in err
     if case == "silent-corpus" and command in ("bench", "sweep", "stratified"):
         wsrs = re.findall(r"WSR (\d+\.\d+)", out)
         assert wsrs and set(wsrs) == {"10.00"}
+
+
+@pytest.fixture(scope="module")
+def tagged_manifest(degenerate_manifests):
+    """The default corpus's 500 labels over the tone WAV of each digit,
+    with test utterance 8 tagged ``clean`` and utterance 9
+    ``synthetic-white`` at 20 dB."""
+    root = degenerate_manifests["one-frame"].parent
+    rows = [replace(e, source=str(root / f"tone{e.label.digit}.wav"),
+                    label=replace(e.label, noise_type="synthetic-white", snr_db=20.0)
+                    if e.label.utterance == 9 else e.label)
+            for e in build_synth_manifest(1001).entries]
+    save_manifest(Manifest(tuple(rows), sample_rate=12500), root / "tagged.csv")
+    return root / "tagged.csv"
+
+
+def _tagged_conf(tmp_path, manifest, noise_types="synthetic-white", train_utterances=8):
+    return _write_conf(tmp_path, f"corpus.kind = manifest\ncorpus.manifest = {manifest}\n"
+                                 "filter.kind = spectro_exp\nfilter.alpha = 2.0\n"
+                                 f"strat.train_utterances = {train_utterances}\n"
+                                 "strat.test_snrs = inf,20\n"
+                                 f"strat.test_noise_types = {noise_types}\n")
+
+
+def test_file_backed_test_clips_join_only_their_tagged_cell(tmp_path, capsys, monkeypatch,
+                                                           tagged_manifest):
+    """A file-backed test clip carries its noise already: it joins the one
+    cell its tag names, and a cell no tag names is a data error."""
+    import resonet.evalharness as evalharness
+    corpora, baseline_route = [], evalharness.baseline_route
+
+    def keeping_baseline_route(corpus, *args, **kwargs):
+        corpora.append(corpus)
+        return baseline_route(corpus, *args, **kwargs)
+
+    monkeypatch.setattr(evalharness, "baseline_route", keeping_baseline_route)
+    assert run("stratified", _tagged_conf(tmp_path, tagged_manifest)) == 0
+    (corpus,) = corpora
+    cells = {}
+    for clip_id, group in zip(corpus.clip_ids, corpus.subset_of.tolist()):
+        cells.setdefault(group, []).append(clip_id)
+    assert {g: {c[-3:] for c in ids} for g, ids in cells.items() if g} == {1: {"u08"},
+                                                                          2: {"u09"}}
+    assert len(cells[1]) == len(cells[2]) == 50
+    capsys.readouterr()
+    conf = _tagged_conf(tmp_path, tagged_manifest, "synthetic-white,babble")
+    assert run("stratified", conf) == 3
+    err = capsys.readouterr().err
+    assert "no test clips for condition ('babble', 20.0 dB)" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("train_utterances, per_cell", [(8, "50"), (7, "50 to 100")])
+def test_conditions_report_the_test_clips_each_cell_scored(tmp_path, tagged_manifest,
+                                                           train_utterances, per_cell):
+    """Each tagged cell scores 50 file-backed clips, and the untagged
+    utterance 7 joins the clean cell only: cells that differ in size are
+    reported by their smallest and largest."""
+    assert run("stratified", _tagged_conf(tmp_path, tagged_manifest,
+                                          train_utterances=train_utterances)) == 0
+    text = (tmp_path / "out" / "conditions.md").read_text()
+    assert f"; {per_cell} test clips per cell population." in text
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_stratified_realizes_each_clip_once(tmp_path, monkeypatch, workers):
+    """A synthetic test clip is synthesized once and each of its three
+    default cells mixes its own noise into that one signal."""
+    conf = _write_conf(tmp_path, FAST_CONF.replace("strat.test_snrs = inf,10\n", ""))
+    realized = _count_synth_digit(monkeypatch)
+    assert run("stratified", conf, "--workers", workers) == 0
+    assert len(realized) == 500
+    assert len(set(realized)) == 500

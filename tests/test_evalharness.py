@@ -645,9 +645,10 @@ def test_stratified_grid_is_worker_invariant(corpus):
 
 
 def test_stratified_node_route_factors_only_the_training_pool(corpus, monkeypatch):
-    """In the stratified layout (the training pool, then one group per
-    cell, each contiguous) the streamed route matches the reference, and
-    each route factors the 400-clip training pool once and no cell."""
+    """In the stratified layout (the training pool, then each test clip in
+    every cell, a clip's cells next to each other) the streamed route
+    matches the reference, and each route factors the 400-clip training
+    pool once and no cell."""
     manifest, _ = corpus
     pipe = PipelineSpec(filter_kind="spectro_exp", alpha=2.0, node_kind="stno",
                         n_theta=24)
@@ -674,7 +675,7 @@ def test_stratified_node_route_factors_only_the_training_pool(corpus, monkeypatc
     stratified_report(manifest, pipe, 8, test_snrs=(math.inf, 10.0),
                       test_noise_types=("synthetic-white",), noise_seed=2002, workers=4)
     (base, prep), = routes
-    assert list(base.subset_of) == [0] * 400 + [1] * 100 + [2] * 100
+    assert list(base.subset_of) == [0] * 400 + [1, 2] * 100
     states, input_gain = reference_node_stage(pad_to(base.features), pipe)
     assert prep.input_gain == input_gain
     assert_matches_reference(prep, states, (0,))
