@@ -68,7 +68,7 @@ def cmd_synth_corpus(args) -> int:
     cfg = _load_config(args)
     if cfg["corpus.kind"] != "synthetic":
         raise ConfigError("synth-corpus needs corpus.kind = synthetic")
-    manifest, _ = cfg.load_corpus()
+    manifest = cfg.manifest()
     out = _out_dir(args)
     path = out / "manifest.csv"
     save_manifest(manifest, path)
@@ -78,7 +78,7 @@ def cmd_synth_corpus(args) -> int:
 
 def cmd_featurize(args) -> int:
     cfg = _load_config(args)
-    manifest, _ = cfg.load_corpus()
+    manifest = cfg.manifest()
     cache = _feature_cache(cfg, args)
     feats = corpus_features(manifest.entries, cfg.pipeline(),
                             sample_rate=manifest.sample_rate,
@@ -185,7 +185,7 @@ def _write_parity_diagnostic(cfg: RunConfig, spectra: Corpus,
 
 def cmd_export_features(args) -> int:
     cfg = _load_config(args)
-    manifest, _ = cfg.load_corpus()
+    manifest = cfg.manifest()
     out = _out_dir(args)
     feats = corpus_features(manifest.entries, cfg.pipeline(),
                             sample_rate=manifest.sample_rate,
@@ -215,7 +215,7 @@ def cmd_export_features(args) -> int:
 
 def cmd_stratified(args) -> int:
     cfg = _load_config(args)
-    manifest, _ = cfg.load_corpus()
+    manifest = cfg.manifest()
     pipeline = cfg.pipeline()
     out = _out_dir(args)
     report = stratified_report(

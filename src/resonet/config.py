@@ -208,23 +208,23 @@ class RunConfig:
             **typed,
         )
 
-    def load_corpus(self) -> tuple[Manifest, SubsetPartition]:
+    def manifest(self) -> Manifest:
+        """The corpus's manifest; only ``load_corpus`` also partitions it."""
         v = self.values
-        kind = v["corpus.kind"]
-        if kind == "synthetic":
+        if v["corpus.kind"] == "synthetic":
             conditions = None
             if v["corpus.conditions"]:
                 conditions = _parse_conditions(v["corpus.conditions"], "corpus.conditions")
-            manifest = build_synth_manifest(
+            return build_synth_manifest(
                 v["corpus.synth_seed"], phase_mode=v["corpus.phase_mode"],
                 sample_rate=v["corpus.sample_rate"], conditions=conditions)
-        else:
-            path = v["corpus.manifest"]
-            if not path:
-                raise ConfigError("corpus.manifest is required when corpus.kind = manifest")
-            manifest = load_manifest(path, sample_rate=v["corpus.sample_rate"])
-        partition = partition_subsets(manifest, v["eval.partition_seed"])
-        return manifest, partition
+        if not v["corpus.manifest"]:
+            raise ConfigError("corpus.manifest is required when corpus.kind = manifest")
+        return load_manifest(v["corpus.manifest"], sample_rate=v["corpus.sample_rate"])
+
+    def load_corpus(self) -> tuple[Manifest, SubsetPartition]:
+        manifest = self.manifest()
+        return manifest, partition_subsets(manifest, self.values["eval.partition_seed"])
 
 
 def parse_config(path: str | Path) -> RunConfig:

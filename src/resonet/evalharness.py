@@ -28,8 +28,7 @@ from .errors import CacheError, ConfigError, DataError, NumericalError
 from .filterbank import (CochlearConfig, FeatureMatrix, MfccConfig, StftConfig,
                          exponent_transform, featurize, pad_to)
 from .readout import (FACTOR_CHUNK, N_CLASSES, Metrics, ReadoutModel, ReadoutOptions,
-                      build_targets, factor_blocks, predict_means, score_wsr,
-                      solve)
+                      factor_blocks, predict_means, score_wsr, solve)
 
 
 @dataclass(frozen=True)
@@ -206,8 +205,7 @@ def _reduce(corpus: Corpus, pipeline: PipelineSpec, n_inputs: int,
     ``padded``, the one block buffer the route reuses.  Each block is
     averaged over frames, stacked under its group's factor when the group
     is factored, and dropped, so the inputs themselves are never kept."""
-    n_frames = corpus.n_frames_max
-    padded = np.empty((FACTOR_CHUNK, corpus.features[0].n_rows, n_frames))
+    padded = np.empty((FACTOR_CHUNK, corpus.features[0].n_rows, corpus.n_frames_max))
     frame_means = np.empty((len(corpus.clip_ids), n_inputs))
 
     def _blocks(idx: np.ndarray):
@@ -215,7 +213,7 @@ def _reduce(corpus: Corpus, pipeline: PipelineSpec, n_inputs: int,
             chunk = idx[start:start + FACTOR_CHUNK]
             block = run_block(chunk, padded)
             frame_means[chunk] = block.mean(axis=2)
-            yield block, [build_targets(int(corpus.digits[i]), n_frames) for i in chunk]
+            yield block, corpus.digits[chunk]
             del block       # before the next block is made
 
     factors = {}
@@ -323,7 +321,7 @@ def _evaluate(model: ReadoutModel, route: Route, idx: np.ndarray) -> Metrics:
     actual = route.corpus.digits[idx]
     diff = scores - np.eye(N_CLASSES)[actual]
     per_clip = (diff * diff).sum(axis=1)
-    return Metrics(score_wsr(scores.argmax(axis=1).tolist(), actual.tolist()),
+    return Metrics(score_wsr(scores.argmax(axis=1), actual),
                    float(np.add.accumulate(per_clip)[-1]) / diff.size)
 
 
@@ -486,13 +484,13 @@ def stratified_report(manifest: Manifest, pipeline: PipelineSpec,
     Entries with an utterance index below ``train_utterances`` form the
     training pool; everything else is the test pool.  Cell j is the j-th
     (noise_type, snr) condition, row-major, ``"clean"`` at an infinite snr.
-    A synthetic test entry joins every cell, relabeled with its condition;
-    a file-backed one joins the cells whose condition is its manifest tag.
-    Each test clip's cell entries follow each other, after the training
+    A synthetic test entry joins every distinct condition, relabeled with
+    it; a file-backed one joins the condition that is its manifest tag.
+    Each test clip's condition entries follow each other, after the training
     pool, so ``corpus_features`` reads the clip once.  All clips, train and
     test, are padded together and share one input scale.  The readout is
     trained and scored as a fold is: the training pool is group 0 of one
-    corpus and cell j is group 1 + j, in the test pool's clip order.
+    corpus and the k-th distinct condition group 1 + k, which its cells score.
     """
     if not test_snrs or not test_noise_types:
         raise ConfigError("stratified evaluation needs test snrs and noise types")
@@ -505,14 +503,16 @@ def stratified_report(manifest: Manifest, pipeline: PipelineSpec,
 
     cells = [("clean", math.inf) if math.isinf(snr) else (ntype, snr)
              for snr in map(float, test_snrs) for ntype in test_noise_types]
+    conditions = list(dict.fromkeys(cells))
+    group_of = [1 + conditions.index(c) for c in cells]
     entries, groups = list(train_entries), [0] * len(train_entries)
     for e in test_entries:
-        for j, (ntype, snr) in enumerate(cells):
+        for k, (ntype, snr) in enumerate(conditions):
             if e.is_synthetic or (e.label.noise_type, e.label.snr_db) == (ntype, snr):
                 entries.append(replace(e, label=replace(e.label, noise_type=ntype,
                                                         snr_db=snr)))
-                groups.append(1 + j)
-    n_cell_clips = tuple(np.bincount(groups, minlength=1 + len(cells))[1:].tolist())
+                groups.append(1 + k)
+    n_cell_clips = tuple(np.bincount(groups, minlength=1 + len(conditions))[group_of].tolist())
     for (ntype, snr), n in zip(cells, n_cell_clips):
         if n == 0:
             raise DataError(f"no test clips for condition ({ntype!r}, {snr} dB)")
@@ -521,8 +521,8 @@ def stratified_report(manifest: Manifest, pipeline: PipelineSpec,
 
     def _grid(route: Route) -> np.ndarray:
         model = solve([route.factors[0]], route.pipeline.readout)
-        wsr = [_evaluate(model, route, corpus.indices_of_subsets([1 + j])).wsr
-               for j in range(len(cells))]
+        wsr = [_evaluate(model, route, corpus.indices_of_subsets([g])).wsr
+               for g in group_of]
         return np.array(wsr).reshape(len(test_snrs), len(test_noise_types))
 
     # only the training pool is factored; cells need frame means alone

@@ -1,18 +1,18 @@
 """Linear readout trained by least squares, plus scoring.
 
 Training fits W in W V = T, where V concatenates the per-clip state (or
-feature) matrices column wise and T the matching one-hot target
-matrices: W = T pinv(V), the minimum-norm least-squares solution with
-singular values below ``rtol * sigma_max`` treated as zero.  V itself is
-never formed.  ``factor`` reduces a pool of clips to the triangular
-factor [R | C] of [V^T | T^T] (R^T R = V V^T, R^T C = V T^T), one block
-of clips at a time, and ``solve`` stacks the factors of any number of
-pools and solves R W^T = C, which has the same singular values and the
-same minimum-norm solution as the full problem.  Where inputs repeat
-exactly (at alpha = 0 every feature row is the same pattern of ones and
-padding zeros), each distinct input is factored once, so a factor has one
-R row per distinct input.  Classification applies W to a clip's
-frame-mean state and picks the largest component.
+feature) matrices column wise and T holds each clip's digit one-hot on
+every frame: W = T pinv(V), the minimum-norm least-squares solution with
+singular values below ``rtol * sigma_max`` treated as zero.  Neither V
+nor T is formed.  ``factor`` reduces a pool of clips and their digits
+to the triangular factor [R | C] of [V^T | T^T] (R^T R = V V^T,
+R^T C = V T^T), one block of clips at a time, and ``solve`` stacks the
+factors of any number of pools and solves R W^T = C, which has the same
+singular values and the same minimum-norm solution as the full problem.
+Where inputs repeat exactly (at alpha = 0 every feature row is the same
+pattern of ones and padding zeros), each distinct input is factored once,
+so a factor has one R row per distinct input.  Classification applies W
+to a clip's frame-mean state and picks the largest component.
 """
 
 from __future__ import annotations
@@ -57,64 +57,53 @@ class ReadoutModel:
         object.__setattr__(self, "weights", w)
 
 
-def build_targets(digit: int, n_frames: int) -> np.ndarray:
-    """One-hot target matrix (N_CLASSES x n_frames) held for every frame."""
-    if not 0 <= digit < N_CLASSES:
-        raise DataError(f"digit out of range: {digit}")
-    if n_frames < 1:
-        raise DataError(f"n_frames must be positive, got {n_frames}")
-    t = np.zeros((N_CLASSES, n_frames))
-    t[digit] = 1.0
-    return t
-
-
-def factor(states: Sequence, targets: Sequence,
+def factor(states: Sequence, digits: Sequence[int],
            options: ReadoutOptions = ReadoutOptions()) -> np.ndarray:
     """Triangular factor [R | C] of one pool of clips.
 
-    ``states`` and ``targets`` are matched sequences of matrices with a
-    shared row count on the state side and one target column per state
-    column; with ``options.bias`` a row of ones joins the states.  The
-    result has n_inputs + N_CLASSES columns and at most n_inputs rows,
-    with R^T R = V V^T and R^T C = V T^T; when inputs (the bias row
-    included) repeat exactly, it has one row per distinct input.  Clips
-    are factored ``FACTOR_CHUNK`` at a time, each block stacked under the
+    ``states`` is a sequence of matrices with a shared row count, one
+    column per frame, and ``digits`` the matching clip digits: clip i's
+    target is ``digits[i]`` one-hot on each of its frames.  With
+    ``options.bias`` a row of ones joins the states.  The result has
+    n_inputs + N_CLASSES columns and at most n_inputs rows, with
+    R^T R = V V^T and R^T C = V T^T; when inputs (the bias row included)
+    repeat exactly, it has one row per distinct input.  Clips are
+    factored ``FACTOR_CHUNK`` at a time, each block stacked under the
     factor so far (TSQR), so only one block of frames is ever held at once.
     """
-    if len(states) == 0 or len(states) != len(targets):
+    if len(states) == 0 or len(states) != len(digits):
         raise DataError(
-            f"need matching nonempty state/target sequences, got "
-            f"{len(states)} and {len(targets)}")
+            f"need matching nonempty state/digit sequences, got "
+            f"{len(states)} and {len(digits)}")
     vs = [np.asarray(s, dtype=np.float64) for s in states]
-    ts = [np.asarray(t, dtype=np.float64) for t in targets]
+    for d in digits:
+        if not 0 <= d < N_CLASSES:
+            raise DataError(f"digit out of range: {d}")
     n_rows = vs[0].shape[0]
-    for v, t in zip(vs, ts):
+    for v in vs:
         if v.shape[0] != n_rows:
             raise DataError(f"inconsistent state row counts: {v.shape[0]} vs {n_rows}")
-        if t.shape != (N_CLASSES, v.shape[1]):
-            raise DataError(
-                f"target shape {t.shape} does not match states with {v.shape[1]} frames")
-    return factor_blocks(((vs[i:i + FACTOR_CHUNK], ts[i:i + FACTOR_CHUNK])
+    return factor_blocks(((vs[i:i + FACTOR_CHUNK], digits[i:i + FACTOR_CHUNK])
                           for i in range(0, len(vs), FACTOR_CHUNK)), options)
 
 
-def factor_blocks(blocks: Iterable[tuple[Sequence, Sequence]],
+def factor_blocks(blocks: Iterable[tuple[Sequence, Sequence[int]]],
                   options: ReadoutOptions = ReadoutOptions()) -> np.ndarray:
     """Triangular factor [R | C] of a pool of clips given block by block.
 
-    ``blocks`` yields (states, targets) pairs of matched matrix
-    sequences, shaped as ``factor`` takes them and checked by the
-    caller.  Each block is stacked under the factor of the blocks before
-    it and factored again (TSQR), so only the current block's frames are
-    held; the blocks may be computed as they are consumed, and a yielded
-    block is valid only until the next one is requested.  Input columns
-    of a stacked block that are exact copies of an earlier one are left
-    out of its QR and take their factor column from that one, so the
-    factor has one row per distinct column; a block without copies is
-    factored as it stands.
+    ``blocks`` yields (states, digits) pairs, shaped as ``factor`` takes
+    them and checked by the caller; T is written here, each clip's frames
+    taking target columns that are zero but at its digit.  Each block is
+    stacked under the factor of the blocks before it and factored again
+    (TSQR), so only the current block's frames are held; the blocks may
+    be computed as they are consumed, and a yielded block is valid only
+    until the next one is requested.  Input columns of a stacked block
+    that are exact copies of an earlier one are left out of its QR and
+    take their factor column from that one, so the factor has one row
+    per distinct column; a block without copies is factored as it stands.
     """
     r = None
-    for vs, ts in blocks:
+    for vs, digits in blocks:
         n_rows = vs[0].shape[0]
         n = n_rows + (1 if options.bias else 0)
         if r is None:
@@ -125,11 +114,11 @@ def factor_blocks(blocks: Iterable[tuple[Sequence, Sequence]],
                          order="F")
         block[:r.shape[0]] = r
         row = r.shape[0]
-        for v, t in zip(vs, ts):
+        for v, d in zip(vs, digits):
             end = row + v.shape[1]
             block[row:end, :n_rows] = v.T
             block[row:end, n_rows:n] = 1.0          # the bias column, if any
-            block[row:end, n:] = t.T
+            block[row:end, n:] = np.eye(N_CLASSES)[d]   # the clip's one-hot target
             row = end
         # rows past n hold only the residual of the targets, which no
         # solution depends on
@@ -197,10 +186,10 @@ def solve(factors: Sequence[np.ndarray],
     return ReadoutModel(sol.T, options)
 
 
-def train_pinv(states: Sequence, targets: Sequence,
+def train_pinv(states: Sequence, digits: Sequence[int],
                options: ReadoutOptions = ReadoutOptions()) -> ReadoutModel:
-    """Fit readout weights over one pool of clips (see ``factor``)."""
-    return solve([factor(states, targets, options)], options)
+    """Fit readout weights over one pool of clips and their digits (see ``factor``)."""
+    return solve([factor(states, digits, options)], options)
 
 
 def predict_means(model: ReadoutModel, means: np.ndarray) -> np.ndarray:
@@ -229,12 +218,12 @@ def predict(model: ReadoutModel, states) -> np.ndarray:
     return predict_means(model, v.mean(axis=1)[None])[0]
 
 
-def score_wsr(predicted: Sequence[int], actual: Sequence[int]) -> float:
-    """Word success rate in percent."""
-    if len(predicted) == 0 or len(predicted) != len(actual):
+def score_wsr(predicted: np.ndarray, actual: np.ndarray) -> float:
+    """Word success rate in percent of two equally long class arrays."""
+    predicted, actual = np.asarray(predicted), np.asarray(actual)
+    if predicted.size == 0 or predicted.shape != actual.shape:
         raise DataError("predicted/actual must be nonempty and equally long")
-    hits = sum(1 for p, a in zip(predicted, actual) if p == a)
-    return 100.0 * hits / len(predicted)
+    return 100.0 * int(np.count_nonzero(predicted == actual)) / predicted.size
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ import pytest
 from scipy.signal import lfilter
 
 from resonet.dataset import build_synth_manifest, partition_subsets
+from resonet.evalharness import PipelineSpec, baseline_route, prepare_corpus
 
 
 @pytest.fixture(scope="session")
@@ -16,6 +17,15 @@ def corpus():
     manifest = build_synth_manifest(1001)
     partition = partition_subsets(manifest, 55)
     return manifest, partition
+
+
+@pytest.fixture(scope="session")
+def baseline(corpus):
+    """The baseline route of the default corpus at alpha = 2; its
+    ``corpus`` is what the node routes reduce.  Built once per session."""
+    manifest, partition = corpus
+    pipe = PipelineSpec(filter_kind="spectro_exp", alpha=2.0)
+    return baseline_route(prepare_corpus(manifest, partition, pipe, workers=4), pipe)
 
 
 @pytest.fixture()

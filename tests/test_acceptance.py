@@ -20,12 +20,12 @@ from resonet.evalharness import (PipelineSpec, alpha_sweep, baseline_route,
                                  cross_validate, enumerate_folds, prepare_corpus,
                                  sweep_spectra, with_node)
 from resonet.filterbank import exponent_transform, pad_to
-from resonet.readout import (ReadoutOptions, build_targets, factor, predict,
-                             predict_means, score_wsr, solve, train_pinv)
+from resonet.readout import (ReadoutOptions, factor, predict, predict_means, score_wsr,
+                             solve, train_pinv)
 from resonet.reservoir import (StnoParams, gen_mask, mask_and_flatten, reshape_states,
                                stno_run)
 from test_evalharness import chance_band, reference_node_stage
-from test_readout import classify
+from test_readout import classify, one_hot_targets
 
 WORKERS = max(4, os.cpu_count() or 1)
 
@@ -38,6 +38,12 @@ def _corpus():
         partition = partition_subsets(manifest, 55)
         _CACHE["corpus"] = (manifest, partition)
     return _CACHE["corpus"]
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _default_baseline(baseline):
+    """The alpha = 2 baseline route is the session's (``conftest.baseline``)."""
+    _CACHE.setdefault(("baseline", 2.0), (cross_validate(baseline, 9), baseline))
 
 
 def _baseline_report(alpha: float):
@@ -161,9 +167,12 @@ def test_criterion_04_pseudo_inverse_oracle():
     worst = 0.0
     for _ in range(100):
         v = rng.standard_normal((40, 60))
+        digits = rng.integers(0, 10, size=60)
         t = np.zeros((10, 60))
-        t[rng.integers(0, 10, size=60), np.arange(60)] = 1.0
-        model = train_pinv([v], [t], ReadoutOptions(rtol=1e-10))
+        t[digits, np.arange(60)] = 1.0
+        # the class varies frame by frame: the readout sees 60 one-frame clips
+        model = train_pinv([v[:, [j]] for j in range(60)], digits,
+                           ReadoutOptions(rtol=1e-10))
         w = model.weights
         want = np.linalg.solve(v @ v.T, v @ t.T).T
         rel = np.linalg.norm(w - want) / np.linalg.norm(want)
@@ -257,10 +266,8 @@ def test_criterion_08_state_scale_invariance():
     fold = enumerate_folds(9)[0]
     tr = prep.corpus.indices_of_subsets(fold.train_subsets)
     te = prep.corpus.indices_of_subsets(fold.test_subsets)
-    targets = [build_targets(int(prep.corpus.digits[i]), prep.corpus.n_frames_max)
-               for i in tr]
-    m0 = train_pinv([states[i] for i in tr], targets)
-    m1 = train_pinv([lam * states[i] for i in tr], targets)
+    m0 = train_pinv([states[i] for i in tr], prep.corpus.digits[tr])
+    m1 = train_pinv([lam * states[i] for i in tr], prep.corpus.digits[tr])
     mse0 = mse1 = 0.0
     for i in te:
         t = np.zeros(10)
@@ -278,16 +285,18 @@ def test_criterion_08_state_scale_invariance():
           f"MSE ratio-1 = {ratio - 1.0:.2e}, {elapsed:.1f}s")
 
 
-def reference_readout(states, targets, options: ReadoutOptions) -> np.ndarray:
+def reference_readout(states, digits, options: ReadoutOptions) -> np.ndarray:
     """Oracle readout: one least-squares solve over the concatenated clips.
 
     This is the direct form the factored readout replaces: every frame
-    of every training clip is one row of a single design matrix.
+    of every training clip is one row of a single design matrix, against
+    its clip's one-hot digit.
     """
     big_v = np.hstack(states)
     if options.bias:
         big_v = np.vstack([big_v, np.ones(big_v.shape[1])])
-    sol, _, _, _ = np.linalg.lstsq(big_v.T, np.hstack(targets).T, rcond=options.rtol)
+    sol, _, _, _ = np.linalg.lstsq(big_v.T, one_hot_targets(states, digits).T,
+                                   rcond=options.rtol)
     return sol.T
 
 
@@ -303,8 +312,7 @@ def test_factored_readout_matches_reference_on_every_fold():
         corpus = prep.corpus
         for fm in report.folds:
             tr = corpus.indices_of_subsets(fm.fold.train_subsets)
-            targets = [build_targets(int(corpus.digits[i]), corpus.n_frames_max) for i in tr]
-            want = reference_readout([states[i] for i in tr], targets,
+            want = reference_readout([states[i] for i in tr], corpus.digits[tr],
                                      prep.pipeline.readout)
             got = fm.model.weights
             rel = float(np.linalg.norm(got - want) / np.linalg.norm(want))
@@ -340,8 +348,8 @@ def test_baseline_decisions_do_not_depend_on_padding():
         true = [x[:, :n] for x, n in zip(tensors, n_frames)]
         for fm in report.folds:
             tr = corpus.indices_of_subsets(fm.fold.train_subsets)
-            targets = [build_targets(int(corpus.digits[i]), n_frames[i]) for i in tr]
-            want = reference_readout([true[i] for i in tr], targets, prep.pipeline.readout)
+            want = reference_readout([true[i] for i in tr], corpus.digits[tr],
+                                     prep.pipeline.readout)
             got = fm.model.weights
             rel = float(np.linalg.norm(got - want) / np.linalg.norm(want))
             worst = max(worst, rel)
@@ -380,9 +388,7 @@ def test_the_headline_holds_on_true_frames():
         factors = {}
         for k in range(10):
             idx = corpus.indices_of_subsets([k])
-            factors[k] = factor([states[i] for i in idx],
-                                [build_targets(int(corpus.digits[i]), states[i].shape[1])
-                                 for i in idx], pipe.readout)
+            factors[k] = factor([states[i] for i in idx], corpus.digits[idx], pipe.readout)
         means = np.array([v.mean(axis=1) for v in states])
         wsrs = []
         for fold in enumerate_folds(9):

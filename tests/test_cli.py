@@ -627,3 +627,54 @@ def test_stratified_realizes_each_clip_once(tmp_path, monkeypatch, workers):
     assert run("stratified", conf, "--workers", workers) == 0
     assert len(realized) == 500
     assert len(set(realized)) == 500
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_stratified_featurizes_each_distinct_condition_once(tmp_path, monkeypatch, workers):
+    """Every infinite-snr cell is the one clean condition: with two noise
+    types the two clean cells score one featurization of each test clip."""
+    conf = _write_conf(tmp_path, FAST_CONF.replace(
+        "strat.test_snrs = inf,10\nstrat.test_noise_types = synthetic-white\n",
+        "strat.test_snrs = inf\nstrat.test_noise_types = synthetic-white,babble\n"))
+    featurized = _count_featurize(monkeypatch)
+    assert run("stratified", conf, "--workers", workers) == 0
+    assert len(featurized) == 500
+    assert len(set(featurized)) == 500
+    text = (tmp_path / "out" / "conditions.md").read_text()
+    assert "| SNR (dB) | synthetic-white | babble | avg |" in text
+
+
+@pytest.fixture(scope="module")
+def one_speaker_manifest(degenerate_manifests):
+    """Speaker s0's 100 clips of the default corpus over the tone WAV of
+    each digit: a valid corpus, but not the balanced 10 x 5 x 10 profile."""
+    root = degenerate_manifests["one-frame"].parent
+    rows = [replace(e, source=str(root / f"tone{e.label.digit}.wav"))
+            for e in build_synth_manifest(1001).entries if e.label.speaker == "s0"]
+    save_manifest(Manifest(tuple(rows), sample_rate=12500), root / "one-speaker.csv")
+    return root / "one-speaker.csv"
+
+
+@pytest.mark.parametrize("command, code", [("featurize", 0), ("export-features", 0),
+                                           ("stratified", 0), ("bench", 3), ("sweep", 3)])
+def test_only_bench_and_sweep_need_the_balanced_profile(tmp_path, capsys,
+                                                        one_speaker_manifest, command, code):
+    """Only the cross-validating commands partition the corpus into
+    subsets, so only they refuse a corpus without the balanced profile."""
+    conf = _write_conf(tmp_path, f"corpus.kind = manifest\n"
+                                 f"corpus.manifest = {one_speaker_manifest}\n"
+                                 "filter.kind = spectro_exp\nfilter.alpha = 2.0\n"
+                                 "sweep.alphas = 0.0,2.0\nstrat.test_snrs = inf\n"
+                                 "strat.test_noise_types = synthetic-white\n")
+    assert run(command, conf) == code
+    err = capsys.readouterr().err
+    assert ("corpus must have exactly 5 speakers, got 1" in err) == (code == 3)
+
+
+def test_synth_corpus_builds_no_partition(conf, monkeypatch):
+    import resonet.config as config
+    partitioned = []
+    monkeypatch.setattr(config, "partition_subsets",
+                        lambda *args: partitioned.append(args))
+    assert run("synth-corpus", conf) == 0
+    assert partitioned == []

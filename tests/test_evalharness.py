@@ -20,8 +20,8 @@ from resonet.evalharness import (CrossValReport, FoldSpec, GainReport,
                                  report_to_csv, run_fold, stratified_report,
                                  summary_markdown, sweep_spectra, with_node)
 from resonet.filterbank import pad_to
-from resonet.readout import (FACTOR_CHUNK, Metrics, build_targets, factor, predict,
-                             predict_means, score_wsr, train_pinv)
+from resonet.readout import (FACTOR_CHUNK, Metrics, factor, predict, predict_means,
+                             score_wsr, train_pinv)
 from resonet.reservoir import (StnoParams, gen_mask, mask_and_flatten, node_run_reference,
                                reshape_states, stno_run)
 from test_readout import classify, score_mse
@@ -73,15 +73,6 @@ def test_pipeline_spec_validation():
         PipelineSpec(filter_kind="mfcc", node_kind="stno", n_theta=0)
     spec = PipelineSpec(filter_kind="spectro_exp", alpha=2.0, node_kind="stno")
     assert "alpha=2" in spec.describe()
-
-
-@pytest.fixture(scope="module")
-def baseline(corpus):
-    """The baseline route of the default corpus at alpha = 2; its
-    ``corpus`` is what the node routes reduce."""
-    manifest, partition = corpus
-    pipe = PipelineSpec(filter_kind="spectro_exp", alpha=2.0)
-    return baseline_route(prepare_corpus(manifest, partition, pipe, workers=4), pipe)
 
 
 def test_prepare_corpus_baseline_shapes(baseline, corpus):
@@ -268,10 +259,7 @@ def assert_matches_reference(prep, states, factored):
     corpus = prep.corpus
     for k in factored:
         idx = corpus.indices_of_subsets([k])
-        want = factor([states[i] for i in idx],
-                      [build_targets(int(corpus.digits[i]), corpus.n_frames_max)
-                       for i in idx],
-                      prep.pipeline.readout)
+        want = factor([states[i] for i in idx], corpus.digits[idx], prep.pipeline.readout)
         assert np.array_equal(prep.factors[k], want), f"group {k}"
 
 
@@ -570,11 +558,9 @@ def reference_stratified_grid(manifest, pipeline, train_utterances, test_snrs,
     feats = [clip_features(e, pipeline, sample_rate=manifest.sample_rate,
                            noise_seed=noise_seed) for e in entries]
     tensors = pad_to(feats)
-    n_frames = tensors.shape[2]
     if pipeline.node_kind is not None:
         tensors, _ = reference_node_stage(tensors, pipeline)
-    model = train_pinv(list(tensors[:len(train)]),
-                       [build_targets(e.label.digit, n_frames) for e in train],
+    model = train_pinv(list(tensors[:len(train)]), [e.label.digit for e in train],
                        pipeline.readout)
     grid, start = [], len(train)
     for pool in cells:

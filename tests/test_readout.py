@@ -3,8 +3,8 @@ import pytest
 
 from resonet.errors import ConfigError, DataError
 from resonet.readout import (FACTOR_CHUNK, N_CLASSES, Metrics, ReadoutModel,
-                             ReadoutOptions, build_targets, factor, predict, predict_means,
-                             score_wsr, solve, train_pinv)
+                             ReadoutOptions, factor, predict, predict_means, score_wsr,
+                             solve, train_pinv)
 
 
 def classify(scores: np.ndarray) -> int:
@@ -35,55 +35,51 @@ def score_mse(estimates, targets) -> float:
     return total / count
 
 
+def one_hot_targets(states, digits) -> np.ndarray:
+    """The target matrix T of a pool: each clip's digit one-hot on every
+    one of its frames, clip by clip as V holds the states.  The readout
+    never forms it; oracles do."""
+    return np.hstack([np.eye(N_CLASSES)[:, [d] * np.shape(v)[1]]
+                      for v, d in zip(states, digits)])
+
+
 def _toy_problem(rng, n_rows=12, n_clips=30, n_frames=8):
-    states, targets, digits = [], [], []
+    states, digits = [], []
     w_true = rng.standard_normal((10, n_rows))
     for _ in range(n_clips):
         d = int(rng.integers(0, 10))
         v = rng.standard_normal((n_rows, n_frames))
         states.append(v)
-        targets.append(build_targets(d, n_frames))
         digits.append(d)
-    return states, targets, digits
-
-
-def test_build_targets_one_hot():
-    t = build_targets(3, 5)
-    assert t.shape == (10, 5)
-    assert np.all(t[3] == 1.0)
-    assert t.sum() == 5.0
-    with pytest.raises(DataError):
-        build_targets(10, 5)
-    with pytest.raises(DataError):
-        build_targets(0, 0)
+    return states, digits
 
 
 def test_train_pinv_matches_explicit_pseudoinverse(rng):
-    states, targets, _ = _toy_problem(rng)
-    model = train_pinv(states, targets)
+    states, digits = _toy_problem(rng)
+    model = train_pinv(states, digits)
     big_v = np.hstack(states)
-    big_t = np.hstack(targets)
+    big_t = one_hot_targets(states, digits)
     want = big_t @ np.linalg.pinv(big_v, rcond=1e-10)
     assert np.max(np.abs(model.weights - want)) < 1e-10
 
 
 def test_train_pinv_ridge_matches_normal_equations(rng):
-    states, targets, _ = _toy_problem(rng)
+    states, digits = _toy_problem(rng)
     lam = 0.37
-    model = train_pinv(states, targets, ReadoutOptions(ridge=lam))
+    model = train_pinv(states, digits, ReadoutOptions(ridge=lam))
     big_v = np.hstack(states)
-    big_t = np.hstack(targets)
+    big_t = one_hot_targets(states, digits)
     gram = big_v @ big_v.T + lam * np.eye(big_v.shape[0])
     want = np.linalg.solve(gram, big_v @ big_t.T).T
     assert np.max(np.abs(model.weights - want)) < 1e-10
 
 
 def test_factor_keeps_the_gram_matrices_across_chunks(rng):
-    states, targets, _ = _toy_problem(rng, n_clips=2 * FACTOR_CHUNK + 7)
+    states, digits = _toy_problem(rng, n_clips=2 * FACTOR_CHUNK + 7)
     opts = ReadoutOptions(bias=True)
-    f = factor(states, targets, opts)
+    f = factor(states, digits, opts)
     big_v = np.vstack([np.hstack(states), np.ones(sum(v.shape[1] for v in states))])
-    big_t = np.hstack(targets)
+    big_t = one_hot_targets(states, digits)
     n = big_v.shape[0]
     assert f.shape == (n, n + 10)
     r, c = f[:, :n], f[:, n:]
@@ -92,10 +88,10 @@ def test_factor_keeps_the_gram_matrices_across_chunks(rng):
 
 
 def test_solve_over_stacked_factors_equals_one_pool(rng):
-    states, targets, _ = _toy_problem(rng, n_clips=40)
-    parts = [factor(states[a:b], targets[a:b]) for a, b in ((0, 3), (3, 25), (25, 40))]
+    states, digits = _toy_problem(rng, n_clips=40)
+    parts = [factor(states[a:b], digits[a:b]) for a, b in ((0, 3), (3, 25), (25, 40))]
     stacked = solve(parts)
-    whole = train_pinv(states, targets)
+    whole = train_pinv(states, digits)
     assert np.max(np.abs(stacked.weights - whole.weights)) < 1e-10
     with pytest.raises(DataError):
         solve([])
@@ -106,19 +102,18 @@ def test_solve_over_stacked_factors_equals_one_pool(rng):
 def test_factor_of_a_short_pool_keeps_the_min_norm_cutoff(rng):
     # fewer frames than state rows: rank-deficient, minimum-norm solution
     v = rng.standard_normal((30, 12))
-    t = build_targets(4, 12)
-    f = factor([v], [t])
+    t = one_hot_targets([v], [4])
+    f = factor([v], [4])
     assert f.shape == (12, 40)
-    w = train_pinv([v], [t]).weights
+    w = train_pinv([v], [4]).weights
     assert np.max(np.abs(w - t @ np.linalg.pinv(v, rcond=1e-10))) < 1e-10
 
 
 def test_train_pinv_bias_row_fits_offsets(rng):
     # targets that are a pure constant per class need the bias row
     v = rng.standard_normal((4, 200))
-    t = np.zeros((10, 200))
-    t[2] = 1.0  # constant target independent of the states
-    with_bias = train_pinv([v], [t], ReadoutOptions(bias=True))
+    # class 2 on every frame: a constant target independent of the states
+    with_bias = train_pinv([v], [2], ReadoutOptions(bias=True))
     pred = predict(with_bias, v)
     assert pred[2] == pytest.approx(1.0, abs=1e-8)
 
@@ -128,10 +123,9 @@ def test_train_pinv_shape_errors(rng):
     with pytest.raises(DataError):
         train_pinv([], [])
     with pytest.raises(DataError):
-        train_pinv([v], [build_targets(1, 5)])
-    with pytest.raises(DataError):
-        train_pinv([v, rng.standard_normal((5, 6))],
-                   [build_targets(1, 6), build_targets(2, 6)])
+        train_pinv([v, rng.standard_normal((5, 6))], [1, 2])
+    with pytest.raises(DataError, match="digit out of range: 10"):
+        factor([v], [10])
 
 
 def test_readout_options_validation():
@@ -188,9 +182,9 @@ def test_score_wsr_and_mse_hand_values():
 
 
 def test_scale_invariance_of_argmax(rng):
-    states, targets, _ = _toy_problem(rng, n_rows=8, n_clips=20)
-    model_1 = train_pinv(states, targets)
-    model_k = train_pinv([7.3 * v for v in states], targets)
+    states, digits = _toy_problem(rng, n_rows=8, n_clips=20)
+    model_1 = train_pinv(states, digits)
+    model_k = train_pinv([7.3 * v for v in states], digits)
     probe = rng.standard_normal((8, 5))
     a = classify(predict(model_1, probe))
     b = classify(predict(model_k, 7.3 * probe))
@@ -215,18 +209,18 @@ def _copied_pool(rng, n_clips, sources, n_rows=12, n_frames=9, copies_in=None):
     """A pool in which input row j of every clip in ``copies_in`` (every
     clip when None) is a copy of row ``sources[j]``; other clips keep
     independent rows."""
-    states, targets, digits = _toy_problem(rng, n_rows, n_clips, n_frames)
+    states, digits = _toy_problem(rng, n_rows, n_clips, n_frames)
     for c, v in enumerate(states):
         if copies_in is None or c in copies_in:
             v[:] = v[sources]
-    return states, targets, digits
+    return states, digits
 
 
-def _pool_design(states, targets, bias):
+def _pool_design(states, digits, bias):
     big_v = np.hstack(states)
     if bias:
         big_v = np.vstack([big_v, np.ones(big_v.shape[1])])
-    return big_v, np.hstack(targets)
+    return big_v, one_hot_targets(states, digits)
 
 
 def _assert_factor_keeps_the_grams(f, big_v, big_t):
@@ -254,22 +248,22 @@ A_FEW_COPIES = [0, 1, 2, 1, 4, 5, 6, 1, 8, 4, 10, 11]
         "copies-in-the-later-blocks-bias"])
 def test_factor_of_repeated_inputs_keeps_the_grams(rng, sources, n_clips, copies_in,
                                                    bias, n_distinct):
-    states, targets, _ = _copied_pool(rng, n_clips, sources, copies_in=copies_in)
+    states, digits = _copied_pool(rng, n_clips, sources, copies_in=copies_in)
     opts = ReadoutOptions(bias=bias)
-    f = factor(states, targets, opts)
+    f = factor(states, digits, opts)
     assert f.shape == (n_distinct, 12 + bias + 10)
-    _assert_factor_keeps_the_grams(f, *_pool_design(states, targets, bias))
+    _assert_factor_keeps_the_grams(f, *_pool_design(states, digits, bias))
 
 
 def test_bias_at_a_constant_feature_is_factored_once(rng):
     """A feature that is 1 on every frame copies the bias input."""
-    states, targets, _ = _toy_problem(rng, n_clips=2 * FACTOR_CHUNK + 7)
+    states, digits = _toy_problem(rng, n_clips=2 * FACTOR_CHUNK + 7)
     for v in states:
         v[5] = 1.0
-    f = factor(states, targets, ReadoutOptions(bias=True))
+    f = factor(states, digits, ReadoutOptions(bias=True))
     assert f.shape == (12, 13 + 10)
     assert np.array_equal(f[:, 12], f[:, 5])
-    _assert_factor_keeps_the_grams(f, *_pool_design(states, targets, True))
+    _assert_factor_keeps_the_grams(f, *_pool_design(states, digits, True))
 
 
 @pytest.mark.parametrize("bias", [False, True])
@@ -280,12 +274,12 @@ def test_solve_over_mixed_height_factors_matches_the_pseudoinverse(rng, bias):
     opts = ReadoutOptions(bias=bias)
     pools = [_copied_pool(rng, 30, ALL_COPIES), _copied_pool(rng, 40, A_FEW_COPIES),
              _toy_problem(rng, n_clips=25, n_frames=9)]
-    factors = [factor(s, t, opts) for s, t, _ in pools]
+    factors = [factor(s, d, opts) for s, d in pools]
     assert [f.shape[0] for f in factors] == [1 + bias, 9 + bias, 12 + bias]
     for used in ([0], [1], [0, 1], [0, 1, 2], [2, 0]):
         states = [v for k in used for v in pools[k][0]]
-        targets = [t for k in used for t in pools[k][1]]
-        big_v, big_t = _pool_design(states, targets, bias)
+        digits = [d for k in used for d in pools[k][1]]
+        big_v, big_t = _pool_design(states, digits, bias)
         want = big_t @ np.linalg.pinv(big_v, rcond=opts.rtol)
         got = solve([factors[k] for k in used], opts).weights
         assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want)), used
@@ -302,7 +296,7 @@ def test_distinct_inputs_with_equal_sums_take_the_plain_qr(rng):
     v[9] = np.roll(v[2], 1)
     sums = v.sum(axis=1)
     assert sums[3] == sums[7] and sums[9] == sums[2]
-    t = build_targets(6, 40)
-    f = factor([v], [t])
+    t = one_hot_targets([v], [6])
+    f = factor([v], [6])
     block = np.asfortranarray(np.hstack([v.T, t.T]))
     assert np.array_equal(f, np.linalg.qr(block, mode="r")[:12])
