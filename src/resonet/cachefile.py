@@ -30,6 +30,8 @@ FILTER_NAMES = {v: k for k, v in FILTER_CODES.items()}
 NODE_CODES = {"stno": 0, "tanh": 1, "none": 255}
 
 _HASH_LEN = 8
+# featurize writes only the files that are missing, so it never mends one in place
+STALE_ADVICE = "regenerate it: delete this file and rerun featurize, which rewrites it"
 
 
 def _checksum(data: bytes) -> bytes:
@@ -55,18 +57,16 @@ def _open(path: str | Path, magic: bytes) -> bytes:
         raise CacheError(f"cache file not found: {path}")
     blob = path.read_bytes()
     if len(blob) < len(magic) + 2 + 8:
-        raise CacheError(f"cache file truncated: {path}")
+        raise CacheError(f"{path}: cache file truncated; {STALE_ADVICE}")
     if blob[:4] != magic:
-        raise CacheError(
-            f"{path}: bad magic {blob[:4]!r}, expected {magic!r}")
+        raise CacheError(f"{path}: bad magic {blob[:4]!r}, expected {magic!r}; {STALE_ADVICE}")
     body, trailer = blob[:-8], blob[-8:]
     if _checksum(body) != trailer:
-        raise CacheError(f"{path}: checksum mismatch, file is corrupt")
+        raise CacheError(f"{path}: checksum mismatch, file is corrupt; {STALE_ADVICE}")
     (version,) = struct.unpack("<H", body[4:6])
     if version != CACHE_VERSION:
         raise CacheError(
-            f"{path}: cache version {version} != {CACHE_VERSION}; regenerate "
-            f"the cache (delete the file or rerun featurize)")
+            f"{path}: cache version {version} != {CACHE_VERSION}; {STALE_ADVICE}")
     return body[6:]
 
 
@@ -74,7 +74,7 @@ def _check_hash(path, stored: bytes, expected: bytes | str) -> None:
     if stored != _normalize_hash(expected):
         raise CacheError(
             f"{path}: cache was written under a different config "
-            f"(hash {stored.hex()}); regenerate it")
+            f"(hash {stored.hex()}); {STALE_ADVICE}")
 
 
 def write_feature_cache(path: str | Path, fm: FeatureMatrix,

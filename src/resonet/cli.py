@@ -12,6 +12,9 @@ Subcommands:
 Everything a run computes is in the config file, and all of it is hashed;
 ``--out`` and ``--workers`` say only where a run writes and how many
 threads it uses, and ``--seed-override`` rewrites the config before hashing.
+Every subcommand shares one entry path: ``main`` checks ``--workers``,
+loads the config once, applies the seed overrides and calls
+``cmd_<name>(cfg, args)``.
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numerical
 error.  The cache root is ``$RESONET_CACHE_DIR`` when set, otherwise
@@ -32,10 +35,10 @@ from . import cachefile
 from .config import GENERATOR_NAME, RunConfig, apply_seed_overrides, parse_config
 from .dataset import save_manifest
 from .errors import ConfigError, ResonetError
-from .evalharness import (Corpus, GainReport, alpha_sweep, baseline_route,
-                          corpus_features, condition_markdown, cross_validate,
-                          prepare_corpus, report_to_csv, stratified_report,
-                          summary_markdown, sweep_spectra, with_node)
+from .evalharness import (Corpus, alpha_sweep, baseline_route, corpus_features,
+                          condition_markdown, cross_validate, prepare_corpus,
+                          report_to_csv, stratified_report, summary_markdown,
+                          sweep_spectra, with_node)
 from .filterbank import exponent_transform
 
 PARITY_ALPHA_THRESHOLD = 100.0
@@ -57,15 +60,7 @@ def _feature_cache(cfg: RunConfig, args) -> Path:
     return root / cfg.feature_hash()
 
 
-def _load_config(args) -> RunConfig:
-    cfg = parse_config(args.config)
-    if args.seed_override:
-        cfg = apply_seed_overrides(cfg, args.seed_override)
-    return cfg
-
-
-def cmd_synth_corpus(args) -> int:
-    cfg = _load_config(args)
+def cmd_synth_corpus(cfg: RunConfig, args) -> int:
     if cfg["corpus.kind"] != "synthetic":
         raise ConfigError("synth-corpus needs corpus.kind = synthetic")
     manifest = cfg.manifest()
@@ -76,8 +71,7 @@ def cmd_synth_corpus(args) -> int:
     return 0
 
 
-def cmd_featurize(args) -> int:
-    cfg = _load_config(args)
+def cmd_featurize(cfg: RunConfig, args) -> int:
     manifest = cfg.manifest()
     cache = _feature_cache(cfg, args)
     feats = corpus_features(manifest.entries, cfg.pipeline(),
@@ -97,8 +91,7 @@ def cmd_featurize(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    cfg = _load_config(args)
+def cmd_bench(cfg: RunConfig, args) -> int:
     manifest, partition = cfg.load_corpus()
     pipeline = cfg.pipeline()
     n_train = cfg["eval.train_subsets"]
@@ -110,14 +103,11 @@ def cmd_bench(args) -> int:
                             workers=args.workers, cache=_feature_cache(cfg, args))
     baseline = cross_validate(baseline_route(corpus, pipeline), n_train)
     (out / "report_baseline.csv").write_text(report_to_csv(baseline, header))
-    reports = [baseline]
-    gain = None
+    total = None
 
     if pipeline.node_kind is not None:
         total = cross_validate(with_node(corpus, pipeline), n_train)
         (out / "report_total.csv").write_text(report_to_csv(total, header))
-        reports.append(total)
-        gain = GainReport(baseline, total)
         for i, fm in enumerate(total.folds):
             cachefile.write_model(out / "models" / f"fold_{i:03d}.rnbm", fm.model,
                                   filter_kind=pipeline.filter_kind,
@@ -125,17 +115,16 @@ def cmd_bench(args) -> int:
                                   trained_on=fm.fold.describe(),
                                   config_hash=cfg.config_hash())
 
-    (out / "summary.md").write_text(summary_markdown(reports, gain, header))
+    (out / "summary.md").write_text(summary_markdown(baseline, total, header))
     print(f"baseline test WSR {baseline.test.wsr:.2f} (std {baseline.test.wsr_std:.2f})")
-    if gain is not None:
-        print(f"total test WSR {gain.total.test.wsr:.2f} "
-              f"(std {gain.total.test.wsr_std:.2f}); gain {gain.gain_points:+.2f} points")
+    if total is not None:
+        print(f"total test WSR {total.test.wsr:.2f} (std {total.test.wsr_std:.2f}); "
+              f"gain {total.test.wsr - baseline.test.wsr:+.2f} points")
     print(f"reports written to {out}")
     return 0
 
 
-def cmd_sweep(args) -> int:
-    cfg = _load_config(args)
+def cmd_sweep(cfg: RunConfig, args) -> int:
     manifest, partition = cfg.load_corpus()
     pipeline = cfg.pipeline()
     n_train = cfg["eval.train_subsets"]
@@ -183,8 +172,7 @@ def _write_parity_diagnostic(cfg: RunConfig, spectra: Corpus,
     (out / "parity.csv").write_text("\n".join(lines) + "\n")
 
 
-def cmd_export_features(args) -> int:
-    cfg = _load_config(args)
+def cmd_export_features(cfg: RunConfig, args) -> int:
     manifest = cfg.manifest()
     out = _out_dir(args)
     feats = corpus_features(manifest.entries, cfg.pipeline(),
@@ -213,8 +201,7 @@ def cmd_export_features(args) -> int:
     return 0
 
 
-def cmd_stratified(args) -> int:
-    cfg = _load_config(args)
+def cmd_stratified(cfg: RunConfig, args) -> int:
     manifest = cfg.manifest()
     pipeline = cfg.pipeline()
     out = _out_dir(args)
@@ -238,7 +225,18 @@ def build_parser() -> argparse.ArgumentParser:
                     "versus single-oscillator reservoir gain.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    # built per call: a ``cmd_*`` attribute replaced after import (as perfbench's
+    # tracer does) is the one dispatched to
+    commands = (
+        ("synth-corpus", cmd_synth_corpus, "write a synthetic corpus manifest"),
+        ("featurize", cmd_featurize, "build per-clip feature caches"),
+        ("bench", cmd_bench, "cross-validated benchmark with optional reservoir"),
+        ("sweep", cmd_sweep, "baseline WSR versus spectral exponent"),
+        ("export-features", cmd_export_features, "flat per-frame feature CSV"),
+        ("stratified", cmd_stratified, "train mixed, test per noise condition"),
+    )
+    for name, func, help_text in commands:
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="run configuration file")
         p.add_argument("--workers", type=int, default=1,
                        help="threads that realize and featurize clips in featurize, "
@@ -247,31 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed-override", action="append", default=[],
                        metavar="NAME=VALUE",
                        help="override a seed, e.g. mask_seed=9 (repeatable)")
-
-    p = sub.add_parser("synth-corpus", help="write a synthetic corpus manifest")
-    common(p)
-    p.set_defaults(func=cmd_synth_corpus)
-
-    p = sub.add_parser("featurize", help="build per-clip feature caches")
-    common(p)
-    p.set_defaults(func=cmd_featurize)
-
-    p = sub.add_parser("bench", help="cross-validated benchmark with optional reservoir")
-    common(p)
-    p.set_defaults(func=cmd_bench)
-
-    p = sub.add_parser("sweep", help="baseline WSR versus spectral exponent")
-    common(p)
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("export-features", help="flat per-frame feature CSV")
-    common(p)
-    p.set_defaults(func=cmd_export_features)
-
-    p = sub.add_parser("stratified", help="train mixed, test per noise condition")
-    common(p)
-    p.set_defaults(func=cmd_stratified)
-
+        p.set_defaults(func=func)
     return parser
 
 
@@ -280,7 +254,10 @@ def main(argv=None) -> int:
     try:
         if args.workers < 1:
             raise ConfigError(f"--workers must be >= 1, got {args.workers}")
-        return args.func(args)
+        cfg = parse_config(args.config)
+        if args.seed_override:
+            cfg = apply_seed_overrides(cfg, args.seed_override)
+        return args.func(cfg, args)
     except ResonetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -269,10 +269,8 @@ def _validate(cfg: RunConfig) -> None:
     if not 1 <= v["eval.train_subsets"] <= 9:
         raise ConfigError("eval.train_subsets must lie in 1..9")
     if v["corpus.kind"] == "manifest" and v["corpus.manifest"]:
-        if not Path(v["corpus.manifest"]).exists():
+        if not Path(v["corpus.manifest"]).expanduser().exists():
             raise ConfigError(f"corpus.manifest: file not found: {v['corpus.manifest']}")
-    if not 0 <= v["strat.train_utterances"] <= 10:
-        raise ConfigError("strat.train_utterances must lie in 0..10")
     if v["corpus.conditions"]:
         if v["corpus.kind"] == "manifest":
             raise ConfigError("corpus.conditions applies to a synthetic corpus only; "

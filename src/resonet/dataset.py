@@ -152,9 +152,10 @@ def load_manifest(path: str | Path, *, sample_rate: int = SYNTH_SAMPLE_RATE) -> 
     """Read and validate a corpus manifest CSV.
 
     Raises ManifestError naming the offending row for malformed rows,
-    duplicate clip ids, or referenced files that do not exist.
+    duplicate clip ids, or referenced files that do not exist.  A leading
+    ``~`` in ``path`` or in a row's audio path is the home directory.
     """
-    path = Path(path)
+    path = Path(path).expanduser()
     if not path.exists():
         raise ManifestError(f"manifest not found: {path}")
     with path.open(newline="") as fh:

@@ -21,7 +21,7 @@ from typing import Callable, Collection, Iterator, Sequence
 import numpy as np
 
 from . import reservoir
-from .cachefile import read_feature_cache
+from .cachefile import STALE_ADVICE, read_feature_cache
 from .dataset import (N_SUBSETS, AudioClip, Manifest, ManifestEntry, SubsetPartition,
                       read_clip, realize_clip)
 from .errors import CacheError, ConfigError, DataError, NumericalError
@@ -130,7 +130,7 @@ def corpus_features(entries: Sequence[ManifestEntry], pipeline: PipelineSpec, *,
         fm = read_feature_cache(path, cache.name)
         if fm.clip_id != run[0].clip_id:
             raise CacheError(f"{path}: holds the features of clip {fm.clip_id!r}, "
-                             f"not {run[0].clip_id!r}; regenerate it")
+                             f"not {run[0].clip_id!r}; {STALE_ADVICE}")
         return [fm]
 
     runs = (list(run) for _, run in groupby(entries, key=lambda e: e.clip_id))
@@ -381,28 +381,6 @@ def cross_validate(route: Route, n_train: int) -> CrossValReport:
 
 
 @dataclass(frozen=True)
-class GainReport:
-    baseline: CrossValReport
-    total: CrossValReport
-
-    def __post_init__(self) -> None:
-        if self.baseline.n_train != self.total.n_train:
-            raise DataError(
-                f"gain needs matching fold sizes, got N={self.baseline.n_train} "
-                f"vs N={self.total.n_train}")
-        if len(self.baseline.folds) != len(self.total.folds):
-            raise DataError("gain needs the same fold enumeration on both routes")
-        for fb, ft in zip(self.baseline.folds, self.total.folds):
-            if fb.fold != ft.fold:
-                raise DataError("gain needs identical folds on both routes")
-
-    @property
-    def gain_points(self) -> float:
-        """Mean test WSR difference, total minus baseline, in points."""
-        return self.total.test.wsr - self.baseline.test.wsr
-
-
-@dataclass(frozen=True)
 class SweepPoint:
     alpha: float
     wsr: float
@@ -562,9 +540,20 @@ def report_to_csv(report: CrossValReport, header_lines: Sequence[str] = ()) -> s
     return "\n".join(lines) + "\n"
 
 
-def summary_markdown(reports: Sequence[CrossValReport],
-                     gain: GainReport | None = None,
+def summary_markdown(baseline: CrossValReport, total: CrossValReport | None = None,
                      header_lines: Sequence[str] = ()) -> str:
+    """The bench summary: one table row per route and, when the total
+    route ran, the reservoir gain, total minus baseline test WSR in points.
+
+    The gain compares the two routes fold by fold, so both must have run
+    the same folds; a ``DataError`` says when they did not.
+    """
+    reports = [baseline]
+    if total is not None:
+        if [f.fold for f in baseline.folds] != [f.fold for f in total.folds]:
+            raise DataError(f"the gain needs the same folds on both routes, got "
+                            f"N={baseline.n_train} vs N={total.n_train}")
+        reports.append(total)
     out = [f"<!-- {h} -->" for h in header_lines]
     out.append("# Benchmark summary")
     out.append("")
@@ -579,10 +568,10 @@ def summary_markdown(reports: Sequence[CrossValReport],
             f"| {r.test.mse:.4g} ({r.test.mse_std:.2g}) "
             f"| {r.overfit_ratio:.3f} |")
     out.append("")
-    if gain is not None:
-        out.append(f"Reservoir gain: **{gain.gain_points:+.1f} points** "
-                   f"(total {gain.total.test.wsr:.1f} vs baseline "
-                   f"{gain.baseline.test.wsr:.1f}, N={gain.total.n_train}).")
+    if total is not None:
+        out.append(f"Reservoir gain: **{total.test.wsr - baseline.test.wsr:+.1f} points** "
+                   f"(total {total.test.wsr:.1f} vs baseline "
+                   f"{baseline.test.wsr:.1f}, N={total.n_train}).")
         out.append("")
     return "\n".join(out)
 

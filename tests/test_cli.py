@@ -396,6 +396,29 @@ def test_a_cache_file_of_another_clip_gives_exit_code_3(conf, tmp_path, capsys, 
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("fault", ["stale", "corrupt"])
+def test_the_advice_for_a_bad_cache_file_can_be_followed(conf, tmp_path, capsys, fault):
+    """A cache file of another format version, or a corrupt one, stops
+    ``featurize`` with exit 3 naming the file; once it is deleted as the
+    message says, ``featurize`` rewrites that one file."""
+    from resonet.cachefile import _checksum
+    assert run("featurize", conf) == 0
+    (path,) = (tmp_path / "out" / "cache").glob("*/d0_s0_u00.rnbf")
+    body = bytearray(path.read_bytes()[:-8])
+    if fault == "stale":
+        body[4:6] = (2).to_bytes(2, "little")
+        path.write_bytes(bytes(body) + _checksum(bytes(body)))
+    else:
+        path.write_bytes(bytes(body) + b"\0" * 8)
+    capsys.readouterr()
+    assert run("featurize", conf) == 3
+    err = capsys.readouterr().err
+    assert str(path) in err and "delete this file and rerun featurize" in err
+    path.unlink()
+    assert run("featurize", conf) == 0
+    assert "1 written, 499 already current" in capsys.readouterr().out
+
+
 def test_bench_featurizes_each_clip_once_and_trains_each_fold_once(conf, monkeypatch):
     import resonet.evalharness as evalharness
     featurized = _count_featurize(monkeypatch)
@@ -678,3 +701,40 @@ def test_synth_corpus_builds_no_partition(conf, monkeypatch):
                         lambda *args: partitioned.append(args))
     assert run("synth-corpus", conf) == 0
     assert partitioned == []
+
+
+def test_stratified_trains_on_any_utterance_count_a_manifest_has(tmp_path, capsys,
+                                                                  one_speaker_manifest):
+    """A manifest with utterances 0..11 can hold utterance 11 out, though
+    the synthetic profile has only ten utterances per speaker."""
+    rows = list(load_manifest(one_speaker_manifest, sample_rate=12500).entries)
+    rows += [replace(e, clip_id=f"{e.clip_id}x",
+                     label=replace(e.label, utterance=e.label.utterance + 2))
+             for e in rows if e.label.utterance >= 8]
+    manifest = tmp_path / "twelve.csv"
+    save_manifest(Manifest(tuple(rows), sample_rate=12500), manifest)
+    conf = _write_conf(tmp_path, f"corpus.kind = manifest\ncorpus.manifest = {manifest}\n"
+                                 "filter.kind = spectro_exp\nfilter.alpha = 2.0\n"
+                                 "strat.train_utterances = 11\nstrat.test_snrs = inf\n"
+                                 "strat.test_noise_types = synthetic-white\n")
+    assert run("stratified", conf) == 0
+    text = (tmp_path / "out" / "conditions.md").read_text()
+    assert "Trained on 110 clips; 10 test clips per cell population." in text
+
+
+def test_stratified_with_every_utterance_in_training_names_the_empty_test_pool(tmp_path,
+                                                                               capsys):
+    conf = _write_conf(tmp_path, FAST_CONF + "strat.train_utterances = 10\n")
+    assert run("stratified", conf) == 3
+    assert "stratified test pool is empty" in capsys.readouterr().err
+
+
+def test_a_manifest_path_may_start_at_the_home_directory(tmp_path, capsys, monkeypatch,
+                                                         one_speaker_manifest):
+    monkeypatch.setenv("HOME", str(tmp_path))
+    shutil.copy(one_speaker_manifest, tmp_path / "m.csv")
+    conf = _write_conf(tmp_path, "corpus.kind = manifest\ncorpus.manifest = ~/m.csv\n"
+                                 "filter.kind = spectro_exp\nfilter.alpha = 2.0\n")
+    assert parse_config(conf)["corpus.manifest"] == "~/m.csv"   # hashed as written
+    assert run("featurize", conf) == 0
+    assert "100 written" in capsys.readouterr().out

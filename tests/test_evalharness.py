@@ -13,9 +13,9 @@ import resonet.reservoir as reservoir
 from resonet.config import SCHEMA
 from resonet.dataset import SubsetPartition, build_synth_manifest
 from resonet.errors import ConfigError, DataError, NumericalError
-from resonet.evalharness import (CrossValReport, FoldSpec, GainReport,
-                                 PipelineSpec, Route, SweepPoint, alpha_sweep,
-                                 baseline_route, clip_features, condition_markdown,
+from resonet.evalharness import (CrossValReport, FoldSpec, PipelineSpec, Route,
+                                 SweepPoint, alpha_sweep, baseline_route,
+                                 clip_features, condition_markdown,
                                  cross_validate, enumerate_folds, prepare_corpus,
                                  report_to_csv, run_fold, stratified_report,
                                  summary_markdown, sweep_spectra, with_node)
@@ -510,17 +510,20 @@ def test_cross_validate_worker_invariance(baseline, corpus):
 
 
 def test_gain_report_arithmetic(baseline):
+    """The summary's gain line is total minus baseline test WSR."""
     base = cross_validate(baseline, 9)
     fake_total = CrossValReport.from_folds("x total", 9, base.folds)
-    gain = GainReport(base, fake_total)
-    assert gain.gain_points == pytest.approx(0.0)
+    text = summary_markdown(base, fake_total)
+    assert "Reservoir gain: **+0.0 points**" in text
+    assert "| x total |" in text
 
 
 def test_gain_report_rejects_mismatched_folds(baseline):
+    """The summary reports no gain between routes that ran different folds."""
     base = cross_validate(baseline, 9)
     other = cross_validate(baseline, 8)
     with pytest.raises(DataError):
-        GainReport(base, other)
+        summary_markdown(base, other)
 
 
 def test_report_to_csv_layout(baseline):
@@ -537,9 +540,10 @@ def test_report_to_csv_layout(baseline):
 
 def test_summary_markdown_mentions_routes(baseline):
     report = cross_validate(baseline, 9)
-    text = summary_markdown([report], None, ["config abc"])
+    text = summary_markdown(report, header_lines=["config abc"])
     assert "baseline" in text
     assert "| WSR" in text or "WSR" in text
+    assert "Reservoir gain" not in text
 
 
 def reference_stratified_grid(manifest, pipeline, train_utterances, test_snrs,

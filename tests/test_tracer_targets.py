@@ -56,6 +56,28 @@ print(json.dumps([s[1] for s in recorder.spans]))
     assert names.count("reservoir.mask_and_flatten") == 7
 
 
+def test_the_parser_dispatches_to_the_commands_the_tracer_wrapped(fresh_python):
+    """The tracer replaces ``cli.cmd_*`` after ``resonet.cli`` is imported,
+    so the parser must look the commands up when it is built."""
+    code = f"""
+import importlib.util, json
+spec = importlib.util.spec_from_file_location("perfbench_tracer", {str(TRACER)!r})
+tracer = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracer)
+import resonet.cli as cli
+tracer.Recorder().install()
+parser = cli.build_parser()
+seen = {{}}
+for name in ("bench", "sweep", "stratified", "featurize"):
+    patched = getattr(cli, "cmd_" + name)
+    func = parser.parse_args([name, "--config", "c"]).func
+    seen[name] = func is patched and hasattr(patched, "__wrapped__")
+print(json.dumps(seen))
+"""
+    seen = json.loads(fresh_python(code).splitlines()[-1])
+    assert seen == dict.fromkeys(("bench", "sweep", "stratified", "featurize"), True)
+
+
 def _names_used(node: ast.AST) -> set[str]:
     used = set()
     for n in ast.walk(node):
