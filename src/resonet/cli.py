@@ -17,8 +17,8 @@ loads the config once, applies the seed overrides and calls
 ``cmd_<name>(cfg, args)``.
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numerical
-error.  The cache root is ``$RESONET_CACHE_DIR`` when set, otherwise
-``<--out>/cache``.
+error.  The cache root is ``$RESONET_CACHE_DIR`` when set (a leading ``~``
+is the home directory), otherwise ``<--out>/cache``.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ def _out_dir(args) -> Path:
 
 def _feature_cache(cfg: RunConfig, args) -> Path:
     env = os.environ.get("RESONET_CACHE_DIR")
-    root = Path(env) if env else _out_dir(args) / "cache"
+    root = Path(env).expanduser() if env else _out_dir(args) / "cache"
     return root / cfg.feature_hash()
 
 
@@ -240,7 +240,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="run configuration file")
         p.add_argument("--workers", type=int, default=1,
                        help="threads that realize and featurize clips in featurize, "
-                            "bench, sweep, stratified and export-features (default: 1)")
+                            "bench, sweep, stratified and export-features; BLAS always "
+                            "runs on one thread (default: 1)")
         p.add_argument("--out", default="out", help="output directory (default: out)")
         p.add_argument("--seed-override", action="append", default=[],
                        metavar="NAME=VALUE",

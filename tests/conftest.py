@@ -37,13 +37,16 @@ def rng():
 def fresh_python():
     """Run Python source in a new interpreter with ``src`` on its path and
     return its standard output; for checks that must not see what this
-    test process has already imported or patched."""
+    test process has already imported or patched.  ``run(code, *args,
+    **env)`` runs ``python -c code *args``, or ``python *args`` when
+    ``code`` is None, with ``env`` added to this process's environment."""
     src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    base = dict(os.environ)
+    base["PYTHONPATH"] = os.pathsep.join(filter(None, [src, base.get("PYTHONPATH")]))
 
-    def run(code: str) -> str:
-        return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    def run(code: str | None, *args: str, **env: str) -> str:
+        argv = [sys.executable] + (["-c", code] if code is not None else []) + list(args)
+        return subprocess.run(argv, env=dict(base, **env), capture_output=True,
                               text=True, check=True).stdout
 
     return run

@@ -738,3 +738,19 @@ def test_a_manifest_path_may_start_at_the_home_directory(tmp_path, capsys, monke
     assert parse_config(conf)["corpus.manifest"] == "~/m.csv"   # hashed as written
     assert run("featurize", conf) == 0
     assert "100 written" in capsys.readouterr().out
+
+
+def test_the_cache_directory_may_start_at_the_home_directory(tmp_path, capsys, monkeypatch,
+                                                             one_speaker_manifest):
+    home, work = tmp_path / "home", tmp_path / "work"
+    home.mkdir()
+    work.mkdir()
+    monkeypatch.setenv("HOME", str(home))
+    monkeypatch.setenv("RESONET_CACHE_DIR", "~/rcache")
+    monkeypatch.chdir(work)
+    conf = _write_conf(tmp_path, f"corpus.kind = manifest\ncorpus.manifest = "
+                                 f"{one_speaker_manifest}\nfilter.kind = spectro_exp\n")
+    assert run("featurize", conf) == 0
+    assert "100 written" in capsys.readouterr().out
+    assert len(list((home / "rcache").rglob("*.rnbf"))) == 100
+    assert list(work.iterdir()) == []
