@@ -24,8 +24,8 @@ MAGIC_FEATURES = b"RNBF"
 MAGIC_MODEL = b"RNBM"
 CACHE_VERSION = 1
 
-FILTER_CODES = {"spectro_real": 0, "spectro_exp": 1, "spectro_hp": 2,
-                "mfcc": 3, "cochlear": 4}
+# the codes are stored on disk: never renumber or reuse one (0 is retired)
+FILTER_CODES = {"spectro_exp": 1, "spectro_hp": 2, "mfcc": 3, "cochlear": 4}
 FILTER_NAMES = {v: k for k, v in FILTER_CODES.items()}
 NODE_CODES = {"stno": 0, "tanh": 1, "none": 255}
 

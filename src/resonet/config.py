@@ -188,7 +188,8 @@ class RunConfig:
         v = self.values
         kind = v["filter.kind"]
         if kind not in FILTER_KINDS:
-            raise ConfigError(f"filter.kind: unknown filter {kind!r}")
+            raise ConfigError(f"filter.kind: unknown filter {kind!r}, "
+                              f"expected one of {', '.join(FILTER_KINDS)}")
         node_kind = v["node.kind"]
         stno = StnoParams(dt=v["node.dt_ns"], t_relax=v["node.t_relax_ns"],
                           i_dc=v["node.i_dc_ma"], i_c=v["node.i_c_ma"],

@@ -22,13 +22,13 @@ import numpy as np
 
 from . import reservoir
 from .cachefile import STALE_ADVICE, read_feature_cache
-from .dataset import (N_SUBSETS, AudioClip, Manifest, ManifestEntry, SubsetPartition,
-                      read_clip, realize_clip)
+from .dataset import (N_SUBSETS, Manifest, ManifestEntry, SubsetPartition, read_clip,
+                      realize_clip)
 from .errors import CacheError, ConfigError, DataError, NumericalError
 from .filterbank import (CochlearConfig, FeatureMatrix, MfccConfig, StftConfig,
                          exponent_transform, featurize, pad_to)
-from .readout import (FACTOR_CHUNK, N_CLASSES, Metrics, ReadoutModel, ReadoutOptions,
-                      factor_blocks, predict_means, score_wsr, solve)
+from .readout import (FACTOR_CHUNK, Metrics, ReadoutModel, ReadoutOptions, evaluate,
+                      factor_blocks, solve)
 
 
 @dataclass(frozen=True)
@@ -96,37 +96,32 @@ class PipelineSpec:
         return f"{name} + {self.node_kind}(n_theta={self.n_theta})"
 
 
-def clip_features(entry: ManifestEntry, pipeline: PipelineSpec, *, sample_rate: int,
-                  noise_seed: int = 0, clip: AudioClip | None = None) -> FeatureMatrix:
-    """Realize one manifest entry and run it through the pipeline's front end."""
-    clip = realize_clip(entry, sample_rate=sample_rate, noise_seed=noise_seed, clip=clip)
-    return featurize(clip, pipeline.filter_kind, pipeline.alpha,
-                     stft_cfg=pipeline.stft, mfcc_cfg=pipeline.mfcc,
-                     cochlear_cfg=pipeline.cochlear)
-
-
 def corpus_features(entries: Sequence[ManifestEntry], pipeline: PipelineSpec, *,
                     sample_rate: int, noise_seed: int, workers: int,
                     cache: Path | None = None) -> Iterator[FeatureMatrix]:
     """Every entry's features, in entry order: read from ``<cache>/<clip_id>.rnbf``
-    where that file exists, else realized and featurized.  Consecutive
-    entries that share a clip id (a ``stratified`` test clip's cells) form
-    one run, whose source is read once (``read_clip``) and mixed with each
-    entry's own noise tag.  Runs go to a thread pool when ``workers > 1``
-    that keeps at most ``2 * workers`` runs in flight.  ``cache`` is a
-    ``<cache root>/<feature hash>`` directory, and a file in it from another
-    configuration or for another clip is a ``CacheError``.  Only the
-    configured front end on the manifest's own conditions may read it: not
-    ``sweep`` (``spectro_real``) nor ``stratified`` (test clips at other
-    noise conditions under the same clip id), which pass None.  Manifest
-    clip ids are unique, so every run with a cache is a single entry.
+    where that file exists, else realized and featurized, the one place an
+    entry becomes features.  Consecutive entries that share a clip id (a
+    ``stratified`` test clip's cells) form one run, whose source is read
+    once (``read_clip``) and mixed with each entry's own noise tag.  Runs go
+    to a thread pool when ``workers > 1`` that keeps at most ``2 * workers``
+    runs in flight.  ``cache`` is a ``<cache root>/<feature hash>``
+    directory, and a file in it from another configuration or for another
+    clip is a ``CacheError``.  Only the configured front end on the
+    manifest's own conditions may read it: not ``sweep`` (``spectro_exp`` at
+    alpha 1) nor ``stratified`` (test clips at other noise conditions under
+    the same clip id), which pass None.  Manifest clip ids are unique, so
+    every run with a cache is a single entry.
     """
     def _load(run: list[ManifestEntry]) -> list[FeatureMatrix]:
         path = None if cache is None else cache / f"{run[0].clip_id}.rnbf"
         if path is None or not path.exists():
-            clip = read_clip(run[0], sample_rate=sample_rate)
-            return [clip_features(e, pipeline, sample_rate=sample_rate,
-                                  noise_seed=noise_seed, clip=clip) for e in run]
+            source = read_clip(run[0], sample_rate=sample_rate)
+            return [featurize(realize_clip(e, sample_rate=sample_rate,
+                                           noise_seed=noise_seed, clip=source),
+                              pipeline.filter_kind, pipeline.alpha,
+                              stft_cfg=pipeline.stft, mfcc_cfg=pipeline.mfcc,
+                              cochlear_cfg=pipeline.cochlear) for e in run]
         fm = read_feature_cache(path, cache.name)
         if fm.clip_id != run[0].clip_id:
             raise CacheError(f"{path}: holds the features of clip {fm.clip_id!r}, "
@@ -309,22 +304,6 @@ class FoldMetrics:
     model: ReadoutModel = field(compare=False, repr=False)
 
 
-def _evaluate(model: ReadoutModel, route: Route, idx: np.ndarray) -> Metrics:
-    """WSR and MSE of the clips ``idx``, scored all at once.
-
-    Each decision is the clip's largest score, ties going to the lowest
-    class, and the clips' squared errors are added in clip order, so both
-    metrics equal clip-by-clip scoring to the last bit; that oracle lives
-    in the tests.
-    """
-    scores = predict_means(model, route.frame_means[idx])
-    actual = route.corpus.digits[idx]
-    diff = scores - np.eye(N_CLASSES)[actual]
-    per_clip = (diff * diff).sum(axis=1)
-    return Metrics(score_wsr(scores.argmax(axis=1), actual),
-                   float(np.add.accumulate(per_clip)[-1]) / diff.size)
-
-
 def run_fold(fold: FoldSpec, route: Route) -> FoldMetrics:
     """Train on the fold's train subsets' factors, score both splits."""
     train_idx = route.corpus.indices_of_subsets(fold.train_subsets)
@@ -338,8 +317,10 @@ def run_fold(fold: FoldSpec, route: Route) -> FoldMetrics:
         raise DataError(f"fold {fold.describe()} trains on subset {missing[0]}, "
                         "which the route did not factor")
     model = solve([route.factors[k] for k in fold.train_subsets], route.pipeline.readout)
-    return FoldMetrics(fold, _evaluate(model, route, train_idx),
-                       _evaluate(model, route, test_idx), model)
+    return FoldMetrics(fold, evaluate(model, route.frame_means[train_idx],
+                                      route.corpus.digits[train_idx]),
+                       evaluate(model, route.frame_means[test_idx],
+                                route.corpus.digits[test_idx]), model)
 
 
 @dataclass(frozen=True)
@@ -372,9 +353,9 @@ def cross_validate(route: Route, n_train: int) -> CrossValReport:
     """Run every fold, in fold order.
 
     Every fold solves from the stacked factors of its train subsets,
-    which the route holds.  Folds run one after another: BLAS already
-    spreads each factorization and solve over the cores, and a thread
-    pool over folds made cross-validation slower.
+    which the route holds.  Folds run one after another, as BLAS runs on
+    one thread: a pool that ran folds on 2 threads cut ``bench`` by about
+    a sixth but raised its peak RSS from 152 to 250-273 MiB.
     """
     results = [run_fold(f, route) for f in enumerate_folds(n_train)]
     return CrossValReport.from_folds(route.pipeline.describe(), n_train, results)
@@ -390,11 +371,11 @@ class SweepPoint:
 def sweep_spectra(manifest: Manifest, partition: SubsetPartition,
                   base: PipelineSpec, *, noise_seed: int = 0,
                   workers: int = 1) -> Corpus:
-    """Every clip realized once and run through the ``spectro_real`` front
-    end: its max-abs-normalized real spectrum.  ``alpha_sweep`` derives
-    each exponent's features from it.
+    """Every clip realized once and run through the ``spectro_exp`` front
+    end at alpha 1: its max-abs-normalized real spectrum.  ``alpha_sweep``
+    derives each exponent's features from it.
     """
-    pipe = replace(base, filter_kind="spectro_real", alpha=None)
+    pipe = replace(base, filter_kind="spectro_exp", alpha=1.0)
     return prepare_corpus(manifest, partition, pipe, noise_seed=noise_seed, workers=workers)
 
 
@@ -499,8 +480,8 @@ def stratified_report(manifest: Manifest, pipeline: PipelineSpec,
 
     def _grid(route: Route) -> np.ndarray:
         model = solve([route.factors[0]], route.pipeline.readout)
-        wsr = [_evaluate(model, route, corpus.indices_of_subsets([g])).wsr
-               for g in group_of]
+        idx = [corpus.indices_of_subsets([g]) for g in group_of]
+        wsr = [evaluate(model, route.frame_means[i], corpus.digits[i]).wsr for i in idx]
         return np.array(wsr).reshape(len(test_snrs), len(test_noise_types))
 
     # only the training pool is factored; cells need frame means alone

@@ -1,9 +1,9 @@
 """Acoustic front ends.
 
-``featurize`` dispatches a clip through one of five filter kinds:
+``featurize`` dispatches a clip through one of four filter kinds:
 
-* ``spectro_real`` -- max-abs-normalized real part of the short-time spectrum
-* ``spectro_exp``  -- the same, raised elementwise to a real exponent
+* ``spectro_exp``  -- max-abs-normalized real part of the short-time spectrum,
+  raised elementwise to a real exponent (alpha = 1 is the linear spectrum)
 * ``spectro_hp``   -- hardware-inspired sin/cos map of the complex spectrum
 * ``mfcc``         -- mel cepstra
 * ``cochlear``     -- cascade cochlear model with adaptive gain
@@ -25,7 +25,7 @@ from .mfcc import MfccConfig, mfcc
 from .stft import StftConfig, stft_complex
 from .transforms import exponent_transform, normalize_maxabs, spectro_hp_from_complex
 
-FILTER_KINDS = ("spectro_real", "spectro_exp", "spectro_hp", "mfcc", "cochlear")
+FILTER_KINDS = ("spectro_exp", "spectro_hp", "mfcc", "cochlear")
 
 __all__ = [
     "FILTER_KINDS",
@@ -79,10 +79,8 @@ def featurize(clip: AudioClip, kind: str, alpha: float | None = None, *,
               mfcc_cfg: MfccConfig = MfccConfig(),
               cochlear_cfg: CochlearConfig = CochlearConfig()) -> FeatureMatrix:
     """Run one clip through the selected front end."""
-    if kind == "spectro_real" or kind == "spectro_exp":
-        if kind == "spectro_real":
-            alpha = 1.0
-        elif alpha is None:
+    if kind == "spectro_exp":
+        if alpha is None:
             raise ConfigError("spectro_exp requires an exponent")
         x = normalize_maxabs(np.real(stft_complex(clip, stft_cfg)))
         vals = exponent_transform(x, alpha)

@@ -12,7 +12,8 @@ singular values and the same minimum-norm solution as the full problem.
 Where inputs repeat exactly (at alpha = 0 every feature row is the same
 pattern of ones and padding zeros), each distinct input is factored once,
 so a factor has one R row per distinct input.  Classification applies W
-to a clip's frame-mean state and picks the largest component.
+to a clip's frame-mean state and picks the largest component; ``evaluate``
+scores a set of clips that way.
 """
 
 from __future__ import annotations
@@ -240,3 +241,19 @@ class Metrics:
             raise DataError(f"wsr out of range: {self.wsr}")
         if self.mse < 0.0 or self.wsr_std < 0.0 or self.mse_std < 0.0:
             raise DataError("mse and spreads must be nonnegative")
+
+
+def evaluate(model: ReadoutModel, means: np.ndarray, digits: np.ndarray) -> Metrics:
+    """WSR and MSE of clips given their frame-mean states and digits,
+    scored all at once.
+
+    Each decision is the clip's largest score, ties going to the lowest
+    class, and the clips' squared errors against their one-hot digits are
+    added in clip order, so both metrics equal clip-by-clip scoring to the
+    last bit; that oracle lives in the tests.
+    """
+    scores = predict_means(model, means)
+    diff = scores - np.eye(N_CLASSES)[digits]
+    per_clip = (diff * diff).sum(axis=1)
+    return Metrics(score_wsr(scores.argmax(axis=1), digits),
+                   float(np.add.accumulate(per_clip)[-1]) / diff.size)

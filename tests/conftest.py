@@ -3,12 +3,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+# before numpy: importing resonet pins OpenBLAS to one thread, as in the CLI
+import resonet  # noqa: F401
+
 import numpy as np
 import pytest
 from scipy.signal import lfilter
 
 from resonet.dataset import build_synth_manifest, partition_subsets
-from resonet.evalharness import PipelineSpec, baseline_route, prepare_corpus
+from resonet.evalharness import PipelineSpec, baseline_route, prepare_corpus, sweep_spectra
 
 
 @pytest.fixture(scope="session")
@@ -26,6 +29,15 @@ def baseline(corpus):
     manifest, partition = corpus
     pipe = PipelineSpec(filter_kind="spectro_exp", alpha=2.0)
     return baseline_route(prepare_corpus(manifest, partition, pipe, workers=4), pipe)
+
+
+@pytest.fixture(scope="session")
+def spectra(corpus):
+    """The default corpus through the ``spectro_exp`` front end at alpha = 1:
+    the sweep's spectra and the alpha = 1 routes' corpus.  Built once per
+    session."""
+    manifest, partition = corpus
+    return sweep_spectra(manifest, partition, PipelineSpec(filter_kind="mfcc"), workers=4)
 
 
 @pytest.fixture()

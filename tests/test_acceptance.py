@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from resonet.cli import main
-from resonet.dataset import build_synth_manifest, load_manifest, partition_subsets
+from resonet.dataset import load_manifest, partition_subsets
 from resonet.evalharness import (PipelineSpec, alpha_sweep, baseline_route,
                                  cross_validate, enumerate_folds, prepare_corpus,
                                  sweep_spectra, with_node)
@@ -32,27 +32,23 @@ WORKERS = max(4, os.cpu_count() or 1)
 _CACHE: dict = {}
 
 
-def _corpus():
-    if "corpus" not in _CACHE:
-        manifest = build_synth_manifest(1001)
-        partition = partition_subsets(manifest, 55)
-        _CACHE["corpus"] = (manifest, partition)
-    return _CACHE["corpus"]
-
-
 @pytest.fixture(scope="module", autouse=True)
-def _default_baseline(baseline):
-    """The alpha = 2 baseline route is the session's (``conftest.baseline``)."""
+def _session_corpora(corpus, baseline, spectra):
+    """The default corpus, its alpha = 2 baseline route and its alpha = 1
+    features are the session's (``conftest``)."""
+    _CACHE["corpus"] = corpus
+    _CACHE[("features", 1.0)] = spectra
     _CACHE.setdefault(("baseline", 2.0), (cross_validate(baseline, 9), baseline))
 
 
 def _baseline_report(alpha: float):
     key = ("baseline", alpha)
     if key not in _CACHE:
-        manifest, partition = _corpus()
         pipe = PipelineSpec(filter_kind="spectro_exp", alpha=alpha)
-        prep = baseline_route(prepare_corpus(manifest, partition, pipe, workers=WORKERS),
-                              pipe)
+        features = _CACHE.get(("features", alpha))
+        if features is None:
+            features = prepare_corpus(*_CACHE["corpus"], pipe, workers=WORKERS)
+        prep = baseline_route(features, pipe)
         _CACHE[key] = (cross_validate(prep, 9), prep)
     return _CACHE[key]
 

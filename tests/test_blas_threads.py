@@ -1,10 +1,13 @@
 """Importing ``resonet`` pins OpenBLAS to one thread, so no setting of the
 environment changes a run's thread count or its bytes.
 
-Each check runs in a fresh interpreter: OpenBLAS reads its thread count
-once, when numpy loads it, and this test process loaded numpy long ago.
+OpenBLAS reads its thread count once, when numpy loads it.  So the checks
+of the pin run in a fresh interpreter; one more checks that this test
+process, whose ``conftest`` imports the package before numpy, runs BLAS
+on one thread as the CLI does.
 """
 
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -35,6 +38,16 @@ print(probe._blas_threads())
     if threads == "None":
         pytest.skip("numpy loaded no OpenBLAS")
     assert threads == "1"
+
+
+def test_the_test_process_runs_openblas_on_one_thread():
+    spec = importlib.util.spec_from_file_location("setup_probe", PROBE)
+    probe = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(probe)
+    threads = probe._blas_threads()
+    if threads is None:
+        pytest.skip("numpy loaded no OpenBLAS")
+    assert threads == 1
 
 
 def test_bench_bytes_do_not_depend_on_the_blas_thread_setting(fresh_python, tmp_path):

@@ -16,8 +16,8 @@ from resonet.cli import build_parser, main
 from resonet.config import parse_config
 from resonet.dataset import Manifest, build_synth_manifest, load_manifest, save_manifest
 from resonet.errors import DegenerateInputWarning
-from resonet.evalharness import clip_features
 from test_dataset import _write_wav
+from test_evalharness import entry_features
 
 FAST_CONF = """
 corpus.kind = synthetic
@@ -169,8 +169,8 @@ def test_export_features_cells_are_the_clip_features_bit_for_bit(exported):
         rows_of.setdefault(cells[0], []).append(cells)
     assert list(rows_of) == [e.clip_id for e in manifest.entries]
     for entry in manifest.entries:
-        want = clip_features(entry, pipeline, sample_rate=manifest.sample_rate,
-                             noise_seed=cfg["corpus.noise_seed"]).values
+        want = entry_features(entry, pipeline, manifest.sample_rate,
+                              cfg["corpus.noise_seed"]).values
         rows = rows_of[entry.clip_id]
         assert [int(r[frame]) for r in rows] == list(range(want.shape[1]))
         got = np.array([[float(c) for c in r[first_x:]] for r in rows]).T
@@ -318,6 +318,17 @@ def test_unknown_corpus_kind_gives_exit_code_2_at_parse_time(tmp_path, capsys, c
     assert run(command, conf) == 2
     assert "corpus.kind: expected synthetic or manifest, got 'synthtic'" in \
         capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["bench", "sweep"])
+def test_the_linear_spectrum_is_named_as_spectro_exp_at_alpha_one(tmp_path, capsys, command):
+    """``spectro_real`` is not a filter kind; the error lists the kinds there
+    are, ``spectro_exp`` (whose alpha = 1 is the linear spectrum) first."""
+    conf = _write_conf(tmp_path, FAST_CONF.replace("filter.kind = spectro_exp",
+                                                   "filter.kind = spectro_real"))
+    assert run(command, conf) == 2
+    err = capsys.readouterr().err
+    assert "filter.kind: unknown filter 'spectro_real', expected one of spectro_exp, " in err
 
 
 def test_cache_dir_env_override(conf, tmp_path, monkeypatch):

@@ -11,15 +11,14 @@ import resonet.evalharness as evalharness
 import resonet.readout as readout
 import resonet.reservoir as reservoir
 from resonet.config import SCHEMA
-from resonet.dataset import SubsetPartition, build_synth_manifest
+from resonet.dataset import SubsetPartition, realize_clip
 from resonet.errors import ConfigError, DataError, NumericalError
 from resonet.evalharness import (CrossValReport, FoldSpec, PipelineSpec, Route,
                                  SweepPoint, alpha_sweep, baseline_route,
-                                 clip_features, condition_markdown,
-                                 cross_validate, enumerate_folds, prepare_corpus,
-                                 report_to_csv, run_fold, stratified_report,
-                                 summary_markdown, sweep_spectra, with_node)
-from resonet.filterbank import pad_to
+                                 condition_markdown, cross_validate, enumerate_folds,
+                                 prepare_corpus, report_to_csv, run_fold,
+                                 stratified_report, summary_markdown, with_node)
+from resonet.filterbank import featurize, pad_to
 from resonet.readout import (FACTOR_CHUNK, Metrics, factor, predict, predict_means,
                              score_wsr, train_pinv)
 from resonet.reservoir import (StnoParams, gen_mask, mask_and_flatten, node_run_reference,
@@ -92,7 +91,7 @@ def test_preparations_keep_the_front_end_features_unpadded(baseline, spectra):
     """No field of a corpus or of a route holds a padded copy of the
     corpus; each clip's features are kept as the front end gave them."""
     for corpus, kind in ((baseline.corpus, baseline.pipeline.filter_kind),
-                         (spectra, "spectro_real")):
+                         (spectra, "spectro_exp")):
         padded = len(corpus.clip_ids) * corpus.features[0].n_rows * corpus.n_frames_max
         for holder in (corpus, baseline):
             for f in dataclasses.fields(holder):
@@ -123,6 +122,14 @@ def test_cochlear_features_are_worker_invariant(corpus):
     assert np.array_equal(pad_to(a.features), pad_to(b.features))
 
 
+def entry_features(entry, pipeline, sample_rate, noise_seed=0):
+    """One entry realized and run through the pipeline's front end on its
+    own: what ``corpus_features`` yields for it without a cache."""
+    return featurize(realize_clip(entry, sample_rate=sample_rate, noise_seed=noise_seed),
+                     pipeline.filter_kind, pipeline.alpha, stft_cfg=pipeline.stft,
+                     mfcc_cfg=pipeline.mfcc, cochlear_cfg=pipeline.cochlear)
+
+
 NODE_PIPE = PipelineSpec(filter_kind="spectro_exp", alpha=2.0, node_kind="stno",
                          n_theta=40, drive_ma=3.0)
 
@@ -131,15 +138,15 @@ def test_corpus_features_keeps_a_bounded_window_of_clips_in_flight(corpus, monke
     """A consumer that stops after one clip leaves at most ``2 * workers``
     clips featurized ahead of it, not the rest of the corpus."""
     manifest, _ = corpus
-    featurized, clip_features = [], evalharness.clip_features
+    featurized, featurize_ = [], evalharness.featurize
 
-    def counting_clip_features(entry, *args, **kwargs):
-        featurized.append(entry.clip_id)
-        return clip_features(entry, *args, **kwargs)
+    def counting_featurize(clip, *args, **kwargs):
+        featurized.append(clip.clip_id)
+        return featurize_(clip, *args, **kwargs)
 
-    monkeypatch.setattr(evalharness, "clip_features", counting_clip_features)
+    monkeypatch.setattr(evalharness, "featurize", counting_featurize)
     feats = evalharness.corpus_features(manifest.entries[:40],
-                                        PipelineSpec(filter_kind="spectro_real"),
+                                        PipelineSpec(filter_kind="spectro_exp", alpha=1.0),
                                         sample_rate=manifest.sample_rate, noise_seed=0,
                                         workers=2)
     assert next(feats).clip_id == manifest.entries[0].clip_id
@@ -162,7 +169,7 @@ def node_route(corpus, baseline):
     prep = with_node(baseline.corpus, NODE_PIPE)
     states, _ = reference_node_stage(pad_to(baseline.corpus.features), NODE_PIPE)
     by_id = {e.clip_id: e for e in manifest.entries}
-    feats = [clip_features(by_id[cid], NODE_PIPE, sample_rate=manifest.sample_rate)
+    feats = [entry_features(by_id[cid], NODE_PIPE, manifest.sample_rate)
              for cid in prep.corpus.clip_ids]
     return prep, states, feats
 
@@ -327,7 +334,7 @@ def test_baseline_route_copies_the_corpus_once(corpus):
     blocks the reduction works on: its peak stays under the true-frame
     feature bytes plus two padded blocks, never a padded copy of the corpus."""
     manifest, partition = corpus
-    pipe = PipelineSpec(filter_kind="spectro_real")
+    pipe = PipelineSpec(filter_kind="spectro_exp", alpha=1.0)
     tracemalloc.start()
     try:
         prep = baseline_route(prepare_corpus(manifest, partition, pipe), pipe, factored=())
@@ -461,7 +468,7 @@ def test_fold_scoring_matches_clip_by_clip_scoring_exactly():
                                    np.zeros(n_clips, dtype=int), ())
         prep = Route(clips, PipelineSpec(filter_kind="mfcc"), means, {})
         idx = rng.permutation(n_clips)[:int(rng.integers(1, n_clips + 1))]
-        assert evalharness._evaluate(model, prep, idx) == \
+        assert readout.evaluate(model, means[idx], clips.digits[idx]) == \
             clip_by_clip_metrics(model, prep, idx), f"case {case}"
 
 
@@ -559,8 +566,8 @@ def reference_stratified_grid(manifest, pipeline, train_utterances, test_snrs,
                                        else "synthetic-white"))
               for e in test] for snr in test_snrs]
     entries = train + [e for pool in cells for e in pool]
-    feats = [clip_features(e, pipeline, sample_rate=manifest.sample_rate,
-                           noise_seed=noise_seed) for e in entries]
+    feats = [entry_features(e, pipeline, manifest.sample_rate, noise_seed)
+             for e in entries]
     tensors = pad_to(feats)
     if pipeline.node_kind is not None:
         tensors, _ = reference_node_stage(tensors, pipeline)
@@ -672,12 +679,6 @@ def test_stratified_node_route_factors_only_the_training_pool(corpus, monkeypatc
     assert factored == [400, 400]
 
 
-@pytest.fixture(scope="module")
-def spectra(corpus):
-    manifest, partition = corpus
-    return sweep_spectra(manifest, partition, PipelineSpec(filter_kind="mfcc"), workers=4)
-
-
 def _sweep(spectra, alphas, monkeypatch):
     """``alpha_sweep``'s points, and each exponent's route and
     cross-validation report."""
@@ -701,7 +702,7 @@ def test_sweep_derives_each_exponent_as_the_spectro_exp_front_end(corpus, spectr
     entry maps to 1, so equal frame means show that the padding stays
     zero, not what the reused block held before."""
     manifest, partition = corpus
-    assert {fm.filter_kind for fm in spectra.features} == {"spectro_real"}
+    assert {(fm.filter_kind, fm.alpha) for fm in spectra.features} == {("spectro_exp", 1.0)}
     assert min(fm.n_frames for fm in spectra.features) < spectra.n_frames_max
     (point,), ((prep, _),) = _sweep(spectra, [alpha], monkeypatch)
     assert point.alpha == alpha

@@ -52,7 +52,7 @@ def test_hann_window_makes_the_real_spectrum_rank_deficient():
 
     The periodic Hann window has w[0] = 0, so for the 128-point frames
     X_0 + 2 * sum(Re X_k, k = 1..63) + X_64 = 128 * x[0] * w[0] = 0 in
-    every frame: the default ``spectro_real`` rows are linearly
+    every frame: the alpha = 1 ``spectro_exp`` rows are linearly
     dependent, and a readout on them can reach rank 64 of 65 only.
     """
     weights = np.r_[1.0, np.full(63, 2.0), 1.0]
@@ -60,12 +60,13 @@ def test_hann_window_makes_the_real_spectrum_rank_deficient():
     frames = []
     for i in sorted(random.Random(1001).sample(range(len(manifest)), 4)):
         clip = realize_clip(manifest.entries[i], sample_rate=manifest.sample_rate)
-        feats = featurize(clip, "spectro_real").values
+        feats = featurize(clip, "spectro_exp", 1.0).values
         # zero to rounding, frame by frame
         bound = 128 * np.finfo(float).eps * (weights @ np.abs(feats))
         assert np.all(np.abs(weights @ feats) <= bound), manifest.entries[i].clip_id
         # a window without a zero sample breaks the identity
-        rect = featurize(clip, "spectro_real", stft_cfg=StftConfig(window="rectangular")).values
+        rect = featurize(clip, "spectro_exp", 1.0,
+                         stft_cfg=StftConfig(window="rectangular")).values
         assert np.max(np.abs(weights @ rect)) > 0.1
         frames.append(feats.T)
     # the default readout cut (rtol 1e-10) removes that one direction and no other
@@ -377,8 +378,8 @@ def test_empty_agc_chain_passes_rectified_taps_through(monkeypatch):
 
 def test_featurize_dispatch_shapes():
     clip = synth_digit(7, 101, 2)
-    for kind, rows in (("spectro_exp", 65), ("spectro_real", 65),
-                       ("spectro_hp", 65), ("mfcc", 13), ("cochlear", 78)):
+    for kind, rows in (("spectro_exp", 65), ("spectro_hp", 65), ("mfcc", 13),
+                       ("cochlear", 78)):
         alpha = 2.0 if kind == "spectro_exp" else None
         fm = featurize(clip, kind, alpha)
         assert isinstance(fm, FeatureMatrix)
@@ -391,13 +392,6 @@ def test_featurize_requires_alpha_only_for_exp():
         featurize(clip, "spectro_exp", None)
     with pytest.raises(ConfigError):
         featurize(clip, "nosuch", None)
-
-
-def test_spectro_real_is_alpha_one():
-    clip = synth_digit(1, 102, 3)
-    a = featurize(clip, "spectro_real")
-    b = featurize(clip, "spectro_exp", 1.0)
-    assert np.array_equal(a.values, b.values)
 
 
 def test_pad_to_extends_with_zero_frames():

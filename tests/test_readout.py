@@ -10,7 +10,7 @@ from resonet.readout import (FACTOR_CHUNK, N_CLASSES, Metrics, ReadoutModel,
 def classify(scores: np.ndarray) -> int:
     """One clip's decision: the largest score wins, ties resolve to the
     lowest class index.  With ``score_mse``, the clip-by-clip scoring that
-    fold scoring (``evalharness._evaluate``) is held to."""
+    fold scoring (``evaluate``) is held to."""
     scores = np.asarray(scores)
     if scores.shape != (N_CLASSES,):
         raise DataError(f"scores must have shape ({N_CLASSES},), got {scores.shape}")
