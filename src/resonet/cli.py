@@ -72,12 +72,9 @@ def cmd_synth_corpus(cfg: RunConfig, args) -> int:
 
 
 def cmd_featurize(cfg: RunConfig, args) -> int:
-    manifest = cfg.manifest()
     cache = _feature_cache(cfg, args)
-    feats = corpus_features(manifest.entries, cfg.pipeline(),
-                            sample_rate=manifest.sample_rate,
-                            noise_seed=cfg["corpus.noise_seed"],
-                            workers=args.workers, cache=cache)
+    feats = corpus_features(cfg.manifest(), cfg.pipeline(), workers=args.workers,
+                            cache=cache)
     written = skipped = 0
     for fm in feats:
         # only this loop writes the files, so one that exists was read and checked
@@ -98,9 +95,8 @@ def cmd_bench(cfg: RunConfig, args) -> int:
     out = _out_dir(args)
     header = _header_lines(cfg)
 
-    corpus = prepare_corpus(manifest, partition, pipeline,
-                            noise_seed=cfg["corpus.noise_seed"],
-                            workers=args.workers, cache=_feature_cache(cfg, args))
+    corpus = prepare_corpus(manifest, partition, pipeline, workers=args.workers,
+                            cache=_feature_cache(cfg, args))
     baseline = cross_validate(baseline_route(corpus, pipeline), n_train)
     (out / "report_baseline.csv").write_text(report_to_csv(baseline, header))
     total = None
@@ -133,20 +129,19 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
         raise ConfigError("alpha sweep needs at least one exponent")
     out = _out_dir(args)
 
-    spectra = sweep_spectra(manifest, partition, pipeline,
-                            noise_seed=cfg["corpus.noise_seed"], workers=args.workers)
-    points = alpha_sweep(spectra, pipeline, alphas, n_train)
+    spectra = sweep_spectra(manifest, partition, pipeline, workers=args.workers)
+    tests = [r.test for r in alpha_sweep(spectra, pipeline, alphas, n_train)]
     lines = [f"# {h}" for h in _header_lines(cfg)]
     lines.append("alpha,wsr_mean,wsr_std")
-    for p in points:
-        lines.append(f"{p.alpha!r},{p.wsr!r},{p.wsr_std!r}")
+    for alpha, test in zip(alphas, tests):
+        lines.append(f"{alpha!r},{test.wsr!r},{test.wsr_std!r}")
     (out / "sweep.csv").write_text("\n".join(lines) + "\n")
 
     big = [a for a in alphas if a >= PARITY_ALPHA_THRESHOLD]
     if big:
         _write_parity_diagnostic(cfg, spectra, max(big), out)
-    for p in points:
-        print(f"alpha={p.alpha:g}: test WSR {p.wsr:.2f} (std {p.wsr_std:.2f})")
+    for alpha, test in zip(alphas, tests):
+        print(f"alpha={alpha:g}: test WSR {test.wsr:.2f} (std {test.wsr_std:.2f})")
     print(f"sweep written to {out/'sweep.csv'}")
     return 0
 
@@ -175,10 +170,8 @@ def _write_parity_diagnostic(cfg: RunConfig, spectra: Corpus,
 def cmd_export_features(cfg: RunConfig, args) -> int:
     manifest = cfg.manifest()
     out = _out_dir(args)
-    feats = corpus_features(manifest.entries, cfg.pipeline(),
-                            sample_rate=manifest.sample_rate,
-                            noise_seed=cfg["corpus.noise_seed"],
-                            workers=args.workers, cache=_feature_cache(cfg, args))
+    feats = corpus_features(manifest, cfg.pipeline(), workers=args.workers,
+                            cache=_feature_cache(cfg, args))
     cols = ["clip_id", "digit", "speaker", "utterance", "noise_type", "snr_db", "frame"]
     path = out / "features.csv"
     n_data = 0
@@ -208,9 +201,7 @@ def cmd_stratified(cfg: RunConfig, args) -> int:
     report = stratified_report(
         manifest, pipeline, cfg["strat.train_utterances"],
         test_snrs=cfg["strat.test_snrs"],
-        test_noise_types=cfg["strat.test_noise_types"],
-        noise_seed=cfg["corpus.noise_seed"],
-        workers=args.workers)
+        test_noise_types=cfg["strat.test_noise_types"], workers=args.workers)
     (out / "conditions.md").write_text(condition_markdown(report, _header_lines(cfg)))
     print(f"overall WSR {report.overall:.2f} over "
           f"{len(report.snrs)}x{len(report.noise_types)} conditions")

@@ -8,20 +8,21 @@ artifacts from different configurations never mix silently.
 Each default is written once.  The ``stft``, ``mfcc``, ``cochlear`` and
 ``readout`` keys are the fields of their typed configs, with the fields'
 defaults.  The ``node.*`` keys carry units, so they are named here, but
-their defaults read ``StnoParams``, ``TanhParams`` and ``PipelineSpec``.
-Only settings no typed object holds write their default literally.
+their defaults read ``StnoParams``, ``TanhParams`` and ``PipelineSpec``, as
+the corpus's sample rate and noise seed read ``dataset``'s.  Only
+settings no typed object holds write their default literally.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from functools import partial
 from pathlib import Path
 from typing import Sequence
 
-from .dataset import NOISE_TYPES, PHASE_MODES, SYNTH_SAMPLE_RATE, Manifest, \
+from .dataset import NOISE_SEED, NOISE_TYPES, PHASE_MODES, SYNTH_SAMPLE_RATE, Manifest, \
     SubsetPartition, build_synth_manifest, load_manifest, partition_subsets
 from .errors import ConfigError
 from .evalharness import PipelineSpec
@@ -110,7 +111,7 @@ SCHEMA: dict[str, tuple] = {
     "corpus.sample_rate": (_parse_int, SYNTH_SAMPLE_RATE),
     "corpus.phase_mode": (_parse_str, "random"),
     "corpus.synth_seed": (_parse_int, 1001),
-    "corpus.noise_seed": (_parse_int, 2002),
+    "corpus.noise_seed": (_parse_int, NOISE_SEED),
     "corpus.conditions": (_parse_str, ""),
 
     "filter.kind": (_parse_str, "spectro_exp"),
@@ -210,18 +211,21 @@ class RunConfig:
         )
 
     def manifest(self) -> Manifest:
-        """The corpus's manifest; only ``load_corpus`` also partitions it."""
+        """The corpus's manifest, carrying the configured noise seed; only
+        ``load_corpus`` also partitions it."""
         v = self.values
         if v["corpus.kind"] == "synthetic":
             conditions = None
             if v["corpus.conditions"]:
                 conditions = _parse_conditions(v["corpus.conditions"], "corpus.conditions")
-            return build_synth_manifest(
+            manifest = build_synth_manifest(
                 v["corpus.synth_seed"], phase_mode=v["corpus.phase_mode"],
                 sample_rate=v["corpus.sample_rate"], conditions=conditions)
-        if not v["corpus.manifest"]:
+        elif not v["corpus.manifest"]:
             raise ConfigError("corpus.manifest is required when corpus.kind = manifest")
-        return load_manifest(v["corpus.manifest"], sample_rate=v["corpus.sample_rate"])
+        else:
+            manifest = load_manifest(v["corpus.manifest"], sample_rate=v["corpus.sample_rate"])
+        return replace(manifest, noise_seed=v["corpus.noise_seed"])
 
     def load_corpus(self) -> tuple[Manifest, SubsetPartition]:
         manifest = self.manifest()

@@ -24,6 +24,7 @@ import numpy as np
 from .errors import AudioFormatError, DataError, ManifestError, PartitionError
 
 SYNTH_SAMPLE_RATE = 12500
+NOISE_SEED = 2002       # base seed of the noise mixed into tagged synthetic clips
 SYNTH_BASE_SECONDS = 0.5
 
 N_CLASSES = 10
@@ -116,8 +117,13 @@ class ManifestEntry:
 
 @dataclass(frozen=True)
 class Manifest:
+    """A corpus's clips and what realizing any of them needs besides its
+    entry: the rate every clip is read at, and the base seed of the noise
+    ``realize_clip`` mixes into a tagged synthetic clip."""
+
     entries: tuple[ManifestEntry, ...]
     sample_rate: int
+    noise_seed: int = NOISE_SEED
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -413,7 +419,7 @@ def read_wav(path: str | Path, *, clip_id: str | None = None) -> AudioClip:
 
 
 def realize_clip(entry: ManifestEntry, *, sample_rate: int = SYNTH_SAMPLE_RATE,
-                 noise_seed: int = 0, clip: AudioClip | None = None) -> AudioClip:
+                 noise_seed: int = NOISE_SEED, clip: AudioClip | None = None) -> AudioClip:
     """Load a clip and, for synthetic entries, realize its noise tag.
 
     ``clip``, when given, is the entry's source as ``read_clip`` gave it,

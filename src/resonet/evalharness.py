@@ -96,11 +96,11 @@ class PipelineSpec:
         return f"{name} + {self.node_kind}(n_theta={self.n_theta})"
 
 
-def corpus_features(entries: Sequence[ManifestEntry], pipeline: PipelineSpec, *,
-                    sample_rate: int, noise_seed: int, workers: int,
+def corpus_features(manifest: Manifest, pipeline: PipelineSpec, *, workers: int,
                     cache: Path | None = None) -> Iterator[FeatureMatrix]:
-    """Every entry's features, in entry order: read from ``<cache>/<clip_id>.rnbf``
-    where that file exists, else realized and featurized, the one place an
+    """Every manifest entry's features, in entry order: read from
+    ``<cache>/<clip_id>.rnbf`` where that file exists, else realized at the
+    manifest's sample rate and noise seed and featurized, the one place an
     entry becomes features.  Consecutive entries that share a clip id (a
     ``stratified`` test clip's cells) form one run, whose source is read
     once (``read_clip``) and mixed with each entry's own noise tag.  Runs go
@@ -116,9 +116,9 @@ def corpus_features(entries: Sequence[ManifestEntry], pipeline: PipelineSpec, *,
     def _load(run: list[ManifestEntry]) -> list[FeatureMatrix]:
         path = None if cache is None else cache / f"{run[0].clip_id}.rnbf"
         if path is None or not path.exists():
-            source = read_clip(run[0], sample_rate=sample_rate)
-            return [featurize(realize_clip(e, sample_rate=sample_rate,
-                                           noise_seed=noise_seed, clip=source),
+            source = read_clip(run[0], sample_rate=manifest.sample_rate)
+            return [featurize(realize_clip(e, sample_rate=manifest.sample_rate,
+                                           noise_seed=manifest.noise_seed, clip=source),
                               pipeline.filter_kind, pipeline.alpha,
                               stft_cfg=pipeline.stft, mfcc_cfg=pipeline.mfcc,
                               cochlear_cfg=pipeline.cochlear) for e in run]
@@ -128,7 +128,7 @@ def corpus_features(entries: Sequence[ManifestEntry], pipeline: PipelineSpec, *,
                              f"not {run[0].clip_id!r}; {STALE_ADVICE}")
         return [fm]
 
-    runs = (list(run) for _, run in groupby(entries, key=lambda e: e.clip_id))
+    runs = (list(run) for _, run in groupby(manifest.entries, key=lambda e: e.clip_id))
     # no pool at 1 worker: per-thread malloc arenas cost 90 -> 108 MiB peak RSS on sweep
     if workers > 1:
         # at most 2 * workers runs in flight, so a slow consumer holds only those
@@ -164,13 +164,13 @@ class Corpus:
         return np.flatnonzero(np.isin(self.subset_of, list(subsets)))
 
 
-def _featurized(entries: Sequence[ManifestEntry], groups: Sequence[int],
-                pipeline: PipelineSpec, **load) -> Corpus:
-    """The entries, entry i in group ``groups[i]``, as ``corpus_features``
-    (called with ``load``) featurizes them."""
-    return Corpus(tuple(e.clip_id for e in entries),
-                  np.array([e.label.digit for e in entries]), np.array(groups),
-                  tuple(corpus_features(entries, pipeline, **load)))
+def _featurized(manifest: Manifest, groups: Sequence[int], pipeline: PipelineSpec,
+                **load) -> Corpus:
+    """The manifest's entries, entry i in group ``groups[i]``, as
+    ``corpus_features`` (called with ``load``) featurizes them."""
+    return Corpus(tuple(e.clip_id for e in manifest.entries),
+                  np.array([e.label.digit for e in manifest.entries]), np.array(groups),
+                  tuple(corpus_features(manifest, pipeline, **load)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -222,16 +222,16 @@ def _reduce(corpus: Corpus, pipeline: PipelineSpec, n_inputs: int,
 
 
 def prepare_corpus(manifest: Manifest, partition: SubsetPartition,
-                   pipeline: PipelineSpec, *, noise_seed: int = 0,
-                   workers: int = 1, cache: Path | None = None) -> Corpus:
+                   pipeline: PipelineSpec, *, workers: int = 1,
+                   cache: Path | None = None) -> Corpus:
     """Every clip the partition covers, grouped by subset and featurized
     (``corpus_features``) by the pipeline's front end."""
     subset_of_map = partition.subset_of()
-    entries = [e for e in manifest.entries if e.clip_id in subset_of_map]
+    entries = tuple(e for e in manifest.entries if e.clip_id in subset_of_map)
     if not entries:
         raise DataError("no manifest entries covered by the partition")
-    return _featurized(entries, [subset_of_map[e.clip_id] for e in entries], pipeline,
-                       sample_rate=manifest.sample_rate, noise_seed=noise_seed,
+    return _featurized(replace(manifest, entries=entries),
+                       [subset_of_map[e.clip_id] for e in entries], pipeline,
                        workers=workers, cache=cache)
 
 
@@ -272,12 +272,13 @@ def with_node(corpus: Corpus, pipeline: PipelineSpec,
     peak = max(float(np.abs(mask.entries @ pad_to([fm], n_frames)[0]).max())
                for fm in corpus.features)
     input_gain = pipeline.drive_ma / peak if peak > 0.0 else 0.0
-    t = pipeline.tanh
+    # frame-major within each clip, the layout of the reshaped states; frame
+    # means are summed in this memory order.  Like ``padded``, one buffer
+    # serves every block: a block is valid only until the next one.
+    block_states = np.empty((FACTOR_CHUNK, n_frames, pipeline.n_theta)).transpose(0, 2, 1)
 
     def _run_block(idx: np.ndarray, padded: np.ndarray) -> np.ndarray:
-        # frame-major within each clip, the layout of the reshaped states;
-        # frame means are summed in this memory order
-        states = np.empty((idx.size, n_frames, pipeline.n_theta)).transpose(0, 2, 1)
+        states = block_states[:idx.size]
         inputs = pad_to([corpus.features[i] for i in idx], n_frames, out=padded)
         with np.errstate(over="ignore", invalid="ignore"):
             for j, x in enumerate(inputs):
@@ -285,7 +286,7 @@ def with_node(corpus: Corpus, pipeline: PipelineSpec,
                 if pipeline.node_kind == "stno":
                     v = reservoir.stno_run(drive, pipeline.stno)
                 else:
-                    v = reservoir.node_run_reference(drive, t.gain, t.leak)
+                    v = reservoir.node_run_reference(drive, pipeline.tanh)
                 states[j] = reservoir.reshape_states(v, pipeline.n_theta, n_frames)
         if not np.all(np.isfinite(states)):
             raise NumericalError(f"{pipeline.node_kind} node states have non-finite entries")
@@ -361,34 +362,27 @@ def cross_validate(route: Route, n_train: int) -> CrossValReport:
     return CrossValReport.from_folds(route.pipeline.describe(), n_train, results)
 
 
-@dataclass(frozen=True)
-class SweepPoint:
-    alpha: float
-    wsr: float
-    wsr_std: float
-
-
 def sweep_spectra(manifest: Manifest, partition: SubsetPartition,
-                  base: PipelineSpec, *, noise_seed: int = 0,
-                  workers: int = 1) -> Corpus:
+                  base: PipelineSpec, *, workers: int = 1) -> Corpus:
     """Every clip realized once and run through the ``spectro_exp`` front
     end at alpha 1: its max-abs-normalized real spectrum.  ``alpha_sweep``
     derives each exponent's features from it.
     """
     pipe = replace(base, filter_kind="spectro_exp", alpha=1.0)
-    return prepare_corpus(manifest, partition, pipe, noise_seed=noise_seed, workers=workers)
+    return prepare_corpus(manifest, partition, pipe, workers=workers)
 
 
 def alpha_sweep(spectra: Corpus, pipeline: PipelineSpec, alphas: Sequence[float],
-                n_train: int) -> list[SweepPoint]:
-    """Baseline test WSR as a function of the spectral exponent.
+                n_train: int) -> list[CrossValReport]:
+    """The baseline route's cross-validation at each spectral exponent, in
+    the order given.
 
     ``spectra`` is a ``sweep_spectra`` corpus; ``pipeline`` sets the
     readout.  Each exponent's features are the ``spectro_exp`` front end's:
     ``exponent_transform`` of each clip's ``spectra.features``, checked as
     a ``FeatureMatrix`` and padded by ``pad_to`` inside ``_reduce``.
     """
-    points = []
+    reports = []
     for alpha in (float(a) for a in alphas):
 
         def _run_block(idx: np.ndarray, padded: np.ndarray) -> np.ndarray:
@@ -402,9 +396,8 @@ def alpha_sweep(spectra: Corpus, pipeline: PipelineSpec, alphas: Sequence[float]
 
         pipe = replace(pipeline, filter_kind="spectro_exp", alpha=alpha, node_kind=None)
         route = _reduce(spectra, pipe, spectra.features[0].n_rows, _run_block, None)
-        report = cross_validate(route, n_train)
-        points.append(SweepPoint(alpha, report.test.wsr, report.test.wsr_std))
-    return points
+        reports.append(cross_validate(route, n_train))
+    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +430,7 @@ class ConditionReport:
 def stratified_report(manifest: Manifest, pipeline: PipelineSpec,
                       train_utterances: int, *,
                       test_snrs: Sequence[float], test_noise_types: Sequence[str],
-                      noise_seed: int = 0, workers: int = 1) -> ConditionReport:
+                      workers: int = 1) -> ConditionReport:
     """Train once on a mixed-condition pool, test per condition cell.
 
     Entries with an utterance index below ``train_utterances`` form the
@@ -475,8 +468,8 @@ def stratified_report(manifest: Manifest, pipeline: PipelineSpec,
     for (ntype, snr), n in zip(cells, n_cell_clips):
         if n == 0:
             raise DataError(f"no test clips for condition ({ntype!r}, {snr} dB)")
-    corpus = _featurized(entries, groups, pipeline, sample_rate=manifest.sample_rate,
-                         noise_seed=noise_seed, workers=workers)
+    corpus = _featurized(replace(manifest, entries=tuple(entries)), groups, pipeline,
+                         workers=workers)
 
     def _grid(route: Route) -> np.ndarray:
         model = solve([route.factors[0]], route.pipeline.readout)

@@ -37,8 +37,6 @@ def exponent_transform(x: np.ndarray, alpha: float) -> np.ndarray:
     if not math.isfinite(alpha):
         raise ConfigError(f"exponent must be finite, got {alpha}")
     x = np.asarray(x, dtype=np.float64)
-    if alpha == 0.0:
-        return np.ones_like(x)
     n = math.ceil(alpha - 0.5)
     eps = alpha - n
     mag = np.abs(x) ** alpha

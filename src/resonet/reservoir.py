@@ -148,21 +148,17 @@ def stno_run(x: np.ndarray, p: StnoParams, v0: float | None = None) -> np.ndarra
     return _linear_scan((1.0 - a) * v_inf, a, v0)
 
 
-def node_run_reference(x: np.ndarray, gain: float = 1.0, leak: float = 1.0,
-                       v0: float = 0.0) -> np.ndarray:
+def node_run_reference(x: np.ndarray, p: TanhParams, v0: float = 0.0) -> np.ndarray:
     """Leaky-tanh reference node used for cross-checks.
 
-    v_i = (1 - leak) * v_{i-1} + leak * tanh(gain * x_i); there is no
-    state feedback into the nonlinearity.  ``leak = 0`` freezes the state
+    v_i = (1 - p.leak) * v_{i-1} + p.leak * tanh(p.gain * x_i); there is no
+    state feedback into the nonlinearity.  ``p.leak = 0`` freezes the state
     at ``v0``.
     """
-    if not 0.0 <= leak <= 1.0:
-        raise ConfigError(f"leak must lie in [0, 1], got {leak}")
     x = np.asarray(x, dtype=np.float64)
     if x.size == 0:
         return np.empty(0)
-    z = np.tanh(gain * x)
-    return _linear_scan(leak * z, 1.0 - leak, v0)
+    return _linear_scan(p.leak * np.tanh(p.gain * x), 1.0 - p.leak, v0)
 
 
 @lru_cache(maxsize=16)

@@ -74,10 +74,10 @@ def _lfilter_stno_run(x, p, v0=None):
     return lfilter([1.0], [1.0, -a], (1.0 - a) * v_inf, zi=[a * v0])[0]
 
 
-def _lfilter_node_run_reference(x, gain=1.0, leak=1.0, v0=0.0):
+def _lfilter_node_run_reference(x, p, v0=0.0):
     """``reservoir.node_run_reference`` as ``scipy.signal.lfilter`` evaluates it."""
-    z = np.tanh(gain * np.asarray(x, dtype=np.float64))
-    return lfilter([leak], [1.0, -(1.0 - leak)], z, zi=[(1.0 - leak) * v0])[0]
+    z = np.tanh(p.gain * np.asarray(x, dtype=np.float64))
+    return lfilter([p.leak], [1.0, -(1.0 - p.leak)], z, zi=[(1.0 - p.leak) * v0])[0]
 
 
 @pytest.fixture()

@@ -450,10 +450,12 @@ def test_criterion_10_reference_corpus_numbers():
         assert abs(total - want_total) <= 2.0, f"{kind} total {total:.1f}"
         lines.append(f"{kind}: base {base:.1f}, total {total:.1f}")
     base_pipe = PipelineSpec(filter_kind="spectro_exp", alpha=1.0)
-    points = alpha_sweep(sweep_spectra(manifest, partition, base_pipe, workers=WORKERS),
-                         base_pipe, (0.0, 0.2, 0.5, 1.0, 2.0, 4.0), 9)
-    peak = max(points, key=lambda pt: pt.wsr)
-    assert peak.alpha == 0.2, f"sweep peak at alpha={peak.alpha}"
-    assert abs(peak.wsr - 88.0) <= 3.0, f"sweep peak {peak.wsr:.1f}"
+    alphas = (0.0, 0.2, 0.5, 1.0, 2.0, 4.0)
+    reports = alpha_sweep(sweep_spectra(manifest, partition, base_pipe, workers=WORKERS),
+                          base_pipe, alphas, 9)
+    peak_alpha, peak = max(zip(alphas, reports), key=lambda p: p[1].test.wsr)
+    peak_wsr = peak.test.wsr
+    assert peak_alpha == 0.2, f"sweep peak at alpha={peak_alpha}"
+    assert abs(peak_wsr - 88.0) <= 3.0, f"sweep peak {peak_wsr:.1f}"
     print("PASS criterion 10: " + "; ".join(lines) +
-          f"; sweep peak {peak.wsr:.1f} at alpha={peak.alpha}")
+          f"; sweep peak {peak_wsr:.1f} at alpha={peak_alpha}")

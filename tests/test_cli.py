@@ -169,8 +169,7 @@ def test_export_features_cells_are_the_clip_features_bit_for_bit(exported):
         rows_of.setdefault(cells[0], []).append(cells)
     assert list(rows_of) == [e.clip_id for e in manifest.entries]
     for entry in manifest.entries:
-        want = entry_features(entry, pipeline, manifest.sample_rate,
-                              cfg["corpus.noise_seed"]).values
+        want = entry_features(entry, pipeline, manifest).values
         rows = rows_of[entry.clip_id]
         assert [int(r[frame]) for r in rows] == list(range(want.shape[1]))
         got = np.array([[float(c) for c in r[first_x:]] for r in rows]).T

@@ -1,9 +1,15 @@
+import dataclasses
+import importlib
+import inspect
 import math
+import pkgutil
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+import resonet
 from resonet.config import (GENERATOR_NAME, RunConfig, SCHEMA,
                             apply_seed_overrides, parse_config)
 from resonet.errors import ConfigError
@@ -263,3 +269,38 @@ def test_readme_configuration_defaults_are_the_schema_defaults():
     for key, text in documented.items():
         parser, default = SCHEMA[key]
         assert parser(text, key) == default, key
+
+
+def _library_defaults():
+    """(owner, name, default) for every parameter of a public function and
+    every field of a public dataclass in ``src/resonet`` with a default."""
+    out = []
+    for info in pkgutil.walk_packages(resonet.__path__, "resonet."):
+        module = importlib.import_module(info.name)
+        for owner, obj in vars(module).items():
+            if owner.startswith("_") or getattr(obj, "__module__", None) != info.name:
+                continue
+            if dataclasses.is_dataclass(obj):
+                pairs = [(f.name, f.default) for f in dataclasses.fields(obj)]
+            elif inspect.isfunction(obj):
+                pairs = [(q.name, q.default) for q in inspect.signature(obj).parameters.values()]
+            else:
+                continue
+            out += [(f"{info.name}.{owner}", name, default) for name, default in pairs
+                    if default not in (None, dataclasses.MISSING, inspect.Parameter.empty)]
+    return out
+
+
+def test_every_library_default_of_a_setting_is_the_config_default():
+    """A library parameter or field named as a setting (the last part of a
+    schema key that no other key shares) defaults to that key's default,
+    so a library caller gets what an empty config gets."""
+    last = Counter(key.rsplit(".", 1)[1] for key in SCHEMA)
+    setting = {key.rsplit(".", 1)[1]: key for key in SCHEMA
+               if last[key.rsplit(".", 1)[1]] == 1}
+    checked = [(owner, name, default, SCHEMA[setting[name]][1])
+               for owner, name, default in _library_defaults() if name in setting]
+    assert ("resonet.dataset.realize_clip", "noise_seed") in \
+        {(owner, name) for owner, name, _, _ in checked}
+    assert len(checked) >= 30
+    assert [c for c in checked if c[2] != c[3]] == []

@@ -14,7 +14,7 @@ from resonet.config import SCHEMA
 from resonet.dataset import SubsetPartition, realize_clip
 from resonet.errors import ConfigError, DataError, NumericalError
 from resonet.evalharness import (CrossValReport, FoldSpec, PipelineSpec, Route,
-                                 SweepPoint, alpha_sweep, baseline_route,
+                                 alpha_sweep, baseline_route,
                                  condition_markdown, cross_validate, enumerate_folds,
                                  prepare_corpus, report_to_csv, run_fold,
                                  stratified_report, summary_markdown, with_node)
@@ -122,10 +122,12 @@ def test_cochlear_features_are_worker_invariant(corpus):
     assert np.array_equal(pad_to(a.features), pad_to(b.features))
 
 
-def entry_features(entry, pipeline, sample_rate, noise_seed=0):
-    """One entry realized and run through the pipeline's front end on its
-    own: what ``corpus_features`` yields for it without a cache."""
-    return featurize(realize_clip(entry, sample_rate=sample_rate, noise_seed=noise_seed),
+def entry_features(entry, pipeline, manifest):
+    """One entry of ``manifest`` realized and run through the pipeline's
+    front end on its own: what ``corpus_features`` yields for it without a
+    cache."""
+    return featurize(realize_clip(entry, sample_rate=manifest.sample_rate,
+                                  noise_seed=manifest.noise_seed),
                      pipeline.filter_kind, pipeline.alpha, stft_cfg=pipeline.stft,
                      mfcc_cfg=pipeline.mfcc, cochlear_cfg=pipeline.cochlear)
 
@@ -145,9 +147,8 @@ def test_corpus_features_keeps_a_bounded_window_of_clips_in_flight(corpus, monke
         return featurize_(clip, *args, **kwargs)
 
     monkeypatch.setattr(evalharness, "featurize", counting_featurize)
-    feats = evalharness.corpus_features(manifest.entries[:40],
+    feats = evalharness.corpus_features(replace(manifest, entries=manifest.entries[:40]),
                                         PipelineSpec(filter_kind="spectro_exp", alpha=1.0),
-                                        sample_rate=manifest.sample_rate, noise_seed=0,
                                         workers=2)
     assert next(feats).clip_id == manifest.entries[0].clip_id
     seen = 0
@@ -169,7 +170,7 @@ def node_route(corpus, baseline):
     prep = with_node(baseline.corpus, NODE_PIPE)
     states, _ = reference_node_stage(pad_to(baseline.corpus.features), NODE_PIPE)
     by_id = {e.clip_id: e for e in manifest.entries}
-    feats = [entry_features(by_id[cid], NODE_PIPE, manifest.sample_rate)
+    feats = [entry_features(by_id[cid], NODE_PIPE, manifest)
              for cid in prep.corpus.clip_ids]
     return prep, states, feats
 
@@ -248,8 +249,7 @@ def reference_node_stage(tensors, pipeline):
         if pipeline.node_kind == "stno":
             v = stno_run(input_gain * d, pipeline.stno)
         else:
-            t = pipeline.tanh
-            v = node_run_reference(input_gain * d, t.gain, t.leak)
+            v = node_run_reference(input_gain * d, pipeline.tanh)
         states.append(reshape_states(v, pipeline.n_theta, n_frames))
     return np.stack(states), input_gain
 
@@ -553,8 +553,7 @@ def test_summary_markdown_mentions_routes(baseline):
     assert "Reservoir gain" not in text
 
 
-def reference_stratified_grid(manifest, pipeline, train_utterances, test_snrs,
-                              noise_seed):
+def reference_stratified_grid(manifest, pipeline, train_utterances, test_snrs):
     """The stratified grid as it once was computed, for ``synthetic-white``
     cells: every clip featurized and padded together, the node stage of
     ``reference_node_stage``, one ``train_pinv`` over the training clips,
@@ -566,8 +565,7 @@ def reference_stratified_grid(manifest, pipeline, train_utterances, test_snrs,
                                        else "synthetic-white"))
               for e in test] for snr in test_snrs]
     entries = train + [e for pool in cells for e in pool]
-    feats = [entry_features(e, pipeline, manifest.sample_rate, noise_seed)
-             for e in entries]
+    feats = [entry_features(e, pipeline, manifest) for e in entries]
     tensors = pad_to(feats)
     if pipeline.node_kind is not None:
         tensors, _ = reference_node_stage(tensors, pipeline)
@@ -588,15 +586,15 @@ def test_stratified_grid_matches_the_per_clip_reference(corpus, node_kind):
                         n_theta=24)
     snrs = (math.inf, 10.0)
     report = stratified_report(manifest, pipe, 8, test_snrs=snrs,
-                               test_noise_types=("synthetic-white",),
-                               noise_seed=2002, workers=4)
-    base = reference_stratified_grid(manifest, replace(pipe, node_kind=None), 8,
-                                     snrs, 2002)
+                               test_noise_types=("synthetic-white",), workers=4)
+    # the noise the CLI mixes, at the config's seed
+    manifest = replace(manifest, noise_seed=SCHEMA["corpus.noise_seed"][1])
+    base = reference_stratified_grid(manifest, replace(pipe, node_kind=None), 8, snrs)
     if node_kind is None:
         assert np.array_equal(report.wsr, base)
         assert report.gain is None
     else:
-        total = reference_stratified_grid(manifest, pipe, 8, snrs, 2002)
+        total = reference_stratified_grid(manifest, pipe, 8, snrs)
         assert np.array_equal(report.wsr, total)
         assert np.array_equal(report.gain, total - base)
 
@@ -607,8 +605,7 @@ def test_stratified_report_grid(corpus):
     report = stratified_report(
         manifest, pipe, 8,
         test_snrs=(math.inf, 10.0),
-        test_noise_types=("synthetic-white",),
-        noise_seed=2002, workers=4)
+        test_noise_types=("synthetic-white",), workers=4)
     assert report.wsr.shape == (2, 1)
     assert report.row_avg.shape == (2,)
     assert np.all(report.wsr >= 0.0) and np.all(report.wsr <= 100.0)
@@ -623,8 +620,7 @@ def test_stratified_with_gain_grid(corpus):
                         n_theta=24)
     report = stratified_report(
         manifest, pipe, 8,
-        test_snrs=(math.inf,), test_noise_types=("synthetic-white",),
-        noise_seed=2002, workers=4)
+        test_snrs=(math.inf,), test_noise_types=("synthetic-white",), workers=4)
     assert report.gain is not None
     assert report.gain.shape == report.wsr.shape
 
@@ -636,7 +632,7 @@ def test_stratified_grid_is_worker_invariant(corpus):
     reports = [stratified_report(
         manifest, pipe, 8,
         test_snrs=(math.inf, 10.0), test_noise_types=("synthetic-white",),
-        noise_seed=2002, workers=w) for w in (1, 2)]
+        workers=w) for w in (1, 2)]
     assert np.array_equal(reports[0].wsr, reports[1].wsr)
     assert np.array_equal(reports[0].gain, reports[1].gain)
 
@@ -670,7 +666,7 @@ def test_stratified_node_route_factors_only_the_training_pool(corpus, monkeypatc
     monkeypatch.setattr(evalharness, "with_node", keeping_with_node)
     monkeypatch.setattr(evalharness, "factor_blocks", counting_factor_blocks)
     stratified_report(manifest, pipe, 8, test_snrs=(math.inf, 10.0),
-                      test_noise_types=("synthetic-white",), noise_seed=2002, workers=4)
+                      test_noise_types=("synthetic-white",), workers=4)
     (base, prep), = routes
     assert list(base.subset_of) == [0] * 400 + [1, 2] * 100
     states, input_gain = reference_node_stage(pad_to(base.features), pipe)
@@ -680,8 +676,8 @@ def test_stratified_node_route_factors_only_the_training_pool(corpus, monkeypatc
 
 
 def _sweep(spectra, alphas, monkeypatch):
-    """``alpha_sweep``'s points, and each exponent's route and
-    cross-validation report."""
+    """``alpha_sweep``'s reports, and each exponent's route and the report
+    ``cross_validate`` gave for it."""
     swept, cross_validate_ = [], evalharness.cross_validate
 
     def keeping_cross_validate(prep, n_train):
@@ -704,10 +700,10 @@ def test_sweep_derives_each_exponent_as_the_spectro_exp_front_end(corpus, spectr
     manifest, partition = corpus
     assert {(fm.filter_kind, fm.alpha) for fm in spectra.features} == {("spectro_exp", 1.0)}
     assert min(fm.n_frames for fm in spectra.features) < spectra.n_frames_max
-    (point,), ((prep, _),) = _sweep(spectra, [alpha], monkeypatch)
-    assert point.alpha == alpha
+    (report,), ((prep, kept),) = _sweep(spectra, [alpha], monkeypatch)
     pipe = PipelineSpec(filter_kind="spectro_exp", alpha=alpha)
     want = prepare_corpus(manifest, partition, pipe, workers=4)
+    assert report is kept and report.pipeline == pipe.describe()
     assert prep.pipeline == pipe
     assert prep.corpus.clip_ids == want.clip_ids
     assert [fm.n_frames for fm in prep.corpus.features] == \
@@ -759,11 +755,12 @@ def test_sweep_readouts_match_the_plain_qr_on_every_fold(spectra, monkeypatch):
     entry, where plain QR leaves 65 rows running down to subnormals."""
     alphas = SCHEMA["sweep.alphas"][1]
     assert alphas[0] == 0.0
-    points, swept = _sweep(spectra, alphas, monkeypatch)
+    reports, swept = _sweep(spectra, alphas, monkeypatch)
     _plain_qr(monkeypatch)
-    want_points, want = _sweep(spectra, alphas, monkeypatch)
-    assert points == want_points
-    assert points[0] == SweepPoint(0.0, 10.0, 0.0)
+    want_reports, want = _sweep(spectra, alphas, monkeypatch)
+    points = [(r.test.wsr, r.test.wsr_std) for r in reports]
+    assert points == [(r.test.wsr, r.test.wsr_std) for r in want_reports]
+    assert points[0] == (10.0, 0.0)
     for (prep, report), (_, ref) in zip(swept, want):
         _assert_same_readouts(prep, report, ref)
     zero, plain_zero = swept[0][0], want[0][0]

@@ -121,7 +121,7 @@ def test_stno_states_never_negative():
 def test_node_run_reference_matches_loop():
     rng = np.random.default_rng(9)
     x = rng.standard_normal(500)
-    got = node_run_reference(x, gain=1.3, leak=0.7, v0=0.2)
+    got = node_run_reference(x, TanhParams(gain=1.3, leak=0.7), v0=0.2)
     v = 0.2
     for i in range(x.size):
         v = (1 - 0.7) * v + 0.7 * math.tanh(1.3 * x[i])
@@ -164,7 +164,8 @@ def test_stno_run_matches_lfilter(lfilter_stno_run, n, t_relax, v0):
 def test_node_run_reference_matches_lfilter(lfilter_node_run_reference, n, leak, v0):
     """Every state within 1e-13 of lfilter's largest state magnitude."""
     x = np.random.default_rng(n).standard_normal(n)
-    got, want = node_run_reference(x, 1.3, leak, v0), lfilter_node_run_reference(x, 1.3, leak, v0)
+    p = TanhParams(gain=1.3, leak=leak)
+    got, want = node_run_reference(x, p, v0), lfilter_node_run_reference(x, p, v0)
     assert got.shape == want.shape == (n,)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
@@ -177,8 +178,8 @@ def test_scan_tables_hold_no_subnormal_power(lfilter_node_run_reference):
         for table in _scan_tables(a):
             assert not np.any((table != 0.0) & (np.abs(table) < tiny))
     x = np.random.default_rng(3).standard_normal(1_000)
-    got = node_run_reference(x, 1.3, 1.0 - 1e-6, 0.4)
-    want = lfilter_node_run_reference(x, 1.3, 1.0 - 1e-6, 0.4)
+    p = TanhParams(gain=1.3, leak=1.0 - 1e-6)
+    got, want = node_run_reference(x, p, 0.4), lfilter_node_run_reference(x, p, 0.4)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
@@ -198,4 +199,4 @@ def test_memoryless_oscillator_is_its_equilibrium_exactly(n, v0):
 @pytest.mark.parametrize("v0", [0.0, 2.5])
 def test_tanh_node_at_leak_one_is_tanh_exactly(n, v0):
     x = np.random.default_rng(n).standard_normal(n)
-    assert np.array_equal(node_run_reference(x, 1.3, 1.0, v0), np.tanh(1.3 * x))
+    assert np.array_equal(node_run_reference(x, TanhParams(gain=1.3), v0), np.tanh(1.3 * x))
