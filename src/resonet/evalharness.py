@@ -28,7 +28,7 @@ from .errors import CacheError, ConfigError, DataError, NumericalError
 from .filterbank import (CochlearConfig, FeatureMatrix, MfccConfig, StftConfig,
                          exponent_transform, featurize, pad_to)
 from .readout import (FACTOR_CHUNK, Metrics, ReadoutModel, ReadoutOptions, evaluate,
-                      factor_blocks, solve)
+                      factor_blocks, merge, solve)
 
 
 @dataclass(frozen=True)
@@ -50,6 +50,19 @@ class FoldSpec:
     @property
     def test_subsets(self) -> tuple[int, ...]:
         return tuple(k for k in range(N_SUBSETS) if k not in self.train_subsets)
+
+    @property
+    def train_runs(self) -> tuple[tuple[int, int], ...]:
+        """The train subsets as maximal runs of consecutive indices, in
+        order, each a (start, stop) range.  Test subsets separate the runs,
+        so there are at most min(N, 11 - N) of them."""
+        runs: list[list[int]] = []
+        for k in self.train_subsets:
+            if runs and runs[-1][1] == k:
+                runs[-1][1] = k + 1
+            else:
+                runs.append([k, k + 1])
+        return tuple((start, stop) for start, stop in runs)
 
     def describe(self) -> str:
         return "+".join(str(k) for k in self.train_subsets)
@@ -305,8 +318,11 @@ class FoldMetrics:
     model: ReadoutModel = field(compare=False, repr=False)
 
 
-def run_fold(fold: FoldSpec, route: Route) -> FoldMetrics:
-    """Train on the fold's train subsets' factors, score both splits."""
+def run_fold(fold: FoldSpec, route: Route,
+             merged: dict[tuple[int, int], np.ndarray] | None = None) -> FoldMetrics:
+    """Train on the factors of the fold's train runs (``_run_factor``,
+    which keeps every run factor it merges in ``merged``), score both
+    splits."""
     train_idx = route.corpus.indices_of_subsets(fold.train_subsets)
     test_idx = route.corpus.indices_of_subsets(fold.test_subsets)
     if train_idx.size == 0 or test_idx.size == 0:
@@ -317,11 +333,33 @@ def run_fold(fold: FoldSpec, route: Route) -> FoldMetrics:
     if missing:
         raise DataError(f"fold {fold.describe()} trains on subset {missing[0]}, "
                         "which the route did not factor")
-    model = solve([route.factors[k] for k in fold.train_subsets], route.pipeline.readout)
+    merged = {} if merged is None else merged
+    model = solve([_run_factor(route, start, stop, merged)
+                   for start, stop in fold.train_runs], route.pipeline.readout)
     return FoldMetrics(fold, evaluate(model, route.frame_means[train_idx],
                                       route.corpus.digits[train_idx]),
                        evaluate(model, route.frame_means[test_idx],
                                 route.corpus.digits[test_idx]), model)
+
+
+def _run_factor(route: Route, start: int, stop: int,
+                merged: dict[tuple[int, int], np.ndarray]) -> np.ndarray:
+    """The readout factor of subsets ``start`` to ``stop - 1``, which the
+    route has factored.  A single subset's is the route's own; a longer
+    run's is the ``merge`` of the run one subset shorter with that subset,
+    in subset order, made once and kept in ``merged``.  A run that ends at
+    the last subset grows at its start and any other at its end, so the
+    prefixes and the suffixes that the N = 9 folds solve from each form
+    one chain of merges."""
+    if stop - start == 1:
+        return route.factors[start]
+    if (start, stop) not in merged:
+        if stop == N_SUBSETS:
+            parts = [route.factors[start], _run_factor(route, start + 1, stop, merged)]
+        else:
+            parts = [_run_factor(route, start, stop - 1, merged), route.factors[stop - 1]]
+        merged[start, stop] = merge(parts)
+    return merged[start, stop]
 
 
 @dataclass(frozen=True)
@@ -353,12 +391,19 @@ def _aggregate(metrics: Sequence[Metrics]) -> Metrics:
 def cross_validate(route: Route, n_train: int) -> CrossValReport:
     """Run every fold, in fold order.
 
-    Every fold solves from the stacked factors of its train subsets,
-    which the route holds.  Folds run one after another, as BLAS runs on
-    one thread: a pool that ran folds on 2 threads cut ``bench`` by about
-    a sixth but raised its peak RSS from 152 to 250-273 MiB.
+    Every fold solves from the stacked factors of its train runs
+    (``FoldSpec.train_runs``), at most min(N, 11 - N) of them, each with
+    at most n_inputs rows.  Each run's factor is merged once per call from
+    the route's subset factors and shared by every fold that trains on
+    it: at N = 9 a fold stacks a prefix and a suffix of the ten subsets,
+    800 rows at ``n_theta`` 400 instead of nine subsets' 3 600, after 16
+    merges in all.  At N = 1 nothing is merged.  Folds run one after
+    another, as BLAS runs on one thread: a pool that ran folds on 2
+    threads cut ``bench`` by about a sixth but raised its peak RSS from
+    152 to 250-273 MiB.
     """
-    results = [run_fold(f, route) for f in enumerate_folds(n_train)]
+    merged: dict[tuple[int, int], np.ndarray] = {}
+    results = [run_fold(f, route, merged) for f in enumerate_folds(n_train)]
     return CrossValReport.from_folds(route.pipeline.describe(), n_train, results)
 
 

@@ -6,9 +6,11 @@ every frame: W = T pinv(V), the minimum-norm least-squares solution with
 singular values below ``rtol * sigma_max`` treated as zero.  Neither V
 nor T is formed.  ``factor`` reduces a pool of clips and their digits
 to the triangular factor [R | C] of [V^T | T^T] (R^T R = V V^T,
-R^T C = V T^T), one block of clips at a time, and ``solve`` stacks the
-factors of any number of pools and solves R W^T = C, which has the same
-singular values and the same minimum-norm solution as the full problem.
+R^T C = V T^T), one block of clips at a time; ``merge`` re-factors the
+stacked factors of disjoint pools into one factor of their union, and
+``solve`` stacks the factors of any number of pools and solves
+R W^T = C, which has the same singular values and the same minimum-norm
+solution as the full problem.
 Where inputs repeat exactly (at alpha = 0 every feature row is the same
 pattern of ones and padding zeros), each distinct input is factored once,
 so a factor has one R row per distinct input.  Classification applies W
@@ -121,21 +123,39 @@ def factor_blocks(blocks: Iterable[tuple[Sequence, Sequence[int]]],
             block[row:end, n_rows:n] = 1.0          # the bias column, if any
             block[row:end, n:] = np.eye(N_CLASSES)[d]   # the clip's one-hot target
             row = end
-        # rows past n hold only the residual of the targets, which no
-        # solution depends on
-        source = _copied_columns(block, n)
-        if source is None:
-            r = np.linalg.qr(block, mode="r")[:n]
-        else:
-            # QR over exact copies shrinks each copy's residue by about eps
-            # and then runs on subnormals; factor each distinct column once
-            kept, position = np.unique(source, return_inverse=True)
-            k = kept.size
-            rk = np.linalg.qr(block[:, np.r_[kept, n:n + N_CLASSES]], mode="r")[:k]
-            r = np.hstack([rk[:, position], rk[:, k:]])
+        r = _triangular(block, n)
     if r is None:
         raise DataError("no clips to factor")
     return r
+
+
+def merge(factors: Sequence[np.ndarray]) -> np.ndarray:
+    """One factor of the union of disjoint pools, from their factors.
+
+    The factors are stacked in the order given and factored again (the
+    TSQR merge step ``factor_blocks`` takes between blocks), so ``solve``
+    over the result equals ``solve`` over the stacked factors, with at
+    most n_inputs rows to work through instead of their sum.  No ridge
+    rows are added; ``solve`` adds them.
+    """
+    stacked = np.vstack(factors)
+    return _triangular(stacked, stacked.shape[1] - N_CLASSES)
+
+
+def _triangular(block: np.ndarray, n: int) -> np.ndarray:
+    """R-factor rows of ``block``, whose first ``n`` columns are inputs and
+    whose last N_CLASSES are targets, with one row per distinct input."""
+    # rows past n hold only the residual of the targets, which no
+    # solution depends on
+    source = _copied_columns(block, n)
+    if source is None:
+        return np.linalg.qr(block, mode="r")[:n]
+    # QR over exact copies shrinks each copy's residue by about eps
+    # and then runs on subnormals; factor each distinct column once
+    kept, position = np.unique(source, return_inverse=True)
+    k = kept.size
+    rk = np.linalg.qr(block[:, np.r_[kept, n:n + N_CLASSES]], mode="r")[:k]
+    return np.hstack([rk[:, position], rk[:, k:]])
 
 
 def _copied_columns(block: np.ndarray, n: int) -> np.ndarray | None:

@@ -459,8 +459,9 @@ def test_bench_featurizes_each_clip_once_and_trains_each_fold_once(conf, monkeyp
     # route, from its streamed node states on the total route ...
     assert factored == [(50, 65)] * 10 + [(50, 16)] * 10
     # ... and ten folds on each of the baseline and total routes are solved,
-    # each from its nine train subsets' factors, no more
-    assert trained == [9] * 20
+    # each from its train runs' factors: the first and last fold's one run,
+    # every other fold's prefix and suffix of the ten subsets
+    assert trained == [1, 2, 2, 2, 2, 2, 2, 2, 2, 1] * 2
     # export-features writes each clip's features and factors nothing
     factored.clear()
     assert run("export-features", conf) == 0

@@ -19,8 +19,8 @@ from resonet.evalharness import (CrossValReport, FoldSpec, PipelineSpec, Route,
                                  prepare_corpus, report_to_csv, run_fold,
                                  stratified_report, summary_markdown, with_node)
 from resonet.filterbank import featurize, pad_to
-from resonet.readout import (FACTOR_CHUNK, Metrics, factor, predict, predict_means,
-                             score_wsr, train_pinv)
+from resonet.readout import (FACTOR_CHUNK, Metrics, evaluate, factor, predict,
+                             predict_means, score_wsr, solve, train_pinv)
 from resonet.reservoir import (StnoParams, gen_mask, mask_and_flatten, node_run_reference,
                                reshape_states, stno_run)
 from test_readout import classify, score_mse
@@ -489,6 +489,69 @@ def test_run_fold_refuses_a_subset_that_was_not_factored(corpus):
     # the first fold, 0+...+8, needs subset 1 first
     with pytest.raises(DataError, match=r"fold 0\+1\+2\+3\+4\+5\+6\+7\+8 .*subset 1\b"):
         cross_validate(prep, 9)
+
+
+@pytest.mark.parametrize("n_train", range(1, 10))
+def test_train_runs_cover_each_folds_train_subsets(n_train):
+    """Contiguous, disjoint and in order; together exactly the train
+    subsets; at most min(N, 11 - N) of them, a bound some fold reaches."""
+    counts = []
+    for fold in enumerate_folds(n_train):
+        runs = fold.train_runs
+        assert all(start < stop for start, stop in runs)
+        assert all(a[1] < b[0] for a, b in zip(runs, runs[1:])), runs
+        assert tuple(k for start, stop in runs for k in range(start, stop)) == \
+            fold.train_subsets
+        counts.append(len(runs))
+    assert max(counts) == min(n_train, 11 - n_train)
+
+
+@pytest.mark.parametrize("n_train, n_merges", [(9, 16), (1, 0)])
+def test_cross_validate_merges_each_run_once(baseline, monkeypatch, n_train, n_merges):
+    """At N = 9 the prefixes and suffixes of the ten subsets take eight
+    merges each and every fold solves from at most two factors; at N = 1
+    each fold solves from its one subset's factor, as it stands."""
+    merged, solved = [], []
+    merge_, solve_ = evalharness.merge, evalharness.solve
+
+    def counting_merge(factors):
+        f = merge_(factors)
+        merged.append(f.shape[0])
+        return f
+
+    def counting_solve(factors, *args):
+        solved.append([f.shape[0] for f in factors])
+        return solve_(factors, *args)
+
+    monkeypatch.setattr(evalharness, "merge", counting_merge)
+    monkeypatch.setattr(evalharness, "solve", counting_solve)
+    report = cross_validate(baseline, n_train)
+    assert len(merged) == n_merges
+    assert all(rows <= 65 for rows in merged)
+    assert [len(s) for s in solved] == [len(f.fold.train_runs) for f in report.folds]
+    if n_train == 1:
+        assert [s[0] for s in solved] == [baseline.factors[k].shape[0] for k in range(10)]
+
+
+@pytest.mark.parametrize("n_train", [8, 5])
+def test_merged_runs_match_the_stacked_subset_factors(node_route, n_train):
+    """Beyond N = 9 a fold stacks up to min(N, 11 - N) merged runs, some in
+    the middle of the subset range; each fold's WSRs and decisions are
+    those of solving over its train subsets' factors, stacked."""
+    prep, _, _ = node_route
+    corpus = prep.corpus
+    report = cross_validate(prep, n_train)
+    assert max(len(f.fold.train_runs) for f in report.folds) == min(n_train, 11 - n_train)
+    for fm in report.folds:
+        want = solve([prep.factors[k] for k in fm.fold.train_subsets], prep.pipeline.readout)
+        rel = np.linalg.norm(fm.model.weights - want.weights) / np.linalg.norm(want.weights)
+        assert rel <= 1e-9, f"fold {fm.fold.describe()}: rel dev {rel:.3e}"
+        assert np.array_equal(predict_means(fm.model, prep.frame_means).argmax(axis=1),
+                              predict_means(want, prep.frame_means).argmax(axis=1))
+        for split, subsets in ((fm.train, fm.fold.train_subsets),
+                               (fm.test, fm.fold.test_subsets)):
+            idx = corpus.indices_of_subsets(subsets)
+            assert split.wsr == evaluate(want, prep.frame_means[idx], corpus.digits[idx]).wsr
 
 
 def test_cross_validate_aggregates_match_folds(baseline):

@@ -3,8 +3,8 @@ import pytest
 
 from resonet.errors import ConfigError, DataError
 from resonet.readout import (FACTOR_CHUNK, N_CLASSES, Metrics, ReadoutModel,
-                             ReadoutOptions, factor, predict, predict_means, score_wsr,
-                             solve, train_pinv)
+                             ReadoutOptions, factor, merge, predict, predict_means,
+                             score_wsr, solve, train_pinv)
 
 
 def classify(scores: np.ndarray) -> int:
@@ -300,3 +300,73 @@ def test_distinct_inputs_with_equal_sums_take_the_plain_qr(rng):
     f = factor([v], [6])
     block = np.asfortranarray(np.hstack([v.T, t.T]))
     assert np.array_equal(f, np.linalg.qr(block, mode="r")[:12])
+
+
+# ---------------------------------------------------------------------------
+# merged factors: one factor of the union of pools, solved as their stack
+
+def _low_rank_pool(rng, rank, n_clips=20, n_rows=12, n_frames=9):
+    """A pool whose inputs span only ``rank`` directions."""
+    basis = rng.standard_normal((n_rows, rank))
+    states = [basis @ rng.standard_normal((rank, n_frames)) for _ in range(n_clips)]
+    return states, [int(d) for d in rng.integers(0, 10, n_clips)]
+
+
+def _pools(rng, kind):
+    if kind == "random":
+        return [_toy_problem(rng, n_clips=c) for c in (3, 2 * FACTOR_CHUNK + 7, 20)]
+    if kind == "rank-deficient":
+        # rank 4 alone, rank 8 with the second pool, a short third pool
+        return [_low_rank_pool(rng, 4), _low_rank_pool(rng, 4),
+                _toy_problem(rng, n_clips=1, n_frames=5)]
+    if kind == "copies":
+        return [_copied_pool(rng, 30, A_FEW_COPIES), _copied_pool(rng, 20, A_FEW_COPIES),
+                _copied_pool(rng, 25, ALL_COPIES)]
+    raise ValueError(kind)
+
+
+@pytest.mark.parametrize("bias", [False, True])
+@pytest.mark.parametrize("kind", ["random", "rank-deficient", "copies"])
+def test_solve_over_a_merged_factor_matches_the_stacked_factors(rng, kind, bias):
+    """Merging the factors of disjoint pools, at once or one pool at a time
+    as the folds' runs are merged, solves to the weights and decisions of
+    the stacked factors."""
+    opts = ReadoutOptions(bias=bias)
+    pools = _pools(rng, kind)
+    factors = [factor(s, d, opts) for s, d in pools]
+    means = np.array([v.mean(axis=1) for s, _ in pools for v in s])
+    for used in ([0, 1], [1, 2], [0, 1, 2]):
+        want = solve([factors[k] for k in used], opts)
+        merged = [merge([factors[k] for k in used])]
+        if len(used) == 3:
+            merged.append(merge([merge(factors[:2]), factors[2]]))
+            merged.append(merge([factors[0], merge(factors[1:])]))
+        for f in merged:
+            assert f.shape[0] <= f.shape[1] - N_CLASSES
+            got = solve([f], opts)
+            rel = np.linalg.norm(got.weights - want.weights) / np.linalg.norm(want.weights)
+            assert rel <= 1e-10, (used, rel)
+            assert np.array_equal(predict_means(got, means).argmax(axis=1),
+                                  predict_means(want, means).argmax(axis=1)), used
+
+
+@pytest.mark.parametrize("bias", [False, True])
+def test_a_merged_factor_keeps_one_row_per_distinct_input(rng, bias):
+    """Inputs copied in every pool stay copies of the union, and are
+    merged as one row; an input copied in only some pools is distinct."""
+    opts = ReadoutOptions(bias=bias)
+    pools = [_copied_pool(rng, 30, A_FEW_COPIES), _copied_pool(rng, 40, A_FEW_COPIES),
+             _copied_pool(rng, 25, ALL_COPIES)]
+    factors = [factor(s, d, opts) for s, d in pools]
+    assert [f.shape[0] for f in factors] == [9 + bias, 9 + bias, 1 + bias]
+    for used in ([0, 1], [0, 2], [0, 1, 2]):
+        f = merge([factors[k] for k in used])
+        assert f.shape == (9 + bias, 12 + bias + N_CLASSES), used
+        _assert_factor_keeps_the_grams(f, *_pool_design(
+            [v for k in used for v in pools[k][0]],
+            [d for k in used for d in pools[k][1]], bias))
+    # copies of different sources: only the columns every pool copies
+    other = _copied_pool(rng, 30, [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 0])
+    f = merge([factors[0], factor(*other, opts)])
+    assert f.shape[0] == 12 + bias
+    assert merge([factors[2], factors[2]]).shape[0] == 1 + bias
