@@ -20,12 +20,12 @@ import math
 from dataclasses import dataclass, fields, replace
 from functools import partial
 from pathlib import Path
-from typing import Sequence
 
-from .dataset import NOISE_SEED, NOISE_TYPES, PHASE_MODES, SYNTH_SAMPLE_RATE, Manifest, \
-    SubsetPartition, build_synth_manifest, load_manifest, partition_subsets
+from .dataset import N_SUBSETS, NOISE_SEED, NOISE_TYPES, PHASE_MODES, SYNTH_SAMPLE_RATE, \
+    Manifest, SubsetPartition, build_synth_manifest, condition_fault, load_manifest, \
+    partition_subsets
 from .errors import ConfigError
-from .evalharness import PipelineSpec
+from .evalharness import PipelineSpec, condition_grid
 from .filterbank import FILTER_KINDS, CochlearConfig, MfccConfig, StftConfig
 from .readout import ReadoutOptions
 from .reservoir import StnoParams, TanhParams
@@ -73,18 +73,14 @@ def _parse_str(text: str, key: str) -> str:
 
 
 def _parse_conditions(text: str, key: str) -> tuple[tuple[str, float], ...]:
-    """``clean,synthetic-white@20,...`` -> ((type, snr), ...)."""
+    """``clean,synthetic-white@20,...`` -> ((type, snr), ...); ``clean`` is
+    ``clean@inf``, and an empty list is no conditions."""
     out = []
     for part in (p.strip() for p in text.split(",") if p.strip()):
-        if part == "clean":
-            out.append(("clean", math.inf))
-            continue
-        if "@" not in part:
+        ntype, at, snr = ("clean@inf" if part == "clean" else part).rpartition("@")
+        if not at:
             raise ConfigError(f"{key}: condition {part!r} needs type@snr")
-        ntype, snr = part.rsplit("@", 1)
         out.append((ntype.strip(), _parse_float(snr.strip(), key, snr=True)))
-    if not out:
-        raise ConfigError(f"{key}: empty condition list")
     return tuple(out)
 
 
@@ -112,7 +108,7 @@ SCHEMA: dict[str, tuple] = {
     "corpus.phase_mode": (_parse_str, "random"),
     "corpus.synth_seed": (_parse_int, 1001),
     "corpus.noise_seed": (_parse_int, NOISE_SEED),
-    "corpus.conditions": (_parse_str, ""),
+    "corpus.conditions": (_parse_conditions, ()),
 
     "filter.kind": (_parse_str, "spectro_exp"),
     "filter.alpha": (_parse_float, 1.0),
@@ -160,7 +156,10 @@ class RunConfig:
         out = []
         for key in sorted(self.values):
             val = self.values[key]
-            if isinstance(val, tuple):
+            if key == "corpus.conditions":  # as parsed, so every spelling stamps alike
+                text = ",".join("clean" if t == "clean" else f"{t}@{repr(s).removesuffix('.0')}"
+                                for t, s in val)
+            elif isinstance(val, tuple):
                 text = ",".join(repr(v) if isinstance(v, float) else str(v) for v in val)
             elif isinstance(val, bool):
                 text = "true" if val else "false"
@@ -215,12 +214,9 @@ class RunConfig:
         ``load_corpus`` also partitions it."""
         v = self.values
         if v["corpus.kind"] == "synthetic":
-            conditions = None
-            if v["corpus.conditions"]:
-                conditions = _parse_conditions(v["corpus.conditions"], "corpus.conditions")
             manifest = build_synth_manifest(
                 v["corpus.synth_seed"], phase_mode=v["corpus.phase_mode"],
-                sample_rate=v["corpus.sample_rate"], conditions=conditions)
+                sample_rate=v["corpus.sample_rate"], conditions=v["corpus.conditions"])
         elif not v["corpus.manifest"]:
             raise ConfigError("corpus.manifest is required when corpus.kind = manifest")
         else:
@@ -271,48 +267,26 @@ def _validate(cfg: RunConfig) -> None:
             raise ConfigError(f"{key}: seeds must be nonnegative")
     if v["corpus.sample_rate"] <= 0:
         raise ConfigError("corpus.sample_rate must be positive")
-    if not 1 <= v["eval.train_subsets"] <= 9:
-        raise ConfigError("eval.train_subsets must lie in 1..9")
+    if not 1 <= v["eval.train_subsets"] < N_SUBSETS:
+        raise ConfigError(f"eval.train_subsets must lie in 1..{N_SUBSETS - 1}")
     if v["corpus.kind"] == "manifest" and v["corpus.manifest"]:
         if not Path(v["corpus.manifest"]).expanduser().exists():
             raise ConfigError(f"corpus.manifest: file not found: {v['corpus.manifest']}")
-    if v["corpus.conditions"]:
-        if v["corpus.kind"] == "manifest":
-            raise ConfigError("corpus.conditions applies to a synthetic corpus only; "
-                              "a manifest tags its own clips")
-        pairs = _parse_conditions(v["corpus.conditions"], "corpus.conditions")
-        _check_noise_conditions("corpus.conditions", pairs, synthetic=True)
-        tagged = sorted({t for t, snr in pairs if t != "clean" and math.isinf(snr)})
-        if tagged:
-            raise ConfigError(f"corpus.conditions: {tagged} need a finite SNR")
-    _check_noise_conditions("strat.test_noise_types",
-                            [(t, snr) for t in v["strat.test_noise_types"]
-                             for snr in v["strat.test_snrs"]],
-                            synthetic=v["corpus.kind"] == "synthetic")
+    if v["corpus.conditions"] and v["corpus.kind"] == "manifest":
+        raise ConfigError("corpus.conditions applies to a synthetic corpus only; "
+                          "a manifest tags its own clips")
+    # a grid column must name a known type even where all its cells are clean
+    types = v["strat.test_noise_types"]
+    for key, pairs, synthetic in (
+            ("corpus.conditions", v["corpus.conditions"], True),
+            ("strat.test_noise_types", [(t, math.inf) for t in types if t not in NOISE_TYPES]
+             + condition_grid(v["strat.test_snrs"], types), v["corpus.kind"] == "synthetic")):
+        for ntype, snr in pairs:
+            fault = condition_fault(ntype, snr, synthetic=synthetic)
+            if fault:
+                raise ConfigError(f"{key}: {fault}")
     # exercise the typed constructors so bad values fail at parse time
     cfg.pipeline()
-
-
-def _check_noise_conditions(key: str, pairs: Sequence[tuple[str, float]], *,
-                            synthetic: bool) -> None:
-    """Reject (noise type, SNR) conditions no clip can be realized at.
-
-    A noisy condition (finite SNR) mixes noise into a synthesized clip,
-    and only ``synthetic-white`` needs no recorded noise bed; ``clean``
-    exists only at an infinite SNR.  File-backed clips carry their noise
-    already, so a corpus that is not synthetic may name any noise type.
-    """
-    unknown = sorted({t for t, _ in pairs} - set(NOISE_TYPES))
-    if unknown:
-        raise ConfigError(f"{key}: unknown noise type(s) {unknown}; "
-                          f"expected some of {NOISE_TYPES}")
-    noisy = {t for t, snr in pairs if not math.isinf(snr)}
-    if "clean" in noisy:
-        raise ConfigError(f"{key}: 'clean' cannot be used at a finite SNR")
-    bed = sorted(noisy - {"clean", "synthetic-white"})
-    if synthetic and bed:
-        raise ConfigError(f"{key}: {bed} need a recorded noise bed, "
-                          f"which a synthetic corpus does not have")
 
 
 def apply_seed_overrides(cfg: RunConfig, overrides: list[str]) -> RunConfig:

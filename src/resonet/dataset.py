@@ -7,6 +7,9 @@ point at mono PCM WAV files on disk or carry a synthesis recipe of the form
 rendered deterministically on demand.  The balanced profile used by the
 cross-validation harness is 10 digits x 5 speakers x 10 utterances = 500
 clips.
+
+Which (noise type, SNR) a clip can carry is decided here alone, by
+``condition_fault``, which labels, the noise mixer and the config all ask.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ N_SUBSETS = 10
 MANIFEST_COLUMNS = ("clip_id", "path", "digit", "speaker", "utterance",
                     "noise_type", "snr_db")
 
-#: condition tags a label may carry.  "clean" implies an infinite SNR.
+#: condition tags a label may carry, at the SNRs ``condition_fault`` allows
 NOISE_TYPES = ("clean", "subway", "babble", "car", "exhibition",
                "synthetic-white")
 
@@ -58,6 +61,22 @@ def _philox(*entropy: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(list(entropy))))
 
 
+def condition_fault(noise_type: str, snr_db: float, *, synthetic: bool) -> str | None:
+    """Why no clip can carry ``noise_type`` at ``snr_db`` dB, or None.  An
+    unknown type is the fault whatever the SNR; a ``synthetic`` clip has no
+    recorded noise bed, as its noise is mixed in when it is read."""
+    if noise_type not in NOISE_TYPES:
+        return f"unknown noise type {noise_type!r}; expected one of {NOISE_TYPES}"
+    if not (snr_db == math.inf if noise_type == "clean" else math.isfinite(snr_db)):
+        return (f"snr_db must be +inf when noise_type is clean and finite otherwise, "
+                f"as a finite SNR is the level of mixed-in noise; "
+                f"got {noise_type!r} at {snr_db} dB")
+    if synthetic and noise_type not in ("clean", "synthetic-white"):
+        return (f"noise type {noise_type!r} needs a recorded noise bed, "
+                f"which a synthetic clip does not have")
+    return None
+
+
 @dataclass(frozen=True)
 class DigitLabel:
     """Ground truth and recording condition for one clip."""
@@ -73,13 +92,9 @@ class DigitLabel:
             raise ManifestError(f"digit out of range: {self.digit}")
         if self.utterance < 0:
             raise ManifestError(f"utterance index out of range: {self.utterance}")
-        if self.noise_type not in NOISE_TYPES:
-            raise ManifestError(f"unknown noise_type: {self.noise_type!r}")
-        clean = self.noise_type == "clean"
-        if not (self.snr_db == math.inf if clean else math.isfinite(self.snr_db)):
-            raise ManifestError(
-                f"snr_db must be +inf when noise_type is clean and finite otherwise, "
-                f"got {self.noise_type!r} at {self.snr_db} dB")
+        fault = condition_fault(self.noise_type, self.snr_db, synthetic=False)
+        if fault:
+            raise ManifestError(fault)
 
 
 @dataclass(frozen=True)
@@ -443,10 +458,10 @@ def derived_noise_seed(base: int, clip_id: str, noise_type: str, snr_db: float) 
 def add_noise(clip: AudioClip, noise_type: str, snr_db: float, seed: int) -> AudioClip:
     """Mix noise into a clip at a prescribed signal-to-noise ratio.
 
-    ``synthetic-white`` noise is generated from the seed; every other
-    noise type needs a recorded noise bed, which a synthetic clip does not
-    have.  An infinite ``snr_db`` returns the input unchanged.  The mix is
-    rescaled only if it would clip, which leaves the ratio intact.
+    Only what ``condition_fault`` lets a synthetic clip carry is mixed:
+    ``synthetic-white`` noise, generated from the seed.  An infinite
+    ``snr_db`` returns the input unchanged.  The mix is rescaled only if it
+    would clip, which leaves the ratio intact.
     """
     if math.isinf(snr_db):
         return clip
@@ -454,10 +469,9 @@ def add_noise(clip: AudioClip, noise_type: str, snr_db: float, seed: int) -> Aud
     p_sig = float(np.mean(s * s))
     if p_sig == 0.0:
         raise DataError(f"clip {clip.clip_id!r}: cannot set an SNR on a silent clip")
-    if noise_type != "synthetic-white":
-        if noise_type in NOISE_TYPES and noise_type != "clean":
-            raise DataError(f"noise type {noise_type!r} needs a noise bed clip")
-        raise DataError(f"unknown noise_type: {noise_type!r}")
+    fault = condition_fault(noise_type, snr_db, synthetic=True)
+    if fault:
+        raise DataError(fault)
     noise = _philox(_TAG_NOISE, seed).standard_normal(s.size)
     p_noise = float(np.mean(noise * noise))
     target = p_sig / (10.0 ** (snr_db / 10.0))

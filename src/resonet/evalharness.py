@@ -14,7 +14,7 @@ import math
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from itertools import chain, combinations, groupby
+from itertools import combinations, groupby
 from pathlib import Path
 from typing import Callable, Collection, Iterator, Sequence
 
@@ -117,8 +117,8 @@ def corpus_features(manifest: Manifest, pipeline: PipelineSpec, *, workers: int,
     entry becomes features.  Consecutive entries that share a clip id (a
     ``stratified`` test clip's cells) form one run, whose source is read
     once (``read_clip``) and mixed with each entry's own noise tag.  Runs go
-    to a thread pool when ``workers > 1`` that keeps at most ``2 * workers``
-    runs in flight.  ``cache`` is a ``<cache root>/<feature hash>``
+    to a pool of ``workers`` threads that keeps at most ``2 * workers`` runs
+    in flight.  ``cache`` is a ``<cache root>/<feature hash>``
     directory, and a file in it from another configuration or for another
     clip is a ``CacheError``.  Only the configured front end on the
     manifest's own conditions may read it: not ``sweep`` (``spectro_exp`` at
@@ -142,19 +142,15 @@ def corpus_features(manifest: Manifest, pipeline: PipelineSpec, *, workers: int,
         return [fm]
 
     runs = (list(run) for _, run in groupby(manifest.entries, key=lambda e: e.clip_id))
-    # no pool at 1 worker: per-thread malloc arenas cost 90 -> 108 MiB peak RSS on sweep
-    if workers > 1:
-        # at most 2 * workers runs in flight, so a slow consumer holds only those
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            pending = deque()
-            for run in runs:
-                if len(pending) == 2 * workers:
-                    yield from pending.popleft().result()
-                pending.append(pool.submit(_load, run))
-            while pending:
+    # at most 2 * workers runs in flight, so a slow consumer holds only those
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        pending = deque()
+        for run in runs:
+            if len(pending) == 2 * workers:
                 yield from pending.popleft().result()
-    else:
-        yield from chain.from_iterable(map(_load, runs))
+            pending.append(pool.submit(_load, run))
+        while pending:
+            yield from pending.popleft().result()
 
 
 @dataclass(frozen=True, eq=False)
@@ -472,6 +468,13 @@ class ConditionReport:
         return float(self.wsr.mean())
 
 
+def condition_grid(snrs: Sequence[float], noise_types: Sequence[str]) -> list[tuple[str, float]]:
+    """Each stratified cell's (noise_type, snr) condition, row-major: a row
+    at an infinite snr is the clean condition in every column."""
+    return [("clean", math.inf) if math.isinf(snr) else (ntype, snr)
+            for snr in map(float, snrs) for ntype in noise_types]
+
+
 def stratified_report(manifest: Manifest, pipeline: PipelineSpec,
                       train_utterances: int, *,
                       test_snrs: Sequence[float], test_noise_types: Sequence[str],
@@ -480,7 +483,7 @@ def stratified_report(manifest: Manifest, pipeline: PipelineSpec,
 
     Entries with an utterance index below ``train_utterances`` form the
     training pool; everything else is the test pool.  Cell j is the j-th
-    (noise_type, snr) condition, row-major, ``"clean"`` at an infinite snr.
+    condition of ``condition_grid``.
     A synthetic test entry joins every distinct condition, relabeled with
     it; a file-backed one joins the condition that is its manifest tag.
     Each test clip's condition entries follow each other, after the training
@@ -498,8 +501,7 @@ def stratified_report(manifest: Manifest, pipeline: PipelineSpec,
     if not test_entries:
         raise DataError("stratified test pool is empty")
 
-    cells = [("clean", math.inf) if math.isinf(snr) else (ntype, snr)
-             for snr in map(float, test_snrs) for ntype in test_noise_types]
+    cells = condition_grid(test_snrs, test_noise_types)
     conditions = list(dict.fromkeys(cells))
     group_of = [1 + conditions.index(c) for c in cells]
     entries, groups = list(train_entries), [0] * len(train_entries)

@@ -27,23 +27,6 @@ from .transforms import exponent_transform, normalize_maxabs, spectro_hp_from_co
 
 FILTER_KINDS = ("spectro_exp", "spectro_hp", "mfcc", "cochlear")
 
-__all__ = [
-    "FILTER_KINDS",
-    "FeatureMatrix",
-    "StftConfig",
-    "MfccConfig",
-    "CochlearConfig",
-    "stft_complex",
-    "normalize_maxabs",
-    "exponent_transform",
-    "spectro_hp_from_complex",
-    "mfcc",
-    "cochleagram",
-    "design_center_freqs",
-    "featurize",
-    "pad_to",
-]
-
 
 @dataclass(frozen=True)
 class FeatureMatrix:

@@ -257,13 +257,25 @@ def test_missing_config_gives_exit_code_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("noise_types", ["white", "subway"])
-def test_unbuildable_stratified_noise_type_gives_exit_code_2(tmp_path, capsys, noise_types):
+def test_unbuildable_stratified_noise_type_gives_exit_code_2(tmp_path, capsys, monkeypatch,
+                                                             noise_types):
+    """Refused before any clip is synthesized."""
     conf = _write_conf(tmp_path, FAST_CONF.replace(
         "strat.test_noise_types = synthetic-white",
         f"strat.test_noise_types = {noise_types}"))
+    realized = _count_synth_digit(monkeypatch)
     code = run("stratified", conf)
     assert code == 2
     assert "strat.test_noise_types" in capsys.readouterr().err
+    assert realized == []
+
+
+def test_unbuildable_corpus_condition_gives_exit_code_2(tmp_path, capsys, monkeypatch):
+    conf = _write_conf(tmp_path, FAST_CONF + "corpus.conditions = clean,subway@10\n")
+    realized = _count_synth_digit(monkeypatch)
+    assert run("bench", conf) == 2
+    assert "corpus.conditions" in capsys.readouterr().err
+    assert realized == []
 
 
 def test_non_finite_node_states_give_exit_code_4(tmp_path, capsys):

@@ -12,8 +12,9 @@ import pytest
 import resonet
 from resonet.config import (GENERATOR_NAME, RunConfig, SCHEMA,
                             apply_seed_overrides, parse_config)
-from resonet.errors import ConfigError
-from resonet.evalharness import PipelineSpec
+from resonet.dataset import NOISE_TYPES, DigitLabel, add_noise, synth_digit
+from resonet.errors import ConfigError, DataError
+from resonet.evalharness import PipelineSpec, condition_grid
 
 
 def _write(tmp_path, text, name="run.conf"):
@@ -238,12 +239,80 @@ node.t_relax_ns = 300
     (BENCH_A2_STNO, "035b7971e49f5bb1", "ecc17e8116f717c6"),
     ("filter.kind = cochlear\n", "9ef408899be80376", "195880b6ebebb5f2"),
     (ONE_KEY_PER_DERIVED_SECTION, "07cf56294de251ec", "a799564d78601d77"),
-], ids=["defaults", "bench-a2-stno", "cochlear", "one-key-per-derived-section"])
+    ("corpus.conditions = clean,synthetic-white@20\n", "36f5e45ed3a76c68", "cee46a03a7f9f726"),
+    # the same conditions spelled otherwise: stamped by meaning, not by spelling
+    ("corpus.conditions = clean, synthetic-white@20.0\n", "36f5e45ed3a76c68",
+     "cee46a03a7f9f726"),
+    ("corpus.conditions = clean,synthetic-white@2e1\n", "36f5e45ed3a76c68", "cee46a03a7f9f726"),
+], ids=["defaults", "bench-a2-stno", "cochlear", "one-key-per-derived-section", "conditions",
+        "conditions-spaced-20.0", "conditions-2e1"])
 def test_config_stamps_are_pinned(tmp_path, text, config_hash, feature_hash):
     """Every report, model and feature cache carries these stamps; a schema
     change that moves one orphans every artifact written before it."""
     cfg = parse_config(_write(tmp_path, text))
     assert (cfg.config_hash(), cfg.feature_hash()) == (config_hash, feature_hash)
+
+
+@pytest.mark.parametrize("text", ["clean,synthetic-white@20", "synthetic-white@12.5,clean",
+                                  "synthetic-white@-3,synthetic-white@1e+20"])
+def test_a_plain_conditions_spelling_is_hashed_as_written(tmp_path, text):
+    """Without spaces, and with each SNR as ``repr`` writes it less a
+    trailing ``.0``, a conditions list is its own canonical spelling, so it
+    keeps the stamps it had when the text was hashed as written."""
+    cfg = parse_config(_write(tmp_path, f"corpus.conditions = {text}\n"))
+    assert f"corpus.conditions = {text}" in cfg.canonical_lines()
+
+
+def test_an_empty_conditions_list_means_no_conditions(tmp_path):
+    cfg = parse_config(_write(tmp_path, "corpus.conditions =\n"))
+    assert cfg["corpus.conditions"] == ()
+    assert cfg.config_hash() == parse_config(_write(tmp_path, "", "none.conf")).config_hash()
+    assert {(e.label.noise_type, e.label.snr_db) for e in cfg.manifest().entries} == \
+        {("clean", math.inf)}
+
+
+def _builds(make) -> bool:
+    try:
+        make()
+    except DataError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("kind", ["synthetic", "manifest"])
+@pytest.mark.parametrize("snr", [math.inf, 20.0], ids=["inf", "20dB"])
+@pytest.mark.parametrize("ntype", [*NOISE_TYPES, "white"])
+def test_config_accepts_a_condition_exactly_when_a_clip_can_carry_it(tmp_path, ntype, snr,
+                                                                    kind):
+    """The config's checks, the label and the noise mixer decide alike which
+    (noise type, SNR) a clip can carry, so a noise bed added to one of them
+    alone fails here."""
+    manifest = _write(tmp_path, "", "m.csv")
+    corpus = ("" if kind == "synthetic"
+              else f"corpus.kind = manifest\ncorpus.manifest = {manifest}\n")
+
+    def accepts(text: str) -> bool:
+        try:
+            parse_config(_write(tmp_path, corpus + text))
+        except ConfigError:
+            return False
+        return True
+
+    clip = synth_digit(3, 0, 0)
+
+    def carried(cell, mixed: bool) -> bool:
+        return (_builds(lambda: DigitLabel(3, "s0", 0, *cell))
+                and (not mixed or _builds(lambda: add_noise(clip, *cell, seed=1))))
+
+    # a corpus condition tags a synthetic clip, whose noise add_noise mixes in
+    assert accepts(f"corpus.conditions = {ntype}@{snr}\n") == \
+        (kind == "synthetic" and carried((ntype, snr), mixed=True))
+    # a grid column names a type some label carries, and each of its cells is
+    # a condition: clean in the infinite-SNR row, mixed in on a synthetic corpus
+    known = any(_builds(lambda: DigitLabel(3, "s0", 0, ntype, s)) for s in (math.inf, 20.0))
+    (cell,) = condition_grid([snr], [ntype])
+    assert accepts(f"strat.test_snrs = {snr}\nstrat.test_noise_types = {ntype}\n") == \
+        (known and carried(cell, mixed=kind == "synthetic" and math.isfinite(snr)))
 
 
 def test_default_config_builds_the_typed_defaults(tmp_path):

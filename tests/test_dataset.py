@@ -140,8 +140,8 @@ def test_load_manifest_rejects_duplicate_ids(tmp_path):
 @pytest.mark.parametrize("noise_type, snr", [("synthetic-white", "nan"), ("clean", "-inf")],
                          ids=["noisy-nan", "clean-minus-inf"])
 def test_load_manifest_refuses_an_snr_its_noise_type_cannot_have(tmp_path, noise_type, snr):
-    """A clean row is at +inf dB and a noisy row at a finite SNR, as the
-    config requires of its test conditions."""
+    """A clean row is at +inf dB and a noisy row at a finite SNR, the rule
+    (``condition_fault``) the config's conditions and the noise mixer share."""
     path = tmp_path / "m.csv"
     path.write_text("clip_id,path,digit,speaker,utterance,noise_type,snr_db\n"
                     "a,synth:1:1:0:random,1,s0,0,clean,inf\n"
