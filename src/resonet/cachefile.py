@@ -77,6 +77,11 @@ def _check_hash(path, stored: bytes, expected: bytes | str) -> None:
             f"(hash {stored.hex()}); {STALE_ADVICE}")
 
 
+def feature_cache_path(cache: Path, clip_id: str) -> Path:
+    """A clip's feature file in a ``<cache root>/<feature hash>`` directory."""
+    return cache / f"{clip_id}.rnbf"
+
+
 def write_feature_cache(path: str | Path, fm: FeatureMatrix,
                         config_hash: bytes | str) -> None:
     alpha = fm.alpha if fm.alpha is not None else float("nan")

@@ -27,6 +27,7 @@ import argparse
 import math
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -37,8 +38,7 @@ from .dataset import save_manifest
 from .errors import ConfigError, ResonetError
 from .evalharness import (Corpus, alpha_sweep, baseline_route, corpus_features,
                           condition_markdown, cross_validate, prepare_corpus,
-                          report_to_csv, stratified_report, summary_markdown,
-                          sweep_spectra, with_node)
+                          report_to_csv, stratified_report, summary_markdown, with_node)
 from .filterbank import exponent_transform
 
 PARITY_ALPHA_THRESHOLD = 100.0
@@ -78,7 +78,7 @@ def cmd_featurize(cfg: RunConfig, args) -> int:
     written = skipped = 0
     for fm in feats:
         # only this loop writes the files, so one that exists was read and checked
-        path = cache / f"{fm.clip_id}.rnbf"
+        path = cachefile.feature_cache_path(cache, fm.clip_id)
         if path.exists():
             skipped += 1
             continue
@@ -95,8 +95,8 @@ def cmd_bench(cfg: RunConfig, args) -> int:
     out = _out_dir(args)
     header = _header_lines(cfg)
 
-    corpus = prepare_corpus(manifest, partition, pipeline, workers=args.workers,
-                            cache=_feature_cache(cfg, args))
+    corpus = prepare_corpus(manifest, partition.groups(manifest), pipeline,
+                            workers=args.workers, cache=_feature_cache(cfg, args))
     baseline = cross_validate(baseline_route(corpus, pipeline), n_train)
     (out / "report_baseline.csv").write_text(report_to_csv(baseline, header))
     total = None
@@ -129,7 +129,10 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
         raise ConfigError("alpha sweep needs at least one exponent")
     out = _out_dir(args)
 
-    spectra = sweep_spectra(manifest, partition, pipeline, workers=args.workers)
+    # one spectrum pass, the spectro_exp front end at alpha 1, serves every exponent
+    spectra = prepare_corpus(manifest, partition.groups(manifest),
+                             replace(pipeline, filter_kind="spectro_exp", alpha=1.0),
+                             workers=args.workers)
     tests = [r.test for r in alpha_sweep(spectra, pipeline, alphas, n_train)]
     lines = [f"# {h}" for h in _header_lines(cfg)]
     lines.append("alpha,wsr_mean,wsr_std")

@@ -9,7 +9,8 @@ cross-validation harness is 10 digits x 5 speakers x 10 utterances = 500
 clips.
 
 Which (noise type, SNR) a clip can carry is decided here alone, by
-``condition_fault``, which labels, the noise mixer and the config all ask.
+``condition_fault``, which labels, manifest entries, the noise mixer and
+the config all ask.
 """
 
 from __future__ import annotations
@@ -125,6 +126,13 @@ class ManifestEntry:
     source: str  # filesystem path or "synth:..." recipe
     label: DigitLabel
 
+    def __post_init__(self) -> None:
+        # the label cannot know whether its clip is synthetic; the entry can
+        fault = condition_fault(self.label.noise_type, self.label.snr_db,
+                                synthetic=self.is_synthetic)
+        if fault:
+            raise ManifestError(fault)
+
     @property
     def is_synthetic(self) -> bool:
         return self.source.startswith("synth:")
@@ -151,12 +159,10 @@ class SubsetPartition:
     subsets: tuple[tuple[str, ...], ...]
     seed: int
 
-    def subset_of(self) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for k, ids in enumerate(self.subsets):
-            for cid in ids:
-                out[cid] = k
-        return out
+    def groups(self, manifest: Manifest) -> list[int]:
+        """The subset of each of ``manifest``'s entries, in entry order."""
+        subset_of = {cid: k for k, ids in enumerate(self.subsets) for cid in ids}
+        return [subset_of[e.clip_id] for e in manifest.entries]
 
 
 def _parse_snr(text: str, row: int) -> float:
@@ -207,19 +213,16 @@ def load_manifest(path: str | Path, *, sample_rate: int = SYNTH_SAMPLE_RATE) -> 
         try:
             label = DigitLabel(digit, speaker, utterance, ntype or "clean",
                                _parse_snr(snr_s, i))
+            if src.startswith("synth:"):
+                parse_recipe(src)  # syntax check only
+            else:
+                wav = path.parent / Path(src).expanduser()
+                if not wav.exists():
+                    raise ManifestError(f"audio file not found: {wav}")
+                src = str(wav)
+            entries.append(ManifestEntry(clip_id, src, label))
         except ManifestError as exc:
             raise ManifestError(f"manifest row {i}: {exc}") from None
-        if src.startswith("synth:"):
-            try:
-                parse_recipe(src)  # syntax check only
-            except ManifestError as exc:
-                raise ManifestError(f"manifest row {i}: {exc}") from None
-        else:
-            wav = path.parent / Path(src).expanduser()
-            if not wav.exists():
-                raise ManifestError(f"manifest row {i}: audio file not found: {wav}")
-            src = str(wav)
-        entries.append(ManifestEntry(clip_id, src, label))
     return Manifest(tuple(entries), sample_rate=sample_rate)
 
 
@@ -459,19 +462,19 @@ def add_noise(clip: AudioClip, noise_type: str, snr_db: float, seed: int) -> Aud
     """Mix noise into a clip at a prescribed signal-to-noise ratio.
 
     Only what ``condition_fault`` lets a synthetic clip carry is mixed:
-    ``synthetic-white`` noise, generated from the seed.  An infinite
-    ``snr_db`` returns the input unchanged.  The mix is rescaled only if it
-    would clip, which leaves the ratio intact.
+    ``synthetic-white`` noise, generated from the seed, and ``clean`` at an
+    infinite ``snr_db``, which returns the input unchanged.  The mix is
+    rescaled only if it would clip, which leaves the ratio intact.
     """
+    fault = condition_fault(noise_type, snr_db, synthetic=True)
+    if fault:
+        raise DataError(fault)
     if math.isinf(snr_db):
         return clip
     s = clip.samples
     p_sig = float(np.mean(s * s))
     if p_sig == 0.0:
         raise DataError(f"clip {clip.clip_id!r}: cannot set an SNR on a silent clip")
-    fault = condition_fault(noise_type, snr_db, synthetic=True)
-    if fault:
-        raise DataError(fault)
     noise = _philox(_TAG_NOISE, seed).standard_normal(s.size)
     p_noise = float(np.mean(noise * noise))
     target = p_sig / (10.0 ** (snr_db / 10.0))

@@ -21,14 +21,13 @@ from typing import Callable, Collection, Iterator, Sequence
 import numpy as np
 
 from . import reservoir
-from .cachefile import STALE_ADVICE, read_feature_cache
-from .dataset import (N_SUBSETS, Manifest, ManifestEntry, SubsetPartition, read_clip,
-                      realize_clip)
+from .cachefile import STALE_ADVICE, feature_cache_path, read_feature_cache
+from .dataset import N_SUBSETS, Manifest, ManifestEntry, read_clip, realize_clip
 from .errors import CacheError, ConfigError, DataError, NumericalError
 from .filterbank import (CochlearConfig, FeatureMatrix, MfccConfig, StftConfig,
                          exponent_transform, featurize, pad_to)
 from .readout import (FACTOR_CHUNK, Metrics, ReadoutModel, ReadoutOptions, evaluate,
-                      factor_blocks, merge, solve)
+                      extend, merge, solve)
 
 
 @dataclass(frozen=True)
@@ -111,8 +110,8 @@ class PipelineSpec:
 
 def corpus_features(manifest: Manifest, pipeline: PipelineSpec, *, workers: int,
                     cache: Path | None = None) -> Iterator[FeatureMatrix]:
-    """Every manifest entry's features, in entry order: read from
-    ``<cache>/<clip_id>.rnbf`` where that file exists, else realized at the
+    """Every manifest entry's features, in entry order: read from its file
+    in ``cache`` (``feature_cache_path``) where that exists, else realized at the
     manifest's sample rate and noise seed and featurized, the one place an
     entry becomes features.  Consecutive entries that share a clip id (a
     ``stratified`` test clip's cells) form one run, whose source is read
@@ -127,7 +126,7 @@ def corpus_features(manifest: Manifest, pipeline: PipelineSpec, *, workers: int,
     every run with a cache is a single entry.
     """
     def _load(run: list[ManifestEntry]) -> list[FeatureMatrix]:
-        path = None if cache is None else cache / f"{run[0].clip_id}.rnbf"
+        path = None if cache is None else feature_cache_path(cache, run[0].clip_id)
         if path is None or not path.exists():
             source = read_clip(run[0], sample_rate=manifest.sample_rate)
             return [featurize(realize_clip(e, sample_rate=manifest.sample_rate,
@@ -173,13 +172,14 @@ class Corpus:
         return np.flatnonzero(np.isin(self.subset_of, list(subsets)))
 
 
-def _featurized(manifest: Manifest, groups: Sequence[int], pipeline: PipelineSpec,
-                **load) -> Corpus:
-    """The manifest's entries, entry i in group ``groups[i]``, as
-    ``corpus_features`` (called with ``load``) featurizes them."""
+def prepare_corpus(manifest: Manifest, groups: Sequence[int], pipeline: PipelineSpec, *,
+                   workers: int, cache: Path | None = None) -> Corpus:
+    """The manifest's entries, entry i in group ``groups[i]``, featurized
+    by the pipeline's front end (``corpus_features``): the one place a
+    run's corpus is built."""
     return Corpus(tuple(e.clip_id for e in manifest.entries),
                   np.array([e.label.digit for e in manifest.entries]), np.array(groups),
-                  tuple(corpus_features(manifest, pipeline, **load)))
+                  tuple(corpus_features(manifest, pipeline, workers=workers, cache=cache)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,60 +198,42 @@ class Route:
     input_gain: float | None = None
 
 
-def _reduce(corpus: Corpus, pipeline: PipelineSpec, n_inputs: int,
-            run_block: Callable[[np.ndarray, np.ndarray], np.ndarray],
-            factored: Collection[int] | None, input_gain: float | None = None) -> Route:
+def _reduce(corpus: Corpus, pipeline: PipelineSpec, features: Callable[[int], FeatureMatrix],
+            node: Callable[[np.ndarray], np.ndarray] | None = None,
+            factored: Collection[int] | None = None, input_gain: float | None = None) -> Route:
     """The route ``pipeline`` of ``corpus``, with the groups in ``factored``
     (every group when None) factored.  Each group's clips are taken in
     index order, ``FACTOR_CHUNK`` at a time, the blocks ``factor`` forms.
-    ``run_block(idx, padded)`` gives those clips' readout inputs, shaped
-    (clips, n_inputs, n_frames_max), and may pad their features into
-    ``padded``, the one block buffer the route reuses.  Each block is
-    averaged over frames, stacked under its group's factor when the group
-    is factored, and dropped, so the inputs themselves are never kept."""
+    Their features, ``features(i)`` for clip i, are padded into the one
+    block buffer the route reuses, and ``node``, when given, maps that
+    block to the readout inputs, shaped (clips, n_inputs, n_frames_max).
+    Each block of inputs is averaged over frames, stacked under its
+    group's factor (``extend``) when the group is factored, and dropped."""
     padded = np.empty((FACTOR_CHUNK, corpus.features[0].n_rows, corpus.n_frames_max))
-    frame_means = np.empty((len(corpus.clip_ids), n_inputs))
-
-    def _blocks(idx: np.ndarray):
+    frame_means = None
+    factors: dict[int, np.ndarray] = {}
+    for group in (int(g) for g in np.unique(corpus.subset_of)):
+        idx = corpus.indices_of_subsets([group])
         for start in range(0, idx.size, FACTOR_CHUNK):
             chunk = idx[start:start + FACTOR_CHUNK]
-            block = run_block(chunk, padded)
+            block = pad_to([features(i) for i in chunk], corpus.n_frames_max, out=padded)
+            if node is not None:
+                block = node(block)
+            if frame_means is None:     # the input count is known from the first block on
+                frame_means = np.empty((len(corpus.clip_ids), block.shape[1]))
             frame_means[chunk] = block.mean(axis=2)
-            yield block, corpus.digits[chunk]
-            del block       # before the next block is made
-
-    factors = {}
-    for group in (int(g) for g in np.unique(corpus.subset_of)):
-        blocks = _blocks(corpus.indices_of_subsets([group]))
-        if factored is None or group in factored:
-            factors[group] = factor_blocks(blocks, pipeline.readout)
-        else:
-            deque(blocks, maxlen=0)     # frame means only, one block held at a time
+            if factored is None or group in factored:
+                factors[group] = extend(factors.get(group), block, corpus.digits[chunk],
+                                        pipeline.readout)
     return Route(corpus, pipeline, frame_means, factors, input_gain)
-
-
-def prepare_corpus(manifest: Manifest, partition: SubsetPartition,
-                   pipeline: PipelineSpec, *, workers: int = 1,
-                   cache: Path | None = None) -> Corpus:
-    """Every clip the partition covers, grouped by subset and featurized
-    (``corpus_features``) by the pipeline's front end."""
-    subset_of_map = partition.subset_of()
-    entries = tuple(e for e in manifest.entries if e.clip_id in subset_of_map)
-    if not entries:
-        raise DataError("no manifest entries covered by the partition")
-    return _featurized(replace(manifest, entries=entries),
-                       [subset_of_map[e.clip_id] for e in entries], pipeline,
-                       workers=workers, cache=cache)
 
 
 def baseline_route(corpus: Corpus, pipeline: PipelineSpec,
                    factored: Collection[int] | None = None) -> Route:
     """The baseline route of a corpus of ``pipeline``'s front end, its node
     ignored: padded features feed the readout, factored as ``_reduce`` says."""
-    return _reduce(corpus, replace(pipeline, node_kind=None), corpus.features[0].n_rows,
-                   lambda idx, padded: pad_to([corpus.features[i] for i in idx],
-                                              corpus.n_frames_max, out=padded),
-                   factored)
+    return _reduce(corpus, replace(pipeline, node_kind=None), corpus.features.__getitem__,
+                   factored=factored)
 
 
 def with_node(corpus: Corpus, pipeline: PipelineSpec,
@@ -282,13 +264,12 @@ def with_node(corpus: Corpus, pipeline: PipelineSpec,
                for fm in corpus.features)
     input_gain = pipeline.drive_ma / peak if peak > 0.0 else 0.0
     # frame-major within each clip, the layout of the reshaped states; frame
-    # means are summed in this memory order.  Like ``padded``, one buffer
-    # serves every block: a block is valid only until the next one.
+    # means are summed in this memory order.  Like ``_reduce``'s padded
+    # block, one buffer serves every block: a block is valid until the next.
     block_states = np.empty((FACTOR_CHUNK, n_frames, pipeline.n_theta)).transpose(0, 2, 1)
 
-    def _run_block(idx: np.ndarray, padded: np.ndarray) -> np.ndarray:
-        states = block_states[:idx.size]
-        inputs = pad_to([corpus.features[i] for i in idx], n_frames, out=padded)
+    def _node(inputs: np.ndarray) -> np.ndarray:
+        states = block_states[:len(inputs)]
         with np.errstate(over="ignore", invalid="ignore"):
             for j, x in enumerate(inputs):
                 drive = input_gain * reservoir.mask_and_flatten(x, mask)
@@ -303,7 +284,8 @@ def with_node(corpus: Corpus, pipeline: PipelineSpec,
             raise NumericalError("oscillator states must be nonnegative")
         return states
 
-    return _reduce(corpus, pipeline, pipeline.n_theta, _run_block, factored, input_gain)
+    return _reduce(corpus, pipeline, corpus.features.__getitem__, _node, factored,
+                   input_gain)
 
 
 @dataclass(frozen=True)
@@ -323,8 +305,6 @@ def run_fold(fold: FoldSpec, route: Route,
     test_idx = route.corpus.indices_of_subsets(fold.test_subsets)
     if train_idx.size == 0 or test_idx.size == 0:
         raise DataError(f"fold {fold.describe()} has an empty split")
-    if set(train_idx) & set(test_idx):
-        raise DataError(f"fold {fold.describe()} train/test overlap")
     missing = [k for k in fold.train_subsets if k not in route.factors]
     if missing:
         raise DataError(f"fold {fold.describe()} trains on subset {missing[0]}, "
@@ -403,41 +383,29 @@ def cross_validate(route: Route, n_train: int) -> CrossValReport:
     return CrossValReport.from_folds(route.pipeline.describe(), n_train, results)
 
 
-def sweep_spectra(manifest: Manifest, partition: SubsetPartition,
-                  base: PipelineSpec, *, workers: int = 1) -> Corpus:
-    """Every clip realized once and run through the ``spectro_exp`` front
-    end at alpha 1: its max-abs-normalized real spectrum.  ``alpha_sweep``
-    derives each exponent's features from it.
-    """
-    pipe = replace(base, filter_kind="spectro_exp", alpha=1.0)
-    return prepare_corpus(manifest, partition, pipe, workers=workers)
-
-
 def alpha_sweep(spectra: Corpus, pipeline: PipelineSpec, alphas: Sequence[float],
                 n_train: int) -> list[CrossValReport]:
     """The baseline route's cross-validation at each spectral exponent, in
     the order given.
 
-    ``spectra`` is a ``sweep_spectra`` corpus; ``pipeline`` sets the
+    ``spectra`` is the corpus through the ``spectro_exp`` front end at
+    alpha 1, its max-abs-normalized real spectra; ``pipeline`` sets the
     readout.  Each exponent's features are the ``spectro_exp`` front end's:
     ``exponent_transform`` of each clip's ``spectra.features``, checked as
-    a ``FeatureMatrix`` and padded by ``pad_to`` inside ``_reduce``.
+    a ``FeatureMatrix`` and padded inside ``_reduce``.
     """
     reports = []
     for alpha in (float(a) for a in alphas):
 
-        def _run_block(idx: np.ndarray, padded: np.ndarray) -> np.ndarray:
+        def _features(i: int) -> FeatureMatrix:
             # at alpha < 0 a zero entry divides by zero or a tiny one
             # overflows; FeatureMatrix then names the clip in a DataError
             with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                return pad_to([FeatureMatrix(
-                    exponent_transform(spectra.features[i].values, alpha),
-                    "spectro_exp", spectra.clip_ids[i], alpha) for i in idx],
-                    spectra.n_frames_max, out=padded)
+                return FeatureMatrix(exponent_transform(spectra.features[i].values, alpha),
+                                     "spectro_exp", spectra.clip_ids[i], alpha)
 
         pipe = replace(pipeline, filter_kind="spectro_exp", alpha=alpha, node_kind=None)
-        route = _reduce(spectra, pipe, spectra.features[0].n_rows, _run_block, None)
-        reports.append(cross_validate(route, n_train))
+        reports.append(cross_validate(_reduce(spectra, pipe, _features), n_train))
     return reports
 
 
@@ -515,8 +483,8 @@ def stratified_report(manifest: Manifest, pipeline: PipelineSpec,
     for (ntype, snr), n in zip(cells, n_cell_clips):
         if n == 0:
             raise DataError(f"no test clips for condition ({ntype!r}, {snr} dB)")
-    corpus = _featurized(replace(manifest, entries=tuple(entries)), groups, pipeline,
-                         workers=workers)
+    corpus = prepare_corpus(replace(manifest, entries=tuple(entries)), groups, pipeline,
+                            workers=workers)
 
     def _grid(route: Route) -> np.ndarray:
         model = solve([route.factors[0]], route.pipeline.readout)

@@ -6,9 +6,11 @@ every frame: W = T pinv(V), the minimum-norm least-squares solution with
 singular values below ``rtol * sigma_max`` treated as zero.  Neither V
 nor T is formed.  ``factor`` reduces a pool of clips and their digits
 to the triangular factor [R | C] of [V^T | T^T] (R^T R = V V^T,
-R^T C = V T^T), one block of clips at a time; ``merge`` re-factors the
-stacked factors of disjoint pools into one factor of their union, and
-``solve`` stacks the factors of any number of pools and solves
+R^T C = V T^T), one block of clips at a time; ``extend`` stacks one
+block under the factor so far, and a caller that makes its blocks one by
+one (the harness's ``_reduce``) calls it per block.  ``merge`` re-factors
+the stacked factors of disjoint pools into one factor of their union,
+and ``solve`` stacks the factors of any number of pools and solves
 R W^T = C, which has the same singular values and the same minimum-norm
 solution as the full problem.
 Where inputs repeat exactly (at alpha = 0 every feature row is the same
@@ -22,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -72,7 +74,7 @@ def factor(states: Sequence, digits: Sequence[int],
     R^T R = V V^T and R^T C = V T^T; when inputs (the bias row included)
     repeat exactly, it has one row per distinct input.  Clips are
     factored ``FACTOR_CHUNK`` at a time, each block stacked under the
-    factor so far (TSQR), so only one block of frames is ever held at once.
+    factor so far (``extend``), so only one block of frames is held at once.
     """
     if len(states) == 0 or len(states) != len(digits):
         raise DataError(
@@ -86,54 +88,50 @@ def factor(states: Sequence, digits: Sequence[int],
     for v in vs:
         if v.shape[0] != n_rows:
             raise DataError(f"inconsistent state row counts: {v.shape[0]} vs {n_rows}")
-    return factor_blocks(((vs[i:i + FACTOR_CHUNK], digits[i:i + FACTOR_CHUNK])
-                          for i in range(0, len(vs), FACTOR_CHUNK)), options)
-
-
-def factor_blocks(blocks: Iterable[tuple[Sequence, Sequence[int]]],
-                  options: ReadoutOptions = ReadoutOptions()) -> np.ndarray:
-    """Triangular factor [R | C] of a pool of clips given block by block.
-
-    ``blocks`` yields (states, digits) pairs, shaped as ``factor`` takes
-    them and checked by the caller; T is written here, each clip's frames
-    taking target columns that are zero but at its digit.  Each block is
-    stacked under the factor of the blocks before it and factored again
-    (TSQR), so only the current block's frames are held; the blocks may
-    be computed as they are consumed, and a yielded block is valid only
-    until the next one is requested.  Input columns of a stacked block
-    that are exact copies of an earlier one are left out of its QR and
-    take their factor column from that one, so the factor has one row
-    per distinct column; a block without copies is factored as it stands.
-    """
     r = None
-    for vs, digits in blocks:
-        n_rows = vs[0].shape[0]
-        n = n_rows + (1 if options.bias else 0)
-        if r is None:
-            r = np.empty((0, n + N_CLASSES))
-        # one frame per row, filled column-major: the layout LAPACK reads,
-        # which copies each clip's states without a strided transpose
-        block = np.empty((r.shape[0] + sum(v.shape[1] for v in vs), n + N_CLASSES),
-                         order="F")
-        block[:r.shape[0]] = r
-        row = r.shape[0]
-        for v, d in zip(vs, digits):
-            end = row + v.shape[1]
-            block[row:end, :n_rows] = v.T
-            block[row:end, n_rows:n] = 1.0          # the bias column, if any
-            block[row:end, n:] = np.eye(N_CLASSES)[d]   # the clip's one-hot target
-            row = end
-        r = _triangular(block, n)
-    if r is None:
-        raise DataError("no clips to factor")
+    for i in range(0, len(vs), FACTOR_CHUNK):
+        r = extend(r, vs[i:i + FACTOR_CHUNK], digits[i:i + FACTOR_CHUNK], options)
     return r
+
+
+def extend(r: np.ndarray | None, states: Sequence, digits: Sequence[int],
+           options: ReadoutOptions = ReadoutOptions()) -> np.ndarray:
+    """The factor [R | C] of a pool grown by one block of clips.
+
+    ``r`` is the factor of the blocks before (None before the first),
+    and ``states`` and ``digits`` the block's clips, shaped as ``factor``
+    takes them and checked by the caller; T is written here, each clip's
+    frames taking target columns that are zero but at its digit.  The
+    block is stacked under ``r`` and factored again (TSQR), so only its
+    frames are held.  Input columns that are exact copies of an earlier
+    one are left out of the QR and take their factor column from that
+    one, so the factor has one row per distinct column; a block without
+    copies is factored as it stands.
+    """
+    n_rows = states[0].shape[0]
+    n = n_rows + (1 if options.bias else 0)
+    if r is None:
+        r = np.empty((0, n + N_CLASSES))
+    # one frame per row, filled column-major: the layout LAPACK reads,
+    # which copies each clip's states without a strided transpose
+    block = np.empty((r.shape[0] + sum(v.shape[1] for v in states), n + N_CLASSES),
+                     order="F")
+    block[:r.shape[0]] = r
+    row = r.shape[0]
+    for v, d in zip(states, digits):
+        end = row + v.shape[1]
+        block[row:end, :n_rows] = v.T
+        block[row:end, n_rows:n] = 1.0          # the bias column, if any
+        block[row:end, n:] = np.eye(N_CLASSES)[d]   # the clip's one-hot target
+        row = end
+    return _triangular(block, n)
 
 
 def merge(factors: Sequence[np.ndarray]) -> np.ndarray:
     """One factor of the union of disjoint pools, from their factors.
 
     The factors are stacked in the order given and factored again (the
-    TSQR merge step ``factor_blocks`` takes between blocks), so ``solve``
+    TSQR merge step ``extend`` takes under each block), so ``solve``
     over the result equals ``solve`` over the stacked factors, with at
     most n_inputs rows to work through instead of their sum.  No ridge
     rows are added; ``solve`` adds them.

@@ -11,7 +11,7 @@ import pytest
 from scipy.signal import lfilter
 
 from resonet.dataset import build_synth_manifest, partition_subsets
-from resonet.evalharness import PipelineSpec, baseline_route, prepare_corpus, sweep_spectra
+from resonet.evalharness import PipelineSpec, baseline_route, prepare_corpus
 
 
 @pytest.fixture(scope="session")
@@ -28,7 +28,8 @@ def baseline(corpus):
     ``corpus`` is what the node routes reduce.  Built once per session."""
     manifest, partition = corpus
     pipe = PipelineSpec(filter_kind="spectro_exp", alpha=2.0)
-    return baseline_route(prepare_corpus(manifest, partition, pipe, workers=4), pipe)
+    return baseline_route(prepare_corpus(manifest, partition.groups(manifest), pipe,
+                                         workers=4), pipe)
 
 
 @pytest.fixture(scope="session")
@@ -37,7 +38,8 @@ def spectra(corpus):
     the sweep's spectra and the alpha = 1 routes' corpus.  Built once per
     session."""
     manifest, partition = corpus
-    return sweep_spectra(manifest, partition, PipelineSpec(filter_kind="mfcc"), workers=4)
+    pipe = PipelineSpec(filter_kind="spectro_exp", alpha=1.0)
+    return prepare_corpus(manifest, partition.groups(manifest), pipe, workers=4)
 
 
 @pytest.fixture()

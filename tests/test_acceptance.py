@@ -18,7 +18,7 @@ from resonet.cli import main
 from resonet.dataset import load_manifest, partition_subsets
 from resonet.evalharness import (PipelineSpec, alpha_sweep, baseline_route,
                                  cross_validate, enumerate_folds, prepare_corpus,
-                                 sweep_spectra, with_node)
+                                 with_node)
 from resonet.filterbank import exponent_transform, pad_to
 from resonet.readout import (ReadoutOptions, factor, predict, predict_means, score_wsr,
                              solve, train_pinv)
@@ -47,7 +47,9 @@ def _baseline_report(alpha: float):
         pipe = PipelineSpec(filter_kind="spectro_exp", alpha=alpha)
         features = _CACHE.get(("features", alpha))
         if features is None:
-            features = prepare_corpus(*_CACHE["corpus"], pipe, workers=WORKERS)
+            manifest, partition = _CACHE["corpus"]
+            features = prepare_corpus(manifest, partition.groups(manifest), pipe,
+                                      workers=WORKERS)
         prep = baseline_route(features, pipe)
         _CACHE[key] = (cross_validate(prep, 9), prep)
     return _CACHE[key]
@@ -442,7 +444,7 @@ def test_criterion_10_reference_corpus_numbers():
     lines = []
     for kind, (want_base, want_total) in expected.items():
         pipe = PipelineSpec(filter_kind=kind)
-        corpus = prepare_corpus(manifest, partition, pipe, workers=WORKERS)
+        corpus = prepare_corpus(manifest, partition.groups(manifest), pipe, workers=WORKERS)
         base = cross_validate(baseline_route(corpus, pipe), 9).test.wsr
         node = replace(pipe, node_kind="stno", n_theta=400)
         total = cross_validate(with_node(corpus, node), 9).test.wsr
@@ -451,8 +453,9 @@ def test_criterion_10_reference_corpus_numbers():
         lines.append(f"{kind}: base {base:.1f}, total {total:.1f}")
     base_pipe = PipelineSpec(filter_kind="spectro_exp", alpha=1.0)
     alphas = (0.0, 0.2, 0.5, 1.0, 2.0, 4.0)
-    reports = alpha_sweep(sweep_spectra(manifest, partition, base_pipe, workers=WORKERS),
-                          base_pipe, alphas, 9)
+    spectra = prepare_corpus(manifest, partition.groups(manifest), base_pipe,
+                             workers=WORKERS)
+    reports = alpha_sweep(spectra, base_pipe, alphas, 9)
     peak_alpha, peak = max(zip(alphas, reports), key=lambda p: p[1].test.wsr)
     peak_wsr = peak.test.wsr
     assert peak_alpha == 0.2, f"sweep peak at alpha={peak_alpha}"

@@ -278,6 +278,38 @@ def test_unbuildable_corpus_condition_gives_exit_code_2(tmp_path, capsys, monkey
     assert realized == []
 
 
+def test_a_noise_bed_type_on_a_synthetic_manifest_row_gives_exit_code_3(tmp_path, capsys,
+                                                                       monkeypatch):
+    """Refused when the manifest is read, before any clip is synthesized."""
+    manifest = tmp_path / "m.csv"
+    manifest.write_text("clip_id,path,digit,speaker,utterance,noise_type,snr_db\n"
+                        "a,synth:2:0:0:random,2,s0,0,clean,inf\n"
+                        "b,synth:3:0:0:random,3,s0,0,subway,10\n")
+    conf = _write_conf(tmp_path, f"corpus.kind = manifest\ncorpus.manifest = {manifest}\n")
+    realized = _count_synth_digit(monkeypatch)
+    assert run("featurize", conf) == 3
+    assert "manifest row 3: noise type 'subway' needs a recorded noise bed" in \
+        capsys.readouterr().err
+    assert realized == []
+
+
+def test_a_noise_bed_cell_on_a_synthetic_manifest_gives_exit_code_3(tmp_path, capsys,
+                                                                   monkeypatch):
+    """The config checks the grid of a manifest corpus as file-backed, but
+    every row ``synth-corpus`` writes is synthetic: relabeling a test clip
+    to a recorded-bed cell is refused before any clip is synthesized."""
+    assert run("synth-corpus", _write_conf(tmp_path)) == 0
+    conf = _write_conf(tmp_path, FAST_CONF.replace(
+        "corpus.kind = synthetic",
+        f"corpus.kind = manifest\ncorpus.manifest = {tmp_path / 'out' / 'manifest.csv'}")
+        .replace("strat.test_noise_types = synthetic-white", "strat.test_noise_types = subway"))
+    capsys.readouterr()
+    realized = _count_synth_digit(monkeypatch)
+    assert run("stratified", conf) == 3
+    assert "noise type 'subway' needs a recorded noise bed" in capsys.readouterr().err
+    assert realized == []
+
+
 def test_non_finite_node_states_give_exit_code_4(tmp_path, capsys):
     conf = _write_conf(tmp_path, FAST_CONF.replace("node.n_theta = 16", "node.n_theta = 4")
                        + "node.c = 1e300\nnode.drive_ma = 1e300\n")
@@ -445,23 +477,19 @@ def test_bench_featurizes_each_clip_once_and_trains_each_fold_once(conf, monkeyp
     import resonet.evalharness as evalharness
     featurized = _count_featurize(monkeypatch)
     factored, trained = [], []
-    solve, factor_blocks = evalharness.solve, evalharness.factor_blocks
+    solve, extend = evalharness.solve, evalharness.extend
 
-    def counting_factor_blocks(blocks, *args, **kwargs):
-        # a block is valid only until the next one is drawn: count as drawn
-        factored.append((0, None))
-
-        def counted():
-            for inputs, targets in blocks:
-                factored[-1] = (factored[-1][0] + len(inputs), inputs[0].shape[0])
-                yield inputs, targets
-        return factor_blocks(counted(), *args, **kwargs)
+    def counting_extend(r, inputs, *args, **kwargs):
+        if r is None:       # a group's first block starts its factor
+            factored.append((0, None))
+        factored[-1] = (factored[-1][0] + len(inputs), inputs[0].shape[0])
+        return extend(r, inputs, *args, **kwargs)
 
     def counting_solve(*args, **kwargs):
         trained.append(len(args[0]))
         return solve(*args, **kwargs)
 
-    monkeypatch.setattr(evalharness, "factor_blocks", counting_factor_blocks)
+    monkeypatch.setattr(evalharness, "extend", counting_extend)
     monkeypatch.setattr(evalharness, "solve", counting_solve)
     assert run("bench", conf) == 0
     assert len(featurized) == 500

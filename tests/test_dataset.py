@@ -151,6 +151,21 @@ def test_load_manifest_refuses_an_snr_its_noise_type_cannot_have(tmp_path, noise
         load_manifest(path)
 
 
+def test_load_manifest_refuses_a_noise_bed_type_on_a_synthetic_row(tmp_path):
+    """A ``synth:`` row is a synthetic clip, whose noise is mixed in when it
+    is read, so it cannot carry a recorded-bed type; a file row can."""
+    path = tmp_path / "m.csv"
+    _write_wav(tmp_path / "a.wav", 0.5 * np.sin(np.arange(800) * 0.3))
+    path.write_text("clip_id,path,digit,speaker,utterance,noise_type,snr_db\n"
+                    "a,a.wav,1,s0,0,subway,10\n"
+                    "b,synth:2:1:0:random,2,s0,0,subway,10\n")
+    with pytest.raises(ManifestError, match=r"row 3: noise type 'subway' needs a recorded "
+                                            r"noise bed"):
+        load_manifest(path)
+    with pytest.raises(ManifestError, match="noise bed"):
+        ManifestEntry("b", "synth:2:1:0:random", DigitLabel(2, "s0", 0, "babble", 10.0))
+
+
 def test_load_manifest_expands_a_home_relative_path(tmp_path, monkeypatch):
     home = tmp_path / "home"
     home.mkdir()
@@ -247,8 +262,16 @@ def test_add_noise_is_seed_deterministic():
 
 def test_add_noise_infinite_snr_is_identity():
     clip = AudioClip(np.full(100, 0.2), 12500, "c")
-    out = add_noise(clip, "subway", math.inf, seed=1)
+    out = add_noise(clip, "clean", math.inf, seed=1)
     assert out is clip
+
+
+@pytest.mark.parametrize("noise_type", ["white", "subway"])
+def test_add_noise_refuses_an_unbuildable_condition_at_an_infinite_snr(noise_type):
+    """The condition is checked before the infinite SNR returns the clip."""
+    clip = AudioClip(np.full(100, 0.2), 12500, "c")
+    with pytest.raises(DataError, match=repr(noise_type)):
+        add_noise(clip, noise_type, math.inf, seed=1)
 
 
 def test_add_noise_bed_types_need_a_bed():

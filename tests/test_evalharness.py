@@ -11,7 +11,7 @@ import resonet.evalharness as evalharness
 import resonet.readout as readout
 import resonet.reservoir as reservoir
 from resonet.config import SCHEMA
-from resonet.dataset import SubsetPartition, realize_clip
+from resonet.dataset import realize_clip
 from resonet.errors import ConfigError, DataError, NumericalError
 from resonet.evalharness import (CrossValReport, FoldSpec, PipelineSpec, Route,
                                  alpha_sweep, baseline_route,
@@ -82,7 +82,7 @@ def test_prepare_corpus_baseline_shapes(baseline, corpus):
     assert tensors.shape[1] == 65
     assert tensors.shape[2] == prep.corpus.n_frames_max
     assert prep.input_gain is None
-    where = partition.subset_of()
+    where = {cid: k for k, ids in enumerate(partition.subsets) for cid in ids}
     for i, cid in enumerate(prep.corpus.clip_ids):
         assert where[cid] == prep.corpus.subset_of[i]
 
@@ -104,8 +104,9 @@ def test_preparations_keep_the_front_end_features_unpadded(baseline, spectra):
 def test_prepare_corpus_worker_invariance(corpus):
     manifest, partition = corpus
     pipe = PipelineSpec(filter_kind="mfcc")
-    a = prepare_corpus(manifest, partition, pipe, workers=1)
-    b = prepare_corpus(manifest, partition, pipe, workers=4)
+    groups = partition.groups(manifest)
+    a = prepare_corpus(manifest, groups, pipe, workers=1)
+    b = prepare_corpus(manifest, groups, pipe, workers=4)
     assert a.clip_ids == b.clip_ids
     assert np.array_equal(pad_to(a.features), pad_to(b.features))
 
@@ -114,10 +115,11 @@ def test_cochlear_features_are_worker_invariant(corpus):
     """The cochlea's gain-control loop keeps its buffers per call, so the
     featurize thread pool cannot mix clips."""
     manifest, partition = corpus
-    small = SubsetPartition(tuple(ids[:2] for ids in partition.subsets[:3]), partition.seed)
+    picked = {cid for ids in partition.subsets[:3] for cid in ids[:2]}
+    small = replace(manifest, entries=tuple(e for e in manifest.entries if e.clip_id in picked))
     pipe = PipelineSpec(filter_kind="cochlear")
-    a = prepare_corpus(manifest, small, pipe, workers=1)
-    b = prepare_corpus(manifest, small, pipe, workers=2)
+    a = prepare_corpus(small, [0] * 6, pipe, workers=1)
+    b = prepare_corpus(small, [0] * 6, pipe, workers=2)
     assert a.clip_ids == b.clip_ids
     assert np.array_equal(pad_to(a.features), pad_to(b.features))
 
@@ -295,13 +297,8 @@ def test_streamed_node_route_matches_the_reference_at_block_edges(corpus, baseli
     else:                                      # 123 clips, then 377
         groups, factored = (np.arange(n) >= 123).astype(int), (0,)
     if route == "baseline":
-        manifest, partition = corpus
-        ids = np.array(baseline.corpus.clip_ids)
-        regrouped = SubsetPartition(tuple(tuple(ids[groups == k])
-                                          for k in range(groups.max() + 1)),
-                                    partition.seed)
-        prep = baseline_route(prepare_corpus(manifest, regrouped, baseline.pipeline,
-                                             workers=4),
+        manifest, _ = corpus
+        prep = baseline_route(prepare_corpus(manifest, groups, baseline.pipeline, workers=4),
                               baseline.pipeline, factored=factored)
         assert prep.corpus.clip_ids == baseline.corpus.clip_ids
         assert np.array_equal(prep.corpus.subset_of, groups)
@@ -337,7 +334,8 @@ def test_baseline_route_copies_the_corpus_once(corpus):
     pipe = PipelineSpec(filter_kind="spectro_exp", alpha=1.0)
     tracemalloc.start()
     try:
-        prep = baseline_route(prepare_corpus(manifest, partition, pipe), pipe, factored=())
+        prep = baseline_route(prepare_corpus(manifest, partition.groups(manifest), pipe,
+                                             workers=1), pipe, factored=())
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -483,8 +481,8 @@ def test_fold_metrics_match_clip_by_clip_scoring_on_every_fold(baseline):
 def test_run_fold_refuses_a_subset_that_was_not_factored(corpus):
     manifest, partition = corpus
     pipe = PipelineSpec(filter_kind="spectro_exp", alpha=2.0)
-    prep = baseline_route(prepare_corpus(manifest, partition, pipe, workers=4), pipe,
-                          factored=(0,))
+    prep = baseline_route(prepare_corpus(manifest, partition.groups(manifest), pipe,
+                                         workers=4), pipe, factored=(0,))
     assert sorted(prep.factors) == [0]
     # the first fold, 0+...+8, needs subset 1 first
     with pytest.raises(DataError, match=r"fold 0\+1\+2\+3\+4\+5\+6\+7\+8 .*subset 1\b"):
@@ -568,7 +566,8 @@ def test_cross_validate_aggregates_match_folds(baseline):
 def test_cross_validate_worker_invariance(baseline, corpus):
     # workers reach the featurize and node stages; folds run in order
     manifest, partition = corpus
-    serial = prepare_corpus(manifest, partition, baseline.pipeline, workers=1)
+    serial = prepare_corpus(manifest, partition.groups(manifest), baseline.pipeline,
+                            workers=1)
     a = cross_validate(baseline_route(serial, baseline.pipeline), 8)
     b = cross_validate(baseline, 8)
     assert len(a.folds) == len(b.folds) == 45
@@ -709,25 +708,21 @@ def test_stratified_node_route_factors_only_the_training_pool(corpus, monkeypatc
     pipe = PipelineSpec(filter_kind="spectro_exp", alpha=2.0, node_kind="stno",
                         n_theta=24)
     routes, factored = [], []
-    with_node_, factor_blocks_ = evalharness.with_node, evalharness.factor_blocks
+    with_node_, extend_ = evalharness.with_node, evalharness.extend
 
     def keeping_with_node(base, pipeline, factored=None):
         prep = with_node_(base, pipeline, factored)
         routes.append((base, prep))
         return prep
 
-    def counting_factor_blocks(blocks, *args):
-        # a block is valid only until the next one is drawn: count as drawn
-        factored.append(0)
-
-        def counted():
-            for inputs, targets in blocks:
-                factored[-1] += len(inputs)
-                yield inputs, targets
-        return factor_blocks_(counted(), *args)
+    def counting_extend(r, inputs, *args):
+        if r is None:       # a group's first block starts its factor
+            factored.append(0)
+        factored[-1] += len(inputs)
+        return extend_(r, inputs, *args)
 
     monkeypatch.setattr(evalharness, "with_node", keeping_with_node)
-    monkeypatch.setattr(evalharness, "factor_blocks", counting_factor_blocks)
+    monkeypatch.setattr(evalharness, "extend", counting_extend)
     stratified_report(manifest, pipe, 8, test_snrs=(math.inf, 10.0),
                       test_noise_types=("synthetic-white",), workers=4)
     (base, prep), = routes
@@ -765,7 +760,7 @@ def test_sweep_derives_each_exponent_as_the_spectro_exp_front_end(corpus, spectr
     assert min(fm.n_frames for fm in spectra.features) < spectra.n_frames_max
     (report,), ((prep, kept),) = _sweep(spectra, [alpha], monkeypatch)
     pipe = PipelineSpec(filter_kind="spectro_exp", alpha=alpha)
-    want = prepare_corpus(manifest, partition, pipe, workers=4)
+    want = prepare_corpus(manifest, partition.groups(manifest), pipe, workers=4)
     assert report is kept and report.pipeline == pipe.describe()
     assert prep.pipeline == pipe
     assert prep.corpus.clip_ids == want.clip_ids
@@ -849,7 +844,8 @@ def test_bench_readouts_match_the_plain_qr_on_every_fold(corpus, baseline,
     total = with_node(baseline.corpus, total_pipe)
     got = [(p, cross_validate(p, 9)) for p in (baseline, total)]
     _plain_qr(monkeypatch)
-    plain = prepare_corpus(manifest, partition, baseline.pipeline, workers=4)
+    plain = prepare_corpus(manifest, partition.groups(manifest), baseline.pipeline,
+                           workers=4)
     refs = (baseline_route(plain, baseline.pipeline), with_node(plain, total_pipe))
     for (prep, report), ref in zip(got, refs):
         assert sorted(ref.factors) == sorted(prep.factors) == list(range(10))
