@@ -26,8 +26,8 @@ from .dataset import N_SUBSETS, Manifest, ManifestEntry, read_clip, realize_clip
 from .errors import CacheError, ConfigError, DataError, NumericalError
 from .filterbank import (CochlearConfig, FeatureMatrix, MfccConfig, StftConfig,
                          exponent_transform, featurize, pad_to)
-from .readout import (FACTOR_CHUNK, Metrics, ReadoutModel, ReadoutOptions, evaluate,
-                      extend, merge, solve)
+from .readout import (FACTOR_CHUNK, Metrics, ReadoutModel, ReadoutOptions, design,
+                      design_buffer, evaluate, extend, merge, solve)
 
 
 @dataclass(frozen=True)
@@ -199,32 +199,43 @@ class Route:
 
 
 def _reduce(corpus: Corpus, pipeline: PipelineSpec, features: Callable[[int], FeatureMatrix],
-            node: Callable[[np.ndarray], np.ndarray] | None = None,
+            node: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
             factored: Collection[int] | None = None, input_gain: float | None = None) -> Route:
     """The route ``pipeline`` of ``corpus``, with the groups in ``factored``
     (every group when None) factored.  Each group's clips are taken in
     index order, ``FACTOR_CHUNK`` at a time, the blocks ``factor`` forms.
-    Their features, ``features(i)`` for clip i, are padded into the one
-    block buffer the route reuses, and ``node``, when given, maps that
-    block to the readout inputs, shaped (clips, n_inputs, n_frames_max).
-    Each block of inputs is averaged over frames, stacked under its
-    group's factor (``extend``) when the group is factored, and dropped."""
-    padded = np.empty((FACTOR_CHUNK, corpus.features[0].n_rows, corpus.n_frames_max))
-    frame_means = None
+    Each block's readout inputs are written once, into its
+    ``readout.design`` in the one design buffer the route reuses: the
+    features, ``features(i)`` for clip i, padded there, or, with
+    ``node``, the states that ``node(padded, inputs)`` writes into
+    ``inputs``, the design's frame rows shaped (clips, n_theta,
+    n_frames_max), from the features padded into one block buffer; it
+    returns their frame means.  Every block gives its clips' frame means,
+    and a block of a factored group is stacked under its factor
+    (``extend``)."""
+    n_frames, n_rows = corpus.n_frames_max, corpus.features[0].n_rows
+    n_inputs = n_rows if node is None else pipeline.n_theta
+    padded = None if node is None else np.empty((FACTOR_CHUNK, n_rows, n_frames))
+    buffer = design_buffer(n_inputs, FACTOR_CHUNK * n_frames, pipeline.readout)
+    frame_means = np.empty((len(corpus.clip_ids), n_inputs))
     factors: dict[int, np.ndarray] = {}
     for group in (int(g) for g in np.unique(corpus.subset_of)):
         idx = corpus.indices_of_subsets([group])
         for start in range(0, idx.size, FACTOR_CHUNK):
             chunk = idx[start:start + FACTOR_CHUNK]
-            block = pad_to([features(i) for i in chunk], corpus.n_frames_max, out=padded)
-            if node is not None:
-                block = node(block)
-            if frame_means is None:     # the input count is known from the first block on
-                frame_means = np.empty((len(corpus.clip_ids), block.shape[1]))
-            frame_means[chunk] = block.mean(axis=2)
+            r = factors.get(group)
+            stack = design(buffer, r, n_inputs, chunk.size * n_frames, pipeline.readout)
+            # the frame rows' inputs, clip by clip: a view, so written in place
+            inputs = np.reshape(stack[-chunk.size * n_frames:, :n_inputs],
+                                (chunk.size, n_frames, n_inputs), copy=False).transpose(0, 2, 1)
+            block = [features(i) for i in chunk]
+            if node is None:
+                frame_means[chunk] = pad_to(block, n_frames, out=inputs).mean(axis=2)
+            else:
+                frame_means[chunk] = node(pad_to(block, n_frames, out=padded), inputs)
             if factored is None or group in factored:
-                factors[group] = extend(factors.get(group), block, corpus.digits[chunk],
-                                        pipeline.readout)
+                factors[group] = extend(r, stack, corpus.digits[chunk],
+                                        [n_frames] * chunk.size, pipeline.readout)
     return Route(corpus, pipeline, frame_means, factors, input_gain)
 
 
@@ -250,7 +261,10 @@ def with_node(corpus: Corpus, pipeline: PipelineSpec,
     n_clips x n_theta x n_frames_max floats (173 MB on the default corpus).
     State integration restarts from the rest amplitude at every clip
     boundary.  The node runs one clip at a time, as the single physical
-    node does, one block of ``_reduce`` at a time; each block's states are
+    node does, one block of ``_reduce`` at a time, and writes each clip's
+    states straight into the block's design, so the route holds no state
+    buffer of its own; a clip's frame means are summed frame after frame
+    from the node's output, before it is written.  Each block's states are
     checked before they are reduced.  Overflow inside the node is not
     warned about: the state check reports it as a ``NumericalError``.
     The node's functions are called through the ``reservoir`` module, so a
@@ -263,26 +277,24 @@ def with_node(corpus: Corpus, pipeline: PipelineSpec,
     peak = max(float(np.abs(mask.entries @ pad_to([fm], n_frames)[0]).max())
                for fm in corpus.features)
     input_gain = pipeline.drive_ma / peak if peak > 0.0 else 0.0
-    # frame-major within each clip, the layout of the reshaped states; frame
-    # means are summed in this memory order.  Like ``_reduce``'s padded
-    # block, one buffer serves every block: a block is valid until the next.
-    block_states = np.empty((FACTOR_CHUNK, n_frames, pipeline.n_theta)).transpose(0, 2, 1)
 
-    def _node(inputs: np.ndarray) -> np.ndarray:
-        states = block_states[:len(inputs)]
+    def _node(padded: np.ndarray, states: np.ndarray) -> np.ndarray:
+        means = np.empty((len(padded), pipeline.n_theta))
         with np.errstate(over="ignore", invalid="ignore"):
-            for j, x in enumerate(inputs):
+            for j, x in enumerate(padded):
                 drive = input_gain * reservoir.mask_and_flatten(x, mask)
                 if pipeline.node_kind == "stno":
                     v = reservoir.stno_run(drive, pipeline.stno)
                 else:
                     v = reservoir.node_run_reference(drive, pipeline.tanh)
-                states[j] = reservoir.reshape_states(v, pipeline.n_theta, n_frames)
+                clip = reservoir.reshape_states(v, pipeline.n_theta, n_frames)
+                means[j] = clip.mean(axis=1)    # frame after frame, as the node ran
+                states[j] = clip
         if not np.all(np.isfinite(states)):
             raise NumericalError(f"{pipeline.node_kind} node states have non-finite entries")
         if pipeline.node_kind == "stno" and states.min() < 0.0:
             raise NumericalError("oscillator states must be nonnegative")
-        return states
+        return means
 
     return _reduce(corpus, pipeline, corpus.features.__getitem__, _node, factored,
                    input_gain)

@@ -6,9 +6,12 @@ every frame: W = T pinv(V), the minimum-norm least-squares solution with
 singular values below ``rtol * sigma_max`` treated as zero.  Neither V
 nor T is formed.  ``factor`` reduces a pool of clips and their digits
 to the triangular factor [R | C] of [V^T | T^T] (R^T R = V V^T,
-R^T C = V T^T), one block of clips at a time; ``extend`` stacks one
-block under the factor so far, and a caller that makes its blocks one by
-one (the harness's ``_reduce``) calls it per block.  ``merge`` re-factors
+R^T C = V T^T), one block of clips at a time.  A block's ``design`` is a
+column-major view into one flat buffer (``design_buffer``) that every
+block of a pool reuses; the caller writes the block's inputs into it,
+and ``extend`` writes the factor so far, the bias and the targets around
+them and factors the stack.  A caller that makes its blocks one by one
+(the harness's ``_reduce``) calls them per block.  ``merge`` re-factors
 the stacked factors of disjoint pools into one factor of their union,
 and ``solve`` stacks the factors of any number of pools and solves
 R W^T = C, which has the same singular values and the same minimum-norm
@@ -73,8 +76,9 @@ def factor(states: Sequence, digits: Sequence[int],
     n_inputs + N_CLASSES columns and at most n_inputs rows, with
     R^T R = V V^T and R^T C = V T^T; when inputs (the bias row included)
     repeat exactly, it has one row per distinct input.  Clips are
-    factored ``FACTOR_CHUNK`` at a time, each block stacked under the
-    factor so far (``extend``), so only one block of frames is held at once.
+    factored ``FACTOR_CHUNK`` at a time, each block's states written into
+    its ``design`` and stacked under the factor so far (``extend``), so
+    only one block of frames is held at once.
     """
     if len(states) == 0 or len(states) != len(digits):
         raise DataError(
@@ -88,42 +92,69 @@ def factor(states: Sequence, digits: Sequence[int],
     for v in vs:
         if v.shape[0] != n_rows:
             raise DataError(f"inconsistent state row counts: {v.shape[0]} vs {n_rows}")
+    starts = range(0, len(vs), FACTOR_CHUNK)
+    frames = [[v.shape[1] for v in vs[i:i + FACTOR_CHUNK]] for i in starts]
+    buffer = design_buffer(n_rows, max(map(sum, frames)), options)
     r = None
-    for i in range(0, len(vs), FACTOR_CHUNK):
-        r = extend(r, vs[i:i + FACTOR_CHUNK], digits[i:i + FACTOR_CHUNK], options)
+    for i, f in zip(starts, frames):
+        block = design(buffer, r, n_rows, sum(f), options)
+        row = block.shape[0] - sum(f)
+        for v in vs[i:i + FACTOR_CHUNK]:
+            block[row:row + v.shape[1], :n_rows] = v.T
+            row += v.shape[1]
+        r = extend(r, block, digits[i:i + FACTOR_CHUNK], f, options)
     return r
 
 
-def extend(r: np.ndarray | None, states: Sequence, digits: Sequence[int],
+def design_buffer(n_inputs: int, n_frames: int,
+                  options: ReadoutOptions = ReadoutOptions()) -> np.ndarray:
+    """One flat buffer that holds the ``design`` of any block of at most
+    ``n_frames`` frames of ``n_inputs`` inputs, under any factor of them."""
+    n = n_inputs + (1 if options.bias else 0)
+    return np.empty((n + n_frames) * (n + N_CLASSES))
+
+
+def design(buffer: np.ndarray, r: np.ndarray | None, n_inputs: int, n_frames: int,
            options: ReadoutOptions = ReadoutOptions()) -> np.ndarray:
+    """The design of a block of ``n_frames`` frames stacked under the
+    factor ``r`` (None before a pool's first block), as a view of the head
+    of ``buffer`` (``design_buffer``): the factor's rows, then one row per
+    frame; the ``n_inputs`` input columns, the bias column with
+    ``options.bias``, then N_CLASSES target columns.  The caller writes
+    the frames' inputs, the last ``n_frames`` rows of the first
+    ``n_inputs`` columns, and ``extend`` the rest.  It is column-major,
+    the layout LAPACK reads, so the QR copies each column whole.
+    """
+    n = n_inputs + (1 if options.bias else 0)
+    rows = (0 if r is None else r.shape[0]) + n_frames
+    return buffer[:rows * (n + N_CLASSES)].reshape((rows, n + N_CLASSES), order="F")
+
+
+def extend(r: np.ndarray | None, block: np.ndarray, digits: Sequence[int],
+           frames: Sequence[int], options: ReadoutOptions = ReadoutOptions()) -> np.ndarray:
     """The factor [R | C] of a pool grown by one block of clips.
 
-    ``r`` is the factor of the blocks before (None before the first),
-    and ``states`` and ``digits`` the block's clips, shaped as ``factor``
-    takes them and checked by the caller; T is written here, each clip's
-    frames taking target columns that are zero but at its digit.  The
-    block is stacked under ``r`` and factored again (TSQR), so only its
+    ``r`` is the factor of the blocks before (None before the first), and
+    ``block`` the block's ``design`` under it, its frames' inputs written;
+    clip i of the block has ``frames[i]`` frames and digit ``digits[i]``,
+    checked by the caller.  The factor's rows, the bias column and T are
+    written here, each clip's frames taking target columns that are zero
+    but at its digit, and the block is factored again (TSQR), so only its
     frames are held.  Input columns that are exact copies of an earlier
     one are left out of the QR and take their factor column from that
     one, so the factor has one row per distinct column; a block without
     copies is factored as it stands.
     """
-    n_rows = states[0].shape[0]
-    n = n_rows + (1 if options.bias else 0)
-    if r is None:
-        r = np.empty((0, n + N_CLASSES))
-    # one frame per row, filled column-major: the layout LAPACK reads,
-    # which copies each clip's states without a strided transpose
-    block = np.empty((r.shape[0] + sum(v.shape[1] for v in states), n + N_CLASSES),
-                     order="F")
-    block[:r.shape[0]] = r
-    row = r.shape[0]
-    for v, d in zip(states, digits):
-        end = row + v.shape[1]
-        block[row:end, :n_rows] = v.T
-        block[row:end, n_rows:n] = 1.0          # the bias column, if any
-        block[row:end, n:] = np.eye(N_CLASSES)[d]   # the clip's one-hot target
-        row = end
+    n = block.shape[1] - N_CLASSES
+    n_inputs = n - (1 if options.bias else 0)
+    row = 0
+    if r is not None:
+        row = r.shape[0]
+        block[:row] = r
+    for f, d in zip(frames, digits):
+        block[row:row + f, n_inputs:n] = 1.0          # the bias column, if any
+        block[row:row + f, n:] = np.eye(N_CLASSES)[d]   # the clip's one-hot target
+        row += f
     return _triangular(block, n)
 
 
@@ -134,10 +165,13 @@ def merge(factors: Sequence[np.ndarray]) -> np.ndarray:
     TSQR merge step ``extend`` takes under each block), so ``solve``
     over the result equals ``solve`` over the stacked factors, with at
     most n_inputs rows to work through instead of their sum.  No ridge
-    rows are added; ``solve`` adds them.
+    rows are added; ``solve`` adds them.  The stack is column-major, as
+    a block's ``design`` is.
     """
-    stacked = np.vstack(factors)
-    return _triangular(stacked, stacked.shape[1] - N_CLASSES)
+    width = factors[0].shape[1]
+    stacked = np.concatenate(factors, out=np.empty(
+        (sum(f.shape[0] for f in factors), width), order="F"))
+    return _triangular(stacked, width - N_CLASSES)
 
 
 def _triangular(block: np.ndarray, n: int) -> np.ndarray:

@@ -14,7 +14,8 @@ import pytest
 
 from resonet.cli import build_parser, main
 from resonet.config import parse_config
-from resonet.dataset import Manifest, build_synth_manifest, load_manifest, save_manifest
+from resonet.dataset import (N_CLASSES, Manifest, build_synth_manifest, load_manifest,
+                             save_manifest)
 from resonet.errors import DegenerateInputWarning
 from test_dataset import _write_wav
 from test_evalharness import entry_features
@@ -479,11 +480,12 @@ def test_bench_featurizes_each_clip_once_and_trains_each_fold_once(conf, monkeyp
     factored, trained = [], []
     solve, extend = evalharness.solve, evalharness.extend
 
-    def counting_extend(r, inputs, *args, **kwargs):
+    def counting_extend(r, block, digits, *args, **kwargs):
         if r is None:       # a group's first block starts its factor
             factored.append((0, None))
-        factored[-1] = (factored[-1][0] + len(inputs), inputs[0].shape[0])
-        return extend(r, inputs, *args, **kwargs)
+        # the block's design: its input columns, then the targets (no bias)
+        factored[-1] = (factored[-1][0] + len(digits), block.shape[1] - N_CLASSES)
+        return extend(r, block, digits, *args, **kwargs)
 
     def counting_solve(*args, **kwargs):
         trained.append(len(args[0]))

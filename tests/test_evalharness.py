@@ -11,7 +11,7 @@ import resonet.evalharness as evalharness
 import resonet.readout as readout
 import resonet.reservoir as reservoir
 from resonet.config import SCHEMA
-from resonet.dataset import realize_clip
+from resonet.dataset import N_CLASSES, realize_clip
 from resonet.errors import ConfigError, DataError, NumericalError
 from resonet.evalharness import (CrossValReport, FoldSpec, PipelineSpec, Route,
                                  alpha_sweep, baseline_route,
@@ -323,6 +323,58 @@ def test_with_node_never_holds_the_state_tensor(baseline, node_route):
     finally:
         tracemalloc.stop()
     assert peak < full, f"peak {peak} bytes, state array {full} bytes"
+
+
+def _two_subsets(corpus):
+    """The clips of subsets 0 and 1 of ``corpus``, 100 on the default one."""
+    idx = corpus.indices_of_subsets([0, 1])
+    return evalharness.Corpus(tuple(corpus.clip_ids[i] for i in idx), corpus.digits[idx],
+                              corpus.subset_of[idx], tuple(corpus.features[i] for i in idx))
+
+
+def test_with_node_writes_each_block_of_readout_inputs_once(baseline):
+    """The node's states land in the block's design, which the route
+    reuses, so a node block costs one design and the QR's copy of it,
+    not also a state buffer and a design filled from it: the traced
+    peak stays under 2.75 designs of a full block at n_theta 400 (2.4
+    here, 3.3 with a state buffer).  ``np.linalg.qr``'s LAPACK work copy
+    is allocated outside tracemalloc's view, so it counts in no figure."""
+    small = _two_subsets(baseline.corpus)
+    assert len(small.clip_ids) == 100
+    pipe = replace(NODE_PIPE, n_theta=400)
+    design = FACTOR_CHUNK * small.n_frames_max * (pipe.n_theta + N_CLASSES) * 8
+    tracemalloc.start()
+    try:
+        with_node(small, pipe)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.75 * design, f"peak {peak / design:.2f} designs of a full block"
+
+
+def test_every_qr_reads_a_column_major_stack(baseline, monkeypatch):
+    """LAPACK reads columns, and ``np.linalg.qr`` copies a row-major or
+    strided input column by column, about a fifth slower on a node
+    block: each block's design, and each merge's stack of factors,
+    reaches the QR column-major."""
+    layouts, qr_ = [], np.linalg.qr
+
+    def recording_qr(a, *args, **kwargs):
+        layouts.append((a.shape, a.flags.f_contiguous))
+        return qr_(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", recording_qr)
+    small = _two_subsets(baseline.corpus)
+    baseline_route(replace(small, subset_of=np.zeros(100, dtype=int)), baseline.pipeline)
+    node = with_node(small, NODE_PIPE)
+    readout.merge([node.factors[0], node.factors[1]])
+    n_frames = FACTOR_CHUNK * small.n_frames_max
+    # the baseline's one pool in two blocks, the second stacked under the
+    # first's factor; the node route's two groups of one block each; the merge
+    assert [shape for shape, _ in layouts] == [
+        (n_frames, 65 + N_CLASSES), (65 + n_frames, 65 + N_CLASSES),
+        (n_frames, 40 + N_CLASSES), (n_frames, 40 + N_CLASSES), (80, 40 + N_CLASSES)]
+    assert all(f for _, f in layouts), layouts
 
 
 def test_baseline_route_copies_the_corpus_once(corpus):
@@ -715,11 +767,11 @@ def test_stratified_node_route_factors_only_the_training_pool(corpus, monkeypatc
         routes.append((base, prep))
         return prep
 
-    def counting_extend(r, inputs, *args):
+    def counting_extend(r, block, digits, *args):
         if r is None:       # a group's first block starts its factor
             factored.append(0)
-        factored[-1] += len(inputs)
-        return extend_(r, inputs, *args)
+        factored[-1] += len(digits)
+        return extend_(r, block, digits, *args)
 
     monkeypatch.setattr(evalharness, "with_node", keeping_with_node)
     monkeypatch.setattr(evalharness, "extend", counting_extend)
