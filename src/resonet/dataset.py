@@ -47,13 +47,14 @@ PHASE_MODES = ("random", "fixed")
 
 # Domain-separation tags so distinct consumers of the same user seed get
 # independent counter-based streams.
+_TAG_MASK = 7            # reservoir.gen_mask
 _TAG_SPEAKER = 17
 _TAG_UTTERANCE = 23
 _TAG_NOISE = 31
 _TAG_PARTITION = 101
 
 
-def _philox(*entropy: int) -> np.random.Generator:
+def philox(*entropy: int) -> np.random.Generator:
     """Counter-based generator (Philox 4x64) keyed by the given integers.
 
     Philox output is reproducible bit-for-bit across platforms, which the
@@ -157,7 +158,6 @@ class SubsetPartition:
     """Ten disjoint subsets of clip ids covering the balanced corpus."""
 
     subsets: tuple[tuple[str, ...], ...]
-    seed: int
 
     def groups(self, manifest: Manifest) -> list[int]:
         """The subset of each of ``manifest``'s entries, in entry order."""
@@ -310,11 +310,11 @@ def synth_digit(digit: int, speaker_seed: int, utterance_seed: int,
         raise DataError(f"unknown phase_mode: {phase_mode!r}")
     freqs, amps = class_template(digit)
 
-    spk = _philox(_TAG_SPEAKER, speaker_seed)
+    spk = philox(_TAG_SPEAKER, speaker_seed)
     pitch_shift = spk.uniform(-0.025, 0.025)
     tilt = spk.uniform(0.85, 1.15)
 
-    utt = _philox(_TAG_UTTERANCE, digit, speaker_seed, utterance_seed)
+    utt = philox(_TAG_UTTERANCE, digit, speaker_seed, utterance_seed)
     # Draw order is fixed and phase draws come last so that the magnitude
     # template is identical between the two phase modes.
     dur_factor = utt.uniform(0.88, 1.12)
@@ -475,7 +475,7 @@ def add_noise(clip: AudioClip, noise_type: str, snr_db: float, seed: int) -> Aud
     p_sig = float(np.mean(s * s))
     if p_sig == 0.0:
         raise DataError(f"clip {clip.clip_id!r}: cannot set an SNR on a silent clip")
-    noise = _philox(_TAG_NOISE, seed).standard_normal(s.size)
+    noise = philox(_TAG_NOISE, seed).standard_normal(s.size)
     p_noise = float(np.mean(noise * noise))
     target = p_sig / (10.0 ** (snr_db / 10.0))
     noise *= math.sqrt(target / p_noise)
@@ -519,11 +519,11 @@ def partition_subsets(manifest: Manifest, seed: int) -> SubsetPartition:
     is a pure function of the seed.
     """
     pairs = check_profile(manifest)
-    rng = _philox(_TAG_PARTITION, seed)
+    rng = philox(_TAG_PARTITION, seed)
     subsets: list[list[str]] = [[] for _ in range(N_SUBSETS)]
     for key in sorted(pairs):
         group = sorted(pairs[key], key=lambda e: e.label.utterance)
         perm = rng.permutation(PROFILE_UTTERANCES)
         for k in range(N_SUBSETS):
             subsets[k].append(group[perm[k]].clip_id)
-    return SubsetPartition(tuple(tuple(s) for s in subsets), seed)
+    return SubsetPartition(tuple(tuple(s) for s in subsets))

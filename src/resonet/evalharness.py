@@ -200,7 +200,7 @@ class Route:
 
 def _reduce(corpus: Corpus, pipeline: PipelineSpec, features: Callable[[int], FeatureMatrix],
             node: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
-            factored: Collection[int] | None = None, input_gain: float | None = None) -> Route:
+            factored: Collection[int] | None = None) -> Route:
     """The route ``pipeline`` of ``corpus``, with the groups in ``factored``
     (every group when None) factored.  Each group's clips are taken in
     index order, ``FACTOR_CHUNK`` at a time, the blocks ``factor`` forms.
@@ -236,7 +236,7 @@ def _reduce(corpus: Corpus, pipeline: PipelineSpec, features: Callable[[int], Fe
             if factored is None or group in factored:
                 factors[group] = extend(r, stack, corpus.digits[chunk],
                                         [n_frames] * chunk.size, pipeline.readout)
-    return Route(corpus, pipeline, frame_means, factors, input_gain)
+    return Route(corpus, pipeline, frame_means, factors)
 
 
 def baseline_route(corpus: Corpus, pipeline: PipelineSpec,
@@ -296,8 +296,8 @@ def with_node(corpus: Corpus, pipeline: PipelineSpec,
             raise NumericalError("oscillator states must be nonnegative")
         return means
 
-    return _reduce(corpus, pipeline, corpus.features.__getitem__, _node, factored,
-                   input_gain)
+    return replace(_reduce(corpus, pipeline, corpus.features.__getitem__, _node, factored),
+                   input_gain=input_gain)
 
 
 @dataclass(frozen=True)

@@ -31,6 +31,7 @@ import numpy as np
 
 from ..dataset import AudioClip
 from ..errors import ConfigError, DataError
+from .stft import pre_emphasis
 
 
 @dataclass(frozen=True)
@@ -190,10 +191,7 @@ def cochleagram(clip: AudioClip, cfg: CochlearConfig = CochlearConfig()) -> np.n
             f"clip {clip.clip_id!r} shorter than one {decim}-sample output frame")
 
     # outer/middle-ear pre-emphasis: first-order high-pass
-    a_pre = math.exp(-2.0 * math.pi * 300.0 / sr)
-    x = np.empty_like(clip.samples)
-    x[0] = clip.samples[0]
-    x[1:] = clip.samples[1:] - a_pre * clip.samples[:-1]
+    x = pre_emphasis(clip.samples, math.exp(-2.0 * math.pi * 300.0 / sr))
 
     taps = np.empty((cfs.size, x.size))
     for k, cf in enumerate(cfs):

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..dataset import AudioClip
-from ..errors import ConfigError, DataError
-from .stft import window_values
+from ..errors import ConfigError
+from .stft import framed_spectrum, pre_emphasis
 
 
 @dataclass(frozen=True)
@@ -70,17 +70,10 @@ def mfcc(clip: AudioClip, cfg: MfccConfig = MfccConfig()) -> np.ndarray:
     sr = clip.sample_rate
     frame_len = int(round(cfg.frame_seconds * sr))
     hop_len = int(round(cfg.hop_seconds * sr))
-    if clip.samples.size < frame_len:
-        raise DataError(
-            f"clip {clip.clip_id!r} too short for one {frame_len}-sample frame")
-    x = np.append(clip.samples[0], clip.samples[1:] - cfg.pre_emphasis * clip.samples[:-1])
-    n_frames = 1 + (x.size - frame_len) // hop_len
-    frames = np.lib.stride_tricks.sliding_window_view(x, frame_len)[::hop_len][:n_frames]
-    frames = frames * window_values("hann", frame_len)
-    nfft = 1
-    while nfft < frame_len:
-        nfft *= 2
-    power = np.abs(np.fft.rfft(frames, n=nfft, axis=1)) ** 2 / nfft
+    nfft = 1 << (frame_len - 1).bit_length()    # the least power of two >= frame_len
+    x = pre_emphasis(clip.samples, cfg.pre_emphasis)
+    spectrum = framed_spectrum(x, frame_len, hop_len, "hann", nfft, clip.clip_id)
+    power = np.abs(spectrum) ** 2 / nfft
     energies = power @ mel_filterbank(cfg.n_filters, nfft, sr).T
     logs = np.log(np.maximum(energies, cfg.log_floor))
     cep = dct(logs, type=2, axis=1, norm="ortho")[:, : cfg.n_coeffs]

@@ -1,9 +1,9 @@
-"""Short-time Fourier analysis.
+"""Short-time Fourier analysis, and the framing the MFCC front end shares.
 
 Frames are taken without centering or padding: frame ``tau`` covers
-samples ``[tau*hop, tau*hop + fft_size)``, so a clip of length L yields
-``1 + floor((L - fft_size)/hop)`` frames.  The one-sided spectrum keeps
-``fft_size//2 + 1`` bins.
+samples ``[tau*hop, tau*hop + frame_len)``, so a clip of length L yields
+``1 + floor((L - frame_len)/hop)`` frames.  The STFT's frames are
+``fft_size`` long and its one-sided spectrum keeps ``fft_size//2 + 1`` bins.
 """
 
 from __future__ import annotations
@@ -42,12 +42,29 @@ def window_values(kind: str, n: int) -> np.ndarray:
     raise ConfigError(f"unknown window {kind!r}")
 
 
-def frame_count(n_samples: int, cfg: StftConfig, clip_id: str = "?") -> int:
-    if n_samples < cfg.fft_size:
+def frame_count(n_samples: int, frame_len: int, hop: int, clip_id: str = "?") -> int:
+    if n_samples < frame_len:
         raise DataError(
             f"clip {clip_id!r} too short for analysis: {n_samples} samples < one "
-            f"{cfg.fft_size}-sample frame")
-    return 1 + (n_samples - cfg.fft_size) // cfg.hop
+            f"{frame_len}-sample frame")
+    return 1 + (n_samples - frame_len) // hop
+
+
+def framed_spectrum(x: np.ndarray, frame_len: int, hop: int, window: str, nfft: int,
+                    clip_id: str = "?") -> np.ndarray:
+    """One-sided ``nfft``-point spectrum of each windowed frame of ``x``,
+    shape (n_frames, nfft // 2 + 1); frames as the module docstring says."""
+    frame_count(x.size, frame_len, hop, clip_id)
+    frames = np.lib.stride_tricks.sliding_window_view(x, frame_len)[::hop]
+    return np.fft.rfft(frames * window_values(window, frame_len), n=nfft, axis=1)
+
+
+def pre_emphasis(samples: np.ndarray, a: float) -> np.ndarray:
+    """First-order high-pass ``x[i] = s[i] - a * s[i-1]``, with ``x[0] = s[0]``."""
+    x = np.empty_like(samples)
+    x[0] = samples[0]
+    x[1:] = samples[1:] - a * samples[:-1]
+    return x
 
 
 def stft_complex(clip: AudioClip, cfg: StftConfig = StftConfig()) -> np.ndarray:
@@ -55,8 +72,5 @@ def stft_complex(clip: AudioClip, cfg: StftConfig = StftConfig()) -> np.ndarray:
 
     Linear in the input samples.
     """
-    n_frames = frame_count(clip.samples.size, cfg, clip.clip_id)
-    frames = np.lib.stride_tricks.sliding_window_view(clip.samples, cfg.fft_size)
-    frames = frames[:: cfg.hop][:n_frames]
-    win = window_values(cfg.window, cfg.fft_size)
-    return np.fft.rfft(frames * win, axis=1).T
+    return framed_spectrum(clip.samples, cfg.fft_size, cfg.hop, cfg.window, cfg.fft_size,
+                           clip.clip_id).T

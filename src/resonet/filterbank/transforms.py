@@ -52,15 +52,5 @@ def spectro_hp_from_complex(z: np.ndarray) -> np.ndarray:
     |cos(sqrt|im|)|``.  Outputs lie in [-1, 1]; a zero input maps to -1
     everywhere (and warns, since the joint normalization is degenerate).
     """
-    z = np.asarray(z)
-    re = np.real(z).astype(np.float64)
-    im = np.imag(z).astype(np.float64)
-    scale = max(np.max(np.abs(re)) if re.size else 0.0,
-                np.max(np.abs(im)) if im.size else 0.0)
-    if scale == 0.0:
-        warnings.warn("all-zero spectrum passed to spectro_hp_from_complex",
-                      DegenerateInputWarning, stacklevel=2)
-    else:
-        re = re / scale
-        im = im / scale
+    re, im = normalize_maxabs(np.stack([np.real(z), np.imag(z)]))
     return np.abs(np.sin(np.sqrt(np.abs(re)))) - np.abs(np.cos(np.sqrt(np.abs(im))))

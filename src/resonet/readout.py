@@ -98,10 +98,7 @@ def factor(states: Sequence, digits: Sequence[int],
     r = None
     for i, f in zip(starts, frames):
         block = design(buffer, r, n_rows, sum(f), options)
-        row = block.shape[0] - sum(f)
-        for v in vs[i:i + FACTOR_CHUNK]:
-            block[row:row + v.shape[1], :n_rows] = v.T
-            row += v.shape[1]
+        block[block.shape[0] - sum(f):, :n_rows] = np.hstack(vs[i:i + FACTOR_CHUNK]).T
         r = extend(r, block, digits[i:i + FACTOR_CHUNK], f, options)
     return r
 
@@ -151,10 +148,8 @@ def extend(r: np.ndarray | None, block: np.ndarray, digits: Sequence[int],
     if r is not None:
         row = r.shape[0]
         block[:row] = r
-    for f, d in zip(frames, digits):
-        block[row:row + f, n_inputs:n] = 1.0          # the bias column, if any
-        block[row:row + f, n:] = np.eye(N_CLASSES)[d]   # the clip's one-hot target
-        row += f
+    block[row:, n_inputs:n] = 1.0          # the bias column, if any
+    block[row:, n:] = np.repeat(np.eye(N_CLASSES)[digits], frames, axis=0)
     return _triangular(block, n)
 
 
@@ -194,23 +189,19 @@ def _copied_columns(block: np.ndarray, n: int) -> np.ndarray | None:
     """For each of the first ``n`` columns of ``block``, the index of the
     first column equal to it; None when all of them differ.
 
-    Column sums filter the candidates, so a block whose sums all differ
-    costs one pass over it.
+    Column sums filter the candidates: column j is compared entry by entry
+    only with earlier columns of its sum that copy no other, in order, so
+    a block whose sums all differ costs one pass over it.
     """
     sums = block[:, :n].sum(axis=0)
-    _, group, counts = np.unique(sums, return_inverse=True, return_counts=True)
-    if counts.size == n:
+    if np.unique(sums).size == n:
         return None
     source = np.arange(n)
-    distinct: dict[int, list[int]] = {}
-    for j in np.flatnonzero(counts[group] > 1):
-        seen = distinct.setdefault(int(group[j]), [])
-        for i in seen:
-            if np.array_equal(block[:, i], block[:, j]):
+    for j in range(n):
+        for i in np.flatnonzero(sums[:j] == sums[j]):
+            if source[i] == i and np.array_equal(block[:, i], block[:, j]):
                 source[j] = i
                 break
-        else:
-            seen.append(j)
     return None if np.array_equal(source, np.arange(n)) else source
 
 

@@ -34,10 +34,10 @@ from functools import lru_cache
 
 import numpy as np
 
+from .dataset import _TAG_MASK, philox
 from .errors import ConfigError, DataError
 
 NODE_KINDS = ("stno", "tanh")
-_TAG_MASK = 7
 _SCAN_ROW = 64
 
 
@@ -110,9 +110,8 @@ def gen_mask(seed: int, n_theta: int, n_rows: int) -> BinaryMask:
     """
     if n_theta < 1 or n_rows < 1:
         raise ConfigError(f"mask dimensions must be positive, got {n_theta}x{n_rows}")
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([_TAG_MASK, seed])))
-    entries = rng.integers(0, 2, size=(n_theta, n_rows)).astype(np.float64) * 2.0 - 1.0
-    return BinaryMask(entries)
+    bits = philox(_TAG_MASK, seed).integers(0, 2, size=(n_theta, n_rows))
+    return BinaryMask(bits * 2.0 - 1.0)
 
 
 def mask_and_flatten(features: np.ndarray, mask: BinaryMask) -> np.ndarray:
@@ -149,7 +148,7 @@ def stno_run(x: np.ndarray, p: StnoParams, v0: float | None = None) -> np.ndarra
 
 
 def node_run_reference(x: np.ndarray, p: TanhParams, v0: float = 0.0) -> np.ndarray:
-    """Leaky-tanh reference node used for cross-checks.
+    """Leaky-tanh node: the ``tanh`` node kind of README's ablation table.
 
     v_i = (1 - p.leak) * v_{i-1} + p.leak * tanh(p.gain * x_i); there is no
     state feedback into the nonlinearity.  ``p.leak = 0`` freezes the state

@@ -13,7 +13,8 @@ from resonet.filterbank import cochlea
 from resonet.filterbank.cochlea import (CochlearConfig, cochleagram,
                                         design_center_freqs)
 from resonet.filterbank.mfcc import MfccConfig, mel_filterbank, mfcc
-from resonet.filterbank.stft import StftConfig, frame_count, window_values
+from resonet.filterbank.stft import (StftConfig, frame_count, framed_spectrum,
+                                     window_values)
 
 
 def _clip(samples, rate=12500):
@@ -31,12 +32,12 @@ def test_frame_count_matches_naive_slicing():
         while pos + cfg.fft_size <= n:
             naive += 1
             pos += cfg.hop
-        assert frame_count(n, cfg) == naive
+        assert frame_count(n, cfg.fft_size, cfg.hop) == naive
 
 
 def test_frame_count_rejects_short_clips():
     with pytest.raises(DataError):
-        frame_count(127, StftConfig())
+        frame_count(127, 128, 64)
 
 
 def test_window_values_periodic_hann():
@@ -86,6 +87,24 @@ def test_stft_matches_naive_dft(rng):
     for tau in range(z.shape[1]):
         frame = x[tau * 16:tau * 16 + 32] * w
         assert np.max(np.abs(z[:, tau] - dft @ frame)) < 1e-12
+
+
+def test_framed_spectrum_matches_naive_dft_at_the_mfcc_geometry(rng):
+    """312-sample Hann frames every 125 samples, zero-padded to 512
+    points, as ``mfcc`` frames a 12.5 kHz clip, against an explicit DFT
+    of each frame (phases reduced exactly, mod 512)."""
+    cfg = MfccConfig()
+    assert (round(cfg.frame_seconds * 12500), round(cfg.hop_seconds * 12500)) == (312, 125)
+    x = rng.standard_normal(2000) * 0.3
+    z = framed_spectrum(x, 312, 125, "hann", 512)
+    assert z.shape == (1 + (2000 - 312) // 125, 257)
+    k = np.arange(257)[:, None]
+    n = np.arange(312)[None, :]
+    dft = np.exp(-2j * np.pi * ((k * n) % 512) / 512)
+    w = 0.5 - 0.5 * np.cos(2 * np.pi * np.arange(312) / 312)
+    for tau, row in enumerate(z):
+        frame = x[tau * 125:tau * 125 + 312] * w
+        assert np.max(np.abs(row - dft @ frame)) < 1e-12
 
 
 def test_stft_shape_and_no_padding():
@@ -213,6 +232,11 @@ def test_mfcc_dct_is_orthonormal():
     ref = np.sqrt(2.0 / n) * np.cos(np.pi * k * (2 * j + 1) / (2 * n))
     ref[0] /= np.sqrt(2.0)
     assert np.max(np.abs(got - ref)) < 1e-12
+
+
+def test_mfcc_refuses_a_clip_shorter_than_one_frame():
+    with pytest.raises(DataError, match="'t' too short for analysis: 311 samples"):
+        mfcc(_clip(np.zeros(311)))
 
 
 def test_mfcc_handles_quiet_input():

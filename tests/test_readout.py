@@ -5,6 +5,7 @@ from resonet.errors import ConfigError, DataError
 from resonet.readout import (FACTOR_CHUNK, N_CLASSES, Metrics, ReadoutModel,
                              ReadoutOptions, factor, merge, predict, predict_means,
                              score_wsr, solve, train_pinv)
+from resonet.readout import _copied_columns
 
 
 def classify(scores: np.ndarray) -> int:
@@ -300,6 +301,30 @@ def test_distinct_inputs_with_equal_sums_take_the_plain_qr(rng):
     f = factor([v], [6])
     block = np.asfortranarray(np.hstack([v.T, t.T]))
     assert np.array_equal(f, np.linalg.qr(block, mode="r")[:12])
+
+
+def _copied_columns_pairwise(block, n):
+    """Each of the first ``n`` columns' first equal column, every pair
+    compared; None when each column is its own."""
+    source = np.array([next(i for i in range(j + 1)
+                            if np.array_equal(block[:, i], block[:, j])) for j in range(n)])
+    return None if np.array_equal(source, np.arange(n)) else source
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_copied_columns_match_a_pairwise_scan(seed):
+    """Small integer blocks with planted copies, copies of copies and
+    reversed columns (equal sums, mostly different entries)."""
+    rng = np.random.default_rng(seed)
+    n, rows = int(rng.integers(2, 40)), int(rng.integers(1, 9))
+    block = rng.integers(-3, 4, size=(rows, n + N_CLASSES)).astype(float)
+    for _ in range(int(rng.integers(1, n))):
+        i, j = rng.choice(n, size=2, replace=False)
+        block[:, j] = block[::-1, i] if rng.random() < 0.3 else block[:, i]
+    want = _copied_columns_pairwise(block, n)
+    got = _copied_columns(np.asfortranarray(block), n)
+    assert (got is None) == (want is None)
+    assert want is None or np.array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -18,6 +19,14 @@ def test_gen_mask_entries_and_determinism():
     # both signs occur in fair proportion
     frac = np.mean(m.entries == 1.0)
     assert 0.45 < frac < 0.55
+
+
+def test_gen_mask_stream_is_pinned():
+    """Philox is bit-reproducible across platforms, so the mask's bytes
+    are fixed: a change of generator, tag or draw shows here."""
+    entries = gen_mask(1, 400, 65).entries
+    assert hashlib.sha256(entries.tobytes()).hexdigest() == (
+        "f692a635a2d6a39a46f1684e7fa3681bfe53a67f01911f1747a83cbc6a2ce1e4")
 
 
 def test_binary_mask_rejects_other_values():
