@@ -387,8 +387,9 @@ def cross_validate(route: Route, n_train: int) -> CrossValReport:
     800 rows at ``n_theta`` 400 instead of nine subsets' 3 600, after 16
     merges in all.  At N = 1 nothing is merged.  Folds run one after
     another, as BLAS runs on one thread: a pool that ran folds on 2
-    threads cut ``bench`` by about a sixth but raised its peak RSS from
-    152 to 250-273 MiB.
+    threads cut ``bench`` by about a sixth but added 100-120 MiB to its
+    peak RSS (152 to 250-273 MiB when it was measured, with a design
+    allocated per block), about as much as the whole run holds now.
     """
     merged: dict[tuple[int, int], np.ndarray] = {}
     results = [run_fold(f, route, merged) for f in enumerate_folds(n_train)]

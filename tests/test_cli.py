@@ -477,12 +477,13 @@ def test_the_advice_for_a_bad_cache_file_can_be_followed(conf, tmp_path, capsys,
 def test_bench_featurizes_each_clip_once_and_trains_each_fold_once(conf, monkeypatch):
     import resonet.evalharness as evalharness
     featurized = _count_featurize(monkeypatch)
-    factored, trained = [], []
+    factored, blocks, trained = [], [], []
     solve, extend = evalharness.solve, evalharness.extend
 
     def counting_extend(r, block, digits, *args, **kwargs):
         if r is None:       # a group's first block starts its factor
             factored.append((0, None))
+        blocks.append(len(digits))
         # the block's design: its input columns, then the targets (no bias)
         factored[-1] = (factored[-1][0] + len(digits), block.shape[1] - N_CLASSES)
         return extend(r, block, digits, *args, **kwargs)
@@ -500,14 +501,17 @@ def test_bench_featurizes_each_clip_once_and_trains_each_fold_once(conf, monkeyp
     # block reduction: from its 65 padded feature rows on the baseline
     # route, from its streamed node states on the total route ...
     assert factored == [(50, 65)] * 10 + [(50, 16)] * 10
+    # ... in two blocks of 25 clips each
+    assert blocks == [25] * 40
     # ... and ten folds on each of the baseline and total routes are solved,
     # each from its train runs' factors: the first and last fold's one run,
     # every other fold's prefix and suffix of the ten subsets
     assert trained == [1, 2, 2, 2, 2, 2, 2, 2, 2, 1] * 2
     # export-features writes each clip's features and factors nothing
     factored.clear()
+    blocks.clear()
     assert run("export-features", conf) == 0
-    assert factored == []
+    assert factored == blocks == []
 
 
 @pytest.mark.parametrize("command, clips", [("bench", 3 * 500), ("sweep", 2 * 500),
