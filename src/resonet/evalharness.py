@@ -22,10 +22,10 @@ import numpy as np
 
 from . import reservoir
 from .cachefile import STALE_ADVICE, feature_cache_path, read_feature_cache
-from .dataset import N_SUBSETS, Manifest, ManifestEntry, read_clip, realize_clip
+from .dataset import N_SUBSETS, AudioClip, Manifest, ManifestEntry, read_clip, realize_clip
 from .errors import CacheError, ConfigError, DataError, NumericalError
-from .filterbank import (CochlearConfig, FeatureMatrix, MfccConfig, StftConfig,
-                         exponent_transform, featurize, pad_to)
+from .filterbank import (COCHLEAR_BATCH, CochlearConfig, FeatureMatrix, MfccConfig,
+                         StftConfig, exponent_transform, featurize_batch, pad_to)
 from .readout import (FACTOR_CHUNK, Metrics, ReadoutModel, ReadoutOptions, design,
                       design_buffer, evaluate, extend, merge, solve)
 
@@ -115,39 +115,66 @@ def corpus_features(manifest: Manifest, pipeline: PipelineSpec, *, workers: int,
     manifest's sample rate and noise seed and featurized, the one place an
     entry becomes features.  Consecutive entries that share a clip id (a
     ``stratified`` test clip's cells) form one run, whose source is read
-    once (``read_clip``) and mixed with each entry's own noise tag.  Runs go
-    to a pool of ``workers`` threads that keeps at most ``2 * workers`` runs
-    in flight.  ``cache`` is a ``<cache root>/<feature hash>``
-    directory, and a file in it from another configuration or for another
-    clip is a ``CacheError``.  Only the configured front end on the
-    manifest's own conditions may read it: not ``sweep`` (``spectro_exp`` at
-    alpha 1) nor ``stratified`` (test clips at other noise conditions under
-    the same clip id), which pass None.  Manifest clip ids are unique, so
-    every run with a cache is a single entry.
+    once (``read_clip``) and mixed with each entry's own noise tag.
+    Consecutive runs form a batch: for the cochlear front end, which runs a
+    batch's uncached clips at once (``featurize_batch``), of at least
+    ``COCHLEAR_BATCH`` entries; for the others, which featurize clip by
+    clip, of one run.  Batches go to a pool of ``workers`` threads that
+    keeps at most ``2 * workers`` batches in flight: a running batch holds
+    its clips' buffers (for the cochlea about 0.5 MB a clip), a finished
+    one its features until they are consumed.  ``cache`` is a ``<cache
+    root>/<feature hash>`` directory, and a file in it from another
+    configuration or for another clip is a ``CacheError``.  Only the
+    configured front end on the manifest's own conditions may read it: not
+    ``sweep`` (``spectro_exp`` at alpha 1) nor ``stratified`` (test clips at
+    other noise conditions under the same clip id), which pass None.
+    Manifest clip ids are unique, so every run with a cache is a single
+    entry.
     """
-    def _load(run: list[ManifestEntry]) -> list[FeatureMatrix]:
-        path = None if cache is None else feature_cache_path(cache, run[0].clip_id)
-        if path is None or not path.exists():
-            source = read_clip(run[0], sample_rate=manifest.sample_rate)
-            return [featurize(realize_clip(e, sample_rate=manifest.sample_rate,
-                                           noise_seed=manifest.noise_seed, clip=source),
-                              pipeline.filter_kind, pipeline.alpha,
-                              stft_cfg=pipeline.stft, mfcc_cfg=pipeline.mfcc,
-                              cochlear_cfg=pipeline.cochlear) for e in run]
-        fm = read_feature_cache(path, cache.name)
-        if fm.clip_id != run[0].clip_id:
-            raise CacheError(f"{path}: holds the features of clip {fm.clip_id!r}, "
-                             f"not {run[0].clip_id!r}; {STALE_ADVICE}")
-        return [fm]
+    def _load(batch: list[list[ManifestEntry]]) -> list[FeatureMatrix]:
+        features: list[FeatureMatrix | None] = []     # None where a clip is featurized
+        fresh: list[list[ManifestEntry]] = []         # the runs the cache does not hold
+        for run in batch:
+            path = None if cache is None else feature_cache_path(cache, run[0].clip_id)
+            if path is None or not path.exists():
+                fresh.append(run)
+                features += [None] * len(run)
+                continue
+            fm = read_feature_cache(path, cache.name)
+            if fm.clip_id != run[0].clip_id:
+                raise CacheError(f"{path}: holds the features of clip {fm.clip_id!r}, "
+                                 f"not {run[0].clip_id!r}; {STALE_ADVICE}")
+            features.append(fm)
 
-    runs = (list(run) for _, run in groupby(manifest.entries, key=lambda e: e.clip_id))
-    # at most 2 * workers runs in flight, so a slow consumer holds only those
+        def clips() -> Iterator[AudioClip]:    # realized as the front end takes them
+            for run in fresh:
+                source = read_clip(run[0], sample_rate=manifest.sample_rate)
+                for e in run:
+                    yield realize_clip(e, sample_rate=manifest.sample_rate,
+                                       noise_seed=manifest.noise_seed, clip=source)
+
+        made = iter(featurize_batch(clips(), pipeline.filter_kind, pipeline.alpha,
+                                    stft_cfg=pipeline.stft, mfcc_cfg=pipeline.mfcc,
+                                    cochlear_cfg=pipeline.cochlear))
+        return [next(made) if fm is None else fm for fm in features]
+
+    def _batches(size: int) -> Iterator[list[list[ManifestEntry]]]:
+        batch: list[list[ManifestEntry]] = []
+        for _, run in groupby(manifest.entries, key=lambda e: e.clip_id):
+            batch.append(list(run))
+            if sum(map(len, batch)) >= size:
+                yield batch
+                batch = []
+        if batch:
+            yield batch
+
+    # at most 2 * workers batches in flight, so a slow consumer holds only those
     with ThreadPoolExecutor(max_workers=workers) as pool:
         pending = deque()
-        for run in runs:
+        for batch in _batches(COCHLEAR_BATCH if pipeline.filter_kind == "cochlear" else 1):
             if len(pending) == 2 * workers:
                 yield from pending.popleft().result()
-            pending.append(pool.submit(_load, run))
+            pending.append(pool.submit(_load, batch))
         while pending:
             yield from pending.popleft().result()
 

@@ -14,13 +14,14 @@ All feature matrices are float64 with one column per analysis frame.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from ..dataset import AudioClip
 from ..errors import ConfigError, DataError
-from .cochlea import CochlearConfig, cochleagram, design_center_freqs
+from .cochlea import (COCHLEAR_BATCH, CochlearConfig, cochleagram, cochleagrams,
+                      design_center_freqs)
 from .mfcc import MfccConfig, mfcc
 from .stft import StftConfig, stft_complex
 from .transforms import exponent_transform, normalize_maxabs, spectro_hp_from_complex
@@ -76,6 +77,21 @@ def featurize(clip: AudioClip, kind: str, alpha: float | None = None, *,
     if kind == "cochlear":
         return FeatureMatrix(cochleagram(clip, cochlear_cfg), kind, clip.clip_id)
     raise ConfigError(f"unknown filter kind {kind!r}, expected one of {FILTER_KINDS}")
+
+
+def featurize_batch(clips: Iterable[AudioClip], kind: str, alpha: float | None = None, *,
+                    stft_cfg: StftConfig = StftConfig(),
+                    mfcc_cfg: MfccConfig = MfccConfig(),
+                    cochlear_cfg: CochlearConfig = CochlearConfig()) -> list[FeatureMatrix]:
+    """``featurize`` on each clip, in order, bit for bit: the cochlear front
+    end runs the clips at once (``cochleagrams``), the others take them
+    one by one, as ``clips`` yields them."""
+    if kind == "cochlear":
+        clips = list(clips)
+        return [FeatureMatrix(values, kind, clip.clip_id)
+                for clip, values in zip(clips, cochleagrams(clips, cochlear_cfg))]
+    return [featurize(clip, kind, alpha, stft_cfg=stft_cfg, mfcc_cfg=mfcc_cfg,
+                      cochlear_cfg=cochlear_cfg) for clip in clips]
 
 
 def pad_to(features: Sequence[FeatureMatrix], n_frames: int | None = None, *,

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -12,6 +13,8 @@ from scipy.signal import lfilter
 
 from resonet.dataset import build_synth_manifest, partition_subsets
 from resonet.evalharness import PipelineSpec, baseline_route, prepare_corpus
+from resonet.filterbank import cochlea
+from resonet.filterbank.stft import pre_emphasis
 
 
 @pytest.fixture(scope="session")
@@ -92,3 +95,22 @@ def lfilter_stno_run():
 def lfilter_node_run_reference():
     """The reference integrator the tanh node's blocked scan is held to."""
     return _lfilter_node_run_reference
+
+
+def _lfilter_cascade(clip, cfg):
+    """The cochlea's filter cascade as ``scipy.signal.lfilter`` runs it, one
+    section after another on the pre-emphasized clip: the taps before
+    rectification, (n_sections, n_samples)."""
+    sr = clip.sample_rate
+    x = pre_emphasis(clip.samples, math.exp(-2.0 * math.pi * 300.0 / sr))
+    taps = []
+    for cf in cochlea.design_center_freqs(sr, cfg):
+        x = lfilter(*cochlea._section_coeffs(cf, cfg, sr), x)
+        taps.append(x)
+    return np.array(taps)
+
+
+@pytest.fixture()
+def lfilter_cascade():
+    """The reference the cochlea's numpy cascade is held to, bit for bit."""
+    return _lfilter_cascade

@@ -385,14 +385,14 @@ def test_cache_dir_env_override(conf, tmp_path, monkeypatch):
 def _count_featurize(monkeypatch) -> list:
     """Spy on the front end: the returned list grows by one clip id per
     featurized clip."""
-    import resonet.evalharness as evalharness
-    featurized, featurize = [], evalharness.featurize
+    import resonet.filterbank as filterbank
+    featurized, featurize = [], filterbank.featurize
 
     def counting_featurize(clip, *args, **kwargs):
         featurized.append(clip.clip_id)
         return featurize(clip, *args, **kwargs)
 
-    monkeypatch.setattr(evalharness, "featurize", counting_featurize)
+    monkeypatch.setattr(filterbank, "featurize", counting_featurize)
     return featurized
 
 

@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 import resonet.evalharness as evalharness
+import resonet.filterbank as filterbank
 import resonet.readout as readout
 import resonet.reservoir as reservoir
+from resonet.cachefile import feature_cache_path, write_feature_cache
 from resonet.config import SCHEMA
 from resonet.dataset import N_CLASSES, realize_clip
 from resonet.errors import ConfigError, DataError, NumericalError
@@ -18,7 +20,7 @@ from resonet.evalharness import (CrossValReport, FoldSpec, PipelineSpec, Route,
                                  condition_markdown, cross_validate, enumerate_folds,
                                  prepare_corpus, report_to_csv, run_fold,
                                  stratified_report, summary_markdown, with_node)
-from resonet.filterbank import featurize, pad_to
+from resonet.filterbank import FeatureMatrix, featurize, pad_to
 from resonet.readout import (FACTOR_CHUNK, Metrics, evaluate, factor, predict,
                              predict_means, score_wsr, solve, train_pinv)
 from resonet.reservoir import (StnoParams, gen_mask, mask_and_flatten, node_run_reference,
@@ -111,17 +113,33 @@ def test_prepare_corpus_worker_invariance(corpus):
     assert np.array_equal(pad_to(a.features), pad_to(b.features))
 
 
-def test_cochlear_features_are_worker_invariant(corpus):
-    """The cochlea's gain-control loop keeps its buffers per call, so the
-    featurize thread pool cannot mix clips."""
+def test_cochlear_features_are_worker_invariant(corpus, tmp_path, monkeypatch):
+    """The cochlea's loop keeps its buffers per batch, so the featurize
+    thread pool cannot mix clips, and a batch that reads some of its runs
+    from the cache and featurizes the rest puts each entry in its place:
+    at one and two workers, cached or not, every entry comes back in entry
+    order with the bytes its own clip gives, or those its file holds.
+    Batches of 5 make 12 clips three batches, the last one short."""
+    monkeypatch.setattr(evalharness, "COCHLEAR_BATCH", 5)
     manifest, partition = corpus
-    picked = {cid for ids in partition.subsets[:3] for cid in ids[:2]}
+    picked = {cid for ids in partition.subsets[:4] for cid in ids[:3]}
     small = replace(manifest, entries=tuple(e for e in manifest.entries if e.clip_id in picked))
+    assert len(small.entries) == 12
     pipe = PipelineSpec(filter_kind="cochlear")
-    a = prepare_corpus(small, [0] * 6, pipe, workers=1)
-    b = prepare_corpus(small, [0] * 6, pipe, workers=2)
-    assert a.clip_ids == b.clip_ids
-    assert np.array_equal(pad_to(a.features), pad_to(b.features))
+    alone = [entry_features(e, pipe, small) for e in small.entries]
+    # cached runs inside each batch, marked by doubled values; 5 to 9 all cached
+    cache = tmp_path / "0123456789abcdef"          # a feature hash
+    held = {i: FeatureMatrix(2.0 * alone[i].values, "cochlear", alone[i].clip_id)
+            for i in (1, 2, 5, 6, 7, 8, 9, 11)}
+    for fm in held.values():
+        write_feature_cache(feature_cache_path(cache, fm.clip_id), fm, cache.name)
+    cold = [fm.values.tobytes() for fm in alone]
+    warm = [held.get(i, fm).values.tobytes() for i, fm in enumerate(alone)]
+    for workers in (1, 2):
+        for root, want in ((None, cold), (cache, warm)):
+            got = list(evalharness.corpus_features(small, pipe, workers=workers, cache=root))
+            assert [fm.clip_id for fm in got] == [e.clip_id for e in small.entries]
+            assert [fm.values.tobytes() for fm in got] == want, (workers, root)
 
 
 def entry_features(entry, pipeline, manifest):
@@ -142,13 +160,13 @@ def test_corpus_features_keeps_a_bounded_window_of_clips_in_flight(corpus, monke
     """A consumer that stops after one clip leaves at most ``2 * workers``
     clips featurized ahead of it, not the rest of the corpus."""
     manifest, _ = corpus
-    featurized, featurize_ = [], evalharness.featurize
+    featurized, featurize_ = [], filterbank.featurize
 
     def counting_featurize(clip, *args, **kwargs):
         featurized.append(clip.clip_id)
         return featurize_(clip, *args, **kwargs)
 
-    monkeypatch.setattr(evalharness, "featurize", counting_featurize)
+    monkeypatch.setattr(filterbank, "featurize", counting_featurize)
     feats = evalharness.corpus_features(replace(manifest, entries=manifest.entries[:40]),
                                         PipelineSpec(filter_kind="spectro_exp", alpha=1.0),
                                         workers=2)

@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from resonet.filterbank import (FeatureMatrix, exponent_transform, featurize,
                                 normalize_maxabs, pad_to,
                                 spectro_hp_from_complex, stft_complex)
 from resonet.filterbank import cochlea
-from resonet.filterbank.cochlea import (CochlearConfig, cochleagram,
+from resonet.filterbank.cochlea import (CochlearConfig, cochleagram, cochleagrams,
                                         design_center_freqs)
 from resonet.filterbank.mfcc import MfccConfig, mel_filterbank, mfcc
 from resonet.filterbank.stft import (StftConfig, frame_count, framed_spectrum,
@@ -327,24 +328,41 @@ def reference_agc_stage(x: np.ndarray, eps: float, target: float) -> np.ndarray:
     return out
 
 
+def _gain_control_outputs(monkeypatch, clips, cfg):
+    """Each clip's last gain-stage output, sample by sample over its whole
+    frames, as ``cochleagrams`` hands it to ``_frame_means``; with an empty
+    gain chain, the rectified cascade taps."""
+    blocks, frame_means = [], cochlea._frame_means
+
+    def spy(block):
+        blocks.append(block.copy())
+        return frame_means(block)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cochlea, "_frame_means", spy)
+        cochleagrams(clips, cfg)
+    decim = blocks[0].shape[2]
+    out = np.concatenate(blocks, axis=2)
+    return [rows[:, : clip.samples.size // decim * decim] for rows, clip in zip(out, clips)]
+
+
+def _agc_batch_against_reference(monkeypatch, clips, cfg=CochlearConfig()):
+    """Run ``cochleagrams`` on the batch and return, for each clip over its
+    whole frames, the gain control's output together with the
+    stage-by-stage reference chain on the same rectified taps."""
+    taps = _gain_control_outputs(monkeypatch, clips, replace(cfg, agc_targets=(), agc_taus=()))
+    pairs = []
+    for clip, want, got in zip(clips, taps, _gain_control_outputs(monkeypatch, clips, cfg)):
+        for tau, target in zip(cfg.agc_taus, cfg.agc_targets):
+            eps = 1.0 - math.exp(-1.0 / (tau * clip.sample_rate))
+            want = reference_agc_stage(want, eps, target)
+        pairs.append((got, want))
+    return pairs
+
+
 def _agc_against_reference(monkeypatch, clip, cfg=CochlearConfig()):
-    """Run ``cochleagram`` and return the gain control's output together
-    with the stage-by-stage reference chain on the same rectified taps."""
-    seen = {}
-    pipelined = cochlea._agc_pipelined
-
-    def spy(x, eps, target):
-        seen["taps"] = x.copy()
-        pipelined(x, eps, target)
-        seen["out"] = x.copy()
-
-    monkeypatch.setattr(cochlea, "_agc_pipelined", spy)
-    cochleagram(clip, cfg)
-    want = seen["taps"]
-    for tau, target in zip(cfg.agc_taus, cfg.agc_targets):
-        eps = 1.0 - math.exp(-1.0 / (tau * clip.sample_rate))
-        want = reference_agc_stage(want, eps, target)
-    return seen["out"], want
+    """``_agc_batch_against_reference`` on a batch of one clip."""
+    return _agc_batch_against_reference(monkeypatch, [clip], cfg)[0]
 
 
 @pytest.mark.parametrize("synth_seed", [1001, 1002])
@@ -391,10 +409,99 @@ def test_pipelined_agc_is_bit_identical_with_one_or_two_channels(monkeypatch, mi
     assert np.array_equal(got, want)
 
 
+def test_pipelined_agc_is_bit_identical_on_two_clips_in_a_batch(monkeypatch):
+    """Each (stage, clip) row sits between its own zero-weighted borders, so
+    a clip's gain control never reads its neighbor's state; the shorter clip
+    runs on zero padding past its end, which no feature reads."""
+    manifest = build_synth_manifest(1001)
+    clips = [realize_clip(manifest.entries[i], sample_rate=manifest.sample_rate)
+             for i in (3, 7)]
+    assert clips[0].samples.size != clips[1].samples.size
+    for (got, want), clip in zip(_agc_batch_against_reference(monkeypatch, clips), clips):
+        assert np.array_equal(got, want), clip.clip_id
+
+
 def test_empty_agc_chain_passes_rectified_taps_through(monkeypatch):
     got, want = _agc_against_reference(monkeypatch, synth_digit(3, 100, 0),
                                        CochlearConfig(agc_targets=(), agc_taus=()))
     assert np.array_equal(got, want)
+
+
+def _cascade_against_lfilter(monkeypatch, lfilter_cascade, clips, cfg=CochlearConfig()):
+    """Run ``cochleagrams`` on the batch and check each clip's cascade taps,
+    over its whole frames, against ``lfilter`` section by section.  The
+    taps are seen through the rectifier, so the batch runs twice, once
+    negated: the cascade is linear and rounds symmetrically, so the
+    negated clips' taps are the taps negated, bit for bit, and a tap is
+    its two rectified halves' difference."""
+    bare = replace(cfg, agc_targets=(), agc_taus=())
+    flipped = [AudioClip(-clip.samples, clip.sample_rate, clip.clip_id) for clip in clips]
+    ups = _gain_control_outputs(monkeypatch, clips, bare)
+    downs = _gain_control_outputs(monkeypatch, flipped, bare)
+    for clip, up, down in zip(clips, ups, downs):
+        want = lfilter_cascade(clip, cfg)[:, :up.shape[1]]
+        assert want.shape[0] == cfg.expected_channels
+        assert np.array_equal(up - down, want), clip.clip_id
+        assert np.array_equal(up, np.maximum(want, 0.0)), clip.clip_id
+
+
+@pytest.mark.parametrize("synth_seed", [1001, 1002])
+def test_cascade_matches_lfilter_on_corpus_clips(monkeypatch, lfilter_cascade, synth_seed):
+    """Four clips of different lengths in one batch, then each alone."""
+    manifest = build_synth_manifest(synth_seed)
+    clips = [realize_clip(manifest.entries[i], sample_rate=manifest.sample_rate)
+             for i in sorted(random.Random(synth_seed).sample(range(len(manifest)), 4))]
+    assert len({clip.samples.size for clip in clips}) > 1
+    _cascade_against_lfilter(monkeypatch, lfilter_cascade, clips)
+    for clip in clips:
+        _cascade_against_lfilter(monkeypatch, lfilter_cascade, [clip])
+
+
+def test_cascade_matches_lfilter_on_noise_tones_and_silence(monkeypatch, lfilter_cascade):
+    manifest = build_synth_manifest(1001)
+    entry = manifest.entries[0]
+    noisy = realize_clip(replace(entry, label=replace(entry.label, noise_type="synthetic-white",
+                                                      snr_db=10.0)),
+                         sample_rate=manifest.sample_rate, noise_seed=manifest.noise_seed)
+    t = np.arange(6250) / 12500.0
+    tone = 0.8 * np.sin(2 * np.pi * 1000.0 * t) * np.hanning(t.size)
+    delayed = np.concatenate([np.zeros(1500), tone[:4750]])
+    _cascade_against_lfilter(monkeypatch, lfilter_cascade,
+                             [noisy, _clip(tone), _clip(delayed)])
+
+
+@pytest.mark.parametrize("min_freq, n_ch", [(5800.0, 1), (5700.0, 2)])
+def test_cascade_matches_lfilter_with_one_or_two_channels(monkeypatch, lfilter_cascade,
+                                                          min_freq, n_ch):
+    cfg = CochlearConfig(min_freq=min_freq, expected_channels=n_ch)
+    rng = np.random.default_rng(n_ch)
+    _cascade_against_lfilter(monkeypatch, lfilter_cascade,
+                             [_clip(rng.uniform(-0.9, 0.9, 5000))], cfg)
+
+
+def test_a_batch_gives_each_clip_its_own_cochleagram():
+    """Clips of different lengths, a silent clip and a clip exactly one
+    output frame long (250 samples) in one batch: each clip's features
+    are bit-identical to a batch of it alone."""
+    manifest = build_synth_manifest(1002)
+    clips = [realize_clip(manifest.entries[i], sample_rate=manifest.sample_rate)
+             for i in (0, 11, 42)]
+    clips += [AudioClip(np.zeros(3000), 12500, "silent"),
+              AudioClip(clips[0].samples[1000:1250].copy(), 12500, "one-frame")]
+    batch = cochleagrams(clips)
+    assert [f.shape[1] for f in batch] == [clip.samples.size // 250 for clip in clips]
+    assert batch[-1].shape == (78, 1) and np.all(batch[-2] == 0.0)
+    for clip, got in zip(clips, batch):
+        assert np.array_equal(got, cochleagram(clip)), clip.clip_id
+
+
+def test_a_batch_refuses_a_clip_shorter_than_one_frame():
+    clips = [synth_digit(0, 100, 0), _clip(np.ones(249)), synth_digit(1, 100, 0)]
+    clips[1] = AudioClip(clips[1].samples, 12500, "too-short")
+    with pytest.raises(DataError, match="clip 'too-short' shorter than one 250-sample"):
+        cochleagrams(clips)
+    with pytest.raises(DataError, match="clip 'too-short' shorter than one 250-sample"):
+        cochleagram(clips[1])
 
 
 # ---------------------------------------------------------------------------
