@@ -17,8 +17,7 @@ A batch of clips runs at once (``cochleagrams``; ``cochleagram`` is a
 batch of one), zero-padded to the longest, in one Python time loop
 (``_cochlea``) whose numpy calls serve every clip.  Each clip's features
 are bit-identical to running its sections one after another as scipy's
-``lfilter`` does, then its gain stages one after another.  Nothing here
-imports scipy.
+``lfilter`` does, then its gain stages one after another.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from numpy.lib.stride_tricks import as_strided
 
 from ..dataset import AudioClip
 from ..errors import ConfigError, DataError
-from .stft import pre_emphasis
+from .stft import pre_emphasis, whole_samples
 
 # clips per ``cochleagrams`` call when a corpus is featurized: each loop
 # step's numpy calls then serve this many clips, and a batch holds about
@@ -265,7 +264,7 @@ def cochleagrams(clips: Sequence[AudioClip],
             f"cochlear design yields {cfs.size} channels at {sr} Hz but "
             f"expected_channels is {cfg.expected_channels}; adjust the "
             f"spacing parameters or the expectation")
-    decim = int(round(cfg.decim_seconds * sr))
+    decim = whole_samples("cochlear.decim_seconds", cfg.decim_seconds, sr)
     for clip in clips:
         if clip.samples.size < decim:
             raise DataError(

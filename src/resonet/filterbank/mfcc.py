@@ -2,8 +2,9 @@
 
 Standard recipe: pre-emphasis, 25 ms frames every 10 ms, Hann window,
 power spectrum, triangular mel filterbank, floored log, orthonormal
-DCT-II.  The first ``n_coeffs`` cepstra (c0 included) form the feature
-rows.
+DCT-II as its cosine matrix (``dct_ii``; Davis & Mermelstein, IEEE TASSP
+28(4), 1980).  The first ``n_coeffs`` cepstra (c0 included) form the
+feature rows.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import numpy as np
 
 from ..dataset import AudioClip
 from ..errors import ConfigError
-from .stft import framed_spectrum, pre_emphasis
+from .stft import framed_spectrum, pre_emphasis, whole_samples
 
 
 @dataclass(frozen=True)
@@ -63,18 +64,26 @@ def mel_filterbank(n_filters: int, nfft: int, sample_rate: int) -> np.ndarray:
     return fb
 
 
+def dct_ii(n_coeffs: int, n_points: int) -> np.ndarray:
+    """The first ``n_coeffs`` rows of the orthonormal ``n_points``-point
+    DCT-II matrix: row k is ``sqrt(2/n) cos(pi k (2j + 1) / 2n)``, row 0
+    scaled by ``1/sqrt(2)``."""
+    k = np.arange(n_coeffs)[:, None]
+    j = np.arange(n_points)[None, :]
+    basis = np.sqrt(2.0 / n_points) * np.cos(np.pi * k * (2 * j + 1) / (2 * n_points))
+    basis[0] /= np.sqrt(2.0)
+    return basis
+
+
 def mfcc(clip: AudioClip, cfg: MfccConfig = MfccConfig()) -> np.ndarray:
     """Cepstral feature matrix, shape (n_coeffs, n_frames)."""
-    from scipy.fft import dct     # here, to keep scipy off the import path
-
     sr = clip.sample_rate
-    frame_len = int(round(cfg.frame_seconds * sr))
-    hop_len = int(round(cfg.hop_seconds * sr))
+    frame_len = whole_samples("mfcc.frame_seconds", cfg.frame_seconds, sr)
+    hop_len = whole_samples("mfcc.hop_seconds", cfg.hop_seconds, sr)
     nfft = 1 << (frame_len - 1).bit_length()    # the least power of two >= frame_len
     x = pre_emphasis(clip.samples, cfg.pre_emphasis)
     spectrum = framed_spectrum(x, frame_len, hop_len, "hann", nfft, clip.clip_id)
     power = np.abs(spectrum) ** 2 / nfft
     energies = power @ mel_filterbank(cfg.n_filters, nfft, sr).T
     logs = np.log(np.maximum(energies, cfg.log_floor))
-    cep = dct(logs, type=2, axis=1, norm="ortho")[:, : cfg.n_coeffs]
-    return cep.T
+    return dct_ii(cfg.n_coeffs, cfg.n_filters) @ logs.T

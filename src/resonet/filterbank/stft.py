@@ -1,4 +1,5 @@
-"""Short-time Fourier analysis, and the framing the MFCC front end shares.
+"""Short-time Fourier analysis, the framing the MFCC front end shares, and
+the rounding of a configured duration to whole samples.
 
 Frames are taken without centering or padding: frame ``tau`` covers
 samples ``[tau*hop, tau*hop + frame_len)``, so a clip of length L yields
@@ -57,6 +58,16 @@ def framed_spectrum(x: np.ndarray, frame_len: int, hop: int, window: str, nfft: 
     frame_count(x.size, frame_len, hop, clip_id)
     frames = np.lib.stride_tricks.sliding_window_view(x, frame_len)[::hop]
     return np.fft.rfft(frames * window_values(window, frame_len), n=nfft, axis=1)
+
+
+def whole_samples(key: str, seconds: float, sample_rate: int) -> int:
+    """The config duration ``key`` = ``seconds`` at ``sample_rate``, rounded
+    to whole samples; a duration that rounds to none is a ``ConfigError``."""
+    n = int(round(seconds * sample_rate))
+    if n < 1:
+        raise ConfigError(f"{key}: {seconds:g} s is {n} samples at {sample_rate} Hz; "
+                          "it must span at least one sample")
+    return n
 
 
 def pre_emphasis(samples: np.ndarray, a: float) -> np.ndarray:

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 # before numpy: importing resonet pins OpenBLAS to one thread, as in the CLI
@@ -11,10 +12,12 @@ import numpy as np
 import pytest
 from scipy.signal import lfilter
 
-from resonet.dataset import build_synth_manifest, partition_subsets
+from resonet.dataset import (Manifest, build_synth_manifest, partition_subsets,
+                             realize_clip, save_manifest)
 from resonet.evalharness import PipelineSpec, baseline_route, prepare_corpus
 from resonet.filterbank import cochlea
 from resonet.filterbank.stft import pre_emphasis
+from test_dataset import _write_wav
 
 
 @pytest.fixture(scope="session")
@@ -43,6 +46,24 @@ def spectra(corpus):
     manifest, partition = corpus
     pipe = PipelineSpec(filter_kind="spectro_exp", alpha=1.0)
     return prepare_corpus(manifest, partition.groups(manifest), pipe, workers=4)
+
+
+@pytest.fixture(scope="session")
+def file_corpus(corpus, tmp_path_factory):
+    """The default corpus written as 16-bit mono WAVs at its rate, one per
+    clip, and the path of a manifest of them: the corpus as
+    ``corpus.kind = manifest`` reads it.  Each clip peaks at 1, so it is
+    written at 32767/32768 of its level, and no sample is clipped."""
+    manifest, _ = corpus
+    root = tmp_path_factory.mktemp("file_corpus")
+    rows = []
+    for entry in manifest.entries:
+        samples = realize_clip(entry, sample_rate=manifest.sample_rate).samples
+        _write_wav(root / f"{entry.clip_id}.wav", samples * (32767 / 32768),
+                   rate=manifest.sample_rate)
+        rows.append(replace(entry, source=f"{entry.clip_id}.wav"))
+    save_manifest(Manifest(tuple(rows), manifest.sample_rate), root / "manifest.csv")
+    return root / "manifest.csv"
 
 
 @pytest.fixture()

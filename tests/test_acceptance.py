@@ -24,6 +24,7 @@ from resonet.readout import (ReadoutOptions, factor, predict, predict_means, sco
                              solve, train_pinv)
 from resonet.reservoir import (StnoParams, gen_mask, mask_and_flatten, reshape_states,
                                stno_run)
+from test_cli import _count_featurize
 from test_evalharness import chance_band, reference_node_stage
 from test_readout import classify, one_hot_targets
 
@@ -430,6 +431,46 @@ def test_criterion_09_bench_runs_are_byte_identical(tmp_path, monkeypatch):
     elapsed = time.perf_counter() - t0
     print(f"PASS criterion 9: two bench runs byte-identical over "
           f"{len(names)} artifacts, {elapsed:.1f}s")
+
+
+def _report_fold_wsrs(path) -> list[tuple[float, float]]:
+    """Each fold's (train, test) WSR, as a ``bench`` report CSV writes it."""
+    rows = [line.split(",") for line in path.read_text().splitlines()
+            if line[:1].isdigit()]
+    return [(float(row[2]), float(row[4])) for row in rows]
+
+
+@pytest.mark.parametrize("alpha", [1.0, 2.0])
+def test_a_file_backed_copy_of_the_corpus_gives_every_fold(tmp_path, monkeypatch,
+                                                           file_corpus, alpha):
+    """Not a release criterion: the default corpus as 16-bit WAVs behind a
+    manifest (``corpus.kind = manifest``, the way a real corpus enters)
+    gives every fold's train and test WSR of the synthetic corpus on both
+    ``bench`` routes, and with them the golden numbers.  At alpha 2
+    ``featurize`` warms the feature cache first, and ``bench`` reads it
+    and featurizes no clip."""
+    monkeypatch.setenv("RESONET_CACHE_DIR", str(tmp_path / "cache"))
+    t0 = time.perf_counter()
+    conf = tmp_path / "run.conf"
+    conf.write_text(f"corpus.kind = manifest\ncorpus.manifest = {file_corpus}\n"
+                    f"filter.kind = spectro_exp\nfilter.alpha = {alpha}\n"
+                    "node.kind = stno\nnode.n_theta = 400\n")
+    argv = ["--config", str(conf), "--workers", str(WORKERS), "--out", str(tmp_path)]
+    warm = alpha == 2.0
+    if warm:
+        assert main(["featurize", *argv]) == 0
+        assert len(list((tmp_path / "cache").rglob("*.rnbf"))) == 500
+    featurized = _count_featurize(monkeypatch)
+    assert main(["bench", *argv]) == 0
+    assert len(featurized) == (0 if warm else 500)
+    for name, (report, _) in [("baseline", _baseline_report(alpha)),
+                              ("total", _total_report(alpha))]:
+        want = [(fm.train.wsr, fm.test.wsr) for fm in report.folds]
+        assert _report_fold_wsrs(tmp_path / f"report_{name}.csv") == want, name
+    elapsed = time.perf_counter() - t0
+    print(f"PASS file-backed corpus at alpha {alpha:g}: every fold's WSR of the "
+          f"synthetic corpus on both routes{', from a warm cache' if warm else ''}, "
+          f"{elapsed:.1f}s")
 
 
 TI46 = os.environ.get("RESONET_TI46_MANIFEST", "")

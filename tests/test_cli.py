@@ -244,6 +244,19 @@ def test_every_subcommand_takes_only_where_how_fast_and_seed_flags():
         assert flags == {"--config", "--workers", "--out", "--seed-override"}, name
 
 
+@pytest.mark.parametrize("front_end, key", [("mfcc", "mfcc.hop_seconds"),
+                                            ("cochlear", "cochlear.decim_seconds")])
+def test_a_duration_of_no_samples_gives_exit_code_2(tmp_path, capsys, front_end, key):
+    """A front-end duration that rounds to zero samples at the corpus rate
+    is a configuration error that names its key, not a traceback."""
+    conf = _write_conf(tmp_path, f"corpus.kind = synthetic\nfilter.kind = {front_end}\n"
+                                 f"{key} = 0.00001\n")
+    assert run("export-features", conf) == 2
+    out, err = capsys.readouterr()
+    assert "Traceback" not in out + err
+    assert err.startswith(f"error: {key}: 1e-05 s is 0 samples at 12500 Hz")
+
+
 def test_stratified_writes_grid(conf, tmp_path):
     assert run("stratified", conf) == 0
     text = (tmp_path / "out" / "conditions.md").read_text()

@@ -1,3 +1,4 @@
+import importlib
 import math
 import random
 from dataclasses import replace
@@ -13,7 +14,7 @@ from resonet.filterbank import (FeatureMatrix, exponent_transform, featurize,
 from resonet.filterbank import cochlea
 from resonet.filterbank.cochlea import (CochlearConfig, cochleagram, cochleagrams,
                                         design_center_freqs)
-from resonet.filterbank.mfcc import MfccConfig, mel_filterbank, mfcc
+from resonet.filterbank.mfcc import MfccConfig, dct_ii, mel_filterbank, mfcc
 from resonet.filterbank.stft import (StftConfig, frame_count, framed_spectrum,
                                      window_values)
 
@@ -222,17 +223,29 @@ def test_mfcc_output_shape():
     assert np.all(np.isfinite(out))
 
 
-def test_mfcc_dct_is_orthonormal():
-    """The decorrelation stage must match an explicit cosine matrix."""
+def test_mfcc_dct_is_orthonormal(corpus, monkeypatch):
+    """The decorrelation stage is scipy's orthonormal DCT-II: its full
+    basis is that cosine matrix and orthonormal, and ``mfcc`` on default
+    clips of several lengths, and on a quiet clip, equals the same
+    pipeline finished by ``scipy.fft.dct``, within 1e-12 of each clip's
+    largest coefficient."""
     from scipy.fft import dct
-    n = 26
-    eye = np.eye(n)
-    got = dct(eye, type=2, norm="ortho", axis=0)
-    k = np.arange(n)[:, None]
-    j = np.arange(n)[None, :]
-    ref = np.sqrt(2.0 / n) * np.cos(np.pi * k * (2 * j + 1) / (2 * n))
-    ref[0] /= np.sqrt(2.0)
-    assert np.max(np.abs(got - ref)) < 1e-12
+    n = MfccConfig().n_filters
+    basis = dct_ii(n, n)
+    assert np.max(np.abs(dct(np.eye(n), type=2, norm="ortho", axis=0) - basis)) < 1e-12
+    assert np.max(np.abs(basis @ basis.T - np.eye(n))) < 1e-12
+
+    manifest, _ = corpus
+    clips = [realize_clip(e) for e in manifest.entries[::25]] + [_clip(np.full(4000, 1e-8))]
+    assert len({clip.samples.size for clip in clips}) >= 10
+    cepstra = [mfcc(clip) for clip in clips]
+    # the identity in place of the basis leaves the log mel energies exactly
+    monkeypatch.setattr(importlib.import_module("resonet.filterbank.mfcc"), "dct_ii",
+                        lambda n_coeffs, n_points: np.eye(n_points))
+    for clip, got in zip(clips, cepstra):
+        want = dct(mfcc(clip), type=2, norm="ortho", axis=0)[: MfccConfig().n_coeffs]
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), clip.clip_id
 
 
 def test_mfcc_refuses_a_clip_shorter_than_one_frame():

@@ -1,16 +1,37 @@
-"""scipy stays off the import path: only the MFCC front end loads it
-(``scipy.fft``, for its DCT), when it runs.  The cochlear front end, the
-reservoir, and a node route through it, load numpy alone.
+"""The product runs on numpy alone: no module under ``src/resonet``
+imports scipy, which only the tests' reference oracles use.  The package,
+the MFCC and cochlear front ends, the reservoir, and a node route through
+it, load no scipy module when they run.
 
-Each check runs in a fresh interpreter, since this test process has
+Each run check runs in a fresh interpreter, since this test process has
 long since imported scipy.
 """
 
+import ast
 import json
+from pathlib import Path
 
 import pytest
 
 LIST_MODULES = "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"
+SRC = Path(__file__).resolve().parent.parent / "src" / "resonet"
+
+
+def test_no_product_module_imports_scipy():
+    """Every import statement in ``src/resonet``, at module level or inside
+    a function, names a module outside scipy."""
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.relative_to(SRC)}:{node.lineno} {name}" for name in names
+                      if name.split(".")[0] == "scipy"]
+    assert found == []
 
 
 def test_the_package_and_its_set_up_layers_load_without_scipy(fresh_python):
@@ -21,13 +42,14 @@ def test_the_package_and_its_set_up_layers_load_without_scipy(fresh_python):
     assert [m for m in loaded if m.startswith("scipy")] == []
 
 
-def test_the_mfcc_front_end_loads_scipy_fft_when_it_runs(fresh_python):
+def test_the_mfcc_front_end_loads_no_scipy(fresh_python):
     out = fresh_python("from resonet.dataset import build_synth_manifest, realize_clip\n"
                        "from resonet.filterbank import featurize\n"
                        "entry = build_synth_manifest(1001).entries[0]\n"
                        "featurize(realize_clip(entry), 'mfcc')" + LIST_MODULES)
     loaded = json.loads(out.splitlines()[-1])
-    assert "scipy.fft" in loaded
+    assert "numpy" in loaded and "resonet.filterbank.mfcc" in loaded
+    assert [m for m in loaded if m.startswith("scipy")] == []
     assert "resonet.reservoir" not in loaded
 
 
