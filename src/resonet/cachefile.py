@@ -129,7 +129,7 @@ def write_model(path: str | Path, model: ReadoutModel, *, filter_kind: str,
     header = MAGIC_MODEL + struct.pack(
         "<HBBdddBII", CACHE_VERSION, NODE_CODES[node_kind], FILTER_CODES[filter_kind],
         alpha if alpha is not None else float("nan"),
-        model.options.rtol, model.options.ridge, 1 if model.options.bias else 0,
+        model.options.rtol, model.options.ridge, 0,   # retired byte: was a bias flag
         w.shape[0], w.shape[1])
     header += _normalize_hash(config_hash)
     desc = trained_on.encode()

@@ -234,8 +234,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="run configuration file")
         p.add_argument("--workers", type=int, default=1,
                        help="threads that realize and featurize clips in featurize, "
-                            "bench, sweep, stratified and export-features; BLAS always "
-                            "runs on one thread (default: 1)")
+                            "bench, sweep, stratified and export-features (one for the "
+                            "cochlear front end); BLAS always runs on one thread "
+                            "(default: 1)")
         p.add_argument("--out", default="out", help="output directory (default: out)")
         p.add_argument("--seed-override", action="append", default=[],
                        metavar="NAME=VALUE",

@@ -96,8 +96,7 @@ TYPED_SECTIONS = {"stft": StftConfig, "mfcc": MfccConfig, "cochlear": CochlearCo
                   "readout": ReadoutOptions}
 
 #: a typed field's default type -> the parser of its value (tuple fields hold floats)
-_PARSERS = {bool: _parse_bool, int: _parse_int, float: _parse_float, str: _parse_str,
-            tuple: _parse_floats}
+_PARSERS = {int: _parse_int, float: _parse_float, tuple: _parse_floats}
 
 # key -> (parser, default).  Defaults are explicit: a run's effective
 # configuration never depends on ambient state.

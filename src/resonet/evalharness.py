@@ -119,8 +119,10 @@ def corpus_features(manifest: Manifest, pipeline: PipelineSpec, *, workers: int,
     Consecutive runs form a batch: for the cochlear front end, which runs a
     batch's uncached clips at once (``featurize_batch``), of at least
     ``COCHLEAR_BATCH`` entries; for the others, which featurize clip by
-    clip, of one run.  Batches go to a pool of ``workers`` threads that
-    keeps at most ``2 * workers`` batches in flight: a running batch holds
+    clip, of one run.  Batches go to a pool of ``workers`` threads (one for
+    the cochlea, whose numpy calls already serve a whole batch, so a second
+    thread only contends for the interpreter lock) that keeps at most twice
+    as many batches as threads in flight: a running batch holds
     its clips' buffers (for the cochlea about 0.5 MB a clip), a finished
     one its features until they are consumed.  ``cache`` is a ``<cache
     root>/<feature hash>`` directory, and a file in it from another
@@ -168,11 +170,13 @@ def corpus_features(manifest: Manifest, pipeline: PipelineSpec, *, workers: int,
         if batch:
             yield batch
 
-    # at most 2 * workers batches in flight, so a slow consumer holds only those
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    cochlear = pipeline.filter_kind == "cochlear"
+    threads = 1 if cochlear else workers
+    # at most 2 * threads batches in flight, so a slow consumer holds only those
+    with ThreadPoolExecutor(max_workers=threads) as pool:
         pending = deque()
-        for batch in _batches(COCHLEAR_BATCH if pipeline.filter_kind == "cochlear" else 1):
-            if len(pending) == 2 * workers:
+        for batch in _batches(COCHLEAR_BATCH if cochlear else 1):
+            if len(pending) == 2 * threads:
                 yield from pending.popleft().result()
             pending.append(pool.submit(_load, batch))
         while pending:
@@ -243,7 +247,7 @@ def _reduce(corpus: Corpus, pipeline: PipelineSpec, features: Callable[[int], Fe
     n_frames, n_rows = corpus.n_frames_max, corpus.features[0].n_rows
     n_inputs = n_rows if node is None else pipeline.n_theta
     padded = None if node is None else np.empty((FACTOR_CHUNK, n_rows, n_frames))
-    buffer = design_buffer(n_inputs, FACTOR_CHUNK * n_frames, pipeline.readout)
+    buffer = design_buffer(n_inputs, FACTOR_CHUNK * n_frames)
     frame_means = np.empty((len(corpus.clip_ids), n_inputs))
     factors: dict[int, np.ndarray] = {}
     for group in (int(g) for g in np.unique(corpus.subset_of)):
@@ -251,7 +255,7 @@ def _reduce(corpus: Corpus, pipeline: PipelineSpec, features: Callable[[int], Fe
         for start in range(0, idx.size, FACTOR_CHUNK):
             chunk = idx[start:start + FACTOR_CHUNK]
             r = factors.get(group)
-            stack = design(buffer, r, n_inputs, chunk.size * n_frames, pipeline.readout)
+            stack = design(buffer, r, n_inputs, chunk.size * n_frames)
             # the frame rows' inputs, clip by clip: a view, so written in place
             inputs = np.reshape(stack[-chunk.size * n_frames:, :n_inputs],
                                 (chunk.size, n_frames, n_inputs), copy=False).transpose(0, 2, 1)
@@ -261,8 +265,7 @@ def _reduce(corpus: Corpus, pipeline: PipelineSpec, features: Callable[[int], Fe
             else:
                 frame_means[chunk] = node(pad_to(block, n_frames, out=padded), inputs)
             if factored is None or group in factored:
-                factors[group] = extend(r, stack, corpus.digits[chunk],
-                                        [n_frames] * chunk.size, pipeline.readout)
+                factors[group] = extend(r, stack, corpus.digits[chunk], [n_frames] * chunk.size)
     return Route(corpus, pipeline, frame_means, factors)
 
 

@@ -9,9 +9,9 @@ decimated to frame rate by block averaging.  All outputs are
 nonnegative.
 
 Channel spacing is proportional to the local critical bandwidth
-``sqrt(f^2 + break_freq^2) / ear_q``; the defaults place exactly 78
-channels for a 12.5 kHz corpus, and ``cochleagram`` refuses to run when
-the designed channel count disagrees with ``expected_channels``.
+``sqrt(f^2 + break_freq^2) / ear_q``, so the channel count follows from
+the spacing and the sample rate (``design_center_freqs``): the defaults
+place 78 channels for a 12.5 kHz corpus.
 
 A batch of clips runs at once (``cochleagrams``; ``cochleagram`` is a
 batch of one), zero-padded to the longest, in one Python time loop
@@ -37,7 +37,7 @@ from .stft import pre_emphasis, whole_samples
 # step's numpy calls then serve this many clips, and a batch holds about
 # 0.5 MB a clip.  Measured on the default corpus (README "Install"), 16 to
 # 32 clips ran fastest on one thread; two threads contend for the
-# interpreter lock between calls, and were faster the larger the batch.
+# interpreter lock between calls, so a corpus runs its batches on one.
 COCHLEAR_BATCH = 32
 _ROWS = 256                 # cascade steps a batch's row buffer holds
 
@@ -53,7 +53,6 @@ class CochlearConfig:
     agc_targets: tuple[float, ...] = (0.0032, 0.0016, 0.0008, 0.0004)
     agc_taus: tuple[float, ...] = (0.64, 0.16, 0.04, 0.01)   # seconds
     decim_seconds: float = 0.02
-    expected_channels: int = 78
 
     def __post_init__(self) -> None:
         if self.ear_q <= 0 or self.step_factor <= 0 or self.break_freq <= 0:
@@ -72,8 +71,6 @@ class CochlearConfig:
             raise ConfigError("AGC targets and time constants must be positive")
         if self.decim_seconds <= 0:
             raise ConfigError("decim_seconds must be positive")
-        if self.expected_channels < 1:
-            raise ConfigError("expected_channels must be >= 1")
 
 
 def critical_bandwidth(f: float, cfg: CochlearConfig) -> float:
@@ -259,11 +256,6 @@ def cochleagrams(clips: Sequence[AudioClip],
     if any(clip.sample_rate != sr for clip in clips):
         raise DataError("a cochlear batch must share one sample rate")
     cfs = design_center_freqs(sr, cfg)
-    if cfs.size != cfg.expected_channels:
-        raise ConfigError(
-            f"cochlear design yields {cfs.size} channels at {sr} Hz but "
-            f"expected_channels is {cfg.expected_channels}; adjust the "
-            f"spacing parameters or the expectation")
     decim = whole_samples("cochlear.decim_seconds", cfg.decim_seconds, sr)
     for clip in clips:
         if clip.samples.size < decim:

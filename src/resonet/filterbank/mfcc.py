@@ -82,7 +82,7 @@ def mfcc(clip: AudioClip, cfg: MfccConfig = MfccConfig()) -> np.ndarray:
     hop_len = whole_samples("mfcc.hop_seconds", cfg.hop_seconds, sr)
     nfft = 1 << (frame_len - 1).bit_length()    # the least power of two >= frame_len
     x = pre_emphasis(clip.samples, cfg.pre_emphasis)
-    spectrum = framed_spectrum(x, frame_len, hop_len, "hann", nfft, clip.clip_id)
+    spectrum = framed_spectrum(x, frame_len, hop_len, nfft, clip.clip_id)
     power = np.abs(spectrum) ** 2 / nfft
     energies = power @ mel_filterbank(cfg.n_filters, nfft, sr).T
     logs = np.log(np.maximum(energies, cfg.log_floor))

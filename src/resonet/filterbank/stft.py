@@ -3,8 +3,10 @@ the rounding of a configured duration to whole samples.
 
 Frames are taken without centering or padding: frame ``tau`` covers
 samples ``[tau*hop, tau*hop + frame_len)``, so a clip of length L yields
-``1 + floor((L - frame_len)/hop)`` frames.  The STFT's frames are
-``fft_size`` long and its one-sided spectrum keeps ``fft_size//2 + 1`` bins.
+``1 + floor((L - frame_len)/hop)`` frames, and every frame is weighted by
+the periodic Hann window (``hann``), whose first sample is 0.  The
+STFT's frames are ``fft_size`` long and its one-sided spectrum keeps
+``fft_size//2 + 1`` bins.
 """
 
 from __future__ import annotations
@@ -16,31 +18,21 @@ import numpy as np
 from ..dataset import AudioClip
 from ..errors import ConfigError, DataError
 
-WINDOWS = ("hann", "rectangular")
-
-
 @dataclass(frozen=True)
 class StftConfig:
     fft_size: int = 128
     hop: int = 64
-    window: str = "hann"
 
     def __post_init__(self) -> None:
         if self.fft_size < 2 or (self.fft_size & (self.fft_size - 1)) != 0:
             raise ConfigError(f"fft_size must be a power of two, got {self.fft_size}")
         if not 0 < self.hop <= self.fft_size:
             raise ConfigError(f"hop must be in (0, fft_size], got {self.hop}")
-        if self.window not in WINDOWS:
-            raise ConfigError(f"unknown window {self.window!r}, expected one of {WINDOWS}")
 
 
-def window_values(kind: str, n: int) -> np.ndarray:
-    """Periodic analysis window of length n."""
-    if kind == "hann":
-        return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
-    if kind == "rectangular":
-        return np.ones(n)
-    raise ConfigError(f"unknown window {kind!r}")
+def hann(n: int) -> np.ndarray:
+    """Periodic Hann window of length n."""
+    return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
 
 
 def frame_count(n_samples: int, frame_len: int, hop: int, clip_id: str = "?") -> int:
@@ -51,13 +43,14 @@ def frame_count(n_samples: int, frame_len: int, hop: int, clip_id: str = "?") ->
     return 1 + (n_samples - frame_len) // hop
 
 
-def framed_spectrum(x: np.ndarray, frame_len: int, hop: int, window: str, nfft: int,
+def framed_spectrum(x: np.ndarray, frame_len: int, hop: int, nfft: int,
                     clip_id: str = "?") -> np.ndarray:
-    """One-sided ``nfft``-point spectrum of each windowed frame of ``x``,
-    shape (n_frames, nfft // 2 + 1); frames as the module docstring says."""
+    """One-sided ``nfft``-point spectrum of each Hann-windowed frame of
+    ``x``, shape (n_frames, nfft // 2 + 1); frames as the module docstring
+    says."""
     frame_count(x.size, frame_len, hop, clip_id)
     frames = np.lib.stride_tricks.sliding_window_view(x, frame_len)[::hop]
-    return np.fft.rfft(frames * window_values(window, frame_len), n=nfft, axis=1)
+    return np.fft.rfft(frames * hann(frame_len), n=nfft, axis=1)
 
 
 def whole_samples(key: str, seconds: float, sample_rate: int) -> int:
@@ -83,5 +76,4 @@ def stft_complex(clip: AudioClip, cfg: StftConfig = StftConfig()) -> np.ndarray:
 
     Linear in the input samples.
     """
-    return framed_spectrum(clip.samples, cfg.fft_size, cfg.hop, cfg.window, cfg.fft_size,
-                           clip.clip_id).T
+    return framed_spectrum(clip.samples, cfg.fft_size, cfg.hop, cfg.fft_size, clip.clip_id).T

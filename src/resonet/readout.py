@@ -3,19 +3,21 @@
 Training fits W in W V = T, where V concatenates the per-clip state (or
 feature) matrices column wise and T holds each clip's digit one-hot on
 every frame: W = T pinv(V), the minimum-norm least-squares solution with
-singular values below ``rtol * sigma_max`` treated as zero.  Neither V
-nor T is formed.  ``factor`` reduces a pool of clips and their digits
-to the triangular factor [R | C] of [V^T | T^T] (R^T R = V V^T,
-R^T C = V T^T), one block of clips at a time.  A block's ``design`` is a
+singular values below ``rtol * sigma_max`` treated as zero.  The map is
+purely linear in the states, as the paper's readout is.  Neither V nor T
+is formed.  ``factor`` reduces a pool of clips and their digits to the
+triangular factor [R | C] of [V^T | T^T] (R^T R = V V^T, R^T C = V T^T),
+one block of clips at a time.  A block's ``design`` is a
 column-major view into one flat buffer (``design_buffer``) that every
 block of a pool reuses; the caller writes the block's inputs into it,
-and ``extend`` writes the factor so far, the bias and the targets around
-them and factors the stack.  A caller that makes its blocks one by one
-(the harness's ``_reduce``) calls them per block.  ``merge`` re-factors
+and ``extend`` writes the factor so far and the targets around them and
+factors the stack.  A caller that makes its blocks one by one (the
+harness's ``_reduce``) calls them per block.  ``merge`` re-factors
 the stacked factors of disjoint pools into one factor of their union,
 and ``solve`` stacks the factors of any number of pools and solves
 R W^T = C, which has the same singular values and the same minimum-norm
-solution as the full problem.
+solution as the full problem; ``solve`` is the one step that reads
+``ReadoutOptions``.
 Where inputs repeat exactly (at alpha = 0 every feature row is the same
 pattern of ones and padding zeros), each distinct input is factored once,
 so a factor has one R row per distinct input.  Classification applies W
@@ -46,7 +48,6 @@ FACTOR_CHUNK = 25
 class ReadoutOptions:
     rtol: float = 1e-10
     ridge: float = 0.0
-    bias: bool = False
 
     def __post_init__(self) -> None:
         if self.rtol <= 0:
@@ -70,20 +71,18 @@ class ReadoutModel:
         object.__setattr__(self, "weights", w)
 
 
-def factor(states: Sequence, digits: Sequence[int],
-           options: ReadoutOptions = ReadoutOptions()) -> np.ndarray:
+def factor(states: Sequence, digits: Sequence[int]) -> np.ndarray:
     """Triangular factor [R | C] of one pool of clips.
 
     ``states`` is a sequence of matrices with a shared row count, one
     column per frame, and ``digits`` the matching clip digits: clip i's
-    target is ``digits[i]`` one-hot on each of its frames.  With
-    ``options.bias`` a row of ones joins the states.  The result has
-    n_inputs + N_CLASSES columns and at most n_inputs rows, with
-    R^T R = V V^T and R^T C = V T^T; when inputs (the bias row included)
-    repeat exactly, it has one row per distinct input.  Clips are
-    factored ``FACTOR_CHUNK`` at a time, each block's states written into
-    its ``design`` and stacked under the factor so far (``extend``), so
-    only one block of frames is held at once.
+    target is ``digits[i]`` one-hot on each of its frames.  The result
+    has n_inputs + N_CLASSES columns and at most n_inputs rows, with
+    R^T R = V V^T and R^T C = V T^T; when inputs repeat exactly, it has
+    one row per distinct input.  Clips are factored ``FACTOR_CHUNK`` at a
+    time, each block's states written into its ``design`` and stacked
+    under the factor so far (``extend``), so only one block of frames is
+    held at once.
     """
     if len(states) == 0 or len(states) != len(digits):
         raise DataError(
@@ -99,61 +98,56 @@ def factor(states: Sequence, digits: Sequence[int],
             raise DataError(f"inconsistent state row counts: {v.shape[0]} vs {n_rows}")
     starts = range(0, len(vs), FACTOR_CHUNK)
     frames = [[v.shape[1] for v in vs[i:i + FACTOR_CHUNK]] for i in starts]
-    buffer = design_buffer(n_rows, max(map(sum, frames)), options)
+    buffer = design_buffer(n_rows, max(map(sum, frames)))
     r = None
     for i, f in zip(starts, frames):
-        block = design(buffer, r, n_rows, sum(f), options)
+        block = design(buffer, r, n_rows, sum(f))
         block[block.shape[0] - sum(f):, :n_rows] = np.hstack(vs[i:i + FACTOR_CHUNK]).T
-        r = extend(r, block, digits[i:i + FACTOR_CHUNK], f, options)
+        r = extend(r, block, digits[i:i + FACTOR_CHUNK], f)
     return r
 
 
-def design_buffer(n_inputs: int, n_frames: int,
-                  options: ReadoutOptions = ReadoutOptions()) -> np.ndarray:
+def design_buffer(n_inputs: int, n_frames: int) -> np.ndarray:
     """One flat buffer that holds the ``design`` of any block of at most
     ``n_frames`` frames of ``n_inputs`` inputs, under any factor of them."""
-    n = n_inputs + (1 if options.bias else 0)
-    return np.empty((n + n_frames) * (n + N_CLASSES))
+    return np.empty((n_inputs + n_frames) * (n_inputs + N_CLASSES))
 
 
-def design(buffer: np.ndarray, r: np.ndarray | None, n_inputs: int, n_frames: int,
-           options: ReadoutOptions = ReadoutOptions()) -> np.ndarray:
+def design(buffer: np.ndarray, r: np.ndarray | None, n_inputs: int,
+           n_frames: int) -> np.ndarray:
     """The design of a block of ``n_frames`` frames stacked under the
     factor ``r`` (None before a pool's first block), as a view of the head
     of ``buffer`` (``design_buffer``): the factor's rows, then one row per
-    frame; the ``n_inputs`` input columns, the bias column with
-    ``options.bias``, then N_CLASSES target columns.  The caller writes
-    the frames' inputs, the last ``n_frames`` rows of the first
-    ``n_inputs`` columns, and ``extend`` the rest.  It is column-major,
-    the layout LAPACK reads, so the QR copies each column whole.
+    frame; the ``n_inputs`` input columns, then N_CLASSES target
+    columns.  The caller writes the frames' inputs, the last ``n_frames``
+    rows of the first ``n_inputs`` columns, and ``extend`` the rest.  It
+    is column-major, the layout LAPACK reads, so the QR copies each
+    column whole.
     """
-    n = n_inputs + (1 if options.bias else 0)
-    rows = (0 if r is None else r.shape[0]) + n_frames
-    return buffer[:rows * (n + N_CLASSES)].reshape((rows, n + N_CLASSES), order="F")
+    rows, cols = (0 if r is None else r.shape[0]) + n_frames, n_inputs + N_CLASSES
+    return buffer[:rows * cols].reshape((rows, cols), order="F")
 
 
 def extend(r: np.ndarray | None, block: np.ndarray, digits: Sequence[int],
-           frames: Sequence[int], options: ReadoutOptions = ReadoutOptions()) -> np.ndarray:
+           frames: Sequence[int]) -> np.ndarray:
     """The factor [R | C] of a pool grown by one block of clips.
 
     ``r`` is the factor of the blocks before (None before the first), and
     ``block`` the block's ``design`` under it, its frames' inputs written;
     clip i of the block has ``frames[i]`` frames and digit ``digits[i]``,
-    checked by the caller.  The factor's rows, the bias column and T are
-    written here, each clip's frames taking target columns that are zero
-    but at its digit, and the block is factored again (TSQR), so only its
-    frames are held.  Input columns that are exact copies of an earlier
-    one are left out of the QR and take their factor column from that
-    one, so the factor has one row per distinct column; a block without
-    copies is factored as it stands.
+    checked by the caller.  The factor's rows and T are written here,
+    each clip's frames taking target columns that are zero but at its
+    digit, and the block is factored again (TSQR), so only its frames are
+    held.  Input columns that are exact copies of an earlier one are left
+    out of the QR and take their factor column from that one, so the
+    factor has one row per distinct column; a block without copies is
+    factored as it stands.
     """
     n = block.shape[1] - N_CLASSES
-    n_inputs = n - (1 if options.bias else 0)
     row = 0
     if r is not None:
         row = r.shape[0]
         block[:row] = r
-    block[row:, n_inputs:n] = 1.0          # the bias column, if any
     block[row:, n:] = np.repeat(np.eye(N_CLASSES)[digits], frames, axis=0)
     return _triangular(block, n)
 
@@ -238,7 +232,7 @@ def solve(factors: Sequence[np.ndarray],
 def train_pinv(states: Sequence, digits: Sequence[int],
                options: ReadoutOptions = ReadoutOptions()) -> ReadoutModel:
     """Fit readout weights over one pool of clips and their digits (see ``factor``)."""
-    return solve([factor(states, digits, options)], options)
+    return solve([factor(states, digits)], options)
 
 
 def predict_means(model: ReadoutModel, means: np.ndarray) -> np.ndarray:
@@ -251,8 +245,6 @@ def predict_means(model: ReadoutModel, means: np.ndarray) -> np.ndarray:
     m = np.asarray(means, dtype=np.float64)
     if m.ndim != 2:
         raise DataError("frame means must be 2-d")
-    if model.options.bias:
-        m = np.hstack([m, np.ones((m.shape[0], 1))])
     if m.shape[1] != model.weights.shape[1]:
         raise DataError(
             f"model expects {model.weights.shape[1]} state rows, got {m.shape[1]}")

@@ -292,8 +292,6 @@ def reference_readout(states, digits, options: ReadoutOptions) -> np.ndarray:
     its clip's one-hot digit.
     """
     big_v = np.hstack(states)
-    if options.bias:
-        big_v = np.vstack([big_v, np.ones(big_v.shape[1])])
     sol, _, _, _ = np.linalg.lstsq(big_v.T, one_hot_targets(states, digits).T,
                                    rcond=options.rtol)
     return sol.T
@@ -332,8 +330,9 @@ def test_baseline_decisions_do_not_depend_on_padding():
 
     On the baseline route a padded frame is a zero feature, which adds
     nothing to V V^T or V T^T, so training on each clip's true frames
-    gives every fold's weights. With the bias off, the padded frame mean
-    is a positive rescale of the true-frame mean, which keeps its argmax.
+    gives every fold's weights. The readout has no constant input, so the
+    padded frame mean is a positive rescale of the true-frame mean, which
+    keeps its argmax.
     """
     t0 = time.perf_counter()
     worst = 0.0
@@ -341,7 +340,8 @@ def test_baseline_decisions_do_not_depend_on_padding():
         report, prep = _baseline_report(alpha)
         corpus = prep.corpus
         n_frames = [fm.n_frames for fm in corpus.features]
-        assert not prep.pipeline.readout.bias
+        # one weight per feature row: no constant input joins the features
+        assert report.folds[0].model.weights.shape[1] == corpus.features[0].n_rows
         assert min(n_frames) < corpus.n_frames_max
         tensors = pad_to(corpus.features)
         true = [x[:, :n] for x, n in zip(tensors, n_frames)]
@@ -387,7 +387,7 @@ def test_the_headline_holds_on_true_frames():
         factors = {}
         for k in range(10):
             idx = corpus.indices_of_subsets([k])
-            factors[k] = factor([states[i] for i in idx], corpus.digits[idx], pipe.readout)
+            factors[k] = factor([states[i] for i in idx], corpus.digits[idx])
         means = np.array([v.mean(axis=1) for v in states])
         wsrs = []
         for fold in enumerate_folds(9):

@@ -23,8 +23,8 @@ def read_model(path, config_hash) -> tuple[ReadoutModel, dict]:
     here, where it pins the file layout.
     """
     body = _open(path, MAGIC_MODEL)
-    fmt = "<BBdddBII"
-    node_code, filt_code, alpha, rtol, ridge, bias, rows, cols = struct.unpack_from(fmt, body, 0)
+    fmt = "<BBdddxII"                  # x: the retired byte, always 0
+    node_code, filt_code, alpha, rtol, ridge, rows, cols = struct.unpack_from(fmt, body, 0)
     off = struct.calcsize(fmt)
     stored_hash = body[off:off + _HASH_LEN]
     off += _HASH_LEN
@@ -40,7 +40,7 @@ def read_model(path, config_hash) -> tuple[ReadoutModel, dict]:
     if filt_code not in FILTER_NAMES or node_code not in NODE_NAMES:
         raise CacheError(f"{path}: unknown filter or node code")
     w = np.frombuffer(payload, dtype="<f8").reshape(rows, cols)
-    options = ReadoutOptions(rtol=rtol, ridge=ridge, bias=bool(bias))
+    options = ReadoutOptions(rtol=rtol, ridge=ridge)
     fields = {"filter_kind": FILTER_NAMES[filt_code], "node_kind": NODE_NAMES[node_code],
               "alpha": None if np.isnan(alpha) else alpha, "trained_on": trained_on,
               "config_hash": stored_hash.hex()}
@@ -118,12 +118,11 @@ def test_cache_version_message(tmp_path, rng):
         read_feature_cache(path, HASH)
 
 
-@pytest.mark.parametrize("bias", [True, False], ids=["bias", "no_bias"])
 @pytest.mark.parametrize("node_kind", sorted(NODE_CODES))
 @pytest.mark.parametrize("filter_kind", sorted(FILTER_CODES))
-def test_model_round_trip(tmp_path, rng, filter_kind, node_kind, bias):
+def test_model_round_trip(tmp_path, rng, filter_kind, node_kind):
     w = rng.standard_normal((10, 41))
-    model = ReadoutModel(w, ReadoutOptions(rtol=1e-9, ridge=0.5, bias=bias))
+    model = ReadoutModel(w, ReadoutOptions(rtol=1e-9, ridge=0.5))
     fields = {"filter_kind": filter_kind, "node_kind": node_kind,
               "alpha": 2.0 if filter_kind == "spectro_exp" else None,
               "trained_on": "0+1+2", "config_hash": HASH}
@@ -133,6 +132,8 @@ def test_model_round_trip(tmp_path, rng, filter_kind, node_kind, bias):
     assert np.array_equal(back.weights, w)
     assert back.options == model.options
     assert stored == fields
+    # the byte after ridge once held a bias flag; it is retired and reads 0
+    assert path.read_bytes()[struct.calcsize("<4sHBBddd")] == 0
 
 
 def test_model_header_refuses_unknown_kinds(tmp_path, rng):

@@ -257,6 +257,20 @@ def test_a_duration_of_no_samples_gives_exit_code_2(tmp_path, capsys, front_end,
     assert err.startswith(f"error: {key}: 1e-05 s is 0 samples at 12500 Hz")
 
 
+@pytest.mark.parametrize("key, value", [("readout.bias", "false"), ("stft.window", "hann"),
+                                        ("cochlear.expected_channels", "78")],
+                         ids=["readout.bias", "stft.window", "cochlear.expected_channels"])
+def test_a_removed_config_key_gives_exit_code_2(tmp_path, capsys, key, value):
+    """The readout has no bias column, the STFT one window and the cochlea
+    the channel count its spacing gives, so none of them is a key: a
+    config that names one, even at its old default, is refused."""
+    conf = _write_conf(tmp_path, f"corpus.kind = synthetic\n{key} = {value}\n")
+    assert run("synth-corpus", conf) == 2
+    out, err = capsys.readouterr()
+    assert "Traceback" not in out + err
+    assert f"unknown config key {key!r}" in err
+
+
 def test_stratified_writes_grid(conf, tmp_path):
     assert run("stratified", conf) == 0
     text = (tmp_path / "out" / "conditions.md").read_text()
@@ -497,7 +511,7 @@ def test_bench_featurizes_each_clip_once_and_trains_each_fold_once(conf, monkeyp
         if r is None:       # a group's first block starts its factor
             factored.append((0, None))
         blocks.append(len(digits))
-        # the block's design: its input columns, then the targets (no bias)
+        # the block's design: its input columns, then the targets
         factored[-1] = (factored[-1][0] + len(digits), block.shape[1] - N_CLASSES)
         return extend(r, block, digits, *args, **kwargs)
 

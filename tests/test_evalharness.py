@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import threading
 import time
 import tracemalloc
 from dataclasses import replace
@@ -140,6 +141,26 @@ def test_cochlear_features_are_worker_invariant(corpus, tmp_path, monkeypatch):
             got = list(evalharness.corpus_features(small, pipe, workers=workers, cache=root))
             assert [fm.clip_id for fm in got] == [e.clip_id for e in small.entries]
             assert [fm.values.tobytes() for fm in got] == want, (workers, root)
+
+
+def test_cochlear_batches_run_on_one_thread_at_two_workers(corpus, monkeypatch):
+    """Each cochlear batch already serves its clips in every numpy call, so
+    ``corpus_features`` runs the batches on one thread whatever the worker
+    count: a second thread would only contend for the interpreter lock."""
+    monkeypatch.setattr(evalharness, "COCHLEAR_BATCH", 5)
+    manifest, _ = corpus
+    threads, cochleagrams = [], filterbank.cochleagrams
+
+    def recording_cochleagrams(clips, *args, **kwargs):
+        threads.append(threading.get_ident())
+        return cochleagrams(clips, *args, **kwargs)
+
+    monkeypatch.setattr(filterbank, "cochleagrams", recording_cochleagrams)
+    small = replace(manifest, entries=manifest.entries[:12])
+    got = list(evalharness.corpus_features(small, PipelineSpec(filter_kind="cochlear"),
+                                           workers=2))
+    assert len(got) == 12
+    assert len(threads) == 3 and len(set(threads)) == 1
 
 
 def entry_features(entry, pipeline, manifest):
@@ -286,7 +307,7 @@ def assert_matches_reference(prep, states, factored):
     corpus = prep.corpus
     for k in factored:
         idx = corpus.indices_of_subsets([k])
-        want = factor([states[i] for i in idx], corpus.digits[idx], prep.pipeline.readout)
+        want = factor([states[i] for i in idx], corpus.digits[idx])
         assert np.array_equal(prep.factors[k], want), f"group {k}"
 
 

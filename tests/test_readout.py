@@ -77,9 +77,8 @@ def test_train_pinv_ridge_matches_normal_equations(rng):
 
 def test_factor_keeps_the_gram_matrices_across_chunks(rng):
     states, digits = _toy_problem(rng, n_clips=2 * FACTOR_CHUNK + 7)
-    opts = ReadoutOptions(bias=True)
-    f = factor(states, digits, opts)
-    big_v = np.vstack([np.hstack(states), np.ones(sum(v.shape[1] for v in states))])
+    f = factor(states, digits)
+    big_v = np.hstack(states)
     big_t = one_hot_targets(states, digits)
     n = big_v.shape[0]
     assert f.shape == (n, n + 10)
@@ -108,15 +107,6 @@ def test_factor_of_a_short_pool_keeps_the_min_norm_cutoff(rng):
     assert f.shape == (12, 40)
     w = train_pinv([v], [4]).weights
     assert np.max(np.abs(w - t @ np.linalg.pinv(v, rcond=1e-10))) < 1e-10
-
-
-def test_train_pinv_bias_row_fits_offsets(rng):
-    # targets that are a pure constant per class need the bias row
-    v = rng.standard_normal((4, 200))
-    # class 2 on every frame: a constant target independent of the states
-    with_bias = train_pinv([v], [2], ReadoutOptions(bias=True))
-    pred = predict(with_bias, v)
-    assert pred[2] == pytest.approx(1.0, abs=1e-8)
 
 
 def test_train_pinv_shape_errors(rng):
@@ -149,11 +139,11 @@ def test_predict_averages_frames():
 
 def test_predict_means_scores_a_batch_like_predict(rng):
     from resonet.readout import ReadoutModel
-    model = ReadoutModel(rng.standard_normal((10, 7)), ReadoutOptions(bias=True))
+    model = ReadoutModel(rng.standard_normal((10, 6)), ReadoutOptions())
     clips = [rng.standard_normal((6, 9)) for _ in range(4)]
     batch = predict_means(model, np.array([c.mean(axis=1) for c in clips]))
     for c, row in zip(clips, batch):
-        want = (model.weights @ np.vstack([c, np.ones(9)])).mean(axis=1)
+        want = (model.weights @ c).mean(axis=1)
         assert np.allclose(row, want, rtol=0, atol=1e-12)
         assert np.allclose(predict(model, c), want, rtol=0, atol=1e-12)
     with pytest.raises(DataError):
@@ -217,11 +207,8 @@ def _copied_pool(rng, n_clips, sources, n_rows=12, n_frames=9, copies_in=None):
     return states, digits
 
 
-def _pool_design(states, digits, bias):
-    big_v = np.hstack(states)
-    if bias:
-        big_v = np.vstack([big_v, np.ones(big_v.shape[1])])
-    return big_v, one_hot_targets(states, digits)
+def _pool_design(states, digits):
+    return np.hstack(states), one_hot_targets(states, digits)
 
 
 def _assert_factor_keeps_the_grams(f, big_v, big_t):
@@ -237,50 +224,37 @@ ALL_COPIES = [0] * 12
 A_FEW_COPIES = [0, 1, 2, 1, 4, 5, 6, 1, 8, 4, 10, 11]
 
 
-@pytest.mark.parametrize("sources, n_clips, copies_in, bias, n_distinct", [
-    (ALL_COPIES, 30, None, False, 1),
-    (A_FEW_COPIES, 30, None, False, 9),
-    (ALL_COPIES, 2 * FACTOR_CHUNK + 7, None, False, 1),
-    (A_FEW_COPIES, 2 * FACTOR_CHUNK + 7, None, True, 10),
-    (A_FEW_COPIES, 2 * FACTOR_CHUNK + 7, range(FACTOR_CHUNK), False, 12),
-    (ALL_COPIES, 2 * FACTOR_CHUNK + 7, range(FACTOR_CHUNK, 2 * FACTOR_CHUNK + 7), True, 13),
+@pytest.mark.parametrize("sources, n_clips, copies_in, n_distinct", [
+    (ALL_COPIES, 30, None, 1),
+    (A_FEW_COPIES, 30, None, 9),
+    (ALL_COPIES, 2 * FACTOR_CHUNK + 7, None, 1),
+    (A_FEW_COPIES, 2 * FACTOR_CHUNK + 7, None, 9),
+    (A_FEW_COPIES, 2 * FACTOR_CHUNK + 7, range(FACTOR_CHUNK), 12),
+    (ALL_COPIES, 2 * FACTOR_CHUNK + 7, range(FACTOR_CHUNK, 2 * FACTOR_CHUNK + 7), 12),
 ], ids=["all-copies", "a-few-copies", "all-copies-every-block",
-        "a-few-copies-every-block-bias", "copies-in-the-first-block",
-        "copies-in-the-later-blocks-bias"])
+        "a-few-copies-every-block", "copies-in-the-first-block",
+        "copies-in-the-later-blocks"])
 def test_factor_of_repeated_inputs_keeps_the_grams(rng, sources, n_clips, copies_in,
-                                                   bias, n_distinct):
+                                                   n_distinct):
     states, digits = _copied_pool(rng, n_clips, sources, copies_in=copies_in)
-    opts = ReadoutOptions(bias=bias)
-    f = factor(states, digits, opts)
-    assert f.shape == (n_distinct, 12 + bias + 10)
-    _assert_factor_keeps_the_grams(f, *_pool_design(states, digits, bias))
+    f = factor(states, digits)
+    assert f.shape == (n_distinct, 12 + 10)
+    _assert_factor_keeps_the_grams(f, *_pool_design(states, digits))
 
 
-def test_bias_at_a_constant_feature_is_factored_once(rng):
-    """A feature that is 1 on every frame copies the bias input."""
-    states, digits = _toy_problem(rng, n_clips=2 * FACTOR_CHUNK + 7)
-    for v in states:
-        v[5] = 1.0
-    f = factor(states, digits, ReadoutOptions(bias=True))
-    assert f.shape == (12, 13 + 10)
-    assert np.array_equal(f[:, 12], f[:, 5])
-    _assert_factor_keeps_the_grams(f, *_pool_design(states, digits, True))
-
-
-@pytest.mark.parametrize("bias", [False, True])
-def test_solve_over_mixed_height_factors_matches_the_pseudoinverse(rng, bias):
-    """Pools with all, some and no repeated inputs give factors of 1 (2
-    with the bias), 9 (10) and 12 (13) rows; stacked, alone or in part,
-    they solve to T pinv(V) with the decisions of those weights."""
-    opts = ReadoutOptions(bias=bias)
+def test_solve_over_mixed_height_factors_matches_the_pseudoinverse(rng):
+    """Pools with all, some and no repeated inputs give factors of 1, 9
+    and 12 rows; stacked, alone or in part, they solve to T pinv(V) with
+    the decisions of those weights."""
+    opts = ReadoutOptions()
     pools = [_copied_pool(rng, 30, ALL_COPIES), _copied_pool(rng, 40, A_FEW_COPIES),
              _toy_problem(rng, n_clips=25, n_frames=9)]
-    factors = [factor(s, d, opts) for s, d in pools]
-    assert [f.shape[0] for f in factors] == [1 + bias, 9 + bias, 12 + bias]
+    factors = [factor(s, d) for s, d in pools]
+    assert [f.shape[0] for f in factors] == [1, 9, 12]
     for used in ([0], [1], [0, 1], [0, 1, 2], [2, 0]):
         states = [v for k in used for v in pools[k][0]]
         digits = [d for k in used for d in pools[k][1]]
-        big_v, big_t = _pool_design(states, digits, bias)
+        big_v, big_t = _pool_design(states, digits)
         want = big_t @ np.linalg.pinv(big_v, rcond=opts.rtol)
         got = solve([factors[k] for k in used], opts).weights
         assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want)), used
@@ -350,15 +324,14 @@ def _pools(rng, kind):
     raise ValueError(kind)
 
 
-@pytest.mark.parametrize("bias", [False, True])
 @pytest.mark.parametrize("kind", ["random", "rank-deficient", "copies"])
-def test_solve_over_a_merged_factor_matches_the_stacked_factors(rng, kind, bias):
+def test_solve_over_a_merged_factor_matches_the_stacked_factors(rng, kind):
     """Merging the factors of disjoint pools, at once or one pool at a time
     as the folds' runs are merged, solves to the weights and decisions of
     the stacked factors."""
-    opts = ReadoutOptions(bias=bias)
+    opts = ReadoutOptions()
     pools = _pools(rng, kind)
-    factors = [factor(s, d, opts) for s, d in pools]
+    factors = [factor(s, d) for s, d in pools]
     means = np.array([v.mean(axis=1) for s, _ in pools for v in s])
     for used in ([0, 1], [1, 2], [0, 1, 2]):
         want = solve([factors[k] for k in used], opts)
@@ -375,23 +348,21 @@ def test_solve_over_a_merged_factor_matches_the_stacked_factors(rng, kind, bias)
                                   predict_means(want, means).argmax(axis=1)), used
 
 
-@pytest.mark.parametrize("bias", [False, True])
-def test_a_merged_factor_keeps_one_row_per_distinct_input(rng, bias):
+def test_a_merged_factor_keeps_one_row_per_distinct_input(rng):
     """Inputs copied in every pool stay copies of the union, and are
     merged as one row; an input copied in only some pools is distinct."""
-    opts = ReadoutOptions(bias=bias)
     pools = [_copied_pool(rng, 30, A_FEW_COPIES), _copied_pool(rng, 40, A_FEW_COPIES),
              _copied_pool(rng, 25, ALL_COPIES)]
-    factors = [factor(s, d, opts) for s, d in pools]
-    assert [f.shape[0] for f in factors] == [9 + bias, 9 + bias, 1 + bias]
+    factors = [factor(s, d) for s, d in pools]
+    assert [f.shape[0] for f in factors] == [9, 9, 1]
     for used in ([0, 1], [0, 2], [0, 1, 2]):
         f = merge([factors[k] for k in used])
-        assert f.shape == (9 + bias, 12 + bias + N_CLASSES), used
+        assert f.shape == (9, 12 + N_CLASSES), used
         _assert_factor_keeps_the_grams(f, *_pool_design(
             [v for k in used for v in pools[k][0]],
-            [d for k in used for d in pools[k][1]], bias))
+            [d for k in used for d in pools[k][1]]))
     # copies of different sources: only the columns every pool copies
     other = _copied_pool(rng, 30, [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 0])
-    f = merge([factors[0], factor(*other, opts)])
-    assert f.shape[0] == 12 + bias
-    assert merge([factors[2], factors[2]]).shape[0] == 1 + bias
+    f = merge([factors[0], factor(*other)])
+    assert f.shape[0] == 12
+    assert merge([factors[2], factors[2]]).shape[0] == 1
