@@ -17,7 +17,10 @@ the stacked factors of disjoint pools into one factor of their union,
 and ``solve`` stacks the factors of any number of pools and solves
 R W^T = C, which has the same singular values and the same minimum-norm
 solution as the full problem; ``solve`` is the one step that reads
-``ReadoutOptions``.
+``ReadoutOptions``.  Each QR factors its column-major block in place with
+LAPACK's dgeqrt from the OpenBLAS that numpy bundles, found on first use,
+or goes to ``np.linalg.qr`` where numpy bundles none; the two agree to
+rounding, so report bytes hold per path and per CPU kernel.
 Where inputs repeat exactly (at alpha = 0 every feature row is the same
 pattern of ones and padding zeros), each distinct input is factored once,
 so a factor has one R row per distinct input.  Classification applies W
@@ -27,8 +30,11 @@ scores a set of clips that way.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -36,12 +42,18 @@ import numpy as np
 from .dataset import N_CLASSES
 from .errors import ConfigError, DataError, NumericalError
 
-# Clips per QR block of a factor.  A block costs its design plus the two
-# copies np.linalg.qr makes of it, so this sets a route's transient.  25
-# splits every 50-clip subset and the 400-clip stratified pool evenly, and
-# was fastest at n_theta 400: a subset's QRs took 85.6 ms in blocks of 25,
-# 95.4 ms at 50 and 96.3 ms at 10 (one BLAS thread, 2-vCPU x86_64).
+# Clips per QR block of a factor.  A block costs its design, which the
+# QR factors in place, so this sets a route's transient.  25 splits every
+# 50-clip subset and the 400-clip stratified pool evenly, and was fastest
+# at n_theta 400: a subset's QRs took 78.7 ms in blocks of 25, 83.0 ms at
+# 50 and 99.3 ms at 10 (medians of 7; one BLAS thread, 2-vCPU x86_64).
 FACTOR_CHUNK = 25
+
+# Panel width of dgeqrt's recursive QR (``_qr_r``).  A 2765x75 baseline
+# block took 2.5 ms at 32 against 2.8 at 16, 3.0 at 64 and 5.6 in
+# np.linalg.qr; a 3100x410 node block 41 ms at 32 and 64 against 53 at 16
+# and 69 in np.linalg.qr (medians of 9, same machine).
+NB = 32
 
 
 @dataclass(frozen=True)
@@ -121,8 +133,8 @@ def design(buffer: np.ndarray, r: np.ndarray | None, n_inputs: int,
     frame; the ``n_inputs`` input columns, then N_CLASSES target
     columns.  The caller writes the frames' inputs, the last ``n_frames``
     rows of the first ``n_inputs`` columns, and ``extend`` the rest.  It
-    is column-major, the layout LAPACK reads, so the QR copies each
-    column whole.
+    is column-major, the layout LAPACK reads, so the block QR factors it
+    in place.
     """
     rows, cols = (0 if r is None else r.shape[0]) + n_frames, n_inputs + N_CLASSES
     return buffer[:rows * cols].reshape((rows, cols), order="F")
@@ -175,13 +187,65 @@ def _triangular(block: np.ndarray, n: int) -> np.ndarray:
     # solution depends on
     source = _copied_columns(block, n)
     if source is None:
-        return np.linalg.qr(block, mode="r")[:n]
+        return _qr_r(block)[:n]
     # QR over exact copies shrinks each copy's residue by about eps
     # and then runs on subnormals; factor each distinct column once
     kept, position = np.unique(source, return_inverse=True)
     k = kept.size
-    rk = np.linalg.qr(block[:, np.r_[kept, n:n + N_CLASSES]], mode="r")[:k]
+    rk = _qr_r(np.asfortranarray(block[:, np.r_[kept, n:n + N_CLASSES]]))[:k]
     return np.hstack([rk[:, position], rk[:, k:]])
+
+
+_INT, _REAL = ctypes.POINTER(ctypes.c_int64), ctypes.POINTER(ctypes.c_double)
+
+
+@functools.cache
+def _dgeqrt():
+    """LAPACK's dgeqrt, with 64-bit integers, from the OpenBLAS that numpy
+    bundles, as a ctypes function; None where numpy bundles none (a numpy
+    built on MKL, Accelerate or a system LAPACK)."""
+    root = Path(np.__file__).parent
+    for lib in sorted([*root.parent.glob("numpy.libs/*openblas*"),
+                       *root.glob(".dylibs/*openblas*")]):
+        try:
+            handle = ctypes.CDLL(str(lib))
+        except OSError:
+            continue
+        for name in ("scipy_dgeqrt_64_", "dgeqrt_64_"):   # numpy 2, numpy 1.2x wheels
+            routine = getattr(handle, name, None)
+            if routine is not None:
+                # M, N, NB, A, LDA, T, LDT, WORK, INFO
+                routine.argtypes = [_INT, _INT, _INT, _REAL, _INT, _REAL, _INT, _REAL, _INT]
+                routine.restype = None
+                return routine
+    return None
+
+
+def _qr_r(block: np.ndarray) -> np.ndarray:
+    """The leading min(m, n) rows of the R factor of the (m, n) ``block``,
+    what ``np.linalg.qr(block, mode="r")`` gives.
+
+    A writeable column-major float64 block is factored in place, so its
+    entries are lost, by dgeqrt: LAPACK's recursive panel QR (Elmroth and
+    Gustavson), where ``np.linalg.qr`` copies the block twice and, below
+    128 columns, runs the unblocked level-2 QR.  Any other block is
+    copied column-major first.  Without numpy's OpenBLAS (``_dgeqrt``)
+    the block goes to ``np.linalg.qr``.
+    """
+    dgeqrt = _dgeqrt()
+    if dgeqrt is None:
+        return np.linalg.qr(block, mode="r")
+    a = np.require(block, np.float64, ["F", "A", "W"])
+    m, n = a.shape
+    k = min(m, n)
+    nb = max(1, min(NB, k))
+    t, work, info = np.empty(nb * max(k, 1)), np.empty(nb * max(n, 1)), ctypes.c_int64()
+    m_, n_, nb_, lda = (ctypes.c_int64(x) for x in (m, n, nb, max(1, m)))
+    dgeqrt(m_, n_, nb_, a.ctypes.data_as(_REAL), lda, t.ctypes.data_as(_REAL), nb_,
+           work.ctypes.data_as(_REAL), info)
+    if info.value:
+        raise NumericalError(f"dgeqrt rejected argument {-info.value}")
+    return np.triu(a[:k])
 
 
 def _copied_columns(block: np.ndarray, n: int) -> np.ndarray | None:

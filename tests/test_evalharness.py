@@ -373,16 +373,16 @@ def _two_subsets(corpus):
 
 def test_with_node_writes_each_block_of_readout_inputs_once(baseline):
     """The node's states land in the block's design, which the route
-    reuses, so a node block costs one design and the QR's copy of it,
-    not also a state buffer and a design filled from it.  The traced
-    peak at n_theta 400 stays under the bytes the route must hold: the
-    design buffer, the QR's copy of it, the padded feature block, each
-    group's factor and the one the QR is making, and the frame means,
-    plus a margin of half a block of states for what else is traced (the
-    mask, one clip's drive and states, the QR's triangle).  A separate
-    state buffer adds a whole block of states and overshoots the bound.
-    ``np.linalg.qr``'s LAPACK work copy is allocated outside
-    tracemalloc's view, so it counts in no figure."""
+    reuses and the block QR factors in place, so a node block costs one
+    design, not also a state buffer, a design filled from it or a copy
+    for the QR.  The traced peak at n_theta 400 (16.7 MiB) stays under
+    the bytes the route must hold: the design buffer, the padded feature
+    block, each group's factor and the one the QR is making, and the
+    frame means, plus a margin of half a block of states for what else
+    is traced (the mask, one clip's drive and states, the QR's triangle
+    and its small work arrays): 19.3 MiB.  A separate state buffer adds
+    a whole block of states, and a QR that copies the design (as
+    ``np.linalg.qr`` does, 25.4 MiB) a whole design; either overshoots."""
     small = _two_subsets(baseline.corpus)
     assert len(small.clip_ids) == 100
     pipe = replace(NODE_PIPE, n_theta=400)
@@ -392,7 +392,7 @@ def test_with_node_writes_each_block_of_readout_inputs_once(baseline):
     factors = (np.unique(small.subset_of).size + 1) * (n + N_CLASSES) ** 2 * 8
     frame_means = len(small.clip_ids) * n * 8
     states = FACTOR_CHUNK * n * n_frames * 8
-    bound = 2 * design + padded + factors + frame_means + states // 2
+    bound = design + padded + factors + frame_means + states // 2
     tracemalloc.start()
     try:
         with_node(small, pipe)
@@ -403,17 +403,16 @@ def test_with_node_writes_each_block_of_readout_inputs_once(baseline):
 
 
 def test_every_qr_reads_a_column_major_stack(baseline, monkeypatch):
-    """LAPACK reads columns, and ``np.linalg.qr`` copies a row-major or
-    strided input column by column, about a fifth slower on a node
-    block: each block's design, and each merge's stack of factors,
-    reaches the QR column-major."""
-    layouts, qr_ = [], np.linalg.qr
+    """LAPACK reads columns, and the block QR (``readout._qr_r``) factors
+    a column-major block in place but must copy any other: each block's
+    design, and each merge's stack of factors, reaches it column-major."""
+    layouts, qr_r = [], readout._qr_r
 
-    def recording_qr(a, *args, **kwargs):
+    def recording_qr_r(a):
         layouts.append((a.shape, a.flags.f_contiguous))
-        return qr_(a, *args, **kwargs)
+        return qr_r(a)
 
-    monkeypatch.setattr(np.linalg, "qr", recording_qr)
+    monkeypatch.setattr(readout, "_qr_r", recording_qr_r)
     small = _two_subsets(baseline.corpus)
     baseline_route(replace(small, subset_of=np.zeros(100, dtype=int)), baseline.pipeline)
     node = with_node(small, NODE_PIPE)

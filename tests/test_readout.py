@@ -1,11 +1,15 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import resonet.readout as readout
 from resonet.errors import ConfigError, DataError
+from resonet.filterbank import pad_to
 from resonet.readout import (FACTOR_CHUNK, N_CLASSES, Metrics, ReadoutModel,
                              ReadoutOptions, factor, merge, predict, predict_means,
                              score_wsr, solve, train_pinv)
-from resonet.readout import _copied_columns
+from resonet.readout import _copied_columns, _qr_r
 
 
 def classify(scores: np.ndarray) -> int:
@@ -265,7 +269,7 @@ def test_solve_over_mixed_height_factors_matches_the_pseudoinverse(rng):
 
 def test_distinct_inputs_with_equal_sums_take_the_plain_qr(rng):
     """Inputs whose sums collide but whose values differ are not copies:
-    the factor is bitwise the one plain QR of the block."""
+    the factor is bitwise the one plain block QR of the block."""
     v = rng.integers(-4, 5, size=(12, 40)).astype(float)
     v[3] = v[7][::-1]                  # same integer sum, different column
     v[9] = np.roll(v[2], 1)
@@ -274,7 +278,7 @@ def test_distinct_inputs_with_equal_sums_take_the_plain_qr(rng):
     t = one_hot_targets([v], [6])
     f = factor([v], [6])
     block = np.asfortranarray(np.hstack([v.T, t.T]))
-    assert np.array_equal(f, np.linalg.qr(block, mode="r")[:12])
+    assert np.array_equal(f, _qr_r(block)[:12])
 
 
 def _copied_columns_pairwise(block, n):
@@ -366,3 +370,131 @@ def test_a_merged_factor_keeps_one_row_per_distinct_input(rng):
     f = merge([factors[0], factor(*other)])
     assert f.shape[0] == 12
     assert merge([factors[2], factors[2]]).shape[0] == 1
+
+
+# ---------------------------------------------------------------------------
+# the block QR: dgeqrt in place, against np.linalg.qr
+
+# R entries agree to this much of a block's largest entry, each row taken
+# with the sign of the reference's diagonal; random node- and
+# baseline-shaped blocks agree to about 6e-16, the rows of the alpha = 1
+# block above its rank cut to about 2e-14
+QR_RTOL = 1e-13
+WEIGHTS_RTOL = 1e-10
+
+
+def _assert_same_r(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got, np.triu(got))
+    k = min(want.shape)
+    sign = np.where(np.signbit(np.diag(got)) == np.signbit(np.diag(want)), 1.0, -1.0)
+    scale = np.max(np.abs(want), initial=0.0)
+    assert np.max(np.abs(got[:k] * sign[:, None] - want), initial=0.0) <= QR_RTOL * scale
+
+
+def _design_block(states, digits, r=None):
+    """The design ``extend`` factors: the factor so far over one row per
+    frame, the inputs then the targets, column-major."""
+    frames = np.hstack([np.hstack(states).T, one_hot_targets(states, digits).T])
+    return np.asfortranarray(frames if r is None else np.vstack([r, frames]))
+
+
+@pytest.mark.parametrize("n_inputs, n_frames", [(400, 108), (65, 108)],
+                         ids=["node-3100x410", "baseline-2765x75"])
+def test_block_qr_matches_numpy_under_a_factor(rng, n_inputs, n_frames):
+    """A block of FACTOR_CHUNK clips stacked under the factor of the
+    blocks before, as ``extend`` hands it over, is factored in place."""
+    pools = [_toy_problem(rng, n_inputs, FACTOR_CHUNK, n_frames) for _ in range(2)]
+    earlier = _design_block(*pools[0])
+    r = np.linalg.qr(earlier, mode="r")[:n_inputs]
+    block = _design_block(*pools[1], r)
+    assert block.shape == (n_inputs + FACTOR_CHUNK * n_frames, n_inputs + N_CLASSES)
+    want = np.linalg.qr(block, mode="r")
+    got = _qr_r(block)
+    _assert_same_r(got, want)
+    if readout._dgeqrt() is not None:
+        assert np.array_equal(np.triu(block[:got.shape[0]]), got), "not factored in place"
+
+
+def test_block_qr_of_an_alpha_1_baseline_block_keeps_the_rank_cut(spectra):
+    """At alpha = 1 the 65 spectral inputs span 64 directions (README,
+    "Rank cut").  On a baseline-shaped block of the default corpus both
+    factors solve at rank 64, to the same weights and decisions; their rows
+    above the cut agree, and the last row is rounding noise in both."""
+    features = pad_to(spectra.features[:2 * FACTOR_CHUNK], spectra.n_frames_max)
+    states, digits = list(features), [int(d) for d in spectra.digits[:2 * FACTOR_CHUNK]]
+    r = factor(states[FACTOR_CHUNK:], digits[FACTOR_CHUNK:])
+    block = _design_block(states[:FACTOR_CHUNK], digits[:FACTOR_CHUNK], r)
+    assert block.shape == (65 + FACTOR_CHUNK * spectra.n_frames_max, 65 + N_CLASSES)
+    want = np.linalg.qr(block, mode="r")[:65]
+    got = _qr_r(block)[:65]
+    _assert_same_r(got[:64], want[:64])
+    for f in (got, want):
+        assert np.linalg.lstsq(f[:, :65], f[:, 65:], rcond=ReadoutOptions().rtol)[2] == 64
+    w_got, w_want = solve([got]).weights, solve([want]).weights
+    assert np.max(np.abs(w_got - w_want)) <= WEIGHTS_RTOL * np.max(np.abs(w_want))
+    means = features.mean(axis=2)
+    assert np.array_equal(predict_means(ReadoutModel(w_got, ReadoutOptions()), means).argmax(1),
+                          predict_means(ReadoutModel(w_want, ReadoutOptions()), means).argmax(1))
+
+
+@pytest.mark.parametrize("kind", ["wide", "one-row", "all-zero", "empty"])
+def test_block_qr_matches_numpy_on_short_and_zero_blocks(rng, kind):
+    """Fewer rows than columns gives min(m, n) rows, as np.linalg.qr does."""
+    shape = {"wide": (5, 22), "one-row": (1, 22), "all-zero": (30, 22), "empty": (0, 22)}[kind]
+    block = rng.standard_normal(shape) if kind in ("wide", "one-row") else np.zeros(shape)
+    want = np.linalg.qr(block, mode="r")
+    _assert_same_r(_qr_r(np.asfortranarray(block)), want)
+
+
+def test_copied_columns_reach_the_block_qr_column_major(rng, monkeypatch):
+    """The copied-columns path selects the distinct columns into a
+    column-major block, so dgeqrt factors it in place, and its factor
+    matches the one np.linalg.qr gives."""
+    states, digits = _copied_pool(rng, 2 * FACTOR_CHUNK + 7, A_FEW_COPIES)
+    layouts, qr_r = [], readout._qr_r
+
+    def recording_qr_r(block):
+        layouts.append((block.shape, block.flags.f_contiguous))
+        return qr_r(block)
+
+    monkeypatch.setattr(readout, "_qr_r", recording_qr_r)
+    got = factor(states, digits)
+    assert layouts == [((FACTOR_CHUNK * 9, 9 + N_CLASSES), True),
+                       ((9 + FACTOR_CHUNK * 9, 9 + N_CLASSES), True),
+                       ((9 + 7 * 9, 9 + N_CLASSES), True)]
+    monkeypatch.setattr(readout, "_dgeqrt", lambda: None)
+    want = factor(states, digits)
+    _assert_same_r(got, want)
+    _assert_factor_keeps_the_grams(got, *_pool_design(states, digits))
+
+
+def test_without_numpys_openblas_the_factor_is_numpys_qr(rng, monkeypatch, tmp_path):
+    """Where numpy bundles no OpenBLAS (MKL, Accelerate or a system LAPACK)
+    the resolver finds nothing and each block goes to np.linalg.qr: the
+    factor is that QR's, bit for bit."""
+    v = rng.standard_normal((12, 40))
+    block = _design_block([v], [6])
+    readout._dgeqrt.cache_clear()
+    monkeypatch.setattr(np, "__file__", str(tmp_path / "numpy" / "__init__.py"))
+    try:
+        assert readout._dgeqrt() is None
+        assert np.array_equal(factor([v], [6]), np.linalg.qr(block, mode="r")[:12])
+    finally:
+        readout._dgeqrt.cache_clear()
+
+
+def test_the_block_qr_is_resolved_on_first_use(fresh_python):
+    """Importing the readout resolves nothing; the first factor finds
+    dgeqrt in the OpenBLAS that numpy bundles."""
+    root = Path(np.__file__).parent
+    if not [*root.parent.glob("numpy.libs/*openblas*"), *root.glob(".dylibs/*openblas*")]:
+        pytest.skip("numpy bundles no OpenBLAS")
+    out = fresh_python("""
+import numpy as np
+import resonet.readout as readout
+print(readout._dgeqrt.cache_info().currsize)
+readout.factor([np.eye(3)], [1])
+print(readout._dgeqrt() is not None)
+""").split()
+    assert out == ["0", "True"]
