@@ -102,7 +102,7 @@ def cmd_bench(cfg: RunConfig, args) -> int:
     total = None
 
     if pipeline.node_kind is not None:
-        total = cross_validate(with_node(corpus, pipeline), n_train)
+        total = cross_validate(with_node(corpus, pipeline, workers=args.workers), n_train)
         (out / "report_total.csv").write_text(report_to_csv(total, header))
         for i, fm in enumerate(total.folds):
             cachefile.write_model(out / "models" / f"fold_{i:03d}.rnbm", fm.model,
@@ -235,7 +235,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--workers", type=int, default=1,
                        help="threads that realize and featurize clips in featurize, "
                             "bench, sweep, stratified and export-features (one for the "
-                            "cochlear front end); BLAS always runs on one thread "
+                            "cochlear front end), and that run the node route's subsets "
+                            "in bench and stratified; BLAS always runs on one thread "
                             "(default: 1)")
         p.add_argument("--out", default="out", help="output directory (default: out)")
         p.add_argument("--seed-override", action="append", default=[],

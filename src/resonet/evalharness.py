@@ -23,7 +23,7 @@ import numpy as np
 from . import reservoir
 from .cachefile import STALE_ADVICE, feature_cache_path, read_feature_cache
 from .dataset import N_SUBSETS, AudioClip, Manifest, ManifestEntry, read_clip, realize_clip
-from .errors import CacheError, ConfigError, DataError, NumericalError
+from .errors import CacheError, ConfigError, DataError, NumericalError, ResonetError
 from .filterbank import (COCHLEAR_BATCH, CochlearConfig, FeatureMatrix, MfccConfig,
                          StftConfig, exponent_transform, featurize_batch, pad_to)
 from .readout import (FACTOR_CHUNK, Metrics, ReadoutModel, ReadoutOptions, design,
@@ -231,30 +231,40 @@ class Route:
 
 def _reduce(corpus: Corpus, pipeline: PipelineSpec, features: Callable[[int], FeatureMatrix],
             node: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
-            factored: Collection[int] | None = None) -> Route:
+            factored: Collection[int] | None = None, workers: int = 1) -> Route:
     """The route ``pipeline`` of ``corpus``, with the groups in ``factored``
     (every group when None) factored.  Each group's clips are taken in
     index order, ``FACTOR_CHUNK`` at a time, the blocks ``factor`` forms.
     Each block's readout inputs are written once, into its
-    ``readout.design`` in the one design buffer the route reuses: the
+    ``readout.design`` in a design buffer that its thread reuses: the
     features, ``features(i)`` for clip i, padded there, or, with
     ``node``, the states that ``node(padded, inputs)`` writes into
     ``inputs``, the design's frame rows shaped (clips, n_theta,
-    n_frames_max), from the features padded into one block buffer; it
-    returns their frame means.  Every block gives its clips' frame means,
-    and a block of a factored group is stacked under its factor
-    (``extend``)."""
+    n_frames_max), from the features padded into the thread's block
+    buffer; it returns their frame means.  Every block gives its clips'
+    frame means, and a block of a factored group is stacked under its
+    factor (``extend``).
+
+    A group's blocks form one chain and its rows of the frame means are
+    its own, so groups do not depend on each other: they are dealt in
+    turn to ``workers`` threads (one thread runs them in place), each with
+    its own design buffer and block buffer, and every factor and frame
+    mean has the same bytes at any thread count.  The block QR
+    (``readout._qr_r``) and the node's numpy calls release the
+    interpreter lock.  A group that fails with a ``ResonetError`` raises
+    it once every thread has stopped; where several fail, the first
+    group's, as on one thread.
+    """
     n_frames, n_rows = corpus.n_frames_max, corpus.features[0].n_rows
     n_inputs = n_rows if node is None else pipeline.n_theta
-    padded = None if node is None else np.empty((FACTOR_CHUNK, n_rows, n_frames))
-    buffer = design_buffer(n_inputs, FACTOR_CHUNK * n_frames)
     frame_means = np.empty((len(corpus.clip_ids), n_inputs))
-    factors: dict[int, np.ndarray] = {}
-    for group in (int(g) for g in np.unique(corpus.subset_of)):
+    groups = [int(g) for g in np.unique(corpus.subset_of)]
+
+    def _chain(group: int, buffer: np.ndarray, padded: np.ndarray | None) -> np.ndarray | None:
         idx = corpus.indices_of_subsets([group])
+        r = None
         for start in range(0, idx.size, FACTOR_CHUNK):
             chunk = idx[start:start + FACTOR_CHUNK]
-            r = factors.get(group)
             stack = design(buffer, r, n_inputs, chunk.size * n_frames)
             # the frame rows' inputs, clip by clip: a view, so written in place
             inputs = np.reshape(stack[-chunk.size * n_frames:, :n_inputs],
@@ -265,20 +275,53 @@ def _reduce(corpus: Corpus, pipeline: PipelineSpec, features: Callable[[int], Fe
             else:
                 frame_means[chunk] = node(pad_to(block, n_frames, out=padded), inputs)
             if factored is None or group in factored:
-                factors[group] = extend(r, stack, corpus.digits[chunk], [n_frames] * chunk.size)
+                r = extend(r, stack, corpus.digits[chunk], [n_frames] * chunk.size)
+        return r
+
+    def _share(share: list[int]) -> dict[int, np.ndarray | None | ResonetError]:
+        # a share stops at its first failing group; later ones are not run
+        padded = None if node is None else np.empty((FACTOR_CHUNK, n_rows, n_frames))
+        buffer = design_buffer(n_inputs, FACTOR_CHUNK * n_frames)
+        done: dict[int, np.ndarray | None | ResonetError] = {}
+        for group in share:
+            try:
+                done[group] = _chain(group, buffer, padded)
+            except ResonetError as exc:
+                done[group] = exc
+                break
+        return done
+
+    shares = [groups[k::workers] for k in range(min(workers, len(groups)))]
+    if len(shares) == 1:
+        chains = _share(shares[0])
+    else:
+        with ThreadPoolExecutor(max_workers=len(shares)) as pool:
+            chains = {g: r for done in pool.map(_share, shares) for g, r in done.items()}
+    factors: dict[int, np.ndarray] = {}
+    for group in groups:       # a group missing here follows a failed one in its share
+        r = chains.get(group)
+        if isinstance(r, ResonetError):
+            raise r
+        if r is not None:
+            factors[group] = r
     return Route(corpus, pipeline, frame_means, factors)
 
 
 def baseline_route(corpus: Corpus, pipeline: PipelineSpec,
                    factored: Collection[int] | None = None) -> Route:
     """The baseline route of a corpus of ``pipeline``'s front end, its node
-    ignored: padded features feed the readout, factored as ``_reduce`` says."""
+    ignored: padded features feed the readout, factored as ``_reduce`` says.
+    Its groups run on one thread: its 2765x75 blocks are too small to gain
+    from more.  ``sweep`` at ``--workers 2`` with every baseline route's
+    groups on two threads took 2.27-2.60 s wall, 3.35-3.78 s CPU and
+    77 MiB, against 2.24-2.75 s, 2.94-3.79 s and 73 MiB on one (five runs
+    each, 2-vCPU x86_64)."""
     return _reduce(corpus, replace(pipeline, node_kind=None), corpus.features.__getitem__,
                    factored=factored)
 
 
 def with_node(corpus: Corpus, pipeline: PipelineSpec,
-              factored: Collection[int] | None = None) -> Route:
+              factored: Collection[int] | None = None, workers: int = 1) -> Route:
     """The total route: the node's frame-mean states as scoring inputs and
     the factors of the groups in ``factored`` (every group when None) as
     training inputs.  ``pipeline`` must be the corpus's front end.
@@ -289,12 +332,19 @@ def with_node(corpus: Corpus, pipeline: PipelineSpec,
     features ``M @ X`` are computed twice, once for the peak and once for
     the drive: holding them for the whole corpus instead would cost
     n_clips x n_theta x n_frames_max floats (173 MB on the default corpus).
+    The peak pass runs on one thread: on two it took 0.070-0.108 s wall
+    and 0.13-0.17 s CPU against 0.086-0.124 s on one (default corpus,
+    ``n_theta`` 400, seven runs each, 2-vCPU x86_64).
     State integration restarts from the rest amplitude at every clip
     boundary.  The node runs one clip at a time, as the single physical
     node does, one block of ``_reduce`` at a time, and writes each clip's
-    states straight into the block's design, so the route holds no state
+    states straight into the block's design, so a thread holds no state
     buffer of its own; a clip's frame means are summed frame after frame
-    from the node's output, before it is written.  Each block's states are
+    from the node's output, before it is written.  The groups run on
+    ``workers`` threads (``_reduce``), each group's clips in order, so the
+    route has the same bytes at any count; each thread adds one design
+    and one padded block (9.7 and 1.3 MiB at ``n_theta`` 400 on the
+    default corpus).  Each block's states are
     checked before they are reduced.  Overflow inside the node is not
     warned about: the state check reports it as a ``NumericalError``.
     The node's functions are called through the ``reservoir`` module, so a
@@ -326,8 +376,8 @@ def with_node(corpus: Corpus, pipeline: PipelineSpec,
             raise NumericalError("oscillator states must be nonnegative")
         return means
 
-    return replace(_reduce(corpus, pipeline, corpus.features.__getitem__, _node, factored),
-                   input_gain=input_gain)
+    return replace(_reduce(corpus, pipeline, corpus.features.__getitem__, _node, factored,
+                           workers), input_gain=input_gain)
 
 
 @dataclass(frozen=True)
@@ -416,10 +466,12 @@ def cross_validate(route: Route, n_train: int) -> CrossValReport:
     it: at N = 9 a fold stacks a prefix and a suffix of the ten subsets,
     800 rows at ``n_theta`` 400 instead of nine subsets' 3 600, after 16
     merges in all.  At N = 1 nothing is merged.  Folds run one after
-    another, as BLAS runs on one thread: a pool that ran folds on 2
-    threads cut ``bench`` by about a sixth but added 100-120 MiB to its
-    peak RSS (152 to 250-273 MiB when it was measured, with a design
-    allocated per block), about as much as the whole run holds now.
+    another, on one thread whatever ``--workers`` says.  Their solves
+    would gain from two: the ten N = 9 solves of ``bench``'s node route
+    (``np.linalg.lstsq`` on BLAS's one thread) took 0.17-0.21 s wall on
+    two threads against 0.32-0.44 s on one, for the same CPU (seven runs
+    each, 2-vCPU x86_64).  A fold pool is not built yet: the run merges
+    that folds share are made on first use, inside the folds.
     """
     merged: dict[tuple[int, int], np.ndarray] = {}
     results = [run_fold(f, route, merged) for f in enumerate_folds(n_train)]
@@ -435,7 +487,9 @@ def alpha_sweep(spectra: Corpus, pipeline: PipelineSpec, alphas: Sequence[float]
     alpha 1, its max-abs-normalized real spectra; ``pipeline`` sets the
     readout.  Each exponent's features are the ``spectro_exp`` front end's:
     ``exponent_transform`` of each clip's ``spectra.features``, checked as
-    a ``FeatureMatrix`` and padded inside ``_reduce``.
+    a ``FeatureMatrix`` and padded inside ``_reduce``.  Each exponent's
+    route runs on one thread, as ``baseline_route`` does and for its
+    reason.
     """
     reports = []
     for alpha in (float(a) for a in alphas):
@@ -540,7 +594,7 @@ def stratified_report(manifest: Manifest, pipeline: PipelineSpec,
     if pipeline.node_kind is None:
         wsr, gain = base, None
     else:
-        wsr = _grid(with_node(corpus, pipeline, factored=(0,)))
+        wsr = _grid(with_node(corpus, pipeline, factored=(0,), workers=workers))
         gain = wsr - base
     return ConditionReport(tuple(float(s) for s in test_snrs),
                            tuple(test_noise_types), wsr, gain,

@@ -55,6 +55,11 @@ FACTOR_CHUNK = 25
 # and 69 in np.linalg.qr (medians of 9, same machine).
 NB = 32
 
+# Leading rows whose column sums screen a block for copied input columns
+# (``_copied_columns``): a block with no copies pays a pass over these
+# rows, not over all of them.
+SCREEN_ROWS = 64
+
 
 @dataclass(frozen=True)
 class ReadoutOptions:
@@ -252,10 +257,14 @@ def _copied_columns(block: np.ndarray, n: int) -> np.ndarray | None:
     """For each of the first ``n`` columns of ``block``, the index of the
     first column equal to it; None when all of them differ.
 
-    Column sums filter the candidates: column j is compared entry by entry
-    only with earlier columns of its sum that copy no other, in order, so
-    a block whose sums all differ costs one pass over it.
+    Column sums filter the candidates.  Equal columns have equal sums over
+    any rows, so a block whose sums over its leading ``SCREEN_ROWS`` rows
+    all differ has no copies, which costs only those rows.  Otherwise
+    column j is compared entry by entry only with earlier columns of its
+    full sum that copy no other, in order.
     """
+    if np.unique(block[:SCREEN_ROWS, :n].sum(axis=0)).size == n:
+        return None
     sums = block[:, :n].sum(axis=0)
     if np.unique(sums).size == n:
         return None

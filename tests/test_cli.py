@@ -5,6 +5,7 @@ import contextlib
 import io
 import re
 import shutil
+import threading
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -506,13 +507,17 @@ def test_bench_featurizes_each_clip_once_and_trains_each_fold_once(conf, monkeyp
     featurized = _count_featurize(monkeypatch)
     factored, blocks, trained = [], [], []
     solve, extend = evalharness.solve, evalharness.extend
+    current = {}        # each thread's group in ``factored``: threads take groups in turn
 
     def counting_extend(r, block, digits, *args, **kwargs):
+        thread = threading.get_ident()
         if r is None:       # a group's first block starts its factor
+            current[thread] = len(factored)
             factored.append((0, None))
         blocks.append(len(digits))
         # the block's design: its input columns, then the targets
-        factored[-1] = (factored[-1][0] + len(digits), block.shape[1] - N_CLASSES)
+        k = current[thread]
+        factored[k] = (factored[k][0] + len(digits), block.shape[1] - N_CLASSES)
         return extend(r, block, digits, *args, **kwargs)
 
     def counting_solve(*args, **kwargs):
@@ -574,6 +579,50 @@ def test_sweep_realizes_each_clip_once(tmp_path, monkeypatch, alphas):
     assert len(realized) == 500
     assert len(set(realized)) == 500
     assert (tmp_path / "out" / "parity.csv").exists() == ("1000" in alphas)
+
+
+def test_bench_writes_the_same_bytes_at_one_and_two_workers(conf, tmp_path):
+    """The node route's groups run on the ``--workers`` threads, and
+    reports, ``summary.md`` and every model file keep their bytes."""
+    trees = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"w{workers}"
+        assert run("bench", conf, "--workers", workers, "--out", str(out)) == 0
+        trees.append({p: b for p, b in _files(out).items() if p.parts[0] != "cache"})
+    assert trees[0] == trees[1]
+    assert {p.name for p in trees[0] if p.parts[0] != "models"} == {
+        "report_baseline.csv", "report_total.csv", "summary.md"}
+    assert len([p for p in trees[0] if p.parts[0] == "models"]) == 10
+
+
+def test_bad_states_in_a_later_group_give_exit_code_4_at_any_worker_count(
+        conf, monkeypatch, capsys):
+    """A NaN in the drive of subset 7's first clip exits 4 with the same
+    message at one and two workers, and no thread of the node route's
+    pool is left running."""
+    import resonet.reservoir as reservoir
+    cfg = parse_config(str(conf))
+    manifest, partition = cfg.load_corpus()
+    entry = manifest.entries[partition.groups(manifest).index(7)]
+    bad = entry_features(entry, cfg.pipeline(), manifest).values
+    mask_and_flatten, hits = reservoir.mask_and_flatten, []
+
+    def flatten_spoiling_one_clip(x, mask):
+        drive = mask_and_flatten(x, mask)
+        if np.array_equal(x[:, :bad.shape[1]], bad):
+            hits.append(None)
+            drive[0] = float("nan")
+        return drive
+
+    monkeypatch.setattr(reservoir, "mask_and_flatten", flatten_spoiling_one_clip)
+    errs = []
+    for workers in ("1", "2"):
+        before = set(threading.enumerate())
+        assert run("bench", conf, "--workers", workers) == 4
+        assert set(threading.enumerate()) == before
+        errs.append(capsys.readouterr().err)
+    assert errs[0] == errs[1] == "error: stno node states have non-finite entries\n"
+    assert len(hits) == 2       # the one clip, once per run
 
 
 @pytest.mark.parametrize("value, match", [(-1.0, "nonnegative"), (float("nan"), "non-finite")])

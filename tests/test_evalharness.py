@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 import threading
 import time
 import tracemalloc
@@ -385,21 +386,97 @@ def test_with_node_writes_each_block_of_readout_inputs_once(baseline):
     ``np.linalg.qr`` does, 25.4 MiB) a whole design; either overshoots."""
     small = _two_subsets(baseline.corpus)
     assert len(small.clip_ids) == 100
+    peak, bound = _node_route_peak(small, workers=1)
+    assert peak <= bound, f"peak {peak / 2**20:.2f} MiB over the bound {bound / 2**20:.2f} MiB"
+
+
+def _node_route_peak(corpus, workers):
+    """The traced peak of ``with_node`` at n_theta 400 on ``workers``
+    threads, and the bound of the test above with one more design buffer
+    and one more padded feature block per thread past the first."""
     pipe = replace(NODE_PIPE, n_theta=400)
-    n, n_frames = pipe.n_theta, small.n_frames_max
+    n, n_frames = pipe.n_theta, corpus.n_frames_max
     design = (n + FACTOR_CHUNK * n_frames) * (n + N_CLASSES) * 8    # design_buffer
-    padded = FACTOR_CHUNK * small.features[0].n_rows * n_frames * 8
-    factors = (np.unique(small.subset_of).size + 1) * (n + N_CLASSES) ** 2 * 8
-    frame_means = len(small.clip_ids) * n * 8
+    padded = FACTOR_CHUNK * corpus.features[0].n_rows * n_frames * 8
+    factors = (np.unique(corpus.subset_of).size + 1) * (n + N_CLASSES) ** 2 * 8
+    frame_means = len(corpus.clip_ids) * n * 8
     states = FACTOR_CHUNK * n * n_frames * 8
-    bound = design + padded + factors + frame_means + states // 2
+    bound = workers * (design + padded) + factors + frame_means + states // 2
     tracemalloc.start()
     try:
-        with_node(small, pipe)
+        with_node(corpus, pipe, workers=workers)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return peak, bound
+
+
+def test_each_node_route_thread_holds_one_design_and_one_padded_block(baseline):
+    """At two workers the route holds one more design buffer and one more
+    padded feature block than at one, and nothing else of their size: the
+    100 clips in four groups of 25, two per thread, so a pool that
+    allocated per block or per group, or ran a thread per group, would
+    hold at least one design more and overshoot the bound."""
+    small = _two_subsets(baseline.corpus)
+    four = replace(small, subset_of=np.arange(100) // FACTOR_CHUNK)
+    peak, bound = _node_route_peak(four, workers=2)
     assert peak <= bound, f"peak {peak / 2**20:.2f} MiB over the bound {bound / 2**20:.2f} MiB"
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_with_node_has_the_same_bytes_at_any_worker_count(node_route, monkeypatch, workers):
+    """The groups run on ``workers`` threads, and frame means, input gain
+    and every factor, in group order, keep their bytes.  Three workers
+    split the ten groups unevenly (4, 3 and 3) and outnumber the cores of
+    a two-core machine; the threads switch as often as they can."""
+    serial = node_route[0]
+    threads, stno_run_ = set(), reservoir.stno_run
+
+    def stno_run_noting_its_thread(*args):
+        threads.add(threading.get_ident())
+        return stno_run_(*args)
+
+    monkeypatch.setattr(reservoir, "stno_run", stno_run_noting_its_thread)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = with_node(serial.corpus, NODE_PIPE, workers=workers)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(threads) == workers
+    assert got.frame_means.tobytes() == serial.frame_means.tobytes()
+    assert got.input_gain == serial.input_gain
+    assert list(got.factors) == list(serial.factors) == list(range(10))
+    for k, f in serial.factors.items():
+        assert got.factors[k].tobytes() == f.tobytes(), f"subset {k}"
+
+
+def test_a_failing_group_raises_its_error_at_any_worker_count(baseline, monkeypatch):
+    """One clip of a later group (the first of subset 7) gives a NaN: at
+    two workers the route raises the error it raises at one, and its
+    pool's threads are gone when it does."""
+    pipe = replace(NODE_PIPE, n_theta=4)
+    bad = baseline.corpus.indices_of_subsets([7])[0]
+    tensors = pad_to(baseline.corpus.features)
+    mask = gen_mask(pipe.mask_seed, pipe.n_theta, tensors.shape[1])
+    _, gain = reference_node_stage(tensors, pipe)
+    bad_drive = gain * mask_and_flatten(tensors[bad], mask)
+
+    def stno_run_spoiling_one_clip(drive, params):
+        v = stno_run(drive, params)
+        if np.array_equal(drive, bad_drive):
+            v[0] = np.nan
+        return v
+
+    monkeypatch.setattr(reservoir, "stno_run", stno_run_spoiling_one_clip)
+    errors = []
+    for workers in (1, 2):
+        before = set(threading.enumerate())
+        with pytest.raises(NumericalError) as caught:
+            with_node(baseline.corpus, pipe, workers=workers)
+        assert set(threading.enumerate()) == before
+        errors.append((type(caught.value), str(caught.value)))
+    assert errors[0] == errors[1] == (NumericalError, "stno node states have non-finite entries")
 
 
 def test_every_qr_reads_a_column_major_stack(baseline, monkeypatch):
@@ -817,8 +894,8 @@ def test_stratified_node_route_factors_only_the_training_pool(corpus, monkeypatc
     routes, factored = [], []
     with_node_, extend_ = evalharness.with_node, evalharness.extend
 
-    def keeping_with_node(base, pipeline, factored=None):
-        prep = with_node_(base, pipeline, factored)
+    def keeping_with_node(base, pipeline, factored=None, **kwargs):
+        prep = with_node_(base, pipeline, factored, **kwargs)
         routes.append((base, prep))
         return prep
 

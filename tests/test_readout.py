@@ -5,7 +5,7 @@ import pytest
 
 import resonet.readout as readout
 from resonet.errors import ConfigError, DataError
-from resonet.filterbank import pad_to
+from resonet.filterbank import FeatureMatrix, exponent_transform, pad_to
 from resonet.readout import (FACTOR_CHUNK, N_CLASSES, Metrics, ReadoutModel,
                              ReadoutOptions, factor, merge, predict, predict_means,
                              score_wsr, solve, train_pinv)
@@ -303,6 +303,38 @@ def test_copied_columns_match_a_pairwise_scan(seed):
     got = _copied_columns(np.asfortranarray(block), n)
     assert (got is None) == (want is None)
     assert want is None or np.array_equal(got, want)
+
+
+def test_copied_columns_look_below_the_screened_rows(rng):
+    """Columns that agree on the ``SCREEN_ROWS`` rows whose sums screen a
+    block, but not below them, are not copies, even with equal full sums;
+    a copy that agrees on every row still is."""
+    n, rows = 12, readout.SCREEN_ROWS + 40
+    block = rng.integers(-3, 4, size=(rows, n + N_CLASSES)).astype(float)
+    block[:readout.SCREEN_ROWS, 5] = block[:readout.SCREEN_ROWS, 2]
+    block[readout.SCREEN_ROWS:, 5] = block[readout.SCREEN_ROWS:, 2][::-1]
+    block[readout.SCREEN_ROWS, 5] += 1.0               # equal full sums, other entries
+    block[readout.SCREEN_ROWS + 1, 5] -= 1.0
+    assert block[:, 5].sum() == block[:, 2].sum()
+    assert not np.array_equal(block[:, 5], block[:, 2])
+    assert _copied_columns(np.asfortranarray(block), n) is None
+    block[readout.SCREEN_ROWS:, 9] = block[readout.SCREEN_ROWS:, 2]
+    block[:readout.SCREEN_ROWS, 9] = block[:readout.SCREEN_ROWS, 2]
+    want = np.arange(n)
+    want[9] = 2
+    assert np.array_equal(_copied_columns(np.asfortranarray(block), n), want)
+
+
+def test_an_alpha_0_block_of_the_default_corpus_collapses_to_one_column(spectra):
+    """At alpha = 0 every true entry is 1 and padding is 0, so every
+    feature column of a 25-clip baseline block copies the first."""
+    features = [FeatureMatrix(exponent_transform(fm.values, 0.0), "spectro_exp",
+                              fm.clip_id, 0.0) for fm in spectra.features[:FACTOR_CHUNK]]
+    inputs = np.hstack(list(pad_to(features, spectra.n_frames_max))).T
+    n = inputs.shape[1]
+    block = np.zeros((inputs.shape[0], n + N_CLASSES), order="F")
+    block[:, :n] = inputs
+    assert np.array_equal(_copied_columns(block, n), np.zeros(n, dtype=int))
 
 
 # ---------------------------------------------------------------------------
